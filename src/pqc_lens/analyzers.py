@@ -1,10 +1,12 @@
 """Ensemble analyzers for parameterized circuits.
 
 Every analyzer draws parameter vectors uniformly from [0, 2*pi)^M, one
-dedicated RNG stream per sample seeded base + i, so results are identical
-whether the sample loop runs on one thread or many. The worker count comes
-from the PQC_LENS_THREADS environment variable (default 1); gathering is
-ordered and reductions run sequentially, keeping outputs byte-stable.
+dedicated RNG stream per sample seeded base + i, and simulates its samples
+as batches of one compiled circuit (simulator.simulate_batch). Batches are
+split into memory-bounded chunks of consecutive samples, and the chunks run
+on PQC_LENS_THREADS worker threads (default 1). Each row's arithmetic does
+not depend on its chunk, gathering is ordered and reductions run
+sequentially, so outputs are byte-stable for any thread count.
 
 Reports serialize through to_dict() into JSON-compatible trees tagged with
 the schema version "pqc-lens/1".
@@ -12,8 +14,6 @@ the schema version "pqc-lens/1".
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import combinations
 
@@ -31,22 +31,25 @@ from .baselines import (
     sample_haar_state,
     spectral_xi,
 )
-from .circuit import CircuitDescriptor, bind, make_circuit
+from .circuit import CircuitDescriptor, GateProgram, compile_program, make_circuit
 from .library import all_zeros_infidelity_cost, mean_excitation_cost
 from .projection import PointCloud, SubspaceBasis, pca, random_basis, tsne
 from .simulator import (
-    expectation,
-    reduced_density_matrix,
+    StateVector,
+    density_batch,
+    expectation_batch,
+    map_chunks,
+    purity_batch,
+    row_vdot,
     sample,
-    simulate,
-    subsystem_purity,
+    simulate_batch,
 )
 from .trainer import (
     OptimizerConfig,
     TrainingTrace,
+    cost_batch,
     ensemble_train,
-    evaluate_cost,
-    gradient,
+    gradient_batch,
 )
 
 SCHEMA = "pqc-lens/1"
@@ -57,25 +60,6 @@ ENTANGLEMENT_MEASURES = ("meyer-wallach", "scott")
 _TWO_PI = 2.0 * math.pi
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("PQC_LENS_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ValueError(f"PQC_LENS_THREADS must be an integer, got {raw!r}")
-    return max(1, count)
-
-
-def _ordered_map(fn, items) -> list:
-    """Map preserving input order; parallel only when workers > 1."""
-    items = list(items)
-    workers = _worker_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _resolve_seed(seed) -> int:
     if seed is None:
         return int(np.random.default_rng().integers(2**31))
@@ -84,6 +68,13 @@ def _resolve_seed(seed) -> int:
 
 def _uniform_theta(rng: np.random.Generator, n_params: int) -> np.ndarray:
     return rng.uniform(0.0, _TWO_PI, n_params)
+
+
+def _sampled_states(program: GateProgram, base: int, samples: range) -> np.ndarray:
+    """States of the samples in range, sample i drawn from the seed base + i."""
+    thetas = np.stack([_uniform_theta(np.random.default_rng(base + i), program.n_params)
+                       for i in samples])
+    return simulate_batch(program, program.angles(thetas))
 
 
 def _divergence(measure: str, p, q) -> float:
@@ -133,13 +124,22 @@ class MetricSpec:
                 raise ValueError("from_samples metric needs shots >= 1")
 
 
-def _evaluate_metric(circuit: CircuitDescriptor, theta, metric: MetricSpec,
-                     seed: int) -> float:
+def _metric_values(circuit: CircuitDescriptor, thetas, metric: MetricSpec,
+                   seeds) -> np.ndarray:
+    """The metric at every row of thetas; sampling row r uses seeds[r]."""
     if metric.mode == MetricSpec.EXPECTATION:
-        return evaluate_cost(circuit, theta)
-    state = simulate(bind(circuit, theta))
-    counts = sample(state, metric.shots, seed)
-    return float(metric.scorer(counts.bit_matrix()))
+        return cost_batch(circuit, thetas)
+    program = compile_program(circuit)
+    angles = program.angles(thetas)
+    n = circuit.n_qubits
+
+    def chunk(rows: range) -> list[float]:
+        states = simulate_batch(program, angles[rows.start:rows.stop])
+        return [float(metric.scorer(sample(StateVector(n, psi), metric.shots,
+                                           seeds[r]).bit_matrix()))
+                for r, psi in zip(rows, states)]
+
+    return np.concatenate(map_chunks(chunk, angles.shape[0], n))
 
 
 @dataclass(frozen=True)
@@ -180,15 +180,21 @@ def expressibility(circuit: CircuitDescriptor, samples: int,
     if measure not in DIVERGENCE_MEASURES:
         raise ValueError(f"measure must be one of {DIVERGENCE_MEASURES}")
     base = _resolve_seed(seed)
+    program = compile_program(circuit)
 
-    def one_fidelity(i: int) -> float:
-        rng = np.random.default_rng(base + i)
-        psi_a = simulate(bind(circuit, _uniform_theta(rng, circuit.n_params)))
-        psi_b = simulate(bind(circuit, _uniform_theta(rng, circuit.n_params)))
-        overlap = np.vdot(psi_a.amplitudes, psi_b.amplitudes)
-        return float(np.abs(overlap) ** 2)
+    def pair_fidelities(chunk: range) -> np.ndarray:
+        # rows [0, k) hold the first vector of each pair, rows [k, 2k) the second
+        k = len(chunk)
+        thetas = np.empty((2 * k, circuit.n_params))
+        for j, i in enumerate(chunk):
+            rng = np.random.default_rng(base + i)
+            thetas[j] = _uniform_theta(rng, circuit.n_params)
+            thetas[k + j] = _uniform_theta(rng, circuit.n_params)
+        states = simulate_batch(program, program.angles(thetas))
+        return np.abs(row_vdot(states[:k], states[k:])) ** 2
 
-    fidelities = _ordered_map(one_fidelity, range(samples))
+    fidelities = np.concatenate(
+        map_chunks(pair_fidelities, samples, circuit.n_qubits, rows_per_item=2))
     observed = histogram(fidelities, bins, (0.0, 1.0))
     reference = haar_fidelity_baseline(bins, 2**circuit.n_qubits)
     value = _divergence(measure, observed, reference)
@@ -220,12 +226,12 @@ class EntanglementReport:
         }
 
 
-def _mean_block_impurity(state, n: int, m: int) -> float:
-    """1 - mean subsystem purity over all size-m blocks of qubits."""
+def _mean_block_impurity(states: np.ndarray, n: int, m: int) -> np.ndarray:
+    """Per row, 1 - mean subsystem purity over all size-m blocks of qubits."""
     total = 0.0
     count = 0
     for block in combinations(range(n), m):
-        total += subsystem_purity(state, block)
+        total += purity_batch(states, block)
         count += 1
     return 1.0 - total / count
 
@@ -248,28 +254,23 @@ def entanglement_capability(circuit: CircuitDescriptor, samples: int,
     if measure not in ENTANGLEMENT_MEASURES:
         raise ValueError(f"measure must be one of {ENTANGLEMENT_MEASURES}")
     base = _resolve_seed(seed)
+    program = compile_program(circuit)
 
     if measure == "meyer-wallach":
-        def one(i: int) -> float:
-            rng = np.random.default_rng(base + i)
-            state = simulate(bind(circuit, _uniform_theta(rng, circuit.n_params)))
-            impurity = 1.0 - sum(
-                subsystem_purity(state, (k,)) for k in range(n)
-            ) / n
-            return impurity
+        def impurities(chunk: range) -> np.ndarray:
+            states = _sampled_states(program, base, chunk)
+            return 1.0 - sum(purity_batch(states, (k,)) for k in range(n)) / n
 
-        impurities = _ordered_map(one, range(samples))
-        q = 2.0 * float(np.mean(impurities))
+        q = 2.0 * float(np.mean(np.concatenate(map_chunks(impurities, samples, n))))
         return EntanglementReport(measure, q, samples, n, base)
 
     m_values = range(1, n // 2 + 1)
 
-    def one_scott(i: int) -> list[float]:
-        rng = np.random.default_rng(base + i)
-        state = simulate(bind(circuit, _uniform_theta(rng, circuit.n_params)))
-        return [_mean_block_impurity(state, n, m) for m in m_values]
+    def block_impurities(chunk: range) -> np.ndarray:
+        states = _sampled_states(program, base, chunk)
+        return np.stack([_mean_block_impurity(states, n, m) for m in m_values], axis=1)
 
-    rows = np.asarray(_ordered_map(one_scott, range(samples)))
+    rows = np.concatenate(map_chunks(block_impurities, samples, n))
     q_m = tuple(
         float(2.0**m / (2.0**m - 1.0) * rows[:, j].mean())
         for j, m in enumerate(m_values)
@@ -332,14 +333,14 @@ def entanglement_spectrum(circuit: CircuitDescriptor, samples: int,
     k = (n + 1) // 2
     keep = tuple(range(k))
     base = _resolve_seed(seed)
+    program = compile_program(circuit)
 
-    def one(i: int) -> np.ndarray:
-        rng = np.random.default_rng(base + i)
-        state = simulate(bind(circuit, _uniform_theta(rng, circuit.n_params)))
-        lam = reduced_density_matrix(state, keep).eigenvalues()
-        return np.sort(spectral_xi(lam, cutoff))[::-1]
+    def sorted_xi(chunk: range) -> np.ndarray:
+        states = _sampled_states(program, base, chunk)
+        lam = np.linalg.eigvalsh(density_batch(states, keep))
+        return np.sort(spectral_xi(lam, cutoff), axis=1)[:, ::-1]
 
-    profiles = np.asarray(_ordered_map(one, range(samples)))
+    profiles = np.concatenate(map_chunks(sorted_xi, samples, n))
     pooled = histogram(profiles.reshape(-1), bins, (0.0, abs(cutoff)))
     ref_count = samples if reference_samples is None else int(reference_samples)
     reference = mp_reference_spectrum(n, k, ref_count, rng=base + samples,
@@ -418,17 +419,13 @@ def loss_landscape(circuit: CircuitDescriptor, theta_star,
                               random_basis(circuit.n_params, 2, seed=base).axes)
 
     phi_values = np.linspace(-scan_range, scan_range, points)
-    grid_thetas = [
+    grid_thetas = np.array([
         theta_star + phi_values[i] * basis.axes[0] + phi_values[j] * basis.axes[1]
         for i in range(points) for j in range(points)
-    ]
-
-    def one(flat: int) -> float:
-        return _evaluate_metric(circuit, grid_thetas[flat], metric, base + 1 + flat)
-
-    flat_values = _ordered_map(one, range(points * points))
-    values = np.asarray(flat_values).reshape(points, points)
-    center = _evaluate_metric(circuit, theta_star, metric, base)
+    ])
+    seeds = [base + 1 + flat for flat in range(points * points)]
+    values = _metric_values(circuit, grid_thetas, metric, seeds).reshape(points, points)
+    center = float(_metric_values(circuit, theta_star[None], metric, [base])[0])
     return LandscapeGrid(basis, phi_values, values, center, metric.mode,
                          float(scan_range), base)
 
@@ -490,19 +487,9 @@ def barren_plateau_scan(circuit: CircuitDescriptor, cost_kind: str = "global",
                           [p.name for p in circuit.parameters], cost)
 
     axis = np.linspace(-scan_range, scan_range, points)
-    loss = np.empty((points, points))
-    grad = np.empty((points, points))
-
-    def one(flat: int) -> tuple[float, float]:
-        i, j = divmod(flat, points)
-        theta = (axis[i], axis[j])
-        return evaluate_cost(scored, theta), float(gradient(scored, theta)[1])
-
-    results = _ordered_map(one, range(points * points))
-    for flat, (value, slope) in enumerate(results):
-        i, j = divmod(flat, points)
-        loss[i, j] = value
-        grad[i, j] = slope
+    thetas = np.array([(axis[i], axis[j]) for i in range(points) for j in range(points)])
+    loss = cost_batch(scored, thetas).reshape(points, points)
+    grad = gradient_batch(scored, thetas)[:, 1].reshape(points, points)
     return ScanGrids(cost_kind, axis, axis.copy(), loss, grad)
 
 
@@ -713,11 +700,13 @@ def reachability(circuit: CircuitDescriptor, haar_samples: int,
         config = OptimizerConfig()
     base = _resolve_seed(seed)
 
-    def one(i: int) -> float:
-        state = sample_haar_state(circuit.n_qubits, base + i)
-        return expectation(state, circuit.cost)
+    def haar_costs(chunk: range) -> np.ndarray:
+        states = np.stack([sample_haar_state(circuit.n_qubits, base + i).amplitudes
+                           for i in chunk])
+        return expectation_batch(states, circuit.cost)
 
-    haar_min = min(_ordered_map(one, range(haar_samples)))
+    haar_min = float(np.min(np.concatenate(
+        map_chunks(haar_costs, haar_samples, circuit.n_qubits))))
 
     if config.seed is None:
         config = replace(config, seed=base + haar_samples)

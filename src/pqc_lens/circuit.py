@@ -15,6 +15,8 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 GATE_KINDS = ("H", "X", "Y", "Z", "RX", "RY", "RZ", "CX", "CZ")
 ROTATION_KINDS = ("RX", "RY", "RZ")
 PAULI_AXES = ("X", "Y", "Z")
@@ -206,29 +208,77 @@ def make_circuit(n_qubits, gates, parameter_names=(), cost=None) -> CircuitDescr
     return CircuitDescriptor(n_qubits, tuple(gates), params, cost)
 
 
+@dataclass(frozen=True)
+class GateProgram:
+    """A circuit compiled once for simulating many parameter vectors.
+
+    ``ops`` holds one ``(kind, targets, column)`` entry per gate. A
+    rotation's column indexes the angle matrix built by ``angles``; other
+    gates have column None. Column c is ``prefactors[c] * theta[params[c]]``,
+    or the literal angle ``literals[c]`` where ``params[c]`` is -1.
+    """
+
+    n_qubits: int
+    n_params: int
+    ops: tuple[tuple[str, tuple[int, ...], int | None], ...]
+    params: np.ndarray
+    prefactors: np.ndarray
+    literals: np.ndarray
+
+    def angles(self, thetas) -> np.ndarray:
+        """The (B, columns) rotation angles for a (B, n_params) parameter batch."""
+        thetas = np.asarray(thetas, dtype=float)
+        if thetas.ndim != 2 or thetas.shape[1] != self.n_params:
+            raise ValueError(
+                f"theta has shape {thetas.shape}, circuit declares "
+                f"{self.n_params} parameter(s) per row"
+            )
+        if thetas.size and not np.all(np.isfinite(thetas)):
+            raise ValueError("theta must be finite")
+        angles = np.tile(self.literals, (thetas.shape[0], 1))
+        symbolic = self.params >= 0
+        angles[:, symbolic] = thetas[:, self.params[symbolic]] * self.prefactors[symbolic]
+        return angles
+
+
+def compile_program(circuit: CircuitDescriptor | BoundCircuit) -> GateProgram:
+    """Resolve every gate's angle to a parameter column or a literal.
+
+    A BoundCircuit compiles to literal angles only and takes no parameters.
+    """
+    index = {p.name: p.index for p in getattr(circuit, "parameters", ())}
+    ops, params, prefactors, literals = [], [], [], []
+    for g in circuit.gates:
+        column = None
+        if g.angle is not None:
+            column = len(params)
+            if isinstance(g.angle, ParamRef):
+                params.append(index[g.angle.name])
+                prefactors.append(g.angle.prefactor)
+                literals.append(0.0)
+            else:
+                params.append(-1)
+                prefactors.append(0.0)
+                literals.append(g.angle)
+        ops.append((g.kind, g.targets, column))
+    return GateProgram(circuit.n_qubits, len(index), tuple(ops),
+                       np.array(params, dtype=int), np.array(prefactors, dtype=float),
+                       np.array(literals, dtype=float))
+
+
 def bind(circuit: CircuitDescriptor, theta) -> BoundCircuit:
     """Substitute the parameter vector into the circuit's symbolic angles.
 
     Total for any finite real vector of the right length; no angle range
     restrictions apply.
     """
-    import numpy as np
-
-    theta = np.asarray(theta, dtype=float).reshape(-1)
-    if theta.shape[0] != circuit.n_params:
-        raise ValueError(
-            f"theta has length {theta.shape[0]}, circuit declares {circuit.n_params}"
-        )
-    if theta.size and not np.all(np.isfinite(theta)):
-        raise ValueError("theta must be finite")
-    index = {p.name: p.index for p in circuit.parameters}
-    bound = []
-    for g in circuit.gates:
-        angle = g.angle
-        if isinstance(angle, ParamRef):
-            angle = angle.prefactor * float(theta[index[angle.name]])
-        bound.append(BoundGate(g.kind, g.targets, angle))
-    return BoundCircuit(circuit.n_qubits, tuple(bound))
+    program = compile_program(circuit)
+    angles = program.angles(np.asarray(theta, dtype=float).reshape(1, -1))[0]
+    bound = tuple(
+        BoundGate(kind, targets, None if column is None else float(angles[column]))
+        for kind, targets, column in program.ops
+    )
+    return BoundCircuit(circuit.n_qubits, bound)
 
 
 # ---------------------------------------------------------------------------

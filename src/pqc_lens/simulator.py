@@ -1,4 +1,4 @@
-"""Dense statevector simulation.
+"""Dense statevector simulation, batched.
 
 Amplitudes are stored as a complex vector of length 2**n where qubit 0 is
 the most significant bit of the basis index, so |q0 q1 ... q_{n-1}> lives at
@@ -6,17 +6,35 @@ index q0*2**(n-1) + ... + q_{n-1}. Gates are applied by pairwise amplitude
 updates on the state reshaped to a rank-n tensor, never by building the
 2**n x 2**n unitary.
 
+The core simulates a batch: a compiled GateProgram (circuit.compile_program)
+runs on a (B, 2, ..., 2) array of B states, row i driven by row i of a
+(B, columns) angle matrix. Every row gets exactly the arithmetic of a lone
+simulation, so results do not depend on how rows are batched. Norm
+preservation is asserted after every gate for the whole batch (stripped
+under python -O) and checked once at the end. ``simulate``,
+``simulate_noisy``, ``expectation``, ``subsystem_purity`` and
+``reduced_density_matrix`` are the B = 1 entry points.
+
+Callers split large batches with ``map_chunks`` into chunks of at most
+CHUNK_BYTES = 4 MiB of state, max(1, 4 MiB // (16 * 2**n)) rows, so an
+18-qubit register runs one state at a time. A register whose single state
+of 16 * 2**n bytes exceeds half of physical memory is rejected with
+ValueError before anything is allocated.
+
 Sampling and the stochastic Pauli noise channel take explicit seeds; a
 trajectory average over seeds estimates the channel output.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import os
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .circuit import BoundCircuit, PauliSum
+from .circuit import BoundCircuit, GateProgram, PauliSum, compile_program
 
 _NORM_TOL = 1e-10
 
@@ -115,127 +133,221 @@ class ShotCounts:
         return np.concatenate(rows, axis=0)
 
 
-def _basis_state(n_qubits: int) -> np.ndarray:
-    amps = np.zeros(2**n_qubits, dtype=complex)
-    amps[0] = 1.0
-    return amps
+CHUNK_BYTES = 4 * 2**20
+_AMPLITUDE_BYTES = 16  # complex128
 
 
-def _axis_slices(n: int, qubit: int):
-    lo = [slice(None)] * n
-    hi = [slice(None)] * n
-    lo[qubit] = 0
-    hi[qubit] = 1
-    return tuple(lo), tuple(hi)
+def _physical_memory() -> int:
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _apply_gate(psi: np.ndarray, kind: str, targets: tuple[int, ...],
-                angle: float | None, n: int) -> None:
-    """Update the rank-n amplitude tensor in place."""
-    if kind == "H":
-        lo, hi = _axis_slices(n, targets[0])
-        a = psi[lo].copy()
-        b = psi[hi]
-        psi[lo] = _SQ2 * (a + b)
-        psi[hi] = _SQ2 * (a - b)
-    elif kind == "X":
-        lo, hi = _axis_slices(n, targets[0])
-        a = psi[lo].copy()
-        psi[lo] = psi[hi]
-        psi[hi] = a
-    elif kind == "Y":
-        lo, hi = _axis_slices(n, targets[0])
-        a = psi[lo].copy()
-        psi[lo] = -1j * psi[hi]
-        psi[hi] = 1j * a
-    elif kind == "Z":
-        _, hi = _axis_slices(n, targets[0])
-        psi[hi] *= -1.0
-    elif kind == "RX":
-        lo, hi = _axis_slices(n, targets[0])
-        c = math.cos(angle / 2.0)
-        s = -1j * math.sin(angle / 2.0)
-        a = psi[lo].copy()
-        b = psi[hi]
-        psi[lo] = c * a + s * b
-        psi[hi] = s * a + c * b
-    elif kind == "RY":
-        lo, hi = _axis_slices(n, targets[0])
-        c = math.cos(angle / 2.0)
-        s = math.sin(angle / 2.0)
-        a = psi[lo].copy()
-        b = psi[hi]
-        psi[lo] = c * a - s * b
-        psi[hi] = s * a + c * b
-    elif kind == "RZ":
-        lo, hi = _axis_slices(n, targets[0])
-        phase = np.exp(-0.5j * angle)
-        psi[lo] *= phase
-        psi[hi] *= np.conj(phase)
-    elif kind == "CX":
+def chunk_rows(n_qubits: int) -> int:
+    """States of n_qubits per chunk; ValueError if one cannot fit in memory."""
+    state_bytes = _AMPLITUDE_BYTES * 2**n_qubits
+    limit = _physical_memory() // 2
+    if state_bytes > limit:
+        raise ValueError(
+            f"a {n_qubits}-qubit state takes {state_bytes} bytes, more than "
+            f"half of physical memory ({limit} bytes)"
+        )
+    return max(1, CHUNK_BYTES // state_bytes)
+
+
+def _worker_count() -> int:
+    raw = os.environ.get("PQC_LENS_THREADS", "1")
+    try:
+        count = int(raw)
+    except ValueError:
+        raise ValueError(f"PQC_LENS_THREADS must be an integer, got {raw!r}")
+    return max(1, count)
+
+
+def map_chunks(fn, n_items: int, n_qubits: int, rows_per_item: int = 1) -> list:
+    """[fn(range) for consecutive ranges covering range(n_items)], in order.
+
+    A range holds as many items of rows_per_item states each as fit in
+    CHUNK_BYTES (at least one item), and no more than an even share per
+    worker. Chunks run in parallel when PQC_LENS_THREADS exceeds 1.
+    """
+    workers = _worker_count()
+    size = max(1, chunk_rows(n_qubits) // rows_per_item)
+    size = max(1, min(size, -(-n_items // workers)))
+    chunks = [range(s, min(s + size, n_items)) for s in range(0, n_items, size)]
+    if workers <= 1 or len(chunks) <= 1:
+        return [fn(chunk) for chunk in chunks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, chunks))
+
+
+# ---------------------------------------------------------------------------
+# kernels on a (B, 2, ..., 2) batch; a selector fixes qubit axes, axis 0 is
+# the batch
+
+
+@lru_cache(maxsize=1024)
+def _selector(n: int, fixed: tuple[tuple[int, int], ...]) -> tuple:
+    sel = [slice(None)] * (n + 1)
+    for qubit, bit in fixed:
+        sel[qubit + 1] = bit
+    return tuple(sel)
+
+
+def _hadamard(psi, lo, hi) -> None:
+    a = psi[lo].copy()
+    b = psi[hi]
+    psi[lo] = _SQ2 * (a + b)
+    psi[hi] = _SQ2 * (a - b)
+
+
+def _swap(psi, lo, hi) -> None:
+    a = psi[lo].copy()
+    psi[lo] = psi[hi]
+    psi[hi] = a
+
+
+def _scale(psi, sel, factor) -> None:
+    view = psi[sel]
+    view *= factor
+
+
+def _mix(psi, lo, hi, u00, u01, u10, u11) -> None:
+    """(lo, hi) <- (u00 lo + u01 hi, u10 lo + u11 hi), per-row coefficients.
+
+    Operand order matters: numpy's vectorised complex product is not
+    commutative to the last bit.
+    """
+    a = psi[lo].copy()
+    top, bottom = psi[lo], psi[hi]
+    np.multiply(u00, top, out=top)
+    top += u01 * bottom
+    np.multiply(u11, bottom, out=bottom)
+    bottom += u10 * a
+
+
+def _gate_steps(kind: str, targets: tuple[int, ...], n: int, angle=None) -> list:
+    """Kernel calls ``(fn, *args)`` that apply one gate to a batch.
+
+    ``angle`` is the gate's (B,) angle column when it is a rotation.
+    """
+    if kind == "CX":
         ctrl, tgt = targets
-        sel_lo = [slice(None)] * n
-        sel_lo[ctrl] = 1
-        sel_hi = list(sel_lo)
-        sel_lo[tgt] = 0
-        sel_hi[tgt] = 1
-        sel_lo, sel_hi = tuple(sel_lo), tuple(sel_hi)
-        a = psi[sel_lo].copy()
-        psi[sel_lo] = psi[sel_hi]
-        psi[sel_hi] = a
-    elif kind == "CZ":
-        sel = [slice(None)] * n
-        sel[targets[0]] = 1
-        sel[targets[1]] = 1
-        psi[tuple(sel)] *= -1.0
-    else:  # pragma: no cover - descriptors validate kinds up front
-        raise ValueError(f"unknown gate kind {kind!r}")
+        return [(_swap, _selector(n, ((ctrl, 1), (tgt, 0))),
+                 _selector(n, ((ctrl, 1), (tgt, 1))))]
+    if kind == "CZ":
+        return [(_scale, _selector(n, ((targets[0], 1), (targets[1], 1))), -1.0)]
+    lo = _selector(n, ((targets[0], 0),))
+    hi = _selector(n, ((targets[0], 1),))
+    if kind == "H":
+        return [(_hadamard, lo, hi)]
+    if kind == "X":
+        return [(_swap, lo, hi)]
+    if kind == "Y":
+        return [(_swap, lo, hi), (_scale, lo, -1j), (_scale, hi, 1j)]
+    if kind == "Z":
+        return [(_scale, hi, -1.0)]
+    angle = angle.reshape((-1,) + (1,) * (n - 1))
+    if kind == "RZ":
+        phase = np.exp(-0.5j * angle)
+        return [(_scale, lo, phase), (_scale, hi, np.conj(phase))]
+    c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
+    if kind == "RX":
+        s = -1j * s
+        return [(_mix, lo, hi, c, s, s, c)]
+    if kind == "RY":
+        return [(_mix, lo, hi, c, -s, s, c)]
+    raise ValueError(f"unknown gate kind {kind!r}")  # pragma: no cover
+
+
+def _apply(psi: np.ndarray, steps) -> None:
+    for fn, *args in steps:
+        fn(psi, *args)
+
+
+def _norms(states: np.ndarray) -> np.ndarray:
+    """|psi|^2 per row of a (B, 2**n) batch."""
+    flat = states.reshape(states.shape[0], -1).view(np.float64)
+    return (flat[:, None, :] @ flat[:, :, None])[:, 0, 0]
+
+
+def _initial_batch(n: int, rows: int, initial: np.ndarray | None) -> np.ndarray:
+    chunk_rows(n)  # width check before allocating
+    states = np.zeros((rows, 2**n), dtype=complex)
+    if initial is None:
+        states[:, 0] = 1.0
+    else:
+        states[:] = initial
+    return states
+
+
+def simulate_batch(program: GateProgram, angles: np.ndarray,
+                   initial: np.ndarray | None = None) -> np.ndarray:
+    """Final states, shape (B, 2**n), one per row of the (B, columns) angles.
+
+    Every row starts from |0...0>, or from the amplitudes ``initial``.
+    """
+    n = program.n_qubits
+    if n == 1 and angles.shape[0] > 1:
+        # one qubit leaves no amplitude axis to broadcast a per-row
+        # coefficient over, and numpy rounds a vector-by-vector complex
+        # product differently from a row-by-row one
+        return np.concatenate([simulate_batch(program, angles[r:r + 1], initial)
+                               for r in range(angles.shape[0])])
+    states = _initial_batch(n, angles.shape[0], initial)
+    psi = states.reshape((-1,) + (2,) * n)
+    for kind, targets, column in program.ops:
+        _apply(psi, _gate_steps(kind, targets, n,
+                                None if column is None else angles[:, column]))
+        assert np.all(np.abs(_norms(states) - 1.0) < 1e-9), "norm drifted"
+    drift = np.abs(_norms(states) - 1.0)
+    if np.any(drift > _NORM_TOL):
+        raise ValueError(f"state is not normalized: ||psi|^2 - 1| = {drift.max()}")
+    return states
 
 
 def simulate(bound: BoundCircuit, initial: StateVector | None = None) -> StateVector:
     """Run the bound circuit and return the final state.
 
     Starts from |0...0> unless an initial state on the same register is
-    given. Norm preservation is asserted after every gate (stripped under
-    python -O).
+    given.
     """
     n = bound.n_qubits
-    if initial is not None:
-        if initial.n_qubits != n:
-            raise ValueError(
-                f"initial state has {initial.n_qubits} qubit(s), circuit has {n}"
-            )
-        amps = initial.amplitudes.astype(complex, copy=True)
-    else:
-        amps = _basis_state(n)
-    psi = amps.reshape([2] * n)
-    for g in bound.gates:
-        _apply_gate(psi, g.kind, g.targets, g.angle, n)
-        assert abs(float(np.vdot(psi, psi).real) - 1.0) < 1e-9, "norm drifted"
-    return StateVector(n, psi.reshape(-1))
+    if initial is not None and initial.n_qubits != n:
+        raise ValueError(
+            f"initial state has {initial.n_qubits} qubit(s), circuit has {n}"
+        )
+    program = compile_program(bound)
+    states = simulate_batch(program, program.angles(np.empty((1, 0))),
+                            None if initial is None else initial.amplitudes)
+    return StateVector(n, states[0])
 
 
-def _apply_pauli_string(amps: np.ndarray, paulis, n: int) -> np.ndarray:
-    out = amps.reshape([2] * n).copy()
-    for q, axis in paulis:
-        _apply_gate(out, axis, (q,), None, n)
-    return out.reshape(-1)
+def row_vdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.vdot(a[i], b[i]) for every row of two (B, N) batches."""
+    return (a.conj()[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def expectation_batch(states: np.ndarray, obs: PauliSum) -> np.ndarray:
+    """<psi|O|psi> for every row of a (B, 2**n) batch; always real."""
+    rows, dim = states.shape
+    n = dim.bit_length() - 1
+    if obs.max_qubit() >= n:
+        raise ValueError(
+            f"observable touches qubit {obs.max_qubit()}, state has {n}"
+        )
+    total = np.zeros(rows)
+    for term in obs.terms:
+        if term.coeff == 0.0:
+            continue
+        transformed = states.reshape((rows,) + (2,) * n).copy()
+        for q, axis in term.paulis:
+            _apply(transformed, _gate_steps(axis, (q,), n))
+        total += term.coeff * row_vdot(states, transformed.reshape(rows, dim)).real
+    return total
 
 
 def expectation(state: StateVector, obs: PauliSum) -> float:
     """<psi|O|psi> for a Hermitian Pauli sum; always real."""
-    if obs.max_qubit() >= state.n_qubits:
-        raise ValueError(
-            f"observable touches qubit {obs.max_qubit()}, "
-            f"state has {state.n_qubits}"
-        )
-    total = 0.0
-    for term in obs.terms:
-        if term.coeff == 0.0:
-            continue
-        transformed = _apply_pauli_string(state.amplitudes, term.paulis, state.n_qubits)
-        total += term.coeff * float(np.vdot(state.amplitudes, transformed).real)
-    return total
+    return float(expectation_batch(state.amplitudes[None], obs)[0])
 
 
 def sample(state: StateVector, shots: int = 1024, seed=None,
@@ -278,58 +390,73 @@ def simulate_noisy(bound: BoundCircuit, noise: NoiseModel, seed=None,
     """
     rng = np.random.default_rng(seed)
     n = bound.n_qubits
-    if initial is not None:
-        if initial.n_qubits != n:
-            raise ValueError(
-                f"initial state has {initial.n_qubits} qubit(s), circuit has {n}"
-            )
-        amps = initial.amplitudes.astype(complex, copy=True)
-    else:
-        amps = _basis_state(n)
-    psi = amps.reshape([2] * n)
-    for g in bound.gates:
-        _apply_gate(psi, g.kind, g.targets, g.angle, n)
-        if len(g.targets) == 1:
+    if initial is not None and initial.n_qubits != n:
+        raise ValueError(
+            f"initial state has {initial.n_qubits} qubit(s), circuit has {n}"
+        )
+    program = compile_program(bound)
+    angles = program.angles(np.empty((1, 0)))
+    states = _initial_batch(n, 1, None if initial is None else initial.amplitudes)
+    psi = states.reshape((1,) + (2,) * n)
+    for kind, targets, column in program.ops:
+        _apply(psi, _gate_steps(kind, targets, n,
+                                None if column is None else angles[:, column]))
+        if len(targets) == 1:
             if noise.p1 > 0.0 and rng.random() < noise.p1:
                 letter = _PAULI_LETTERS[rng.integers(1, 4)]
-                _apply_gate(psi, letter, g.targets, None, n)
+                _apply(psi, _gate_steps(letter, targets, n))
         else:
             if noise.p2 > 0.0 and rng.random() < noise.p2:
                 pair = int(rng.integers(1, 16))
                 a, b = divmod(pair, 4)
                 if a:
-                    _apply_gate(psi, _PAULI_LETTERS[a], (g.targets[0],), None, n)
+                    _apply(psi, _gate_steps(_PAULI_LETTERS[a], (targets[0],), n))
                 if b:
-                    _apply_gate(psi, _PAULI_LETTERS[b], (g.targets[1],), None, n)
-    return StateVector(n, psi.reshape(-1))
+                    _apply(psi, _gate_steps(_PAULI_LETTERS[b], (targets[1],), n))
+    return StateVector(n, states[0])
 
 
-def reduced_density_matrix(state: StateVector, keep) -> DensityMatrix:
-    """Trace out everything but ``keep`` (ascending qubit order on output)."""
+def _checked_keep(keep, n: int) -> tuple[int, ...]:
     keep = tuple(sorted(int(q) for q in keep))
     if not keep:
         raise ValueError("keep must name at least one qubit")
     if len(set(keep)) != len(keep):
         raise ValueError(f"keep has repeated qubits: {keep}")
-    n = state.n_qubits
     if keep[0] < 0 or keep[-1] >= n:
         raise ValueError(f"keep {keep} out of range for {n} qubit(s)")
-    k = len(keep)
-    tensor = state.amplitudes.reshape([2] * n)
-    tensor = np.moveaxis(tensor, keep, range(k))
-    m = tensor.reshape(2**k, -1)
-    rho = m @ m.conj().T
+    return keep
+
+
+def _gram_batch(states: np.ndarray, keep) -> np.ndarray:
+    """m m^dagger per row, m the state as a (2**k, 2**(n-k)) kept-by-rest matrix."""
+    rows, dim = states.shape
+    n = dim.bit_length() - 1
+    keep = _checked_keep(keep, n)
+    tensor = states.reshape((rows,) + (2,) * n)
+    tensor = np.moveaxis(tensor, [q + 1 for q in keep], range(1, len(keep) + 1))
+    m = tensor.reshape(rows, 2 ** len(keep), -1)
+    return m @ m.conj().transpose(0, 2, 1)
+
+
+def density_batch(states: np.ndarray, keep) -> np.ndarray:
+    """Reduced density matrices of ``keep`` (ascending order) for a batch."""
+    rho = _gram_batch(states, keep)
     # symmetrize away the last-bit rounding so the Hermiticity check is exact
-    rho = 0.5 * (rho + rho.conj().T)
-    return DensityMatrix(k, rho)
+    return 0.5 * (rho + rho.conj().transpose(0, 2, 1))
+
+
+def purity_batch(states: np.ndarray, keep) -> np.ndarray:
+    """Tr[rho_keep^2] for every row of a (B, 2**n) batch."""
+    g = _gram_batch(states, keep)
+    return np.sum(np.abs(g.reshape(g.shape[0], -1)) ** 2, axis=1)
+
+
+def reduced_density_matrix(state: StateVector, keep) -> DensityMatrix:
+    """Trace out everything but ``keep`` (ascending qubit order on output)."""
+    rho = density_batch(state.amplitudes[None], keep)[0]
+    return DensityMatrix(rho.shape[0].bit_length() - 1, rho)
 
 
 def subsystem_purity(state: StateVector, keep) -> float:
     """Tr[rho_keep^2] without materializing a validated DensityMatrix."""
-    keep = tuple(sorted(int(q) for q in keep))
-    n = state.n_qubits
-    tensor = state.amplitudes.reshape([2] * n)
-    tensor = np.moveaxis(tensor, keep, range(len(keep)))
-    m = tensor.reshape(2 ** len(keep), -1)
-    g = m @ m.conj().T
-    return float(np.sum(np.abs(g) ** 2))
+    return float(purity_batch(state.amplitudes[None], keep)[0])

@@ -6,7 +6,8 @@ a rotation with angle s * theta_v contributes
 where the shift moves only that one gate's angle by +-pi/2. Summing
 occurrences implements the chain rule for parameters shared across gates
 (QAOA reuses each gamma on every edge). For this gate set the rule is
-exact, not a finite-difference approximation.
+exact, not a finite-difference approximation. All shifted circuits of a
+gradient, or of a batch of gradients, are simulated as one batch.
 """
 from __future__ import annotations
 
@@ -15,8 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .circuit import BoundCircuit, BoundGate, CircuitDescriptor, ParamRef, bind
-from .simulator import expectation, simulate
+from .circuit import CircuitDescriptor, compile_program
+from .simulator import expectation_batch, map_chunks, simulate_batch
 
 
 class DivergenceError(RuntimeError):
@@ -62,43 +63,60 @@ class TrainingTrace:
         return header, rows
 
 
-def evaluate_cost(circuit: CircuitDescriptor, theta) -> float:
-    """C(theta) = <psi(theta)| cost |psi(theta)>."""
+def _require_cost(circuit: CircuitDescriptor) -> None:
     if circuit.cost is None:
         raise ValueError("circuit has no cost observable attached")
-    return expectation(simulate(bind(circuit, theta)), circuit.cost)
 
 
-def _occurrences(circuit: CircuitDescriptor):
-    """(gate position, parameter index, prefactor) for every symbolic angle."""
-    index = {p.name: p.index for p in circuit.parameters}
-    occ = []
-    for pos, g in enumerate(circuit.gates):
-        if isinstance(g.angle, ParamRef):
-            occ.append((pos, index[g.angle.name], g.angle.prefactor))
-    return occ
+def _costs(circuit: CircuitDescriptor, program, angles: np.ndarray) -> np.ndarray:
+    """The cost after running the program once per row of angles."""
+    def chunk(rows: range) -> np.ndarray:
+        states = simulate_batch(program, angles[rows.start:rows.stop])
+        return expectation_batch(states, circuit.cost)
+
+    return np.concatenate(map_chunks(chunk, angles.shape[0], circuit.n_qubits))
 
 
-def _cost_with_shift(bound: BoundCircuit, gate_pos: int, delta: float, cost) -> float:
-    gates = list(bound.gates)
-    g = gates[gate_pos]
-    gates[gate_pos] = BoundGate(g.kind, g.targets, g.angle + delta)
-    shifted = BoundCircuit(bound.n_qubits, tuple(gates))
-    return expectation(simulate(shifted), cost)
+def cost_batch(circuit: CircuitDescriptor, thetas) -> np.ndarray:
+    """C(theta) for every row of a (B, n_params) parameter batch."""
+    _require_cost(circuit)
+    program = compile_program(circuit)
+    return _costs(circuit, program, program.angles(thetas))
+
+
+def evaluate_cost(circuit: CircuitDescriptor, theta) -> float:
+    """C(theta) = <psi(theta)| cost |psi(theta)>."""
+    theta = np.asarray(theta, dtype=float).reshape(1, -1)
+    return float(cost_batch(circuit, theta)[0])
+
+
+def gradient_batch(circuit: CircuitDescriptor, thetas) -> np.ndarray:
+    """Parameter-shift gradients at every row of a (B, n_params) batch."""
+    _require_cost(circuit)
+    program = compile_program(circuit)
+    base = program.angles(thetas)
+    points = base.shape[0]
+    grad = np.zeros((points, circuit.n_params))
+    occurrences = np.flatnonzero(program.params >= 0)
+    if occurrences.size == 0:
+        return grad
+    # per point, rows 2k and 2k + 1 shift occurrence k by +pi/2 and -pi/2
+    shifted = np.repeat(base, 2 * occurrences.size, axis=0)
+    rows = np.arange(shifted.shape[0])
+    shifted[rows, np.tile(np.repeat(occurrences, 2), points)] += np.where(
+        rows % 2 == 0, math.pi / 2.0, -math.pi / 2.0)
+    values = _costs(circuit, program, shifted).reshape(points, occurrences.size, 2)
+    # accumulate in occurrence order: the chain rule for shared parameters
+    for k, column in enumerate(occurrences):
+        s = program.prefactors[column]
+        grad[:, program.params[column]] += (s / 2.0) * (values[:, k, 0] - values[:, k, 1])
+    return grad
 
 
 def gradient(circuit: CircuitDescriptor, theta) -> np.ndarray:
     """Parameter-shift gradient of the attached cost at theta."""
-    if circuit.cost is None:
-        raise ValueError("circuit has no cost observable attached")
-    theta = np.asarray(theta, dtype=float).reshape(-1)
-    bound = bind(circuit, theta)
-    grad = np.zeros(circuit.n_params)
-    for pos, param_index, s in _occurrences(circuit):
-        plus = _cost_with_shift(bound, pos, +math.pi / 2.0, circuit.cost)
-        minus = _cost_with_shift(bound, pos, -math.pi / 2.0, circuit.cost)
-        grad[param_index] += (s / 2.0) * (plus - minus)
-    return grad
+    theta = np.asarray(theta, dtype=float).reshape(1, -1)
+    return gradient_batch(circuit, theta)[0]
 
 
 def _initial_theta(circuit: CircuitDescriptor, config: OptimizerConfig,

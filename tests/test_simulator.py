@@ -15,12 +15,15 @@ from pqc_lens import (
     expectation,
     make_circuit,
     reduced_density_matrix,
+    serialize_circuit_spec,
     sample,
     simulate,
     simulate_noisy,
     subsystem_purity,
 )
-from pqc_lens.library import bell_circuit
+from pqc_lens import simulator
+from pqc_lens.cli import run
+from pqc_lens.library import bell_circuit, layered_ansatz
 
 INV_SQRT2 = 1.0 / math.sqrt(2)
 
@@ -220,3 +223,37 @@ class TestReducedStates:
             reduced_density_matrix(psi, (0, 0))
         with pytest.raises(ValueError):
             reduced_density_matrix(psi, (2,))
+
+    @pytest.mark.parametrize("keep", [(), (-1,), (0, 0), (5,)])
+    def test_purity_rejects_bad_keep_sets(self, keep):
+        psi = simulate(bind(bell_circuit(), []))
+        with pytest.raises(ValueError, match="keep"):
+            subsystem_purity(psi, keep)
+
+
+class TestWidthGuard:
+    """A state larger than half of physical memory fails before allocation."""
+
+    @pytest.fixture()
+    def small_memory(self, monkeypatch):
+        # 64 KiB: a 12-qubit state (64 KiB) exceeds half of it, 11 qubits fit
+        monkeypatch.setattr(simulator, "_physical_memory", lambda: 2**16)
+
+    def test_chunk_rows_follow_the_state_budget(self):
+        assert simulator.chunk_rows(8) == 1024
+        assert simulator.chunk_rows(18) == 1
+        assert simulator.chunk_rows(19) == 1
+
+    def test_simulate_rejects_too_wide_registers(self, small_memory):
+        circuit = make_circuit(12, [Gate("H", (0,))], [])
+        with pytest.raises(ValueError, match="physical memory"):
+            simulate(bind(circuit, []))
+        narrower = make_circuit(11, [Gate("H", (0,))], [])
+        assert simulate(bind(narrower, [])).n_qubits == 11
+
+    def test_cli_maps_the_width_error_to_exit_code_2(self, small_memory, tmp_path):
+        spec = tmp_path / "wide.spec.json"
+        spec.write_text(serialize_circuit_spec(layered_ansatz(12, 1)), encoding="utf-8")
+        argv = ["expressibility", "--circuit", str(spec), "--samples", "4",
+                "--seed", "1", "--out", str(tmp_path / "o")]
+        assert run(argv) == 2
