@@ -36,12 +36,12 @@ from .library import all_zeros_infidelity_cost, mean_excitation_cost
 from .projection import PointCloud, SubspaceBasis, pca, random_basis, tsne
 from .simulator import (
     StateVector,
-    density_batch,
     expectation_batch,
     map_chunks,
     purity_batch,
     row_vdot,
     sample,
+    schmidt_spectrum,
     simulate_batch,
 )
 from .trainer import (
@@ -331,13 +331,11 @@ def entanglement_spectrum(circuit: CircuitDescriptor, samples: int,
     if cutoff >= 0:
         raise ValueError("cutoff must be negative (it is a log threshold)")
     k = (n + 1) // 2
-    keep = tuple(range(k))
     base = _resolve_seed(seed)
     program = compile_program(circuit)
 
     def sorted_xi(chunk: range) -> np.ndarray:
-        states = _sampled_states(program, base, chunk)
-        lam = np.linalg.eigvalsh(density_batch(states, keep))
+        lam = schmidt_spectrum(_sampled_states(program, base, chunk), k)
         return np.sort(spectral_xi(lam, cutoff), axis=1)[:, ::-1]
 
     profiles = np.concatenate(map_chunks(sorted_xi, samples, n))

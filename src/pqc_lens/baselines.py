@@ -3,7 +3,8 @@
 Two reference objects matter downstream: the closed-form fidelity
 distribution of Haar-random states, P(F) = (N-1)(1-F)^(N-2) with
 CDF(F) = 1 - (1-F)^(N-1), and the entanglement-spectrum ensemble obtained
-by actually sampling Haar states and diagonalizing their reduced density
+by actually sampling Haar states and taking the squared singular values of
+their amplitude matrices, which are the eigenvalues of the reduced density
 matrices (the Marchenko-Pastur style baseline used for spectral
 divergences). All divergences use natural logarithms.
 """
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulator import StateVector, reduced_density_matrix
+from .simulator import StateVector, chunk_rows, schmidt_spectrum
 
 _EPS = 1e-12
 
@@ -175,12 +176,14 @@ def mp_reference_spectrum(n_qubits: int, k: int, samples: int, rng=None,
     if samples < 1:
         raise ValueError("samples must be positive")
     rng = np.random.default_rng(rng)
-    keep = tuple(range(k))
     profiles = np.empty((samples, 2**k))
-    for i in range(samples):
-        state = sample_haar_state(n_qubits, rng)
-        lam = reduced_density_matrix(state, keep).eigenvalues()
-        profiles[i] = np.sort(spectral_xi(lam, cutoff))[::-1]
+    size = chunk_rows(n_qubits)
+    # a plain loop, not map_chunks: the chunks draw from one generator in order
+    for start in range(0, samples, size):
+        rows = min(size, samples - start)
+        states = np.stack([sample_haar_state(n_qubits, rng).amplitudes for _ in range(rows)])
+        xi = spectral_xi(schmidt_spectrum(states, k), cutoff)
+        profiles[start:start + rows] = np.sort(xi, axis=1)[:, ::-1]
     pooled = histogram(profiles.reshape(-1), bins, (0.0, abs(cutoff)))
     return MPBaseline(n_qubits, k, profiles.mean(axis=0), pooled, samples)
 

@@ -285,6 +285,14 @@ def bind(circuit: CircuitDescriptor, theta) -> BoundCircuit:
 # wire format
 
 
+def _as_float(number, what: str) -> float:
+    """float() of a JSON number; integers beyond the float range are rejected."""
+    try:
+        return float(number)
+    except OverflowError:
+        raise CircuitSpecError(f"{what} is too large for a float") from None
+
+
 def parse_circuit_spec(text: str) -> CircuitDescriptor:
     """Parse a JSON circuit-spec document.
 
@@ -299,6 +307,8 @@ def parse_circuit_spec(text: str) -> CircuitDescriptor:
         raise CircuitSpecError(
             f"syntax error in circuit spec: {e.msg} (line {e.lineno}, column {e.colno})"
         ) from None
+    except RecursionError:
+        raise CircuitSpecError("circuit spec nests too deeply to decode") from None
 
     if not isinstance(doc, dict):
         raise CircuitSpecError("circuit spec must be a JSON object at top level")
@@ -347,11 +357,11 @@ def parse_circuit_spec(text: str) -> CircuitDescriptor:
             pref = angle.get("prefactor", 1.0)
             if isinstance(pref, bool) or not isinstance(pref, (int, float)):
                 raise CircuitSpecError(f"gate {i} prefactor must be a number")
-            angle = ParamRef(angle["param"], float(pref))
+            angle = ParamRef(angle["param"], _as_float(pref, f"gate {i} prefactor"))
         elif angle is not None:
             if isinstance(angle, bool) or not isinstance(angle, (int, float)):
                 raise CircuitSpecError(f"gate {i} angle must be a number or a param record")
-            angle = float(angle)
+            angle = _as_float(angle, f"gate {i} angle")
         gates.append(Gate(str(kind), tuple(targets), angle))
 
     cost = None
@@ -378,7 +388,7 @@ def parse_circuit_spec(text: str) -> CircuitDescriptor:
                         f"cost term {i} pauli key {key!r} is not a qubit index"
                     ) from None
                 pairs[q] = axis
-            terms.append((float(coeff), pairs))
+            terms.append((_as_float(coeff, f"cost term {i} coeff"), pairs))
         cost = PauliSum.from_terms(terms)
 
     return make_circuit(n_qubits, gates, names, cost)

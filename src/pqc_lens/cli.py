@@ -20,6 +20,7 @@ import numpy as np
 from .analyzers import (
     SCHEMA,
     MetricSpec,
+    _resolve_seed,
     entanglement_capability,
     entanglement_spectrum,
     expressibility,
@@ -55,12 +56,6 @@ def _load_circuit(path: str) -> CircuitDescriptor:
     return parse_circuit_spec(text)
 
 
-def _resolve_cli_seed(seed) -> int:
-    if seed is None:
-        return int(np.random.default_rng().integers(2**31))
-    return int(seed)
-
-
 def _cell(value) -> str:
     if isinstance(value, float):
         return repr(value)
@@ -87,6 +82,15 @@ def _trace_csv(trace) -> str:
     return _csv(header, rows)
 
 
+def _path_csv(path) -> str:
+    rows = [
+        [int(path.restarts[i]), int(path.steps[i]), float(path.losses[i]),
+         float(path.coords[i, 0]), float(path.coords[i, 1])]
+        for i in range(path.coords.shape[0])
+    ]
+    return _csv(["restart", "step", "loss", "x", "y"], rows)
+
+
 def _require_cost(circuit: CircuitDescriptor, command: str) -> None:
     if circuit.cost is None:
         raise UsageError(
@@ -94,7 +98,7 @@ def _require_cost(circuit: CircuitDescriptor, command: str) -> None:
         )
 
 
-def _optimizer_config(args, seed: int) -> OptimizerConfig:
+def _optimizer_config(args, seed: int | None) -> OptimizerConfig:
     return OptimizerConfig(method=args.method, learning_rate=args.lr,
                            steps=args.steps, seed=seed)
 
@@ -244,13 +248,8 @@ def _cmd_path(args, seed: int):
     path = training_path(traces, mode=args.mode, overlay=overlay,
                          perplexity=args.perplexity, iters=args.iters,
                          seed=seed)
-    rows = [
-        [int(path.restarts[i]), int(path.steps[i]), float(path.losses[i]),
-         float(path.coords[i, 0]), float(path.coords[i, 1])]
-        for i in range(path.coords.shape[0])
-    ]
     files = {
-        "path.csv": _csv(["restart", "step", "loss", "x", "y"], rows),
+        "path.csv": _path_csv(path),
         "path.svg": path_plot(path.coords, path.restarts,
                               f"training paths ({args.mode})"),
     }
@@ -291,10 +290,8 @@ def _cmd_histogram(args, seed: int):
 def _cmd_reachability(args, seed: int):
     circuit = _load_circuit(args.circuit)
     _require_cost(circuit, "reachability")
-    config = OptimizerConfig(method=args.method, learning_rate=args.lr,
-                             steps=args.steps, seed=None)
     report = reachability(circuit, args.samples, args.restarts,
-                          config=config, seed=seed)
+                          config=_optimizer_config(args, None), seed=seed)
     return report.to_dict(), {}
 
 
@@ -322,12 +319,7 @@ def _cmd_qaoa(args, seed: int):
     files["landscape.svg"] = heatmap(grid.phi_values, grid.phi_values,
                                      grid.values, f"qaoa p={args.p} loss",
                                      "phi0", "phi1")
-    path_rows = [
-        [int(path.restarts[i]), int(path.steps[i]), float(path.losses[i]),
-         float(path.coords[i, 0]), float(path.coords[i, 1])]
-        for i in range(path.coords.shape[0])
-    ]
-    files["path.csv"] = _csv(["restart", "step", "loss", "x", "y"], path_rows)
+    files["path.csv"] = _path_csv(path)
     files["path.svg"] = path_plot(path.coords, path.restarts,
                                   f"qaoa p={args.p} training paths")
 
@@ -462,7 +454,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
 
-    seed = _resolve_cli_seed(args.seed)
+    seed = _resolve_seed(args.seed)
     try:
         result, files = _COMMANDS[args.command](args, seed)
     except UsageError as exc:
@@ -485,14 +477,16 @@ def run(argv=None) -> int:
         "result": result,
         "artifacts": sorted(list(files) + ["report.json"]),
     }
-    os.makedirs(args.out, exist_ok=True)
-    for name, content in files.items():
-        with open(os.path.join(args.out, name), "w", encoding="utf-8",
-                  newline="\n") as fh:
-            fh.write(content)
-    with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    files["report.json"] = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        for name, content in files.items():
+            with open(os.path.join(args.out, name), "w", encoding="utf-8",
+                      newline="\n") as fh:
+                fh.write(content)
+    except OSError as exc:
+        print(f"error: cannot write outputs to {args.out}: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

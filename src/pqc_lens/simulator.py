@@ -9,9 +9,9 @@ updates on the state reshaped to a rank-n tensor, never by building the
 The core simulates a batch: a compiled GateProgram (circuit.compile_program)
 runs on a (B, 2, ..., 2) array of B states, row i driven by row i of a
 (B, columns) angle matrix. Every row gets exactly the arithmetic of a lone
-simulation, so results do not depend on how rows are batched. Norm
-preservation is asserted after every gate for the whole batch (stripped
-under python -O) and checked once at the end. ``simulate``,
+simulation, so results do not depend on how rows are batched. The norm of
+every row is checked once, after the last gate, and a drift beyond 1e-10
+raises ValueError; it is not asserted gate by gate. ``simulate``,
 ``simulate_noisy``, ``expectation``, ``subsystem_purity`` and
 ``reduced_density_matrix`` are the B = 1 entry points.
 
@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import BoundCircuit, GateProgram, PauliSum, compile_program
+from .circuit import BoundCircuit, BoundGate, GateProgram, PauliSum, compile_program
 
 _NORM_TOL = 1e-10
 
@@ -269,16 +269,6 @@ def _norms(states: np.ndarray) -> np.ndarray:
     return (flat[:, None, :] @ flat[:, :, None])[:, 0, 0]
 
 
-def _initial_batch(n: int, rows: int, initial: np.ndarray | None) -> np.ndarray:
-    chunk_rows(n)  # width check before allocating
-    states = np.zeros((rows, 2**n), dtype=complex)
-    if initial is None:
-        states[:, 0] = 1.0
-    else:
-        states[:] = initial
-    return states
-
-
 def simulate_batch(program: GateProgram, angles: np.ndarray,
                    initial: np.ndarray | None = None) -> np.ndarray:
     """Final states, shape (B, 2**n), one per row of the (B, columns) angles.
@@ -292,12 +282,16 @@ def simulate_batch(program: GateProgram, angles: np.ndarray,
         # product differently from a row-by-row one
         return np.concatenate([simulate_batch(program, angles[r:r + 1], initial)
                                for r in range(angles.shape[0])])
-    states = _initial_batch(n, angles.shape[0], initial)
+    chunk_rows(n)  # width check before allocating
+    states = np.zeros((angles.shape[0], 2**n), dtype=complex)
+    if initial is None:
+        states[:, 0] = 1.0
+    else:
+        states[:] = initial
     psi = states.reshape((-1,) + (2,) * n)
     for kind, targets, column in program.ops:
         _apply(psi, _gate_steps(kind, targets, n,
                                 None if column is None else angles[:, column]))
-        assert np.all(np.abs(_norms(states) - 1.0) < 1e-9), "norm drifted"
     drift = np.abs(_norms(states) - 1.0)
     if np.any(drift > _NORM_TOL):
         raise ValueError(f"state is not normalized: ||psi|^2 - 1| = {drift.max()}")
@@ -386,34 +380,26 @@ def simulate_noisy(bound: BoundCircuit, noise: NoiseModel, seed=None,
     inserted on its target with probability p1; after each two-qubit gate,
     with probability p2, one of the 15 non-identity two-qubit Paulis lands
     on the gate's targets. Averaging expectations over many seeds converges
-    to the corresponding mixing channel.
+    to the corresponding mixing channel. The insertions are drawn before
+    simulating, as extra gates of the circuit; no draw depends on the state.
     """
     rng = np.random.default_rng(seed)
-    n = bound.n_qubits
-    if initial is not None and initial.n_qubits != n:
-        raise ValueError(
-            f"initial state has {initial.n_qubits} qubit(s), circuit has {n}"
-        )
-    program = compile_program(bound)
-    angles = program.angles(np.empty((1, 0)))
-    states = _initial_batch(n, 1, None if initial is None else initial.amplitudes)
-    psi = states.reshape((1,) + (2,) * n)
-    for kind, targets, column in program.ops:
-        _apply(psi, _gate_steps(kind, targets, n,
-                                None if column is None else angles[:, column]))
-        if len(targets) == 1:
+    gates = []
+    for gate in bound.gates:
+        gates.append(gate)
+        if len(gate.targets) == 1:
             if noise.p1 > 0.0 and rng.random() < noise.p1:
                 letter = _PAULI_LETTERS[rng.integers(1, 4)]
-                _apply(psi, _gate_steps(letter, targets, n))
+                gates.append(BoundGate(letter, gate.targets))
         else:
             if noise.p2 > 0.0 and rng.random() < noise.p2:
                 pair = int(rng.integers(1, 16))
                 a, b = divmod(pair, 4)
                 if a:
-                    _apply(psi, _gate_steps(_PAULI_LETTERS[a], (targets[0],), n))
+                    gates.append(BoundGate(_PAULI_LETTERS[a], (gate.targets[0],)))
                 if b:
-                    _apply(psi, _gate_steps(_PAULI_LETTERS[b], (targets[1],), n))
-    return StateVector(n, states[0])
+                    gates.append(BoundGate(_PAULI_LETTERS[b], (gate.targets[1],)))
+    return simulate(BoundCircuit(bound.n_qubits, tuple(gates)), initial)
 
 
 def _checked_keep(keep, n: int) -> tuple[int, ...]:
@@ -438,13 +424,6 @@ def _gram_batch(states: np.ndarray, keep) -> np.ndarray:
     return m @ m.conj().transpose(0, 2, 1)
 
 
-def density_batch(states: np.ndarray, keep) -> np.ndarray:
-    """Reduced density matrices of ``keep`` (ascending order) for a batch."""
-    rho = _gram_batch(states, keep)
-    # symmetrize away the last-bit rounding so the Hermiticity check is exact
-    return 0.5 * (rho + rho.conj().transpose(0, 2, 1))
-
-
 def purity_batch(states: np.ndarray, keep) -> np.ndarray:
     """Tr[rho_keep^2] for every row of a (B, 2**n) batch."""
     g = _gram_batch(states, keep)
@@ -453,10 +432,25 @@ def purity_batch(states: np.ndarray, keep) -> np.ndarray:
 
 def reduced_density_matrix(state: StateVector, keep) -> DensityMatrix:
     """Trace out everything but ``keep`` (ascending qubit order on output)."""
-    rho = density_batch(state.amplitudes[None], keep)[0]
+    rho = _gram_batch(state.amplitudes[None], keep)[0]
+    # symmetrize away the last-bit rounding so the Hermiticity check is exact
+    rho = 0.5 * (rho + rho.conj().T)
     return DensityMatrix(rho.shape[0].bit_length() - 1, rho)
 
 
 def subsystem_purity(state: StateVector, keep) -> float:
     """Tr[rho_keep^2] without materializing a validated DensityMatrix."""
     return float(purity_batch(state.amplitudes[None], keep)[0])
+
+
+def schmidt_spectrum(states: np.ndarray, k: int) -> np.ndarray:
+    """Ascending eigenvalues of rho over the first k qubits, per row of a (B, 2**n) batch.
+
+    They are the squared singular values of the (2**k, 2**(n-k)) amplitude
+    matrix, padded with leading zeros to 2**k values when k > n - k.
+    """
+    rows = states.shape[0]
+    sv = np.linalg.svd(states.reshape(rows, 2**k, -1), compute_uv=False)
+    lam = np.zeros((rows, 2**k))
+    lam[:, 2**k - sv.shape[1]:] = sv[:, ::-1] ** 2
+    return lam

@@ -21,6 +21,7 @@ from pqc_lens import (
     spectral_xi,
     subsystem_purity,
 )
+from pqc_lens import simulator
 
 LN2 = math.log(2.0)
 
@@ -203,6 +204,17 @@ class TestMPReference:
         b = mp_reference_spectrum(3, 1, samples=30, rng=5)
         assert np.array_equal(a.profile, b.profile)
         assert np.array_equal(a.histogram.masses, b.histogram.masses)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10**9), st.integers(2, 6), st.integers(1, 12))
+    def test_chunking_keeps_the_draw_order(self, seed, n, samples):
+        k = 1 + seed % (n - 1)
+        whole = mp_reference_spectrum(n, k, samples, rng=seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulator, "CHUNK_BYTES", 1)  # one state per chunk
+            single = mp_reference_spectrum(n, k, samples, rng=seed)
+        assert np.array_equal(whole.profile, single.profile)
+        assert np.array_equal(whole.histogram.masses, single.histogram.masses)
 
     def test_rejects_bad_split(self):
         with pytest.raises(ValueError):

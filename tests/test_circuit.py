@@ -159,6 +159,78 @@ class TestSpecFormat:
         with pytest.raises(CircuitSpecError, match="cost term 0"):
             parse_circuit_spec(json.dumps(doc))
 
+    @pytest.mark.parametrize("doc", [
+        {"n_qubits": 1, "gates": [{"kind": "RX", "targets": [0], "angle": 10**400}]},
+        {"n_qubits": 1, "parameters": ["a"], "gates": [
+            {"kind": "RX", "targets": [0], "angle": {"param": "a", "prefactor": 10**400}}]},
+        {"n_qubits": 1, "gates": [{"kind": "H", "targets": [0]}],
+         "cost": [{"coeff": 10**400, "paulis": {"0": "Z"}}]},
+    ], ids=["angle", "prefactor", "coeff"])
+    def test_rejects_numbers_too_large_for_a_float(self, doc):
+        with pytest.raises(CircuitSpecError, match="too large"):
+            parse_circuit_spec(json.dumps(doc))
+
+    def test_rejects_nesting_too_deep_to_decode(self):
+        deep = "[" * 100_000 + "]" * 100_000
+        with pytest.raises(CircuitSpecError, match="too deeply"):
+            parse_circuit_spec('{"n_qubits": 1, "gates": ' + deep + "}")
+
+
+# JSON values, numbers included that are not finite or too large for a float
+_JSON_SCALARS = (st.none() | st.booleans() | st.text(max_size=6) | st.integers()
+                 | st.integers(2**1024, 2**1030) | st.floats())
+_JSON = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _json_paths(doc, prefix=()):
+    """Every path of keys and indices into a parsed JSON document."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _json_paths(value, prefix + (key,))
+
+
+def _parses_or_rejects(doc) -> None:
+    try:
+        parse_circuit_spec(json.dumps(doc))
+    except CircuitSpecError:
+        pass
+
+
+class TestSpecFuzz:
+    """parse_circuit_spec raises nothing but CircuitSpecError."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON)
+    def test_arbitrary_json(self, doc):
+        _parses_or_rejects(doc)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**9), st.data())
+    def test_field_mutations_of_a_valid_spec(self, seed, data):
+        # one mutation at every field of the document, one field at a time
+        rng = np.random.default_rng(seed)
+        text = serialize_circuit_spec(random_circuit(rng, max_qubits=4, with_cost=True))
+        for path in list(_json_paths(json.loads(text)))[1:]:
+            doc = json.loads(text)
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            action = data.draw(st.sampled_from(("replace", "delete", "add")))
+            if action == "delete":
+                del parent[path[-1]]
+            elif action == "add" and isinstance(parent, dict):
+                parent[data.draw(st.text(max_size=6))] = data.draw(_JSON)
+            else:
+                parent[path[-1]] = data.draw(_JSON_SCALARS | _JSON)
+            _parses_or_rejects(doc)
+
 
 class TestQaoaBuilder:
     def test_gate_count_formula(self):

@@ -253,6 +253,15 @@ class TestExitCodes:
                     "--out", str(tmp_path / "o")])
         assert code == 2
 
+    def test_unusable_out_directory_is_usage_error(self, two_qubit_spec,
+                                                   tmp_path, capsys):
+        blocker = tmp_path / "a_file"
+        blocker.write_text("", encoding="utf-8")
+        code = run(["entanglement", "--circuit", two_qubit_spec,
+                    "--samples", "2", "--seed", "1", "--out", str(blocker)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_same_manifest_reproduces_report_bytes(self, two_qubit_spec,

@@ -224,6 +224,22 @@ class TestReducedStates:
         with pytest.raises(ValueError):
             reduced_density_matrix(psi, (2,))
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**9), st.integers(2, 7))
+    def test_schmidt_spectrum_matches_reduced_density_eigenvalues(self, seed, n):
+        # a Haar row and a circuit row, which is often weakly entangled
+        rng = np.random.default_rng(seed)
+        haar = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+        c = oracles.random_circuit(rng, max_qubits=n, min_qubits=n)
+        circuit_state = simulate(bind(c, rng.uniform(0, 2 * np.pi, c.n_params)))
+        states = np.stack([haar / np.linalg.norm(haar), circuit_state.amplitudes])
+        for k in range(1, n):
+            got = simulator.schmidt_spectrum(states, k)
+            assert got.shape == (2, 2**k)
+            for row, amps in zip(got, states):
+                rho = reduced_density_matrix(StateVector(n, amps), range(k))
+                assert np.max(np.abs(row - np.linalg.eigvalsh(rho.matrix))) <= 1e-12
+
     @pytest.mark.parametrize("keep", [(), (-1,), (0, 0), (5,)])
     def test_purity_rejects_bad_keep_sets(self, keep):
         psi = simulate(bind(bell_circuit(), []))
