@@ -31,7 +31,7 @@ from .baselines import (
     sample_haar_state,
     spectral_xi,
 )
-from .circuit import CircuitDescriptor, GateProgram, compile_program, make_circuit
+from .circuit import CircuitDescriptor, GateProgram, make_circuit
 from .library import all_zeros_infidelity_cost, mean_excitation_cost
 from .projection import PointCloud, SubspaceBasis, pca, random_basis, tsne
 from .simulator import (
@@ -129,7 +129,7 @@ def _metric_values(circuit: CircuitDescriptor, thetas, metric: MetricSpec,
     """The metric at every row of thetas; sampling row r uses seeds[r]."""
     if metric.mode == MetricSpec.EXPECTATION:
         return cost_batch(circuit, thetas)
-    program = compile_program(circuit)
+    program = circuit.program
     angles = program.angles(thetas)
     n = circuit.n_qubits
 
@@ -180,7 +180,7 @@ def expressibility(circuit: CircuitDescriptor, samples: int,
     if measure not in DIVERGENCE_MEASURES:
         raise ValueError(f"measure must be one of {DIVERGENCE_MEASURES}")
     base = _resolve_seed(seed)
-    program = compile_program(circuit)
+    program = circuit.program
 
     def pair_fidelities(chunk: range) -> np.ndarray:
         # rows [0, k) hold the first vector of each pair, rows [k, 2k) the second
@@ -254,7 +254,7 @@ def entanglement_capability(circuit: CircuitDescriptor, samples: int,
     if measure not in ENTANGLEMENT_MEASURES:
         raise ValueError(f"measure must be one of {ENTANGLEMENT_MEASURES}")
     base = _resolve_seed(seed)
-    program = compile_program(circuit)
+    program = circuit.program
 
     if measure == "meyer-wallach":
         def impurities(chunk: range) -> np.ndarray:
@@ -332,7 +332,7 @@ def entanglement_spectrum(circuit: CircuitDescriptor, samples: int,
         raise ValueError("cutoff must be negative (it is a log threshold)")
     k = (n + 1) // 2
     base = _resolve_seed(seed)
-    program = compile_program(circuit)
+    program = circuit.program
 
     def sorted_xi(chunk: range) -> np.ndarray:
         lam = schmidt_spectrum(_sampled_states(program, base, chunk), k)
@@ -395,8 +395,8 @@ def loss_landscape(circuit: CircuitDescriptor, theta_star,
         raise ValueError(f"basis_mode must be one of {BASIS_MODES}")
     if points < 2:
         raise ValueError("points must be at least 2")
-    if not scan_range > 0:
-        raise ValueError("scan_range must be positive")
+    if not (math.isfinite(scan_range) and scan_range > 0):
+        raise ValueError("scan_range must be finite and positive")
     theta_star = np.asarray(theta_star, dtype=float).reshape(-1)
     if theta_star.shape[0] != circuit.n_params:
         raise ValueError(
@@ -475,8 +475,8 @@ def barren_plateau_scan(circuit: CircuitDescriptor, cost_kind: str = "global",
         raise ValueError("scan expects a circuit with exactly 2 parameters")
     if points < 2:
         raise ValueError("points must be at least 2")
-    if not scan_range > 0:
-        raise ValueError("scan_range must be positive")
+    if not (math.isfinite(scan_range) and scan_range > 0):
+        raise ValueError("scan_range must be finite and positive")
 
     n = circuit.n_qubits
     cost = (all_zeros_infidelity_cost(n) if cost_kind == "global"

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -122,6 +123,11 @@ class CircuitDescriptor:
     def parameter_names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.parameters)
 
+    @cached_property
+    def program(self) -> GateProgram:
+        """The compiled circuit (``compile_program``), built on first use and kept."""
+        return compile_program(self)
+
 
 @dataclass(frozen=True)
 class BoundGate:
@@ -208,22 +214,82 @@ def make_circuit(n_qubits, gates, parameter_names=(), cost=None) -> CircuitDescr
     return CircuitDescriptor(n_qubits, tuple(gates), params, cost)
 
 
+_SQ2 = 1.0 / math.sqrt(2.0)
+
+
+def _fixed(rows) -> np.ndarray:
+    """A read-only (2, 2, 1) matrix: one trailing batch entry that broadcasts."""
+    matrix = np.array(rows, dtype=complex)[..., None]
+    matrix.flags.writeable = False
+    return matrix
+
+
+_FIXED_MATRICES = {
+    "H": _fixed([[_SQ2, _SQ2], [_SQ2, -_SQ2]]),
+    "X": _fixed([[0, 1], [1, 0]]),
+    "Y": _fixed([[0, -1j], [1j, 0]]),
+    "Z": _fixed([[1, 0], [0, -1]]),
+}
+_DIAGONAL_KINDS = ("Z", "RZ")
+
+
+def rotation_matrices(kinds: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """The (2, 2, columns, B) matrices of a (B, columns) angle batch.
+
+    Column c holds a rotation of kind ``kinds[c]`` (RX, RY or RZ). All
+    columns are formed by the same few array operations, whatever their
+    number.
+    """
+    half = angles.T / 2.0
+    c, s = np.cos(half), np.sin(half)
+    m = np.zeros((2, 2) + half.shape, dtype=complex)
+    m.real[0, 0] = m.real[1, 1] = c
+    rx, ry, rz = (kinds == kind for kind in ROTATION_KINDS)
+    m.imag[0, 1, rx] = m.imag[1, 0, rx] = -s[rx]
+    m.real[0, 1, ry] = -s[ry]
+    m.real[1, 0, ry] = s[ry]
+    m.imag[0, 0, rz] = -s[rz]
+    m.imag[1, 1, rz] = s[rz]
+    return m
+
+
+def matrix_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for stacks of 2 x 2 matrices, shape (2, 2, B) or (2, 2, 1).
+
+    Each entry is formed elementwise in a fixed order, so one matrix's
+    result does not depend on how many others share its stack.
+    """
+    return a[:, :1] * b[:1] + a[:, 1:] * b[1:]
+
+
 @dataclass(frozen=True)
 class GateProgram:
     """A circuit compiled once for simulating many parameter vectors.
 
-    ``ops`` holds one ``(kind, targets, column)`` entry per gate. A
-    rotation's column indexes the angle matrix built by ``angles``; other
-    gates have column None. Column c is ``prefactors[c] * theta[params[c]]``,
-    or the literal angle ``literals[c]`` where ``params[c]`` is -1.
+    Column c of the angle matrix built by ``angles`` belongs to the c-th
+    rotation gate of the circuit, of kind ``kinds[c]``: it is
+    ``prefactors[c] * theta[params[c]]``, or the literal angle
+    ``literals[c]`` where ``params[c]`` is -1.
+
+    ``ops`` is what the simulator applies, one ``(form, lo, hi, factors)``
+    entry per operation. ``lo`` and ``hi`` fix ``(qubit, bit)`` pairs and
+    select the two amplitude slices the operation mixes; ``form`` is
+    "perm" (swap them), "diag" (scale them; ``lo`` is None when its factor
+    is exactly 1) or "dense" (a 2 x 2 matrix). ``factors`` lists the
+    matrices to multiply, in the order applied: constant (2, 2, 1) arrays,
+    or the int column of a rotation (``rotation_matrices``). Every maximal
+    run of single-qubit gates on one qubit is fused into one operation,
+    applied where the next two-qubit gate on that qubit needs it or at the
+    end; gates on other qubits commute with it.
     """
 
     n_qubits: int
     n_params: int
-    ops: tuple[tuple[str, tuple[int, ...], int | None], ...]
+    ops: tuple[tuple[str, tuple | None, tuple, tuple], ...]
     params: np.ndarray
     prefactors: np.ndarray
     literals: np.ndarray
+    kinds: np.ndarray
 
     def angles(self, thetas) -> np.ndarray:
         """The (B, columns) rotation angles for a (B, n_params) parameter batch."""
@@ -235,35 +301,88 @@ class GateProgram:
             )
         if thetas.size and not np.all(np.isfinite(thetas)):
             raise ValueError("theta must be finite")
-        angles = np.tile(self.literals, (thetas.shape[0], 1))
+        angles = np.repeat(self.literals[None], thetas.shape[0], axis=0)
         symbolic = self.params >= 0
         angles[:, symbolic] = thetas[:, self.params[symbolic]] * self.prefactors[symbolic]
         return angles
 
 
+def _fused_op(qubit: int, run: list) -> tuple:
+    """One op for a run of ``(kind, factor)`` single-qubit gates, in order."""
+    lo, hi = ((qubit, 0),), ((qubit, 1),)
+    if len(run) == 1 and run[0][0] == "X":
+        return ("perm", lo, hi, ())
+    factors: list = []
+    diagonal = True
+    for kind, factor in run:
+        diagonal = diagonal and kind in _DIAGONAL_KINDS
+        if factors and isinstance(factor, np.ndarray) and isinstance(factors[-1], np.ndarray):
+            factors[-1] = matrix_product(factor, factors[-1])
+        else:
+            factors.append(factor)
+    if not diagonal:
+        return ("dense", lo, hi, tuple(factors))
+    if len(factors) == 1 and isinstance(factors[0], np.ndarray) and factors[0][0, 0, 0] == 1:
+        lo = None
+    return ("diag", lo, hi, tuple(factors))
+
+
+def _check_gate(g, n_qubits: int) -> None:
+    """ValueError for a malformed gate of an unvalidated BoundCircuit."""
+    if g.kind not in GATE_KINDS:
+        raise ValueError(f"unknown gate kind {g.kind!r}")
+    arity = 2 if g.kind in ("CX", "CZ") else 1
+    if len(g.targets) != arity or len(set(g.targets)) != arity:
+        raise ValueError(f"{g.kind} expects {arity} distinct target(s), got {g.targets}")
+    if not all(0 <= t < n_qubits for t in g.targets):
+        raise ValueError(f"gate target out of range for {n_qubits} qubit(s): {g.targets}")
+
+
 def compile_program(circuit: CircuitDescriptor | BoundCircuit) -> GateProgram:
-    """Resolve every gate's angle to a parameter column or a literal.
+    """Resolve every gate's angle to a parameter column or a literal, and fuse.
 
     A BoundCircuit compiles to literal angles only and takes no parameters.
+    Fixed gates become constant matrices here; every rotation, literal or
+    not, is left to be formed per row from its angle column, so a bound
+    circuit runs the arithmetic of the batched row it was bound from.
     """
     index = {p.name: p.index for p in getattr(circuit, "parameters", ())}
-    ops, params, prefactors, literals = [], [], [], []
+    ops, params, prefactors, literals, kinds = [], [], [], [], []
+    runs: dict[int, list] = {}
+
+    def flush(qubit: int) -> None:
+        if qubit in runs:
+            ops.append(_fused_op(qubit, runs.pop(qubit)))
+
+    if isinstance(circuit, BoundCircuit):  # a descriptor was validated when built
+        for g in circuit.gates:
+            _check_gate(g, circuit.n_qubits)
     for g in circuit.gates:
-        column = None
+        if len(g.targets) == 2:
+            a, b = g.targets
+            flush(a)
+            flush(b)
+            if g.kind == "CX":
+                ops.append(("perm", ((a, 1), (b, 0)), ((a, 1), (b, 1)), ()))
+            else:  # CZ
+                ops.append(("diag", None, ((a, 1), (b, 1)), (_FIXED_MATRICES["Z"],)))
+            continue
+        factor = _FIXED_MATRICES.get(g.kind)
         if g.angle is not None:
-            column = len(params)
-            if isinstance(g.angle, ParamRef):
-                params.append(index[g.angle.name])
-                prefactors.append(g.angle.prefactor)
-                literals.append(0.0)
-            else:
-                params.append(-1)
-                prefactors.append(0.0)
-                literals.append(g.angle)
-        ops.append((g.kind, g.targets, column))
-    return GateProgram(circuit.n_qubits, len(index), tuple(ops),
-                       np.array(params, dtype=int), np.array(prefactors, dtype=float),
-                       np.array(literals, dtype=float))
+            factor = len(params)
+            kinds.append(g.kind)
+            named = isinstance(g.angle, ParamRef)
+            params.append(index[g.angle.name] if named else -1)
+            prefactors.append(g.angle.prefactor if named else 0.0)
+            literals.append(0.0 if named else g.angle)
+        runs.setdefault(g.targets[0], []).append((g.kind, factor))
+    for qubit in list(runs):
+        flush(qubit)
+    columns = (np.array(params, dtype=int), np.array(prefactors, dtype=float),
+               np.array(literals, dtype=float), np.array(kinds, dtype=str))
+    for array in columns:  # a descriptor's program is shared by every caller
+        array.flags.writeable = False
+    return GateProgram(circuit.n_qubits, len(index), tuple(ops), *columns)
 
 
 def bind(circuit: CircuitDescriptor, theta) -> BoundCircuit:
@@ -272,11 +391,10 @@ def bind(circuit: CircuitDescriptor, theta) -> BoundCircuit:
     Total for any finite real vector of the right length; no angle range
     restrictions apply.
     """
-    program = compile_program(circuit)
-    angles = program.angles(np.asarray(theta, dtype=float).reshape(1, -1))[0]
+    columns = iter(circuit.program.angles(np.asarray(theta, dtype=float).reshape(1, -1))[0])
     bound = tuple(
-        BoundGate(kind, targets, None if column is None else float(angles[column]))
-        for kind, targets, column in program.ops
+        BoundGate(g.kind, g.targets, None if g.angle is None else float(next(columns)))
+        for g in circuit.gates
     )
     return BoundCircuit(circuit.n_qubits, bound)
 

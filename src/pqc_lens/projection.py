@@ -282,13 +282,13 @@ def _tsne_impl(pts: np.ndarray, dims: int, perplexity: float, iters: int,
     n = pts.shape[0]
     if n < 3:
         raise ValueError("t-SNE needs at least 3 points")
+    if not (math.isfinite(perplexity) and perplexity > 0):
+        raise ValueError("perplexity must be finite and positive")
     if not perplexity < (n - 1) / 3.0:
         raise ValueError(
             f"perplexity {perplexity} too large for {n} points; "
             f"needs perplexity < {(n - 1) / 3.0}"
         )
-    if perplexity <= 0:
-        raise ValueError("perplexity must be positive")
     if iters < 1:
         raise ValueError("iters must be positive")
 

@@ -8,16 +8,28 @@ updates on the state reshaped to a rank-n tensor, never by building the
 
 The core simulates a batch: a compiled GateProgram (circuit.compile_program)
 runs on a (B, 2, ..., 2) array of B states, row i driven by row i of a
-(B, columns) angle matrix. Every row gets exactly the arithmetic of a lone
-simulation, so results do not depend on how rows are batched. The norm of
-every row is checked once, after the last gate, and a drift beyond 1e-10
-raises ValueError; it is not asserted gate by gate. ``simulate``,
+(B, columns) angle matrix. Compiling fuses every run of single-qubit gates
+on one qubit into one operation, so a layer of RX, RZ, RX rotations costs
+one pass over the state per qubit, not three. Three kernels apply the
+operations: a dense 2 x 2 update of the two amplitude slices a qubit
+splits the state into (fused runs, H, Y, RX, RY), a diagonal scaling of
+one or both slices (runs of RZ and Z only, and CZ), and a swap of the two
+slices (X and CX). Every rotation, a literal one too, reads its angle
+from a column, and a fused matrix that depends on angles is formed per
+row, entry by entry in a fixed order, so every row gets exactly the
+arithmetic it gets alone, as a bound circuit: results depend neither on
+how rows are batched nor on the thread count. The norm of every row is
+checked once, after the last operation, and a drift beyond 1e-10 raises
+ValueError; it is not asserted gate by gate. ``simulate``,
 ``simulate_noisy``, ``expectation``, ``subsystem_purity`` and
 ``reduced_density_matrix`` are the B = 1 entry points.
 
 Callers split large batches with ``map_chunks`` into chunks of at most
 CHUNK_BYTES = 4 MiB of state, max(1, 4 MiB // (16 * 2**n)) rows, so an
-18-qubit register runs one state at a time. A register whose single state
+18-qubit register runs one state at a time. The rotation matrices of all
+angle columns are formed at once, 64 bytes per row and column, and
+``simulate_batch`` runs a deep circuit's rows in blocks that keep them
+within CHUNK_BYTES too. A register whose single state
 of 16 * 2**n bytes exceeds half of physical memory is rejected with
 ValueError before anything is allocated.
 
@@ -26,7 +38,6 @@ trajectory average over seeds estimates the channel output.
 """
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -34,11 +45,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import BoundCircuit, BoundGate, GateProgram, PauliSum, compile_program
+from .circuit import (BoundCircuit, BoundGate, GateProgram, PauliSum, compile_program,
+                      matrix_product, rotation_matrices)
 
 _NORM_TOL = 1e-10
-
-_SQ2 = 1.0 / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -192,13 +202,6 @@ def _selector(n: int, fixed: tuple[tuple[int, int], ...]) -> tuple:
     return tuple(sel)
 
 
-def _hadamard(psi, lo, hi) -> None:
-    a = psi[lo].copy()
-    b = psi[hi]
-    psi[lo] = _SQ2 * (a + b)
-    psi[hi] = _SQ2 * (a - b)
-
-
 def _swap(psi, lo, hi) -> None:
     a = psi[lo].copy()
     psi[lo] = psi[hi]
@@ -216,51 +219,45 @@ def _mix(psi, lo, hi, u00, u01, u10, u11) -> None:
     Operand order matters: numpy's vectorised complex product is not
     commutative to the last bit.
     """
-    a = psi[lo].copy()
     top, bottom = psi[lo], psi[hi]
-    np.multiply(u00, top, out=top)
-    top += u01 * bottom
+    cross = u01 * bottom
     np.multiply(u11, bottom, out=bottom)
-    bottom += u10 * a
+    bottom += u10 * top
+    np.multiply(u00, top, out=top)
+    top += cross
 
 
-def _gate_steps(kind: str, targets: tuple[int, ...], n: int, angle=None) -> list:
-    """Kernel calls ``(fn, *args)`` that apply one gate to a batch.
+def _op_matrix(factors, rotations) -> np.ndarray:
+    """The (2, 2, B) product of an op's factors, B = 1 if all are constant."""
+    matrix = None
+    for factor in factors:
+        if not isinstance(factor, np.ndarray):
+            factor = rotations[:, :, factor]
+        matrix = factor if matrix is None else matrix_product(factor, matrix)
+    return matrix
 
-    ``angle`` is the gate's (B,) angle column when it is a rotation.
+
+def _run(psi: np.ndarray, ops, rotations) -> None:
+    """Apply compiled ops to a (B, 2, ..., 2) batch.
+
+    ``rotations`` holds the (2, 2, columns, B) matrices of the angle
+    columns, row i's in rotations[..., i].
     """
-    if kind == "CX":
-        ctrl, tgt = targets
-        return [(_swap, _selector(n, ((ctrl, 1), (tgt, 0))),
-                 _selector(n, ((ctrl, 1), (tgt, 1))))]
-    if kind == "CZ":
-        return [(_scale, _selector(n, ((targets[0], 1), (targets[1], 1))), -1.0)]
-    lo = _selector(n, ((targets[0], 0),))
-    hi = _selector(n, ((targets[0], 1),))
-    if kind == "H":
-        return [(_hadamard, lo, hi)]
-    if kind == "X":
-        return [(_swap, lo, hi)]
-    if kind == "Y":
-        return [(_swap, lo, hi), (_scale, lo, -1j), (_scale, hi, 1j)]
-    if kind == "Z":
-        return [(_scale, hi, -1.0)]
-    angle = angle.reshape((-1,) + (1,) * (n - 1))
-    if kind == "RZ":
-        phase = np.exp(-0.5j * angle)
-        return [(_scale, lo, phase), (_scale, hi, np.conj(phase))]
-    c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
-    if kind == "RX":
-        s = -1j * s
-        return [(_mix, lo, hi, c, s, s, c)]
-    if kind == "RY":
-        return [(_mix, lo, hi, c, -s, s, c)]
-    raise ValueError(f"unknown gate kind {kind!r}")  # pragma: no cover
-
-
-def _apply(psi: np.ndarray, steps) -> None:
-    for fn, *args in steps:
-        fn(psi, *args)
+    n = psi.ndim - 1
+    for form, lo_bits, hi_bits, factors in ops:
+        lo = None if lo_bits is None else _selector(n, lo_bits)
+        hi = _selector(n, hi_bits)
+        if form == "perm":
+            _swap(psi, lo, hi)
+            continue
+        # one coefficient per row, broadcast over the slice's qubit axes
+        m = _op_matrix(factors, rotations).reshape((2, 2, -1) + (1,) * (n - len(hi_bits)))
+        if form == "dense":
+            _mix(psi, lo, hi, m[0, 0], m[0, 1], m[1, 0], m[1, 1])
+            continue
+        if lo is not None:
+            _scale(psi, lo, m[0, 0])
+        _scale(psi, hi, m[1, 1])
 
 
 def _norms(states: np.ndarray) -> np.ndarray:
@@ -276,22 +273,23 @@ def simulate_batch(program: GateProgram, angles: np.ndarray,
     Every row starts from |0...0>, or from the amplitudes ``initial``.
     """
     n = program.n_qubits
-    if n == 1 and angles.shape[0] > 1:
-        # one qubit leaves no amplitude axis to broadcast a per-row
-        # coefficient over, and numpy rounds a vector-by-vector complex
-        # product differently from a row-by-row one
-        return np.concatenate([simulate_batch(program, angles[r:r + 1], initial)
-                               for r in range(angles.shape[0])])
+    # one qubit leaves no amplitude axis to broadcast a per-row coefficient
+    # over, and numpy rounds a vector-by-vector complex product differently
+    # from a row-by-row one; otherwise rows run in blocks whose rotation
+    # matrices, one 2 x 2 per row and angle column, fit in CHUNK_BYTES
+    matrix_bytes = 4 * _AMPLITUDE_BYTES * max(1, program.kinds.size)
+    rows = 1 if n == 1 else max(1, CHUNK_BYTES // matrix_bytes)
+    if angles.shape[0] > rows:
+        return np.concatenate([simulate_batch(program, angles[r:r + rows], initial)
+                               for r in range(0, angles.shape[0], rows)])
     chunk_rows(n)  # width check before allocating
     states = np.zeros((angles.shape[0], 2**n), dtype=complex)
     if initial is None:
         states[:, 0] = 1.0
     else:
         states[:] = initial
-    psi = states.reshape((-1,) + (2,) * n)
-    for kind, targets, column in program.ops:
-        _apply(psi, _gate_steps(kind, targets, n,
-                                None if column is None else angles[:, column]))
+    _run(states.reshape((-1,) + (2,) * n), program.ops,
+         rotation_matrices(program.kinds, angles))
     drift = np.abs(_norms(states) - 1.0)
     if np.any(drift > _NORM_TOL):
         raise ValueError(f"state is not normalized: ||psi|^2 - 1| = {drift.max()}")
@@ -320,6 +318,12 @@ def row_vdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.conj()[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
+@lru_cache(maxsize=1024)
+def _pauli_program(n: int, paulis: tuple[tuple[int, str], ...]) -> GateProgram:
+    return compile_program(
+        BoundCircuit(n, tuple(BoundGate(axis, (q,)) for q, axis in paulis)))
+
+
 def expectation_batch(states: np.ndarray, obs: PauliSum) -> np.ndarray:
     """<psi|O|psi> for every row of a (B, 2**n) batch; always real."""
     rows, dim = states.shape
@@ -333,8 +337,7 @@ def expectation_batch(states: np.ndarray, obs: PauliSum) -> np.ndarray:
         if term.coeff == 0.0:
             continue
         transformed = states.reshape((rows,) + (2,) * n).copy()
-        for q, axis in term.paulis:
-            _apply(transformed, _gate_steps(axis, (q,), n))
+        _run(transformed, _pauli_program(n, term.paulis).ops, None)
         total += term.coeff * row_vdot(states, transformed.reshape(rows, dim)).real
     return total
 
@@ -382,6 +385,8 @@ def simulate_noisy(bound: BoundCircuit, noise: NoiseModel, seed=None,
     on the gate's targets. Averaging expectations over many seeds converges
     to the corresponding mixing channel. The insertions are drawn before
     simulating, as extra gates of the circuit; no draw depends on the state.
+    Like any single-qubit gate, an inserted Pauli is fused with its
+    neighbours on the same qubit when the circuit is compiled.
     """
     rng = np.random.default_rng(seed)
     gates = []

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .circuit import CircuitDescriptor, compile_program
+from .circuit import CircuitDescriptor
 from .simulator import expectation_batch, map_chunks, simulate_batch
 
 
@@ -38,7 +38,9 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         if self.method not in ("gd", "adam"):
             raise ValueError(f"unknown optimizer method {self.method!r}")
-        if self.learning_rate <= 0:
+        # an infinite rate is accepted and ends in DivergenceError at the
+        # first step; NaN is rejected here
+        if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
         if self.steps < 0:
             raise ValueError("steps must be non-negative")
@@ -80,7 +82,7 @@ def _costs(circuit: CircuitDescriptor, program, angles: np.ndarray) -> np.ndarra
 def cost_batch(circuit: CircuitDescriptor, thetas) -> np.ndarray:
     """C(theta) for every row of a (B, n_params) parameter batch."""
     _require_cost(circuit)
-    program = compile_program(circuit)
+    program = circuit.program
     return _costs(circuit, program, program.angles(thetas))
 
 
@@ -93,7 +95,7 @@ def evaluate_cost(circuit: CircuitDescriptor, theta) -> float:
 def gradient_batch(circuit: CircuitDescriptor, thetas) -> np.ndarray:
     """Parameter-shift gradients at every row of a (B, n_params) batch."""
     _require_cost(circuit)
-    program = compile_program(circuit)
+    program = circuit.program
     base = program.angles(thetas)
     points = base.shape[0]
     grad = np.zeros((points, circuit.n_params))

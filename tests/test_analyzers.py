@@ -261,6 +261,11 @@ class TestLossLandscape:
         with pytest.raises(ValueError, match="basis_mode"):
             loss_landscape(c, [0.0], basis_mode="hessian")
 
+    @pytest.mark.parametrize("scan_range", [math.inf, math.nan])
+    def test_rejects_non_finite_range_up_front(self, scan_range):
+        with pytest.raises(ValueError, match="scan_range must be finite"):
+            loss_landscape(_rx_cost(), [0.0], scan_range=scan_range)
+
     def test_metric_spec_validation(self):
         with pytest.raises(ValueError, match="scorer"):
             MetricSpec("from_samples")
@@ -291,6 +296,12 @@ class TestBarrenPlateauScan:
         theta = (scan.theta1_values[1], scan.theta2_values[3])
         want = oracles.fd_gradient(scored, theta)[1]
         assert scan.grad_theta2[1, 3] == pytest.approx(want, abs=1e-6)
+
+    @pytest.mark.parametrize("scan_range", [math.inf, math.nan])
+    def test_rejects_non_finite_range_up_front(self, scan_range):
+        with pytest.raises(ValueError, match="scan_range must be finite"):
+            barren_plateau_scan(identity_learning_ansatz(2), "global",
+                                points=3, scan_range=scan_range)
 
     def test_local_cost_has_larger_mean_gradient_at_four_qubits(self):
         c = identity_learning_ansatz(4)

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -6,6 +8,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pqc_lens import Gate, ParamRef, PauliSum, make_circuit, serialize_circuit_spec
 from pqc_lens.cli import run
@@ -241,6 +245,11 @@ class TestExitCodes:
                     "--out", str(tmp_path / "o")])
         assert code == 4
 
+    def test_nan_learning_rate_is_usage_error(self, two_qubit_spec, tmp_path):
+        code = run(["train", "--circuit", two_qubit_spec, "--steps", "2",
+                    "--lr", "nan", "--seed", "1", "--out", str(tmp_path / "o")])
+        assert code == 2
+
     def test_unknown_subcommand_is_usage_error(self, tmp_path):
         assert run(["polish"]) == 2
 
@@ -327,3 +336,102 @@ class TestEntryPoint:
             rows = list(csv.reader(fh))
         final_loss = float(rows[-1][1])
         assert final_loss == doc["result"]["final_losses"][0]
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: generated argv must end in a documented exit code, never raise
+
+_GARBAGE = st.sampled_from(["abc", "", "1e", "--", "0x1f", "1,2"])
+
+
+def _mostly(good, edge):
+    """``good`` five times in six, else an edge value: deep paths stay reachable."""
+    return st.integers(0, 5).flatmap(lambda k: edge if k == 0 else good)
+
+
+def _ints(cap: int):
+    return _mostly(st.integers(1, cap).map(str),
+                   st.one_of(st.sampled_from(["0", "-1", "-2", "nan", "inf"]), _GARBAGE))
+
+
+def _floats(*good: str):
+    return _mostly(st.sampled_from(good), st.one_of(
+        st.sampled_from(["0", "-1", "nan", "inf", "-inf", "1e308"]), _GARBAGE))
+
+
+def _choices(*good: str):
+    return _mostly(st.sampled_from(good), st.sampled_from(["x", ""]))
+
+
+_SIZES = {"--samples": 8, "--steps": 3, "--restarts": 3, "--iters": 20,
+          "--points": 4, "--nodes": 5}
+_OPTIONAL = {
+    "--seed": _mostly(st.sampled_from(["0", "7", str(2**40)]),
+                      st.one_of(st.just("-1"), _GARBAGE)),
+    "--bins": _ints(6),
+    "--measure": _choices("kld", "jsd", "meyer-wallach", "scott"),
+    "--lr": _floats("0.05", "0.5"),
+    "--method": _choices("gd", "adam"),
+    "--basis": _choices("random", "pca"),
+    "--theta": st.sampled_from(["0,0", "1", "nan,inf", "a,b", ",", "0.1,0.2,0.3"]),
+    "--range": _floats("0.5", "3.14"),
+    "--perplexity": _floats("1", "2.5"),
+    "--mode": _choices("pca", "tsne"),
+    "--edges": _ints(12),
+    "--p": _ints(3),
+    "--shots": _ints(8),
+}
+_COMMAND_FLAGS = {
+    "expressibility": ("--samples", "--measure", "--bins"),
+    "entanglement": ("--samples", "--measure"),
+    "spectrum": ("--samples", "--measure", "--bins"),
+    "train": ("--steps", "--restarts", "--lr", "--method"),
+    "landscape": ("--steps", "--restarts", "--lr", "--method", "--basis", "--theta",
+                  "--points", "--range"),
+    "path": ("--steps", "--restarts", "--lr", "--method", "--mode", "--overlay",
+             "--points", "--range", "--perplexity", "--iters"),
+    "histogram": ("--steps", "--restarts", "--lr", "--method", "--bins"),
+    "reachability": ("--steps", "--restarts", "--lr", "--method", "--samples"),
+    "qaoa": ("--nodes", "--edges", "--p", "--steps", "--restarts", "--lr", "--method",
+             "--shots", "--mode", "--points", "--range", "--perplexity", "--iters"),
+}
+
+
+@st.composite
+def _argv(draw, spec: str, out: str):
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    argv = [command]
+    if command != "qaoa":
+        argv += ["--circuit", draw(_mostly(st.just(spec), st.just(spec + ".missing")))]
+    for flag in _COMMAND_FLAGS[command] + ("--seed",):
+        if flag in _SIZES:
+            # a size flag is always given, so no default makes a run slow
+            argv += [flag, draw(_ints(_SIZES[flag]))]
+        elif flag == "--overlay":
+            argv += [flag] if draw(st.booleans()) else []
+        elif draw(st.booleans()):
+            argv += [flag, draw(_OPTIONAL[flag])]
+    return argv + ["--out", out]
+
+
+class TestCliFuzz:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data(),
+           threads=_mostly(st.sampled_from(["1", "2", "4"]), st.sampled_from(["0", "x"])))
+    def test_generated_argv_ends_in_a_documented_exit_code(self, tmp_path_factory,
+                                                           data, threads):
+        base = tmp_path_factory.mktemp("fuzz")
+        spec = base / "two_qubit.spec.json"
+        spec.write_text(serialize_circuit_spec(make_circuit(
+            2, [Gate("RY", (0,), ParamRef("a")), Gate("RY", (1,), ParamRef("b")),
+                Gate("CX", (0, 1))], ["a", "b"],
+            PauliSum.from_terms([(1.0, {0: "Z"}), (0.5, {1: "Z"})]))),
+            encoding="utf-8")
+        argv = data.draw(_argv(str(spec), str(base / "out")))
+        with pytest.MonkeyPatch.context() as mp, \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            mp.setenv("PQC_LENS_THREADS", threads)
+            code = run(argv)
+        assert code in (0, 2, 3, 4), argv

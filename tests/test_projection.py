@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -257,3 +259,9 @@ class TestTSNE:
             tsne(pts, perplexity=-1.0)
         with pytest.raises(ValueError, match="iters"):
             tsne(pts, perplexity=2.0, iters=0)
+
+    @pytest.mark.parametrize("perplexity", [math.nan, math.inf])
+    def test_rejects_non_finite_perplexity(self, perplexity):
+        pts = np.random.default_rng(41).standard_normal((10, 3))
+        with pytest.raises(ValueError, match="perplexity must be finite"):
+            tsne(pts, perplexity=perplexity)

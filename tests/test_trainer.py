@@ -91,6 +91,10 @@ class TestOptimizerConfig:
         with pytest.raises(ValueError):
             OptimizerConfig(learning_rate=-0.1)
 
+    def test_rejects_nan_learning_rate(self):
+        with pytest.raises(ValueError, match="learning_rate"):
+            OptimizerConfig(learning_rate=math.nan)
+
     def test_rejects_negative_steps(self):
         with pytest.raises(ValueError):
             OptimizerConfig(steps=-1)
