@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -60,17 +61,24 @@ class Gate:
 
 @dataclass(frozen=True)
 class PauliTerm:
-    """One weighted Pauli string; ``paulis`` maps qubit index to an axis letter."""
+    """One weighted Pauli string; ``paulis`` pairs each qubit index, once, with an
+    axis letter (a mapping of qubit to letter is accepted too)."""
 
     coeff: float
     paulis: tuple[tuple[int, str], ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeff", float(self.coeff))
-        pairs = tuple(sorted((int(q), str(a)) for q, a in dict(self.paulis).items()))
+        items = self.paulis.items() if isinstance(self.paulis, Mapping) else self.paulis
+        pairs = tuple(sorted((int(q), str(a)) for q, a in items))
         object.__setattr__(self, "paulis", pairs)
         if not math.isfinite(self.coeff):
             raise CircuitSpecError("Pauli term coefficient must be finite")
+        # a product of two Paulis on one qubit is not a Pauli string with a
+        # real weight (XZ = -iY), so a repeated qubit is an error, not a merge
+        qubits = [q for q, _ in pairs]
+        if len(set(qubits)) < len(qubits):
+            raise CircuitSpecError(f"Pauli term names a qubit more than once: {pairs}")
         for q, axis in pairs:
             if q < 0:
                 raise CircuitSpecError(f"Pauli term qubit index {q} is negative")
@@ -93,7 +101,7 @@ class PauliSum:
     @classmethod
     def from_terms(cls, terms) -> "PauliSum":
         """Build from an iterable of ``(coeff, {qubit: axis})`` pairs."""
-        return cls(tuple(PauliTerm(c, tuple(dict(p).items())) for c, p in terms))
+        return cls(tuple(PauliTerm(c, p) for c, p in terms))
 
     def max_qubit(self) -> int:
         """Largest qubit index referenced, or -1 for identity-only sums."""
@@ -505,6 +513,8 @@ def parse_circuit_spec(text: str) -> CircuitDescriptor:
                     raise CircuitSpecError(
                         f"cost term {i} pauli key {key!r} is not a qubit index"
                     ) from None
+                if q in pairs:
+                    raise CircuitSpecError(f"cost term {i} names qubit {q} more than once")
                 pairs[q] = axis
             terms.append((_as_float(coeff, f"cost term {i} coeff"), pairs))
         cost = PauliSum.from_terms(terms)

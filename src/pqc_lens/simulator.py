@@ -33,6 +33,15 @@ within CHUNK_BYTES too. A register whose single state
 of 16 * 2**n bytes exceeds half of physical memory is rejected with
 ValueError before anything is allocated.
 
+Observables are never applied as gates. Each PauliSum is compiled once per
+(PauliSum, n), and a few compiled forms stay cached, into groups of terms
+that share an X/Y flip mask. The Z strings and the identity form one real
+diagonal, whose expectation is the probabilities dotted with it; every
+other group is a gather index plus a phase vector. An expectation costs one
+pass over the batch per group, whatever the number of terms, and each row
+is reduced on its own. A compiled form that would exceed half of physical
+memory is rejected with ValueError before it is allocated.
+
 Sampling and the stochastic Pauli noise channel take explicit seeds; a
 trajectory average over seeds estimates the channel output.
 """
@@ -318,27 +327,85 @@ def row_vdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.conj()[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-@lru_cache(maxsize=1024)
-def _pauli_program(n: int, paulis: tuple[tuple[int, str], ...]) -> GateProgram:
-    return compile_program(
-        BoundCircuit(n, tuple(BoundGate(axis, (q,)) for q, axis in paulis)))
+def _add_signs(out: np.ndarray, value: float, zmask: int, scratch: np.ndarray) -> None:
+    """out[i] += value * (-1)**popcount(i & zmask), the signs built by doubling."""
+    scratch[0] = value
+    size = 1
+    while size < scratch.size:
+        np.multiply(scratch[:size], -1.0 if zmask & size else 1.0,
+                    out=scratch[size:2 * size])
+        size *= 2
+    out += scratch
 
 
-def expectation_batch(states: np.ndarray, obs: PauliSum) -> np.ndarray:
-    """<psi|O|psi> for every row of a (B, 2**n) batch; always real."""
-    rows, dim = states.shape
-    n = dim.bit_length() - 1
+@lru_cache(maxsize=8)
+def _compiled_observable(obs: PauliSum, n: int) -> tuple:
+    """obs on n qubits as ((flip, weights), ...), one pair per X/Y flip mask.
+
+    A term maps |i> to i**#Y (-1)**popcount(i & zmask) |i ^ flip>, flip
+    marking its X and Y qubits, zmask its Y and Z qubits; qubit q is bit
+    n - 1 - q. A group's terms sum to one phase vector d, stored as a
+    read-only column of interleaved (Re d, -Im d), to be dotted with the re
+    and im parts of conj(psi[i ^ flip]) psi[i]. The flip-0 group's d is the
+    real diagonal, stored as (d, d) for the squared re and im parts of psi.
+    """
     if obs.max_qubit() >= n:
         raise ValueError(
             f"observable touches qubit {obs.max_qubit()}, state has {n}"
         )
-    total = np.zeros(rows)
+    groups: dict[int, list] = {}
     for term in obs.terms:
         if term.coeff == 0.0:
             continue
-        transformed = states.reshape((rows,) + (2,) * n).copy()
-        _run(transformed, _pauli_program(n, term.paulis).ops, None)
-        total += term.coeff * row_vdot(states, transformed.reshape(rows, dim)).real
+        flip = zmask = n_y = 0
+        for q, axis in term.paulis:
+            bit = 1 << (n - 1 - q)
+            flip |= 0 if axis == "Z" else bit
+            zmask |= 0 if axis == "X" else bit
+            n_y += axis == "Y"
+        groups.setdefault(flip, []).append((term.coeff, zmask, n_y))
+    dim = 2**n
+    size = 16 * dim * len(groups)
+    limit = _physical_memory() // 2
+    if size > limit:
+        raise ValueError(
+            f"the observable compiles to {size} bytes on {n} qubits, more than "
+            f"half of physical memory ({limit} bytes)"
+        )
+    scratch = np.empty(dim)
+    compiled = []
+    for flip, terms in groups.items():
+        d = np.zeros((dim, 2))
+        for coeff, zmask, n_y in terms:
+            # coeff * i**n_y goes to Re d for even n_y, to -Im d for odd
+            value = coeff if n_y % 4 in (0, 3) else -coeff
+            _add_signs(d[:, n_y % 2], value, zmask, scratch)
+        if not flip:
+            d[:, 1] = d[:, 0]
+        d.flags.writeable = False
+        compiled.append((flip, d.reshape(-1, 1)))
+    return tuple(compiled)
+
+
+def expectation_batch(states: np.ndarray, obs: PauliSum) -> np.ndarray:
+    """<psi|O|psi> for every row of a (B, 2**n) batch; always real.
+
+    The observable is compiled once per (obs, n) into groups of terms that
+    share an X/Y flip mask: one real diagonal for the Z strings and the
+    identity, one gather index i ^ flip and phase vector per other mask.
+    Each group costs one pass over the batch, whatever its number of terms,
+    and every row is reduced on its own, so a row's value does not depend
+    on B.
+    """
+    rows, dim = states.shape
+    states = np.ascontiguousarray(states, dtype=complex)
+    total = np.zeros(rows)
+    for flip, weights in _compiled_observable(obs, dim.bit_length() - 1):
+        if flip:
+            w = np.conj(states[:, np.arange(dim) ^ flip]) * states
+        else:
+            w = np.square(states.view(np.float64))
+        total += (w.view(np.float64)[:, None, :] @ weights)[:, 0, 0]
     return total
 
 

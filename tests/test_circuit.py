@@ -12,6 +12,7 @@ from pqc_lens import (
     Gate,
     ParamRef,
     PauliSum,
+    PauliTerm,
     bind,
     make_circuit,
     parse_circuit_spec,
@@ -74,6 +75,13 @@ class TestMakeCircuit:
         cost = PauliSum.from_terms([(1.0, {3: "Z"})])
         with pytest.raises(CircuitSpecError):
             make_circuit(2, [Gate("H", (0,))], [], cost)
+
+    def test_pauli_term_rejects_a_repeated_qubit(self):
+        # X then Z on one qubit is -iY, not a real-weighted Pauli string
+        with pytest.raises(CircuitSpecError, match="more than once"):
+            PauliTerm(1.0, ((0, "X"), (0, "Z")))
+        with pytest.raises(CircuitSpecError, match="more than once"):
+            PauliSum.from_terms([(1.0, [(0, "X"), (0, "Z")])])
 
     def test_rejects_nonpositive_width(self):
         with pytest.raises(CircuitSpecError):
@@ -157,6 +165,16 @@ class TestSpecFormat:
             "cost": [{"coeff": 1.0}],
         }
         with pytest.raises(CircuitSpecError, match="cost term 0"):
+            parse_circuit_spec(json.dumps(doc))
+
+    def test_rejects_cost_term_naming_a_qubit_twice(self):
+        # "0" and "00" are both qubit 0
+        doc = {
+            "n_qubits": 1,
+            "gates": [{"kind": "H", "targets": [0]}],
+            "cost": [{"coeff": 1.0, "paulis": {"0": "Z", "00": "X"}}],
+        }
+        with pytest.raises(CircuitSpecError, match="cost term 0 names qubit 0 more than once"):
             parse_circuit_spec(json.dumps(doc))
 
     @pytest.mark.parametrize("doc", [

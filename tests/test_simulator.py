@@ -23,7 +23,9 @@ from pqc_lens import (
 )
 from pqc_lens import simulator
 from pqc_lens.cli import run
-from pqc_lens.library import bell_circuit, layered_ansatz
+from pqc_lens.library import (all_zeros_infidelity_cost, bell_circuit, layered_ansatz,
+                              mean_excitation_cost)
+from pqc_lens.trainer import cost_batch, gradient_batch
 
 INV_SQRT2 = 1.0 / math.sqrt(2)
 
@@ -96,6 +98,91 @@ class TestExpectation:
             psi = simulate(bind(c, rng.uniform(0, 2 * np.pi, c.n_params)))
             want = oracles.dense_expectation(psi.amplitudes, c.cost, c.n_qubits)
             assert expectation(psi, c.cost) == pytest.approx(want, abs=1e-9)
+
+
+def _random_states(rng, rows, n):
+    states = rng.normal(size=(rows, 2**n)) + 1j * rng.normal(size=(rows, 2**n))
+    return states / np.linalg.norm(states, axis=1, keepdims=True)
+
+
+@st.composite
+def pauli_sums(draw):
+    """(n, PauliSum) with X/Y/Z mixes, identity terms, zero and cancelling
+    coefficients, repeated strings and several strings per X/Y flip mask."""
+    n = draw(st.integers(1, 6))
+    strings = st.dictionaries(st.integers(0, n - 1), st.sampled_from("XYZ"), max_size=n)
+    pool = draw(st.lists(strings, min_size=1, max_size=4))
+    coeffs = st.sampled_from([0.0, 1.0, -0.5]) | st.floats(-2.0, 2.0)
+    terms = []
+    for _ in range(draw(st.integers(1, 12))):
+        paulis = dict(draw(st.sampled_from(pool) | strings))
+        if draw(st.booleans()):
+            # the same flip mask: swap X and Y, toggle Z on idle qubits
+            for q in range(n):
+                axis = paulis.get(q)
+                if axis in ("X", "Y"):
+                    paulis[q] = draw(st.sampled_from("XY"))
+                elif draw(st.booleans()):
+                    if axis == "Z":
+                        del paulis[q]
+                    else:
+                        paulis[q] = "Z"
+        coeff = draw(coeffs)
+        terms.append((coeff, paulis))
+        if draw(st.booleans()):
+            terms.append((-coeff, paulis))
+    return n, PauliSum.from_terms(terms)
+
+
+class TestCompiledObservable:
+    """Observables compile into flip-mask groups; values equal the dense matrices."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(pauli_sums(), st.integers(0, 10**9))
+    def test_matches_dense_matrix(self, case, seed):
+        n, obs = case
+        states = _random_states(np.random.default_rng(seed), 3, n)
+        got = simulator.expectation_batch(states, obs)
+        want = [oracles.dense_expectation(row, obs, n) for row in states]
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_library_costs_match_closed_forms(self, n):
+        states = _random_states(np.random.default_rng(n), 4, n)
+        probs = np.abs(states) ** 2
+        global_cost = simulator.expectation_batch(states, all_zeros_infidelity_cost(n))
+        assert np.max(np.abs(global_cost - (1.0 - probs[:, 0]))) <= 1e-12
+        # bit n - 1 - q of a basis index is qubit q
+        ones = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+        local_cost = simulator.expectation_batch(states, mean_excitation_cost(n))
+        assert np.max(np.abs(local_cost - (probs @ ones).mean(axis=1))) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(pauli_sums(), st.integers(0, 10**9))
+    def test_rows_do_not_depend_on_batch_size(self, case, seed):
+        n, obs = case
+        rng = np.random.default_rng(seed)
+        for rows in (2, 3, 5, 8, 33):
+            states = _random_states(rng, rows, n)
+            batch = simulator.expectation_batch(states, obs)
+            for i in range(rows):
+                alone = simulator.expectation_batch(states[i:i + 1].copy(), obs)
+                assert np.array_equal(batch[i], alone[0])
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 10**9), st.integers(2, 9))
+    def test_costs_and_gradients_do_not_depend_on_threads(self, seed, points):
+        rng = np.random.default_rng(seed)
+        circuit = oracles.random_circuit(rng, max_qubits=6, max_gates=30, with_cost=True)
+        thetas = rng.uniform(0, 2 * np.pi, (points, circuit.n_params))
+        results = []
+        with pytest.MonkeyPatch.context() as mp:
+            for threads in ("1", "2"):
+                mp.setenv("PQC_LENS_THREADS", threads)
+                results.append((cost_batch(circuit, thetas), gradient_batch(circuit, thetas)))
+        (cost_1, grad_1), (cost_2, grad_2) = results
+        assert np.array_equal(cost_1, cost_2)
+        assert np.array_equal(grad_1, grad_2)
 
 
 class TestSampling:
@@ -266,6 +353,17 @@ class TestWidthGuard:
             simulate(bind(circuit, []))
         narrower = make_circuit(11, [Gate("H", (0,))], [])
         assert simulate(bind(narrower, [])).n_qubits == 11
+
+    def test_expectation_rejects_observables_too_large_to_compile(self, small_memory):
+        # on 11 qubits one group of terms takes 32 KiB, all the budget allows
+        simulator._compiled_observable.cache_clear()
+        states = np.zeros((1, 2**11), dtype=complex)
+        states[0, 0] = 1.0
+        z_only = PauliSum.from_terms([(1.0, {0: "Z"}), (0.5, {1: "Z"})])
+        assert simulator.expectation_batch(states, z_only)[0] == 1.5
+        with_flip = PauliSum.from_terms([(1.0, {0: "Z"}), (0.5, {1: "X"})])
+        with pytest.raises(ValueError, match="physical memory"):
+            simulator.expectation_batch(states, with_flip)
 
     def test_cli_maps_the_width_error_to_exit_code_2(self, small_memory, tmp_path):
         spec = tmp_path / "wide.spec.json"
