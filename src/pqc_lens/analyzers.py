@@ -47,9 +47,9 @@ from .simulator import (
 from .trainer import (
     OptimizerConfig,
     TrainingTrace,
+    _loss_and_gradient,
     cost_batch,
     ensemble_train,
-    gradient_batch,
 )
 
 SCHEMA = "pqc-lens/1"
@@ -256,15 +256,8 @@ def entanglement_capability(circuit: CircuitDescriptor, samples: int,
     base = _resolve_seed(seed)
     program = circuit.program
 
-    if measure == "meyer-wallach":
-        def impurities(chunk: range) -> np.ndarray:
-            states = _sampled_states(program, base, chunk)
-            return 1.0 - sum(purity_batch(states, (k,)) for k in range(n)) / n
-
-        q = 2.0 * float(np.mean(np.concatenate(map_chunks(impurities, samples, n))))
-        return EntanglementReport(measure, q, samples, n, base)
-
-    m_values = range(1, n // 2 + 1)
+    # Meyer-Wallach's Q is Scott's Q_1
+    m_values = range(1, 2 if measure == "meyer-wallach" else n // 2 + 1)
 
     def block_impurities(chunk: range) -> np.ndarray:
         states = _sampled_states(program, base, chunk)
@@ -275,7 +268,8 @@ def entanglement_capability(circuit: CircuitDescriptor, samples: int,
         float(2.0**m / (2.0**m - 1.0) * rows[:, j].mean())
         for j, m in enumerate(m_values)
     )
-    return EntanglementReport(measure, q_m, samples, n, base)
+    return EntanglementReport(measure, q_m[0] if measure == "meyer-wallach" else q_m,
+                              samples, n, base)
 
 
 @dataclass(frozen=True)
@@ -417,15 +411,14 @@ def loss_landscape(circuit: CircuitDescriptor, theta_star,
                               random_basis(circuit.n_params, 2, seed=base).axes)
 
     phi_values = np.linspace(-scan_range, scan_range, points)
-    grid_thetas = np.array([
+    thetas = np.array([
         theta_star + phi_values[i] * basis.axes[0] + phi_values[j] * basis.axes[1]
         for i in range(points) for j in range(points)
-    ])
-    seeds = [base + 1 + flat for flat in range(points * points)]
-    values = _metric_values(circuit, grid_thetas, metric, seeds).reshape(points, points)
-    center = float(_metric_values(circuit, theta_star[None], metric, [base])[0])
-    return LandscapeGrid(basis, phi_values, values, center, metric.mode,
-                         float(scan_range), base)
+    ] + [theta_star])
+    seeds = [base + 1 + flat for flat in range(points * points)] + [base]
+    values = _metric_values(circuit, thetas, metric, seeds)
+    return LandscapeGrid(basis, phi_values, values[:-1].reshape(points, points),
+                         float(values[-1]), metric.mode, float(scan_range), base)
 
 
 @dataclass(frozen=True)
@@ -486,9 +479,9 @@ def barren_plateau_scan(circuit: CircuitDescriptor, cost_kind: str = "global",
 
     axis = np.linspace(-scan_range, scan_range, points)
     thetas = np.array([(axis[i], axis[j]) for i in range(points) for j in range(points)])
-    loss = cost_batch(scored, thetas).reshape(points, points)
-    grad = gradient_batch(scored, thetas)[:, 1].reshape(points, points)
-    return ScanGrids(cost_kind, axis, axis.copy(), loss, grad)
+    loss, grad = _loss_and_gradient(scored, thetas)
+    return ScanGrids(cost_kind, axis, axis.copy(), loss.reshape(points, points),
+                     grad[:, 1].reshape(points, points))
 
 
 @dataclass(frozen=True)

@@ -97,6 +97,15 @@ class PauliSum:
         for t in self.terms:
             if not isinstance(t, PauliTerm):
                 raise CircuitSpecError("PauliSum terms must be PauliTerm instances")
+        # hashed once: the compiled-observable cache hashes its key per call
+        object.__setattr__(self, "_hash", hash(self.terms))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild through __init__, so the hash is taken in the new process
+        return PauliSum, (self.terms,)
 
     @classmethod
     def from_terms(cls, terms) -> "PauliSum":

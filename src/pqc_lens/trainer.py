@@ -6,13 +6,15 @@ a rotation with angle s * theta_v contributes
 where the shift moves only that one gate's angle by +-pi/2. Summing
 occurrences implements the chain rule for parameters shared across gates
 (QAOA reuses each gamma on every edge). For this gate set the rule is
-exact, not a finite-difference approximation. All shifted circuits of a
-gradient, or of a batch of gradients, are simulated as one batch.
+exact, not a finite-difference approximation. The shifted circuits of a
+batch of points are simulated as one batch with the unshifted ones, which
+give the losses there. Training advances every restart of an ensemble in
+lockstep, one such batch per optimizer step.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,15 +67,13 @@ class TrainingTrace:
         return header, rows
 
 
-def _require_cost(circuit: CircuitDescriptor) -> None:
+def _costs(circuit: CircuitDescriptor, angles: np.ndarray) -> np.ndarray:
+    """The cost after running the circuit's program once per row of angles."""
     if circuit.cost is None:
         raise ValueError("circuit has no cost observable attached")
 
-
-def _costs(circuit: CircuitDescriptor, program, angles: np.ndarray) -> np.ndarray:
-    """The cost after running the program once per row of angles."""
     def chunk(rows: range) -> np.ndarray:
-        states = simulate_batch(program, angles[rows.start:rows.stop])
+        states = simulate_batch(circuit.program, angles[rows.start:rows.stop])
         return expectation_batch(states, circuit.cost)
 
     return np.concatenate(map_chunks(chunk, angles.shape[0], circuit.n_qubits))
@@ -81,52 +81,50 @@ def _costs(circuit: CircuitDescriptor, program, angles: np.ndarray) -> np.ndarra
 
 def cost_batch(circuit: CircuitDescriptor, thetas) -> np.ndarray:
     """C(theta) for every row of a (B, n_params) parameter batch."""
-    _require_cost(circuit)
-    program = circuit.program
-    return _costs(circuit, program, program.angles(thetas))
+    return _costs(circuit, circuit.program.angles(thetas))
 
 
 def evaluate_cost(circuit: CircuitDescriptor, theta) -> float:
     """C(theta) = <psi(theta)| cost |psi(theta)>."""
-    theta = np.asarray(theta, dtype=float).reshape(1, -1)
-    return float(cost_batch(circuit, theta)[0])
+    return float(cost_batch(circuit, np.reshape(theta, (1, -1)))[0])
 
 
-def gradient_batch(circuit: CircuitDescriptor, thetas) -> np.ndarray:
-    """Parameter-shift gradients at every row of a (B, n_params) batch."""
-    _require_cost(circuit)
+def _loss_and_gradient(circuit: CircuitDescriptor, thetas) -> tuple[np.ndarray, np.ndarray]:
+    """Costs and parameter-shift gradients at every row of a (B, n_params) batch."""
     program = circuit.program
     base = program.angles(thetas)
     points = base.shape[0]
-    grad = np.zeros((points, circuit.n_params))
     occurrences = np.flatnonzero(program.params >= 0)
-    if occurrences.size == 0:
-        return grad
-    # per point, rows 2k and 2k + 1 shift occurrence k by +pi/2 and -pi/2
+    # per point, rows 2k, 2k + 1 shift occurrence k by +-pi/2; unshifted rows go last
     shifted = np.repeat(base, 2 * occurrences.size, axis=0)
     rows = np.arange(shifted.shape[0])
     shifted[rows, np.tile(np.repeat(occurrences, 2), points)] += np.where(
         rows % 2 == 0, math.pi / 2.0, -math.pi / 2.0)
-    values = _costs(circuit, program, shifted).reshape(points, occurrences.size, 2)
+    values = _costs(circuit, np.concatenate([shifted, base]))
+    shifts = values[:rows.size].reshape(points, occurrences.size, 2)
+    grad = np.zeros((points, circuit.n_params))
     # accumulate in occurrence order: the chain rule for shared parameters
     for k, column in enumerate(occurrences):
         s = program.prefactors[column]
-        grad[:, program.params[column]] += (s / 2.0) * (values[:, k, 0] - values[:, k, 1])
-    return grad
+        grad[:, program.params[column]] += (s / 2.0) * (shifts[:, k, 0] - shifts[:, k, 1])
+    return values[rows.size:], grad
+
+
+def gradient_batch(circuit: CircuitDescriptor, thetas) -> np.ndarray:
+    """Parameter-shift gradients at every row of a (B, n_params) batch."""
+    return _loss_and_gradient(circuit, thetas)[1]
 
 
 def gradient(circuit: CircuitDescriptor, theta) -> np.ndarray:
     """Parameter-shift gradient of the attached cost at theta."""
-    theta = np.asarray(theta, dtype=float).reshape(1, -1)
-    return gradient_batch(circuit, theta)[0]
+    return gradient_batch(circuit, np.reshape(theta, (1, -1)))[0]
 
 
-def _initial_theta(circuit: CircuitDescriptor, config: OptimizerConfig,
-                   rng: np.random.Generator) -> np.ndarray:
+def _initial_theta(circuit: CircuitDescriptor, config: OptimizerConfig, seed) -> np.ndarray:
     init = config.init
     if isinstance(init, str):
         if init == "uniform":
-            return rng.uniform(0.0, 2.0 * math.pi, circuit.n_params)
+            return np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, circuit.n_params)
         if init == "zeros":
             return np.zeros(circuit.n_params)
         raise ValueError(f"unknown init mode {init!r}")
@@ -139,13 +137,39 @@ def _initial_theta(circuit: CircuitDescriptor, config: OptimizerConfig,
     return theta.copy()
 
 
-def _checked_cost(circuit: CircuitDescriptor, theta, step: int) -> float:
-    if not np.all(np.isfinite(theta)):
-        raise DivergenceError(f"parameters became non-finite at step {step}")
-    loss = evaluate_cost(circuit, theta)
-    if not math.isfinite(loss):
-        raise DivergenceError(f"loss became non-finite at step {step}")
-    return loss
+def _train_lockstep(circuit: CircuitDescriptor, config: OptimizerConfig,
+                    seeds, observers=()) -> tuple[np.ndarray, np.ndarray]:
+    """(R, steps + 1, n_params) parameters and (R, steps + 1) losses of the
+    restarts seeded seeds[r]. A batched row gets the arithmetic it gets alone
+    and the updates are elementwise, so each restart is bit for bit as if alone."""
+    theta = np.stack([_initial_theta(circuit, config, seed) for seed in seeds])
+    thetas, losses = [], []
+    m = v = np.zeros_like(theta)
+    for step in range(config.steps + 1):
+        if not np.all(np.isfinite(theta)):
+            raise DivergenceError(f"parameters became non-finite at step {step}")
+        if step < config.steps:
+            loss, g = _loss_and_gradient(circuit, theta)
+        else:
+            loss = cost_batch(circuit, theta)
+        if not np.all(np.isfinite(loss)):
+            raise DivergenceError(f"loss became non-finite at step {step}")
+        thetas.append(theta)
+        losses.append(loss)
+        for obs in observers:
+            for theta_r, loss_r in zip(theta, loss):
+                obs(step, theta_r.copy(), float(loss_r))
+        if step == config.steps:
+            break
+        if config.method == "gd":
+            theta = theta - config.learning_rate * g
+        else:
+            m = config.beta1 * m + (1.0 - config.beta1) * g
+            v = config.beta2 * v + (1.0 - config.beta2) * g * g
+            m_hat = m / (1.0 - config.beta1**(step + 1))
+            v_hat = v / (1.0 - config.beta2**(step + 1))
+            theta = theta - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+    return np.stack(thetas, axis=1), np.stack(losses, axis=1)
 
 
 def train(circuit: CircuitDescriptor, config: OptimizerConfig,
@@ -157,46 +181,19 @@ def train(circuit: CircuitDescriptor, config: OptimizerConfig,
     with DivergenceError; convergence itself is not guaranteed on these
     non-convex surfaces.
     """
-    rng = np.random.default_rng(config.seed)
-    theta = _initial_theta(circuit, config, rng)
-
-    thetas = np.empty((config.steps + 1, circuit.n_params))
-    losses = np.empty(config.steps + 1)
-    thetas[0] = theta
-    losses[0] = _checked_cost(circuit, theta, 0)
-    for obs in observers:
-        obs(0, thetas[0].copy(), float(losses[0]))
-
-    m = np.zeros(circuit.n_params)
-    v = np.zeros(circuit.n_params)
-    for step in range(1, config.steps + 1):
-        g = gradient(circuit, theta)
-        if config.method == "gd":
-            theta = theta - config.learning_rate * g
-        else:
-            m = config.beta1 * m + (1.0 - config.beta1) * g
-            v = config.beta2 * v + (1.0 - config.beta2) * g * g
-            m_hat = m / (1.0 - config.beta1**step)
-            v_hat = v / (1.0 - config.beta2**step)
-            theta = theta - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
-        thetas[step] = theta
-        losses[step] = _checked_cost(circuit, theta, step)
-        for obs in observers:
-            obs(step, thetas[step].copy(), float(losses[step]))
-
-    return TrainingTrace(restart_id, thetas, losses)
+    thetas, losses = _train_lockstep(circuit, config, [config.seed], observers)
+    return TrainingTrace(restart_id, thetas[0], losses[0])
 
 
 def ensemble_train(circuit: CircuitDescriptor, config: OptimizerConfig,
                    restarts: int) -> list[TrainingTrace]:
-    """Independent restarts seeded base + r so runs are reproducible."""
+    """Independent restarts seeded base + r, trained in lockstep; each trace is
+    bit for bit ``train`` with the seed base + r. A DivergenceError names the
+    earliest step at which any restart is non-finite."""
     if restarts < 1:
         raise ValueError("restarts must be positive")
     base = config.seed
     if base is None:
         base = int(np.random.default_rng().integers(2**31))
-    traces = []
-    for r in range(restarts):
-        cfg = replace(config, seed=base + r)
-        traces.append(train(circuit, cfg, restart_id=r))
-    return traces
+    thetas, losses = _train_lockstep(circuit, config, [base + r for r in range(restarts)])
+    return [TrainingTrace(r, thetas[r], losses[r]) for r in range(restarts)]

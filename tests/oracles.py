@@ -150,6 +150,51 @@ def fd_gradient(circuit: CircuitDescriptor, theta, h: float = 1e-5) -> np.ndarra
     return grad
 
 
+def sequential_train(circuit: CircuitDescriptor, config, restarts: int) -> list:
+    """The ensemble trained one restart at a time, restart r seeded
+    config.seed + r, with one cost call and one gradient call per point.
+
+    Returns one (thetas, losses) pair per restart and raises the
+    DivergenceError of the first restart, in restart order, to diverge.
+    """
+    from pqc_lens import DivergenceError, evaluate_cost, gradient
+
+    def checked_cost(theta, step):
+        if not np.all(np.isfinite(theta)):
+            raise DivergenceError(f"parameters became non-finite at step {step}")
+        loss = evaluate_cost(circuit, theta)
+        if not math.isfinite(loss):
+            raise DivergenceError(f"loss became non-finite at step {step}")
+        return loss
+
+    runs = []
+    for r in range(restarts):
+        rng = np.random.default_rng(config.seed + r)
+        if isinstance(config.init, str):
+            theta = (rng.uniform(0.0, 2.0 * math.pi, circuit.n_params)
+                     if config.init == "uniform" else np.zeros(circuit.n_params))
+        else:
+            theta = np.array(config.init, dtype=float)
+        thetas = [theta]
+        losses = [checked_cost(theta, 0)]
+        m = np.zeros(circuit.n_params)
+        v = np.zeros(circuit.n_params)
+        for step in range(1, config.steps + 1):
+            g = gradient(circuit, theta)
+            if config.method == "gd":
+                theta = theta - config.learning_rate * g
+            else:
+                m = config.beta1 * m + (1.0 - config.beta1) * g
+                v = config.beta2 * v + (1.0 - config.beta2) * g * g
+                m_hat = m / (1.0 - config.beta1**step)
+                v_hat = v / (1.0 - config.beta2**step)
+                theta = theta - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+            thetas.append(theta)
+            losses.append(checked_cost(theta, step))
+        runs.append((np.array(thetas), np.array(losses)))
+    return runs
+
+
 def haar_fidelity_inverse_cdf(u, dim: int):
     """Sample F with law (N-1)(1-F)^(N-2) from uniform u."""
     return 1.0 - (1.0 - np.asarray(u)) ** (1.0 / (dim - 1))

@@ -10,6 +10,7 @@ from pqc_lens import (
     Gate,
     NoiseModel,
     PauliSum,
+    PauliTerm,
     StateVector,
     bind,
     expectation,
@@ -168,6 +169,22 @@ class TestCompiledObservable:
             for i in range(rows):
                 alone = simulator.expectation_batch(states[i:i + 1].copy(), obs)
                 assert np.array_equal(batch[i], alone[0])
+
+    def test_equal_sums_are_hashed_once_and_share_a_cache_entry(self, monkeypatch):
+        hashed = []
+        term_hash = PauliTerm.__hash__
+        monkeypatch.setattr(PauliTerm, "__hash__", lambda t: hashed.append(t) or term_hash(t))
+        a, b = all_zeros_infidelity_cost(3), all_zeros_infidelity_cost(3)
+        assert a is not b and a == b and hash(a) == hash(b)
+        # each sum hashed its 8 terms when it was built, and never again
+        assert len(hashed) == 16
+        simulator._compiled_observable.cache_clear()
+        states = _random_states(np.random.default_rng(0), 2, 3)
+        assert np.array_equal(simulator.expectation_batch(states, a),
+                              simulator.expectation_batch(states, b))
+        info = simulator._compiled_observable.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        assert len(hashed) == 16
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10**9), st.integers(2, 9))

@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from pqc_lens import (
@@ -10,12 +13,20 @@ from pqc_lens import (
     OptimizerConfig,
     ParamRef,
     PauliSum,
+    all_zeros_infidelity_cost,
     ensemble_train,
     evaluate_cost,
     gradient,
+    identity_learning_ansatz,
+    layered_ansatz,
     make_circuit,
+    mean_excitation_cost,
+    qaoa_builder,
+    random_gnm_edges,
     train,
+    trainer,
 )
+from pqc_lens.trainer import _loss_and_gradient, cost_batch
 
 Z0 = PauliSum.from_terms([(1.0, {0: "Z"})])
 
@@ -215,3 +226,72 @@ class TestEnsemble:
         c = _rx_cost()
         with pytest.raises(ValueError):
             ensemble_train(c, OptimizerConfig(), restarts=0)
+
+
+def _training_circuit(family: str, seed: int):
+    """A circuit with a cost from one of the three families the lockstep
+    trainer is checked on: QAOA MaxCut, the library ansatzes, random."""
+    rng = np.random.default_rng(seed)
+    if family == "qaoa":
+        n = int(rng.integers(3, 6))
+        edges = random_gnm_edges(n, int(rng.integers(2, n * (n - 1) // 2 + 1)), seed=seed)
+        return qaoa_builder(edges, int(rng.integers(1, 3)), n_nodes=n)
+    if family == "library":
+        n = int(rng.integers(2, 4))
+        ansatz = (identity_learning_ansatz(n) if rng.random() < 0.3 else
+                  layered_ansatz(n, int(rng.integers(1, 3)),
+                                 str(rng.choice(("chain", "full", "none")))))
+        cost = all_zeros_infidelity_cost(n) if rng.random() < 0.5 else mean_excitation_cost(n)
+        return make_circuit(n, ansatz.gates, ansatz.parameter_names, cost)
+    return oracles.random_circuit(rng, max_qubits=4, with_cost=True)
+
+
+class TestLockstep:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(("qaoa", "library", "random")), st.integers(0, 10**9),
+           st.sampled_from((1, 2, 3, 5)), st.sampled_from(("gd", "adam")))
+    def test_traces_match_the_sequential_oracle(self, family, seed, restarts, method):
+        c = _training_circuit(family, seed)
+        cfg = OptimizerConfig(method=method, learning_rate=0.1, steps=3, seed=seed)
+        want = oracles.sequential_train(c, cfg, restarts)
+        with pytest.MonkeyPatch.context() as mp:
+            for threads in ("1", "2"):
+                mp.setenv("PQC_LENS_THREADS", threads)
+                traces = ensemble_train(c, cfg, restarts)
+                assert [t.restart_id for t in traces] == list(range(restarts))
+                for trace, (thetas, losses) in zip(traces, want):
+                    assert np.array_equal(trace.thetas, thetas)
+                    assert np.array_equal(trace.losses, losses)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**9), st.integers(1, 9))
+    def test_loss_column_is_the_cost_batch(self, seed, points):
+        rng = np.random.default_rng(seed)
+        c = oracles.random_circuit(rng, max_qubits=5, max_gates=30, with_cost=True)
+        thetas = rng.uniform(0, 2 * np.pi, (points, c.n_params))
+        loss, _ = _loss_and_gradient(c, thetas)
+        assert np.array_equal(loss, cost_batch(c, thetas))
+
+    def test_one_batch_per_step(self, monkeypatch):
+        calls = []
+        costs = trainer._costs
+        monkeypatch.setattr(trainer, "_costs",
+                            lambda c, angles: calls.append(angles.shape[0]) or costs(c, angles))
+        c = _shared_param_circuit()
+        ensemble_train(c, OptimizerConfig(steps=4, seed=2), restarts=3)
+        # 4 occurrences: 3 restarts x (8 shifted + 1 unshifted) rows per
+        # step, and the final losses alone
+        assert calls == [27] * 4 + [3]
+
+    def test_divergence_of_any_restart_raises(self):
+        # with this rate only the restart seeded 2 overflows at step 1
+        c = make_circuit(1, [Gate("RX", (0,), ParamRef("a"))], ["a"],
+                         PauliSum.from_terms([(2.0, {0: "Z"})]))
+        cfg = OptimizerConfig(method="gd", learning_rate=1e308, steps=3, seed=0)
+        with np.errstate(over="ignore"):
+            for r in (0, 1):
+                train(c, replace(cfg, seed=r))
+            with pytest.raises(DivergenceError, match="parameters became non-finite at step 1"):
+                oracles.sequential_train(c, cfg, restarts=3)
+            with pytest.raises(DivergenceError, match="parameters became non-finite at step 1"):
+                ensemble_train(c, cfg, restarts=3)
