@@ -1,12 +1,12 @@
 """Ensemble analyzers for parameterized circuits.
 
 Every analyzer draws parameter vectors uniformly from [0, 2*pi)^M, one
-dedicated RNG stream per sample seeded base + i, and simulates its samples
-as batches of one compiled circuit (simulator.simulate_batch). Batches are
-split into memory-bounded chunks of consecutive samples, and the chunks run
-on PQC_LENS_THREADS worker threads (default 1). Each row's arithmetic does
-not depend on its chunk, gathering is ordered and reductions run
-sequentially, so outputs are byte-stable for any thread count.
+dedicated RNG stream per sample seeded base + i, all of them up front, and
+simulates its samples through simulator.simulate_map, which runs them as
+memory-bounded ranges of consecutive rows on PQC_LENS_THREADS worker
+threads (default 1). Each row's arithmetic does not depend on its range,
+gathering is ordered and reductions run sequentially, so outputs are
+byte-stable for any thread count.
 
 Reports serialize through to_dict() into JSON-compatible trees tagged with
 the schema version "pqc-lens/1".
@@ -35,6 +35,7 @@ from .circuit import CircuitDescriptor, GateProgram, make_circuit
 from .library import all_zeros_infidelity_cost, mean_excitation_cost
 from .projection import PointCloud, SubspaceBasis, pca, random_basis, tsne
 from .simulator import (
+    _AMPLITUDE_BYTES,
     StateVector,
     expectation_batch,
     map_chunks,
@@ -42,12 +43,13 @@ from .simulator import (
     row_vdot,
     sample,
     schmidt_spectrum,
-    simulate_batch,
+    simulate_map,
 )
 from .trainer import (
     OptimizerConfig,
     TrainingTrace,
     _loss_and_gradient,
+    _resolve_seed,
     cost_batch,
     ensemble_train,
 )
@@ -57,24 +59,14 @@ SCHEMA = "pqc-lens/1"
 DIVERGENCE_MEASURES = ("kld", "jsd")
 ENTANGLEMENT_MEASURES = ("meyer-wallach", "scott")
 
-_TWO_PI = 2.0 * math.pi
 
-
-def _resolve_seed(seed) -> int:
-    if seed is None:
-        return int(np.random.default_rng().integers(2**31))
-    return int(seed)
-
-
-def _uniform_theta(rng: np.random.Generator, n_params: int) -> np.ndarray:
-    return rng.uniform(0.0, _TWO_PI, n_params)
-
-
-def _sampled_states(program: GateProgram, base: int, samples: range) -> np.ndarray:
-    """States of the samples in range, sample i drawn from the seed base + i."""
-    thetas = np.stack([_uniform_theta(np.random.default_rng(base + i), program.n_params)
-                       for i in samples])
-    return simulate_batch(program, program.angles(thetas))
+def _sampled_angles(program: GateProgram, base: int, samples: int,
+                    draws: int = 1) -> np.ndarray:
+    """Angles of samples * draws rows, sample i's drawn from default_rng(base + i)."""
+    shape = (draws, program.n_params)
+    thetas = [np.random.default_rng(base + i).uniform(0.0, 2.0 * math.pi, shape)
+              for i in range(samples)]
+    return program.angles(np.concatenate(thetas))
 
 
 def _divergence(measure: str, p, q) -> float:
@@ -129,17 +121,13 @@ def _metric_values(circuit: CircuitDescriptor, thetas, metric: MetricSpec,
     """The metric at every row of thetas; sampling row r uses seeds[r]."""
     if metric.mode == MetricSpec.EXPECTATION:
         return cost_batch(circuit, thetas)
-    program = circuit.program
-    angles = program.angles(thetas)
-    n = circuit.n_qubits
 
-    def chunk(rows: range) -> list[float]:
-        states = simulate_batch(program, angles[rows.start:rows.stop])
-        return [float(metric.scorer(sample(StateVector(n, psi), metric.shots,
-                                           seeds[r]).bit_matrix()))
+    def scores(states: np.ndarray, rows: range) -> list[float]:
+        return [float(metric.scorer(sample(StateVector(circuit.n_qubits, psi),
+                                           metric.shots, seeds[r]).bit_matrix()))
                 for r, psi in zip(rows, states)]
 
-    return np.concatenate(map_chunks(chunk, angles.shape[0], n))
+    return simulate_map(scores, circuit.program, circuit.program.angles(thetas))
 
 
 @dataclass(frozen=True)
@@ -181,20 +169,10 @@ def expressibility(circuit: CircuitDescriptor, samples: int,
         raise ValueError(f"measure must be one of {DIVERGENCE_MEASURES}")
     base = _resolve_seed(seed)
     program = circuit.program
-
-    def pair_fidelities(chunk: range) -> np.ndarray:
-        # rows [0, k) hold the first vector of each pair, rows [k, 2k) the second
-        k = len(chunk)
-        thetas = np.empty((2 * k, circuit.n_params))
-        for j, i in enumerate(chunk):
-            rng = np.random.default_rng(base + i)
-            thetas[j] = _uniform_theta(rng, circuit.n_params)
-            thetas[k + j] = _uniform_theta(rng, circuit.n_params)
-        states = simulate_batch(program, program.angles(thetas))
-        return np.abs(row_vdot(states[:k], states[k:])) ** 2
-
-    fidelities = np.concatenate(
-        map_chunks(pair_fidelities, samples, circuit.n_qubits, rows_per_item=2))
+    # pair i is rows 2i and 2i + 1
+    fidelities = simulate_map(
+        lambda states, rows: np.abs(row_vdot(states[0::2], states[1::2])) ** 2,
+        program, _sampled_angles(program, base, samples, draws=2), group=2)
     observed = histogram(fidelities, bins, (0.0, 1.0))
     reference = haar_fidelity_baseline(bins, 2**circuit.n_qubits)
     value = _divergence(measure, observed, reference)
@@ -259,11 +237,11 @@ def entanglement_capability(circuit: CircuitDescriptor, samples: int,
     # Meyer-Wallach's Q is Scott's Q_1
     m_values = range(1, 2 if measure == "meyer-wallach" else n // 2 + 1)
 
-    def block_impurities(chunk: range) -> np.ndarray:
-        states = _sampled_states(program, base, chunk)
+    def block_impurities(states: np.ndarray, rows: range) -> np.ndarray:
         return np.stack([_mean_block_impurity(states, n, m) for m in m_values], axis=1)
 
-    rows = np.concatenate(map_chunks(block_impurities, samples, n))
+    rows = simulate_map(block_impurities, program,
+                        _sampled_angles(program, base, samples))
     q_m = tuple(
         float(2.0**m / (2.0**m - 1.0) * rows[:, j].mean())
         for j, m in enumerate(m_values)
@@ -328,11 +306,10 @@ def entanglement_spectrum(circuit: CircuitDescriptor, samples: int,
     base = _resolve_seed(seed)
     program = circuit.program
 
-    def sorted_xi(chunk: range) -> np.ndarray:
-        lam = schmidt_spectrum(_sampled_states(program, base, chunk), k)
-        return np.sort(spectral_xi(lam, cutoff), axis=1)[:, ::-1]
+    def sorted_xi(states: np.ndarray, rows: range) -> np.ndarray:
+        return np.sort(spectral_xi(schmidt_spectrum(states, k), cutoff), axis=1)[:, ::-1]
 
-    profiles = np.concatenate(map_chunks(sorted_xi, samples, n))
+    profiles = simulate_map(sorted_xi, program, _sampled_angles(program, base, samples))
     pooled = histogram(profiles.reshape(-1), bins, (0.0, abs(cutoff)))
     ref_count = samples if reference_samples is None else int(reference_samples)
     reference = mp_reference_spectrum(n, k, ref_count, rng=base + samples,
@@ -697,7 +674,7 @@ def reachability(circuit: CircuitDescriptor, haar_samples: int,
         return expectation_batch(states, circuit.cost)
 
     haar_min = float(np.min(np.concatenate(
-        map_chunks(haar_costs, haar_samples, circuit.n_qubits))))
+        map_chunks(haar_costs, haar_samples, _AMPLITUDE_BYTES * 2**circuit.n_qubits))))
 
     if config.seed is None:
         config = replace(config, seed=base + haar_samples)

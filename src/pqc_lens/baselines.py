@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulator import StateVector, chunk_rows, schmidt_spectrum
+from .simulator import _AMPLITUDE_BYTES, StateVector, chunk_ranges, schmidt_spectrum
 
 _EPS = 1e-12
 
@@ -177,13 +177,11 @@ def mp_reference_spectrum(n_qubits: int, k: int, samples: int, rng=None,
         raise ValueError("samples must be positive")
     rng = np.random.default_rng(rng)
     profiles = np.empty((samples, 2**k))
-    size = chunk_rows(n_qubits)
     # a plain loop, not map_chunks: the chunks draw from one generator in order
-    for start in range(0, samples, size):
-        rows = min(size, samples - start)
-        states = np.stack([sample_haar_state(n_qubits, rng).amplitudes for _ in range(rows)])
+    for rows in chunk_ranges(samples, _AMPLITUDE_BYTES * 2**n_qubits):
+        states = np.stack([sample_haar_state(n_qubits, rng).amplitudes for _ in rows])
         xi = spectral_xi(schmidt_spectrum(states, k), cutoff)
-        profiles[start:start + rows] = np.sort(xi, axis=1)[:, ::-1]
+        profiles[rows.start:rows.stop] = np.sort(xi, axis=1)[:, ::-1]
     pooled = histogram(profiles.reshape(-1), bins, (0.0, abs(cutoff)))
     return MPBaseline(n_qubits, k, profiles.mean(axis=0), pooled, samples)
 

@@ -20,7 +20,6 @@ import numpy as np
 from .analyzers import (
     SCHEMA,
     MetricSpec,
-    _resolve_seed,
     entanglement_capability,
     entanglement_spectrum,
     expressibility,
@@ -40,7 +39,7 @@ from .circuit import (
 from .library import max_cut_size, mean_cut_scorer, random_gnm_edges
 from .simulator import sample, simulate
 from .svg import heatmap, histogram_plot, line_plot, path_plot
-from .trainer import DivergenceError, OptimizerConfig, ensemble_train
+from .trainer import DivergenceError, OptimizerConfig, _resolve_seed, ensemble_train
 
 
 class UsageError(ValueError):

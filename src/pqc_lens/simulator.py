@@ -24,14 +24,13 @@ ValueError; it is not asserted gate by gate. ``simulate``,
 ``simulate_noisy``, ``expectation``, ``subsystem_purity`` and
 ``reduced_density_matrix`` are the B = 1 entry points.
 
-Callers split large batches with ``map_chunks`` into chunks of at most
-CHUNK_BYTES = 4 MiB of state, max(1, 4 MiB // (16 * 2**n)) rows, so an
-18-qubit register runs one state at a time. The rotation matrices of all
-angle columns are formed at once, 64 bytes per row and column, and
-``simulate_batch`` runs a deep circuit's rows in blocks that keep them
-within CHUNK_BYTES too. A register whose single state
-of 16 * 2**n bytes exceeds half of physical memory is rejected with
-ValueError before anything is allocated.
+Every simulation of many rows goes through ``simulate_map``, which alone
+decides how many rows run at once: ranges of at most CHUNK_BYTES = 4 MiB, a
+row costing its state (16 * 2**n bytes) plus 64 bytes of rotation matrix
+per angle column, no more than an even share per PQC_LENS_THREADS worker
+thread (default 1), gathered in order. A state, a chunk item or a compiled
+observable larger than half of physical memory is rejected with ValueError
+before anything is allocated.
 
 Observables are never applied as gates. Each PauliSum is compiled once per
 (PauliSum, n), and a few compiled forms stay cached, into groups of terms
@@ -39,8 +38,7 @@ that share an X/Y flip mask. The Z strings and the identity form one real
 diagonal, whose expectation is the probabilities dotted with it; every
 other group is a gather index plus a phase vector. An expectation costs one
 pass over the batch per group, whatever the number of terms, and each row
-is reduced on its own. A compiled form that would exceed half of physical
-memory is rejected with ValueError before it is allocated.
+is reduced on its own.
 
 Sampling and the stochastic Pauli noise channel take explicit seeds; a
 trajectory average over seeds estimates the channel output.
@@ -160,16 +158,14 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def chunk_rows(n_qubits: int) -> int:
-    """States of n_qubits per chunk; ValueError if one cannot fit in memory."""
-    state_bytes = _AMPLITUDE_BYTES * 2**n_qubits
+def _fits(size: int, what: str) -> None:
+    """ValueError if ``what``, taking size bytes, exceeds half of physical memory."""
     limit = _physical_memory() // 2
-    if state_bytes > limit:
+    if size > limit:
         raise ValueError(
-            f"a {n_qubits}-qubit state takes {state_bytes} bytes, more than "
-            f"half of physical memory ({limit} bytes)"
+            f"{what} takes {size} bytes, more than half of physical memory "
+            f"({limit} bytes)"
         )
-    return max(1, CHUNK_BYTES // state_bytes)
 
 
 def _worker_count() -> int:
@@ -181,21 +177,39 @@ def _worker_count() -> int:
     return max(1, count)
 
 
-def map_chunks(fn, n_items: int, n_qubits: int, rows_per_item: int = 1) -> list:
-    """[fn(range) for consecutive ranges covering range(n_items)], in order.
+def chunk_ranges(n_items: int, item_bytes: int, workers: int = 1) -> list[range]:
+    """Consecutive ranges covering range(n_items), each of as many items of
+    item_bytes as fit in CHUNK_BYTES (at least one) and at most an even share
+    per worker. ValueError if one item exceeds half of physical memory."""
+    _fits(item_bytes, "one chunk item")
+    size = max(1, min(CHUNK_BYTES // item_bytes, -(-n_items // workers)))
+    return [range(s, min(s + size, n_items)) for s in range(0, n_items, size)]
 
-    A range holds as many items of rows_per_item states each as fit in
-    CHUNK_BYTES (at least one item), and no more than an even share per
-    worker. Chunks run in parallel when PQC_LENS_THREADS exceeds 1.
-    """
+
+def map_chunks(fn, n_items: int, item_bytes: int) -> list:
+    """[fn(r) for r in chunk_ranges(n_items, item_bytes, workers)], in order,
+    run on PQC_LENS_THREADS (default 1) worker threads."""
     workers = _worker_count()
-    size = max(1, chunk_rows(n_qubits) // rows_per_item)
-    size = max(1, min(size, -(-n_items // workers)))
-    chunks = [range(s, min(s + size, n_items)) for s in range(0, n_items, size)]
+    chunks = chunk_ranges(n_items, item_bytes, workers)
     if workers <= 1 or len(chunks) <= 1:
         return [fn(chunk) for chunk in chunks]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, chunks))
+
+
+def simulate_map(fn, program: GateProgram, angles: np.ndarray,
+                 group: int = 1) -> np.ndarray:
+    """np.concatenate of fn(states, rows), in order, over the map_chunks ranges
+    of rows of the (B, columns) angles, states being those rows' final states.
+    A range holds whole groups of ``group`` rows; a row costs its state plus
+    64 bytes of rotation matrix per angle column."""
+    row_bytes = _AMPLITUDE_BYTES * (2**program.n_qubits + 4 * program.kinds.size)
+
+    def chunk(items: range):
+        rows = range(group * items.start, group * items.stop)
+        return fn(simulate_batch(program, angles[rows.start:rows.stop]), rows)
+
+    return np.concatenate(map_chunks(chunk, angles.shape[0] // group, group * row_bytes))
 
 
 # ---------------------------------------------------------------------------
@@ -284,14 +298,11 @@ def simulate_batch(program: GateProgram, angles: np.ndarray,
     n = program.n_qubits
     # one qubit leaves no amplitude axis to broadcast a per-row coefficient
     # over, and numpy rounds a vector-by-vector complex product differently
-    # from a row-by-row one; otherwise rows run in blocks whose rotation
-    # matrices, one 2 x 2 per row and angle column, fit in CHUNK_BYTES
-    matrix_bytes = 4 * _AMPLITUDE_BYTES * max(1, program.kinds.size)
-    rows = 1 if n == 1 else max(1, CHUNK_BYTES // matrix_bytes)
-    if angles.shape[0] > rows:
-        return np.concatenate([simulate_batch(program, angles[r:r + rows], initial)
-                               for r in range(0, angles.shape[0], rows)])
-    chunk_rows(n)  # width check before allocating
+    # from a row-by-row one
+    if n == 1 and angles.shape[0] > 1:
+        return np.concatenate([simulate_batch(program, angles[r:r + 1], initial)
+                               for r in range(angles.shape[0])])
+    _fits(_AMPLITUDE_BYTES * 2**n, f"a {n}-qubit state")
     states = np.zeros((angles.shape[0], 2**n), dtype=complex)
     if initial is None:
         states[:, 0] = 1.0
@@ -365,13 +376,7 @@ def _compiled_observable(obs: PauliSum, n: int) -> tuple:
             n_y += axis == "Y"
         groups.setdefault(flip, []).append((term.coeff, zmask, n_y))
     dim = 2**n
-    size = 16 * dim * len(groups)
-    limit = _physical_memory() // 2
-    if size > limit:
-        raise ValueError(
-            f"the observable compiles to {size} bytes on {n} qubits, more than "
-            f"half of physical memory ({limit} bytes)"
-        )
+    _fits(16 * dim * len(groups), f"the observable compiled on {n} qubits")
     scratch = np.empty(dim)
     compiled = []
     for flip, terms in groups.items():

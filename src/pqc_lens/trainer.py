@@ -19,7 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import CircuitDescriptor
-from .simulator import expectation_batch, map_chunks, simulate_batch
+from .simulator import expectation_batch, simulate_map
+
+
+def _resolve_seed(seed) -> int:
+    if seed is None:
+        return int(np.random.default_rng().integers(2**31))
+    return int(seed)
 
 
 class DivergenceError(RuntimeError):
@@ -40,10 +46,8 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         if self.method not in ("gd", "adam"):
             raise ValueError(f"unknown optimizer method {self.method!r}")
-        # an infinite rate is accepted and ends in DivergenceError at the
-        # first step; NaN is rejected here
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and positive")
         if self.steps < 0:
             raise ValueError("steps must be non-negative")
 
@@ -71,12 +75,8 @@ def _costs(circuit: CircuitDescriptor, angles: np.ndarray) -> np.ndarray:
     """The cost after running the circuit's program once per row of angles."""
     if circuit.cost is None:
         raise ValueError("circuit has no cost observable attached")
-
-    def chunk(rows: range) -> np.ndarray:
-        states = simulate_batch(circuit.program, angles[rows.start:rows.stop])
-        return expectation_batch(states, circuit.cost)
-
-    return np.concatenate(map_chunks(chunk, angles.shape[0], circuit.n_qubits))
+    return simulate_map(lambda states, rows: expectation_batch(states, circuit.cost),
+                        circuit.program, angles)
 
 
 def cost_batch(circuit: CircuitDescriptor, thetas) -> np.ndarray:
@@ -192,8 +192,6 @@ def ensemble_train(circuit: CircuitDescriptor, config: OptimizerConfig,
     earliest step at which any restart is non-finite."""
     if restarts < 1:
         raise ValueError("restarts must be positive")
-    base = config.seed
-    if base is None:
-        base = int(np.random.default_rng().integers(2**31))
+    base = _resolve_seed(config.seed)
     thetas, losses = _train_lockstep(circuit, config, [base + r for r in range(restarts)])
     return [TrainingTrace(r, thetas[r], losses[r]) for r in range(restarts)]

@@ -10,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from pqc_lens import Gate, ParamRef, PauliSum, bind, expressibility, make_circuit, simulate
+from pqc_lens import (Gate, MetricSpec, ParamRef, PauliSum, bind, entanglement_capability,
+                      entanglement_spectrum, expressibility, loss_landscape, make_circuit,
+                      simulate)
 from pqc_lens import simulator
-from pqc_lens.circuit import BoundCircuit, BoundGate, compile_program, rotation_matrices
+from pqc_lens.circuit import BoundCircuit, BoundGate, compile_program
 from pqc_lens.library import layered_ansatz
 from pqc_lens.simulator import simulate_batch
-from pqc_lens.trainer import gradient_batch
+from pqc_lens.trainer import cost_batch, gradient_batch
 
 
 def _circuit_and_thetas(seed: int, rows: int, with_cost: bool = False):
@@ -49,16 +51,34 @@ def test_batched_gradient_matches_finite_differences(seed, points):
         assert grad == pytest.approx(oracles.fd_gradient(circuit, theta), abs=1e-6)
 
 
+def _simulate_map_outputs(circuit, thetas, samples, seed) -> list:
+    """What every caller of simulate_map returns for these inputs, as lists."""
+    spread = MetricSpec("from_samples", lambda bits: bits.mean(), shots=16)
+    out = [expressibility(circuit, samples, seed=seed).to_dict(),
+           cost_batch(circuit, thetas).tolist()]
+    if circuit.n_params:
+        for metric in (None, spread):
+            out.append(loss_landscape(circuit, thetas[0], metric=metric, points=3,
+                                      seed=seed).to_dict())
+    if circuit.n_qubits > 1:
+        out.append(entanglement_capability(circuit, samples, "scott", seed=seed).to_dict())
+        out.append(entanglement_spectrum(circuit, samples, seed=seed).to_dict())
+    return out
+
+
 @settings(max_examples=25, deadline=None)
-@given(st.integers(0, 10**9), st.integers(2, 40), st.integers(2, 4))
-def test_chunk_boundaries_do_not_change_expressibility(seed, samples, threads):
-    circuit, _ = _circuit_and_thetas(seed, 0)
+@given(st.integers(0, 10**9), st.integers(2, 40))
+def test_chunk_boundaries_do_not_change_expressibility(seed, samples):
+    # expressibility, Scott and the spectrum, the cost, and both landscape
+    # metric modes: one big range versus one item per range on 1 and 2 threads
+    circuit, thetas = _circuit_and_thetas(seed, samples, with_cost=True)
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("PQC_LENS_THREADS", "1")
-        serial = expressibility(circuit, samples, seed=seed).to_dict()
-        mp.setenv("PQC_LENS_THREADS", str(threads))
-        threaded = expressibility(circuit, samples, seed=seed).to_dict()
-    assert threaded == serial
+        whole = _simulate_map_outputs(circuit, thetas, samples, seed)
+        mp.setattr(simulator, "CHUNK_BYTES", 1)
+        for threads in ("1", "2"):
+            mp.setenv("PQC_LENS_THREADS", threads)
+            assert _simulate_map_outputs(circuit, thetas, samples, seed) == whole
 
 
 # Circuits built as runs of single-qubit gates on one qubit, the shapes
@@ -157,20 +177,22 @@ def test_batched_row_is_bit_identical_to_lone_row(rows):
 
 
 def test_row_blocks_of_a_deep_circuit_match_one_block(monkeypatch):
-    # rows run in blocks whose rotation matrices fit in CHUNK_BYTES
-    circuit = layered_ansatz(3, 6, "chain")
-    program = compile_program(circuit)
-    angles = program.angles(np.random.default_rng(0).uniform(0, 2 * np.pi, (7, circuit.n_params)))
-    whole = simulate_batch(program, angles)
+    # a row costs its state plus one 2 x 2 rotation matrix per angle column
+    ansatz = layered_ansatz(3, 6, "chain")
+    circuit = make_circuit(3, ansatz.gates, [p.name for p in ansatz.parameters],
+                           PauliSum.from_terms([(1.0, {0: "Z"}), (0.5, {2: "X"})]))
+    thetas = np.random.default_rng(0).uniform(0, 2 * np.pi, (7, circuit.n_params))
+    whole = cost_batch(circuit, thetas)
     blocks = []
 
-    def counted(kinds, block):
-        blocks.append(block.shape[0])
-        return rotation_matrices(kinds, block)
+    def counted(program, angles):
+        blocks.append(angles.shape[0])
+        return simulate_batch(program, angles)
 
-    monkeypatch.setattr(simulator, "rotation_matrices", counted)
-    monkeypatch.setattr(simulator, "CHUNK_BYTES", 3 * 64 * program.kinds.size)
-    assert np.array_equal(simulate_batch(program, angles), whole)
+    monkeypatch.setattr(simulator, "simulate_batch", counted)
+    monkeypatch.setattr(simulator, "CHUNK_BYTES",
+                        3 * 16 * (2**3 + 4 * circuit.program.kinds.size))
+    assert np.array_equal(cost_batch(circuit, thetas), whole)
     assert blocks == [3, 3, 1]
 
 

@@ -241,13 +241,18 @@ class TestExitCodes:
 
     def test_divergent_training_exits_four(self, two_qubit_spec, tmp_path):
         code = run(["train", "--circuit", two_qubit_spec, "--steps", "5",
-                    "--lr", "inf", "--method", "gd", "--seed", "1",
+                    "--lr", "1e308", "--method", "adam", "--seed", "1",
                     "--out", str(tmp_path / "o")])
         assert code == 4
 
     def test_nan_learning_rate_is_usage_error(self, two_qubit_spec, tmp_path):
         code = run(["train", "--circuit", two_qubit_spec, "--steps", "2",
                     "--lr", "nan", "--seed", "1", "--out", str(tmp_path / "o")])
+        assert code == 2
+
+    def test_infinite_learning_rate_is_usage_error(self, two_qubit_spec, tmp_path):
+        code = run(["train", "--circuit", two_qubit_spec, "--steps", "2",
+                    "--lr", "inf", "--seed", "1", "--out", str(tmp_path / "o")])
         assert code == 2
 
     def test_unknown_subcommand_is_usage_error(self, tmp_path):

@@ -359,10 +359,18 @@ class TestWidthGuard:
         # 64 KiB: a 12-qubit state (64 KiB) exceeds half of it, 11 qubits fit
         monkeypatch.setattr(simulator, "_physical_memory", lambda: 2**16)
 
-    def test_chunk_rows_follow_the_state_budget(self):
-        assert simulator.chunk_rows(8) == 1024
-        assert simulator.chunk_rows(18) == 1
-        assert simulator.chunk_rows(19) == 1
+    def test_chunk_ranges_follow_the_item_budget(self):
+        def sizes(n_items, item_bytes, workers=1):
+            return [len(r) for r in simulator.chunk_ranges(n_items, item_bytes, workers)]
+
+        state = 16 * 2**8
+        assert sizes(2500, state) == [1024, 1024, 452]
+        assert sizes(2500, state, workers=2) == [1024, 1024, 452]
+        assert sizes(10, state, workers=4) == [3, 3, 3, 1]
+        assert sizes(3, 16 * 2**18) == [1, 1, 1]
+        assert sizes(2, 16 * 2**19) == [1, 1]
+        assert sizes(1200, 2 * state) == [512, 512, 176]  # pairs of 8-qubit states
+        assert sizes(0, state) == []
 
     def test_simulate_rejects_too_wide_registers(self, small_memory):
         circuit = make_circuit(12, [Gate("H", (0,))], [])
