@@ -3,8 +3,9 @@
 A circuit is an ordered gate list over a fixed vocabulary (H, X, Y, Z, RX,
 RY, RZ, CX, CZ). Rotation angles are either literal radians or a reference
 to a declared parameter scaled by a real prefactor, so an angle like
-``2 * beta`` stays a single trainable parameter. Descriptors are immutable;
-binding a parameter vector resolves every angle to a float.
+``2 * beta`` stays a single trainable parameter. Descriptors are immutable
+and validated when built; binding a parameter vector gives a descriptor
+whose angles are all literals and which declares no parameters.
 
 Qubit indices follow the simulator convention: qubit 0 is the most
 significant bit of a basis-state index.
@@ -146,19 +147,8 @@ class CircuitDescriptor:
         return compile_program(self)
 
 
-@dataclass(frozen=True)
-class BoundGate:
-    kind: str
-    targets: tuple[int, ...]
-    angle: float | None = None
-
-
-@dataclass(frozen=True)
-class BoundCircuit:
-    """A circuit with every angle resolved to a literal, ready to simulate."""
-
-    n_qubits: int
-    gates: tuple[BoundGate, ...]
+# a bound circuit is a descriptor with literal angles only and no parameters
+BoundCircuit = CircuitDescriptor
 
 
 def _validate_descriptor(desc: CircuitDescriptor) -> None:
@@ -344,26 +334,15 @@ def _fused_op(qubit: int, run: list) -> tuple:
     return ("diag", lo, hi, tuple(factors))
 
 
-def _check_gate(g, n_qubits: int) -> None:
-    """ValueError for a malformed gate of an unvalidated BoundCircuit."""
-    if g.kind not in GATE_KINDS:
-        raise ValueError(f"unknown gate kind {g.kind!r}")
-    arity = 2 if g.kind in ("CX", "CZ") else 1
-    if len(g.targets) != arity or len(set(g.targets)) != arity:
-        raise ValueError(f"{g.kind} expects {arity} distinct target(s), got {g.targets}")
-    if not all(0 <= t < n_qubits for t in g.targets):
-        raise ValueError(f"gate target out of range for {n_qubits} qubit(s): {g.targets}")
-
-
-def compile_program(circuit: CircuitDescriptor | BoundCircuit) -> GateProgram:
+def compile_program(circuit: CircuitDescriptor) -> GateProgram:
     """Resolve every gate's angle to a parameter column or a literal, and fuse.
 
-    A BoundCircuit compiles to literal angles only and takes no parameters.
-    Fixed gates become constant matrices here; every rotation, literal or
-    not, is left to be formed per row from its angle column, so a bound
-    circuit runs the arithmetic of the batched row it was bound from.
+    A bound circuit (``bind``) compiles to literal angles only and takes no
+    parameters. Fixed gates become constant matrices here; every rotation,
+    literal or not, is left to be formed per row from its angle column, so
+    a bound circuit runs the arithmetic of the batched row it was bound from.
     """
-    index = {p.name: p.index for p in getattr(circuit, "parameters", ())}
+    index = {p.name: p.index for p in circuit.parameters}
     ops, params, prefactors, literals, kinds = [], [], [], [], []
     runs: dict[int, list] = {}
 
@@ -371,9 +350,6 @@ def compile_program(circuit: CircuitDescriptor | BoundCircuit) -> GateProgram:
         if qubit in runs:
             ops.append(_fused_op(qubit, runs.pop(qubit)))
 
-    if isinstance(circuit, BoundCircuit):  # a descriptor was validated when built
-        for g in circuit.gates:
-            _check_gate(g, circuit.n_qubits)
     for g in circuit.gates:
         if len(g.targets) == 2:
             a, b = g.targets
@@ -402,18 +378,17 @@ def compile_program(circuit: CircuitDescriptor | BoundCircuit) -> GateProgram:
     return GateProgram(circuit.n_qubits, len(index), tuple(ops), *columns)
 
 
-def bind(circuit: CircuitDescriptor, theta) -> BoundCircuit:
-    """Substitute the parameter vector into the circuit's symbolic angles.
-
-    Total for any finite real vector of the right length; no angle range
-    restrictions apply.
+def bind(circuit: CircuitDescriptor, theta) -> CircuitDescriptor:
+    """The circuit's qubits and gates with theta substituted: every angle a
+    float, no parameters, no cost. It is validated like any descriptor, so
+    an angle that overflows to inf is a CircuitSpecError.
     """
     columns = iter(circuit.program.angles(np.asarray(theta, dtype=float).reshape(1, -1))[0])
     bound = tuple(
-        BoundGate(g.kind, g.targets, None if g.angle is None else float(next(columns)))
+        Gate(g.kind, g.targets, None if g.angle is None else next(columns))
         for g in circuit.gates
     )
-    return BoundCircuit(circuit.n_qubits, bound)
+    return CircuitDescriptor(circuit.n_qubits, bound)
 
 
 # ---------------------------------------------------------------------------

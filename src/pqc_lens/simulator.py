@@ -52,8 +52,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import (BoundCircuit, BoundGate, GateProgram, PauliSum, compile_program,
-                      matrix_product, rotation_matrices)
+from .circuit import (CircuitDescriptor, Gate, GateProgram, PauliSum, matrix_product,
+                      rotation_matrices)
 
 _NORM_TOL = 1e-10
 
@@ -74,7 +74,7 @@ class StateVector:
                 f"expected {2 ** self.n_qubits}"
             )
         norm = float(np.vdot(amps, amps).real)
-        if abs(norm - 1.0) > _NORM_TOL:
+        if not abs(norm - 1.0) <= _NORM_TOL:  # NaN fails too
             raise ValueError(f"state is not normalized: |psi|^2 = {norm}")
 
     def probabilities(self) -> np.ndarray:
@@ -92,10 +92,10 @@ class DensityMatrix:
         d = 2**self.n_qubits
         if m.shape != (d, d):
             raise ValueError(f"density matrix shape {m.shape}, expected {(d, d)}")
-        if np.max(np.abs(m - m.conj().T)) > _NORM_TOL:
+        if not np.max(np.abs(m - m.conj().T)) <= _NORM_TOL:  # NaN fails too
             raise ValueError("density matrix is not Hermitian")
         tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > _NORM_TOL:
+        if not abs(tr - 1.0) <= _NORM_TOL:
             raise ValueError(f"density matrix trace is {tr}, expected 1")
 
     def eigenvalues(self) -> np.ndarray:
@@ -316,18 +316,20 @@ def simulate_batch(program: GateProgram, angles: np.ndarray,
     return states
 
 
-def simulate(bound: BoundCircuit, initial: StateVector | None = None) -> StateVector:
-    """Run the bound circuit and return the final state.
+def simulate(bound: CircuitDescriptor, initial: StateVector | None = None) -> StateVector:
+    """Run a bound circuit (``bind``) and return the final state.
 
-    Starts from |0...0> unless an initial state on the same register is
-    given.
+    A circuit that still declares parameters is a ValueError. Starts from
+    |0...0> unless an initial state on the same register is given.
     """
     n = bound.n_qubits
+    if bound.parameters:
+        raise ValueError("circuit declares parameters; simulate bind(circuit, theta)")
     if initial is not None and initial.n_qubits != n:
         raise ValueError(
             f"initial state has {initial.n_qubits} qubit(s), circuit has {n}"
         )
-    program = compile_program(bound)
+    program = bound.program
     states = simulate_batch(program, program.angles(np.empty((1, 0))),
                             None if initial is None else initial.amplitudes)
     return StateVector(n, states[0])
@@ -447,9 +449,9 @@ def sample(state: StateVector, shots: int = 1024, seed=None,
 _PAULI_LETTERS = ("I", "X", "Y", "Z")
 
 
-def simulate_noisy(bound: BoundCircuit, noise: NoiseModel, seed=None,
+def simulate_noisy(bound: CircuitDescriptor, noise: NoiseModel, seed=None,
                    initial: StateVector | None = None) -> StateVector:
-    """One stochastic Pauli trajectory of the circuit.
+    """One stochastic Pauli trajectory of a bound circuit (see ``simulate``).
 
     After each single-qubit gate a uniformly chosen non-identity Pauli is
     inserted on its target with probability p1; after each two-qubit gate,
@@ -467,16 +469,16 @@ def simulate_noisy(bound: BoundCircuit, noise: NoiseModel, seed=None,
         if len(gate.targets) == 1:
             if noise.p1 > 0.0 and rng.random() < noise.p1:
                 letter = _PAULI_LETTERS[rng.integers(1, 4)]
-                gates.append(BoundGate(letter, gate.targets))
+                gates.append(Gate(letter, gate.targets))
         else:
             if noise.p2 > 0.0 and rng.random() < noise.p2:
                 pair = int(rng.integers(1, 16))
                 a, b = divmod(pair, 4)
                 if a:
-                    gates.append(BoundGate(_PAULI_LETTERS[a], (gate.targets[0],)))
+                    gates.append(Gate(_PAULI_LETTERS[a], (gate.targets[0],)))
                 if b:
-                    gates.append(BoundGate(_PAULI_LETTERS[b], (gate.targets[1],)))
-    return simulate(BoundCircuit(bound.n_qubits, tuple(gates)), initial)
+                    gates.append(Gate(_PAULI_LETTERS[b], (gate.targets[1],)))
+    return simulate(CircuitDescriptor(bound.n_qubits, gates, bound.parameters), initial)
 
 
 def _checked_keep(keep, n: int) -> tuple[int, ...]:

@@ -161,14 +161,17 @@ def _train_lockstep(circuit: CircuitDescriptor, config: OptimizerConfig,
                 obs(step, theta_r.copy(), float(loss_r))
         if step == config.steps:
             break
-        if config.method == "gd":
-            theta = theta - config.learning_rate * g
-        else:
-            m = config.beta1 * m + (1.0 - config.beta1) * g
-            v = config.beta2 * v + (1.0 - config.beta2) * g * g
-            m_hat = m / (1.0 - config.beta1**(step + 1))
-            v_hat = v / (1.0 - config.beta2**(step + 1))
-            theta = theta - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+        # an update that overflows is reported by the next step's check
+        with np.errstate(over="ignore", invalid="ignore"):
+            if config.method == "gd":
+                theta = theta - config.learning_rate * g
+            else:
+                m = config.beta1 * m + (1.0 - config.beta1) * g
+                v = config.beta2 * v + (1.0 - config.beta2) * g * g
+                m_hat = m / (1.0 - config.beta1**(step + 1))
+                v_hat = v / (1.0 - config.beta2**(step + 1))
+                theta = theta - (config.learning_rate * m_hat
+                                 / (np.sqrt(v_hat) + config.epsilon))
     return np.stack(thetas, axis=1), np.stack(losses, axis=1)
 
 

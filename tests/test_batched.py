@@ -14,7 +14,7 @@ from pqc_lens import (Gate, MetricSpec, ParamRef, PauliSum, bind, entanglement_c
                       entanglement_spectrum, expressibility, loss_landscape, make_circuit,
                       simulate)
 from pqc_lens import simulator
-from pqc_lens.circuit import BoundCircuit, BoundGate, compile_program
+from pqc_lens.circuit import BoundCircuit, CircuitSpecError, compile_program
 from pqc_lens.library import layered_ansatz
 from pqc_lens.simulator import simulate_batch
 from pqc_lens.trainer import cost_batch, gradient_batch
@@ -217,12 +217,17 @@ def test_run_form(gates, form):
 
 
 @pytest.mark.parametrize("gate", [
-    BoundGate("RX", (0, 1), 0.3),
-    BoundGate("CX", (0,)),
-    BoundGate("CZ", (1, 1)),
-    BoundGate("H", (2,)),
-    BoundGate("T", (0,)),
+    Gate("RX", (0, 1), 0.3),
+    Gate("CX", (0,)),
+    Gate("CZ", (1, 1)),
+    Gate("H", (2,)),
+    Gate("T", (0,)),
+    Gate("RX", (0,), float("nan")),
+    Gate("RY", (1,), float("inf")),
+    Gate("RX", (0,)),
+    Gate("H", (0,), 0.3),
+    Gate("CX", (0, 1), 0.3),
 ])
 def test_malformed_bound_gate_is_rejected(gate):
-    with pytest.raises(ValueError):
+    with pytest.raises(CircuitSpecError):
         simulate(BoundCircuit(2, (gate,)))

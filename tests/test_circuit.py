@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import random_circuit
 from pqc_lens import (
+    CircuitDescriptor,
     CircuitSpecError,
     Gate,
     ParamRef,
@@ -117,6 +118,20 @@ class TestBind:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
             bind(_rx_chain(2), [0.1, math.inf])
+
+    def test_bound_circuit_is_a_descriptor_without_parameters_or_cost(self):
+        c = qaoa_builder([(0, 1), (1, 2)], p=2)
+        b = bind(c, [0.1, 0.2, 0.3, 0.4])
+        assert type(b) is CircuitDescriptor
+        assert b.parameters == () and b.cost is None
+        assert b.n_qubits == c.n_qubits
+        assert [(g.kind, g.targets) for g in b.gates] == [(g.kind, g.targets) for g in c.gates]
+        assert all(isinstance(g.angle, float) for g in b.gates if g.angle is not None)
+
+    def test_angle_that_overflows_is_rejected(self):
+        c = make_circuit(1, [Gate("RX", (0,), ParamRef("a", 2.0))], ["a"])
+        with np.errstate(over="ignore"), pytest.raises(CircuitSpecError, match="finite"):
+            bind(c, [1e308])
 
 
 class TestSpecFormat:

@@ -245,6 +245,14 @@ class TestExitCodes:
                     "--out", str(tmp_path / "o")])
         assert code == 4
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_divergent_training_prints_no_numpy_warning(self, two_qubit_spec, tmp_path):
+        # the overflowing update is reported by the exit-4 message alone
+        code = run(["train", "--circuit", two_qubit_spec, "--steps", "5",
+                    "--lr", "1e308", "--method", "adam", "--seed", "1",
+                    "--out", str(tmp_path / "o")])
+        assert code == 4
+
     def test_nan_learning_rate_is_usage_error(self, two_qubit_spec, tmp_path):
         code = run(["train", "--circuit", two_qubit_spec, "--steps", "2",
                     "--lr", "nan", "--seed", "1", "--out", str(tmp_path / "o")])

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 import oracles
 from pqc_lens import (
+    DensityMatrix,
     Gate,
     NoiseModel,
+    ParamRef,
     PauliSum,
     PauliTerm,
     StateVector,
@@ -79,6 +81,26 @@ class TestStatevector:
         c = oracles.random_circuit(rng, max_qubits=6, max_gates=40)
         psi = simulate(bind(c, rng.uniform(0, 2 * np.pi, c.n_params)))
         assert np.linalg.norm(psi.amplitudes) == pytest.approx(1.0, abs=1e-10)
+
+    def test_circuit_with_parameters_must_be_bound_first(self):
+        c = make_circuit(1, [Gate("RX", (0,), ParamRef("a"))], ["a"])
+        with pytest.raises(ValueError, match="bind"):
+            simulate(c)
+        with pytest.raises(ValueError, match="bind"):
+            simulate_noisy(c, NoiseModel(p1=1.0), seed=0)
+
+    @pytest.mark.parametrize("amplitudes", [[math.nan, 0.0], [1.0, complex(0.0, math.nan)]])
+    def test_rejects_non_finite_state(self, amplitudes):
+        with pytest.raises(ValueError, match="not normalized"):
+            StateVector(1, amplitudes)
+
+    @pytest.mark.parametrize("matrix", [
+        [[math.nan, 0.0], [0.0, 1.0]],
+        [[0.5, math.nan], [math.nan, 0.5]],
+    ])
+    def test_rejects_non_finite_density_matrix(self, matrix):
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityMatrix(1, matrix)
 
 
 class TestExpectation:
