@@ -33,7 +33,7 @@ from .baselines import (
 )
 from .circuit import CircuitDescriptor, GateProgram, make_circuit
 from .library import all_zeros_infidelity_cost, mean_excitation_cost
-from .projection import PointCloud, SubspaceBasis, pca, random_basis, tsne
+from .projection import _MAX_COORD, PointCloud, SubspaceBasis, pca, random_basis, tsne
 from .simulator import (
     _AMPLITUDE_BYTES,
     StateVector,
@@ -357,7 +357,8 @@ def loss_landscape(circuit: CircuitDescriptor, theta_star,
     theta_star, so value(phi) = metric(theta_star + phi0*axis0 +
     phi1*axis1) over the square [-scan_range, scan_range]^2. A circuit
     with a single parameter gets a degenerate (zero) second axis, which
-    flattens the grid along phi1.
+    flattens the grid along phi1. Every grid point must be a float:
+    |theta_star| + 2 * scan_range within the float range.
 
     Sampling-based metrics draw per-node seeds base + 1 + flat_index; the
     center evaluation uses the base seed itself.
@@ -374,6 +375,9 @@ def loss_landscape(circuit: CircuitDescriptor, theta_star,
             f"theta_star has length {theta_star.shape[0]}, "
             f"circuit declares {circuit.n_params}"
         )
+    if not math.isfinite(float(np.max(np.abs(theta_star), initial=0.0)) + 2.0 * scan_range):
+        raise ValueError("the scan grid overflows: theta_star must be finite and "
+                         "|theta_star| + 2 * scan_range within the float range")
     if metric is None:
         metric = MetricSpec()
     base = _resolve_seed(seed)
@@ -593,6 +597,8 @@ def parameter_histogram(ensemble, bins: int = 75) -> ParameterHistogramSeries:
     parameter gets one fixed bin grid spanning its pooled min/max over the
     whole run, so the histograms are comparable across steps; a parameter
     that never moves gets a hair-width symmetric range around its value.
+    A parameter above 1e100 in magnitude (a run that diverged to about
+    1e308) is a ValueError, as it is for a PointCloud.
     """
     traces = list(ensemble)
     if len(traces) < 2:
@@ -614,6 +620,8 @@ def parameter_histogram(ensemble, bins: int = 75) -> ParameterHistogramSeries:
     for p in range(n_params):
         lo = float(stack[:, :, p].min())
         hi = float(stack[:, :, p].max())
+        if not max(abs(lo), abs(hi)) <= _MAX_COORD:
+            raise ValueError(f"parameter {p} exceeds {_MAX_COORD:g} in magnitude")
         if not lo < hi:
             pad = max(1e-9, abs(lo) * 1e-9)
             lo, hi = lo - pad, hi + pad

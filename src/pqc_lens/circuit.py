@@ -299,7 +299,12 @@ class GateProgram:
     kinds: np.ndarray
 
     def angles(self, thetas) -> np.ndarray:
-        """The (B, columns) rotation angles for a (B, n_params) parameter batch."""
+        """The (B, columns) rotation angles for a (B, n_params) parameter batch.
+
+        A finite parameter times a prefactor above 1 can overflow; its angle
+        is then inf, silently. ``simulate_batch`` rejects such an angle,
+        training ends in DivergenceError and ``bind`` in CircuitSpecError.
+        """
         thetas = np.asarray(thetas, dtype=float)
         if thetas.ndim != 2 or thetas.shape[1] != self.n_params:
             raise ValueError(
@@ -310,7 +315,8 @@ class GateProgram:
             raise ValueError("theta must be finite")
         angles = np.repeat(self.literals[None], thetas.shape[0], axis=0)
         symbolic = self.params >= 0
-        angles[:, symbolic] = thetas[:, self.params[symbolic]] * self.prefactors[symbolic]
+        with np.errstate(over="ignore"):
+            angles[:, symbolic] = thetas[:, self.params[symbolic]] * self.prefactors[symbolic]
         return angles
 
 

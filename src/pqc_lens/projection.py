@@ -3,6 +3,8 @@
 Two projections to a low-dimensional view: PCA (linear, with an explicit
 orthonormal basis that supports re-expansion back into parameter space)
 and exact t-SNE (nonlinear, pairwise-affinity based, no inverse map).
+PCA takes one thin SVD of the centred cloud, whatever its shape; one
+Gram-Schmidt helper completes both PCA frames and random frames.
 
 Input distances for t-SNE are computed from coordinate differences rather
 than the usual norm-expansion identity, trading a little speed for
@@ -18,11 +20,17 @@ import numpy as np
 
 _NORM_TOL = 1e-10
 _RANK_TOL = 1e-12
+# keeps every mean, variance, squared distance and affinity exponent of a
+# cloud inside the float range; an angle this large is noise modulo 2*pi
+_MAX_COORD = 1e100
 
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Points as rows of a (P, M) array, with optional per-point tags."""
+    """Points as rows of a (P, M) array, with optional per-point tags.
+
+    Coordinates must be finite and at most 1e100 in magnitude.
+    """
 
     points: np.ndarray
     labels: tuple | None = None
@@ -33,8 +41,8 @@ class PointCloud:
             raise ValueError("points must be a 2-D array of row vectors")
         if pts.shape[0] < 2:
             raise ValueError("a point cloud needs at least 2 points")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("points must be finite")
+        if not np.all(np.abs(pts) <= _MAX_COORD):
+            raise ValueError(f"points must be finite and at most {_MAX_COORD:g} in magnitude")
         object.__setattr__(self, "points", pts)
         if self.labels is not None:
             labels = tuple(self.labels)
@@ -115,23 +123,21 @@ def _fix_signs(axes: np.ndarray) -> np.ndarray:
     return fixed
 
 
-def _complete_basis(axes: list[np.ndarray], needed: int, dim: int) -> list[np.ndarray]:
-    """Extend with standard-basis directions, orthonormalized, in index order."""
+def _gram_schmidt(axes: list[np.ndarray], candidates, needed: int) -> list[np.ndarray]:
+    """Extend orthonormal axes to ``needed`` rows from candidates, in order.
+
+    Each candidate loses its components along the axes so far and is kept,
+    normalised, if its norm is still above 1e-8.
+    """
     out = list(axes)
-    for j in range(dim):
+    for cand in candidates:
         if len(out) >= needed:
             break
-        cand = np.zeros(dim)
-        cand[j] = 1.0
         for ax in out:
             cand = cand - (cand @ ax) * ax
         nrm = np.linalg.norm(cand)
         if nrm > 1e-8:
             out.append(cand / nrm)
-    if len(out) < needed:
-        raise ValueError(
-            f"cannot build {needed} orthonormal axes in dimension {dim}"
-        )
     return out
 
 
@@ -143,12 +149,12 @@ def pca(cloud, dims: int = 2):
     explained holds the fraction of total variance captured per axis,
     in non-increasing order.
 
-    The eigenproblem is solved on the M x M covariance when M <= P and
-    on the P x P Gram matrix otherwise, which keeps long trajectories in
-    very wide parameter spaces cheap. Zero-variance clouds are rejected;
-    a cloud whose rank is below dims gets deterministic filler axes
-    (orthonormalized standard-basis directions) with zero explained
-    variance.
+    Axes and variances come from one thin SVD of the centred (P, M)
+    cloud: axis i is the i-th right singular vector, with variance s_i²/P.
+    Zero-variance clouds are rejected. An axis whose variance is at most
+    1e-12 of the total is replaced by a deterministic filler (the next
+    standard-basis direction, orthonormalized against the axes before it)
+    and explains exactly 0.
     """
     pts = _cloud_points(cloud)
     n_points, dim = pts.shape
@@ -165,38 +171,13 @@ def pca(cloud, dims: int = 2):
     if total_variance <= _RANK_TOL:
         raise ValueError("point cloud has rank 0 (zero variance); nothing to project")
 
-    if dim <= n_points:
-        cov = (centered.T @ centered) / n_points
-        evals, evecs = np.linalg.eigh(cov)
-        order = np.argsort(evals)[::-1]
-        evals = evals[order]
-        evecs = evecs[:, order]
-        variances = np.maximum(evals[:dims], 0.0)
-        axes = [evecs[:, i] for i in range(dims)]
-    else:
-        gram = (centered @ centered.T) / n_points
-        evals, evecs = np.linalg.eigh(gram)
-        order = np.argsort(evals)[::-1]
-        evals = evals[order]
-        evecs = evecs[:, order]
-        axes = []
-        variances = []
-        for i in range(min(dims, n_points)):
-            lam = evals[i]
-            if lam <= _RANK_TOL * total_variance:
-                break
-            axis = centered.T @ evecs[:, i]
-            axes.append(axis / math.sqrt(n_points * lam))
-            variances.append(lam)
-        axes = _complete_basis(axes, dims, dim)
-        variances = variances + [0.0] * (dims - len(variances))
-        variances = np.asarray(variances)
-
-    axis_matrix = _fix_signs(np.asarray(axes))
-    basis = SubspaceBasis(origin, axis_matrix)
-    embedded = basis.project(pts)
-    explained = np.asarray(variances, dtype=float) / total_variance
-    return embedded, basis, explained
+    _, s, vt = np.linalg.svd(centered, full_matrices=False)
+    variances = s[:dims] ** 2 / n_points
+    rank = np.count_nonzero(variances > _RANK_TOL * total_variance)
+    variances[rank:] = 0.0
+    axes = _gram_schmidt(list(vt[:rank]), np.eye(dim), dims)
+    basis = SubspaceBasis(origin, _fix_signs(np.asarray(axes)))
+    return basis.project(pts), basis, variances / total_variance
 
 
 def random_basis(dim: int, dims: int = 2, seed=None) -> SubspaceBasis:
@@ -206,27 +187,20 @@ def random_basis(dim: int, dims: int = 2, seed=None) -> SubspaceBasis:
     degenerate-axis allowance of SubspaceBasis.
     """
     rng = np.random.default_rng(seed)
+    needed = min(dims, dim)
+    kept = _gram_schmidt([], (rng.standard_normal(dim) for _ in range(64 * needed)), needed)
+    if len(kept) < needed:
+        raise RuntimeError("failed to draw independent directions")
     axes = np.zeros((dims, dim))
-    kept: list[np.ndarray] = []
-    for i in range(dims):
-        if len(kept) >= dim:
-            break
-        for _ in range(64):
-            cand = rng.standard_normal(dim)
-            for ax in kept:
-                cand = cand - (cand @ ax) * ax
-            nrm = np.linalg.norm(cand)
-            if nrm > 1e-8:
-                axes[i] = cand / nrm
-                kept.append(axes[i])
-                break
-        else:
-            raise RuntimeError("failed to draw an independent direction")
+    axes[:needed] = kept
     return SubspaceBasis(np.zeros(dim), axes)
 
 
 def _pairwise_sq_dists(pts: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances from explicit coordinate differences."""
+    """Squared Euclidean distances from explicit coordinate differences.
+
+    The diagonal is x - x, exactly 0 for the finite points a cloud holds.
+    """
     n, dim = pts.shape
     out = np.empty((n, n))
     block = max(1, (1 << 22) // max(1, n * dim))
@@ -234,7 +208,6 @@ def _pairwise_sq_dists(pts: np.ndarray) -> np.ndarray:
         stop = min(n, start + block)
         diff = pts[start:stop, None, :] - pts[None, :, :]
         out[start:stop] = np.einsum("ijk,ijk->ij", diff, diff)
-    np.fill_diagonal(out, 0.0)
     return out
 
 
@@ -277,8 +250,17 @@ def _affinities(sq_dists: np.ndarray, perplexity: float) -> np.ndarray:
     return P
 
 
-def _tsne_impl(pts: np.ndarray, dims: int, perplexity: float, iters: int,
-               seed, record_kl: bool):
+def tsne(cloud, dims: int = 2, perplexity: float = 30.0, iters: int = 1000,
+         seed=None) -> np.ndarray:
+    """Exact t-SNE embedding of a point cloud.
+
+    Student-t low-dimensional kernel, gradient descent with per-coordinate
+    gains, momentum 0.5 switching to 0.8 at iteration 250, and twelvefold
+    early exaggeration over those first 250 iterations. Deterministic for
+    a given seed. There is no inverse map, so overlays that need one must
+    use PCA instead.
+    """
+    pts = _cloud_points(cloud)
     n = pts.shape[0]
     if n < 3:
         raise ValueError("t-SNE needs at least 3 points")
@@ -304,7 +286,6 @@ def _tsne_impl(pts: np.ndarray, dims: int, perplexity: float, iters: int,
     Y = rng.standard_normal((n, dims)) * 1e-4
     increment = np.zeros((n, dims))
     gains = np.ones((n, dims))
-    kl_history: list[float] = []
 
     for it in range(iters):
         num = 1.0 / (1.0 + _pairwise_sq_dists(Y))
@@ -323,29 +304,4 @@ def _tsne_impl(pts: np.ndarray, dims: int, perplexity: float, iters: int,
         Y = Y + increment
         Y = Y - Y.mean(axis=0)
 
-        if record_kl:
-            kl_history.append(float(np.sum(P * np.log(P / Q))))
-
-    return Y, kl_history
-
-
-def tsne(cloud, dims: int = 2, perplexity: float = 30.0, iters: int = 1000,
-         seed=None) -> np.ndarray:
-    """Exact t-SNE embedding of a point cloud.
-
-    Student-t low-dimensional kernel, gradient descent with per-coordinate
-    gains, momentum 0.5 switching to 0.8 at iteration 250, and twelvefold
-    early exaggeration over those first 250 iterations. Deterministic for
-    a given seed. There is no inverse map, so overlays that need one must
-    use PCA instead.
-    """
-    pts = _cloud_points(cloud)
-    embedded, _ = _tsne_impl(pts, dims, perplexity, iters, seed, record_kl=False)
-    return embedded
-
-
-def _tsne_with_history(cloud, dims: int = 2, perplexity: float = 30.0,
-                       iters: int = 1000, seed=None):
-    """tsne plus the per-iteration KL objective, for convergence checks."""
-    pts = _cloud_points(cloud)
-    return _tsne_impl(pts, dims, perplexity, iters, seed, record_kl=True)
+    return Y

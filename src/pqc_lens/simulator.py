@@ -293,8 +293,13 @@ def simulate_batch(program: GateProgram, angles: np.ndarray,
                    initial: np.ndarray | None = None) -> np.ndarray:
     """Final states, shape (B, 2**n), one per row of the (B, columns) angles.
 
-    Every row starts from |0...0>, or from the amplitudes ``initial``.
+    Every row starts from |0...0>, or from the amplitudes ``initial``. An
+    infinite angle (a parameter times its prefactor overflowed, see
+    ``GateProgram.angles``) is a ValueError, raised before any gate runs.
     """
+    if not np.all(np.isfinite(angles)):
+        raise ValueError("a rotation angle overflowed to inf: a parameter times "
+                         "its prefactor exceeds the float range")
     n = program.n_qubits
     # one qubit leaves no amplitude axis to broadcast a per-row coefficient
     # over, and numpy rounds a vector-by-vector complex product differently
@@ -311,7 +316,7 @@ def simulate_batch(program: GateProgram, angles: np.ndarray,
     _run(states.reshape((-1,) + (2,) * n), program.ops,
          rotation_matrices(program.kinds, angles))
     drift = np.abs(_norms(states) - 1.0)
-    if np.any(drift > _NORM_TOL):
+    if not np.all(drift <= _NORM_TOL):  # NaN fails too
         raise ValueError(f"state is not normalized: ||psi|^2 - 1| = {drift.max()}")
     return states
 

@@ -148,6 +148,8 @@ def _train_lockstep(circuit: CircuitDescriptor, config: OptimizerConfig,
     for step in range(config.steps + 1):
         if not np.all(np.isfinite(theta)):
             raise DivergenceError(f"parameters became non-finite at step {step}")
+        if not np.all(np.isfinite(circuit.program.angles(theta))):
+            raise DivergenceError(f"a rotation angle overflowed at step {step}")
         if step < config.steps:
             loss, g = _loss_and_gradient(circuit, theta)
         else:
@@ -180,9 +182,9 @@ def train(circuit: CircuitDescriptor, config: OptimizerConfig,
     """Minimize the circuit cost with GD or Adam.
 
     Observers are called as observer(step, theta, loss) for the initial
-    point and after every update, in step order. Non-finite losses abort
-    with DivergenceError; convergence itself is not guaranteed on these
-    non-convex surfaces.
+    point and after every update, in step order. Non-finite parameters or
+    losses, and angles that overflow, abort with DivergenceError;
+    convergence itself is not guaranteed on these non-convex surfaces.
     """
     thetas, losses = _train_lockstep(circuit, config, [config.seed], observers)
     return TrainingTrace(restart_id, thetas[0], losses[0])

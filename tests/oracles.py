@@ -3,7 +3,9 @@
 Everything here is deliberately naive: full 2^n x 2^n matrices, explicit
 kron chains, density-matrix channel evolution, and an iterative
 trace-out. None of it shares code with the package kernels, so agreement
-is meaningful evidence. Sizes are capped by the callers (n <= 6).
+is meaningful evidence. Sizes are capped by the callers (n <= 6). The
+t-SNE reference is the exception: it reuses the package's perplexity
+calibration, so that its embedding can be compared bit for bit.
 """
 from __future__ import annotations
 
@@ -193,6 +195,46 @@ def sequential_train(circuit: CircuitDescriptor, config, restarts: int) -> list:
             losses.append(checked_cost(theta, step))
         runs.append((np.array(thetas), np.array(losses)))
     return runs
+
+
+def tsne_with_history(points, dims: int = 2, perplexity: float = 30.0,
+                      iters: int = 1000, seed=None):
+    """Reference t-SNE: ``projection.tsne``'s optimisation written out in one
+    loop, plus KL(P || Q) after every iteration. Returns (embedding, kl).
+
+    Distances come from one unblocked pass over coordinate differences with
+    the diagonal zeroed; the affinities are ``projection._affinities``.
+    """
+    from pqc_lens.projection import _affinities
+
+    def sq_dists(pts):
+        diff = pts[:, None, :] - pts[None, :, :]
+        out = np.einsum("ijk,ijk->ij", diff, diff)
+        np.fill_diagonal(out, 0.0)
+        return out
+
+    pts = np.asarray(points, dtype=float)
+    n = pts.shape[0]
+    cond = _affinities(sq_dists(pts), perplexity)
+    P = np.maximum((cond + cond.T) / (2.0 * n), 1e-12)
+    rng = np.random.default_rng(seed)
+    Y = rng.standard_normal((n, dims)) * 1e-4
+    increment = np.zeros((n, dims))
+    gains = np.ones((n, dims))
+    kl = []
+    for it in range(iters):
+        num = 1.0 / (1.0 + sq_dists(Y))
+        np.fill_diagonal(num, 0.0)
+        Q = np.maximum(num / num.sum(), 1e-12)
+        W = ((P * 12.0 if it < 250 else P) - Q) * num
+        grad = 4.0 * (W.sum(axis=1)[:, None] * Y - W @ Y)
+        same_sign = (grad > 0) == (increment > 0)
+        gains = np.maximum(np.where(same_sign, gains * 0.8, gains + 0.2), 0.01)
+        increment = (0.5 if it < 250 else 0.8) * increment - 200.0 * gains * grad
+        Y = Y + increment
+        Y = Y - Y.mean(axis=0)
+        kl.append(float(np.sum(P * np.log(P / Q))))
+    return Y, kl
 
 
 def haar_fidelity_inverse_cdf(u, dim: int):

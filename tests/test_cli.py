@@ -6,12 +6,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pqc_lens import Gate, ParamRef, PauliSum, make_circuit, serialize_circuit_spec
+from pqc_lens import Gate, ParamRef, PauliSum, make_circuit, qaoa_builder, serialize_circuit_spec
 from pqc_lens.cli import run
 from pqc_lens.library import max_cut_size
 
@@ -252,6 +253,34 @@ class TestExitCodes:
                     "--lr", "1e308", "--method", "adam", "--seed", "1",
                     "--out", str(tmp_path / "o")])
         assert code == 4
+
+    def test_overflowing_angle_names_the_overflow(self, tmp_path, capsys):
+        spec = tmp_path / "qaoa.spec.json"
+        spec.write_text(serialize_circuit_spec(qaoa_builder([(0, 1), (1, 2)], p=1)),
+                        encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["landscape", "--circuit", str(spec), "--theta", "0.1,1e308",
+                        "--points", "3", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "error: a rotation angle overflowed to inf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["path", "--restarts", "2"], "magnitude"),
+        (["path", "--restarts", "3", "--mode", "tsne", "--perplexity", "1", "--iters", "20"],
+         "magnitude"),
+        (["histogram", "--restarts", "2"], "magnitude"),
+        (["landscape", "--lr", "0.05", "--range", "1e308"], "scan grid overflows"),
+    ], ids=["path-pca", "path-tsne", "histogram", "landscape-range"])
+    def test_values_beyond_the_float_range_are_usage_errors(self, two_qubit_spec, tmp_path,
+                                                            capsys, argv, message):
+        # one Adam step at rate 1e308 leaves finite parameters near 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(argv[:1] + ["--circuit", two_qubit_spec, "--steps", "1", "--lr", "1e308",
+                                   "--seed", "0", "--out", str(tmp_path / "o")] + argv[1:])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     def test_nan_learning_rate_is_usage_error(self, two_qubit_spec, tmp_path):
         code = run(["train", "--circuit", two_qubit_spec, "--steps", "2",

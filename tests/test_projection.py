@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from oracles import tsne_with_history
 from pqc_lens import PointCloud, SubspaceBasis, pca, random_basis, tsne
-from pqc_lens.projection import _tsne_with_history
 
 
 def _svd_reference(pts, dims):
@@ -42,6 +42,8 @@ class TestPointCloud:
             PointCloud(np.zeros((1, 3)))
         with pytest.raises(ValueError):
             PointCloud(np.array([[0.0, np.nan]]))
+        with pytest.raises(ValueError, match="magnitude"):
+            PointCloud(np.array([[0.0, 1e101], [0.0, 0.0]]))
 
     def test_labels_must_match_points(self):
         pts = np.zeros((3, 2)) + np.arange(3)[:, None]
@@ -153,6 +155,19 @@ class TestPCA:
         norms = np.linalg.norm(basis.axes, axis=1)
         assert norms == pytest.approx([1.0, 1.0], abs=1e-10)
 
+    def test_rank_deficient_tall_cloud_gets_standard_filler_axis(self):
+        # 10 points in 3 dims on a single line: more points than dimensions
+        direction = np.array([1.0, 2.0, 2.0]) / 3.0
+        pts = 0.5 + np.outer(np.linspace(0, 1, 10), direction)
+        embedded, basis, explained = pca(pts, dims=2)
+        assert basis.axes[0] == pytest.approx(direction, abs=1e-12)
+        # e0 with its component along the line removed, normalised
+        assert basis.axes[1] == pytest.approx(np.array([8.0, -2.0, -2.0]) / math.sqrt(72.0),
+                                              abs=1e-12)
+        assert explained[0] == pytest.approx(1.0, abs=1e-12)
+        assert explained[1] == 0.0
+        assert embedded[:, 1] == pytest.approx(np.zeros(10), abs=1e-12)
+
     def test_axis_sign_convention_is_deterministic(self):
         rng = np.random.default_rng(21)
         pts = rng.standard_normal((15, 4))
@@ -240,13 +255,24 @@ class TestTSNE:
                 rng.normal(rng.uniform(-5, 5, 4), 0.6, size=(12, 4))
                 for _ in range(k)
             ])
-            _, hist = _tsne_with_history(
-                PointCloud(pts), perplexity=5.0, iters=400, seed=t
-            )
+            _, hist = tsne_with_history(pts, perplexity=5.0, iters=400, seed=t)
             tail = np.asarray(hist[-100:])
             if not np.any(np.diff(tail) > 1e-12):
                 passes += 1
         assert passes / trials >= 0.95
+
+    @pytest.mark.parametrize("cloud", ["clusters", "dyadic", "duplicates", "line", "wide"])
+    def test_matches_reference_bit_for_bit(self, cloud):
+        rng = np.random.default_rng(43)
+        pts = {
+            "clusters": lambda: _clusters(45, centers=(-3.0, 0.0, 3.0), per=8),
+            "dyadic": lambda: rng.integers(0, 64, size=(20, 5)) / 8.0,
+            "duplicates": lambda: np.vstack([_clusters(47, centers=(-2.0, 2.0), per=8, dim=3)] * 2),
+            "line": lambda: np.outer(np.linspace(-1.0, 1.0, 18), rng.standard_normal(4)),
+            "wide": lambda: rng.standard_normal((16, 40)),
+        }[cloud]()
+        expected, _ = tsne_with_history(pts, perplexity=4.0, iters=300, seed=8)
+        assert np.array_equal(tsne(pts, perplexity=4.0, iters=300, seed=8), expected)
 
     def test_rejects_bad_arguments(self):
         rng = np.random.default_rng(41)

@@ -94,6 +94,16 @@ class TestStatevector:
         with pytest.raises(ValueError, match="not normalized"):
             StateVector(1, amplitudes)
 
+    def test_norm_check_fails_on_nan_rows(self):
+        program = make_circuit(1, [Gate("H", (0,))]).program
+        with pytest.raises(ValueError, match="not normalized"):
+            simulator.simulate_batch(program, np.empty((1, 0)), np.array([math.nan, 0.0]))
+
+    def test_infinite_angle_is_rejected_before_any_gate(self):
+        program = make_circuit(1, [Gate("RX", (0,), ParamRef("a"))], ["a"]).program
+        with pytest.raises(ValueError, match="overflowed to inf"):
+            simulator.simulate_batch(program, np.array([[math.inf]]))
+
     @pytest.mark.parametrize("matrix", [
         [[math.nan, 0.0], [0.0, 1.0]],
         [[0.5, math.nan], [math.nan, 0.5]],

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from pqc_lens import (
     gradient,
     identity_learning_ansatz,
     layered_ansatz,
+    loss_landscape,
     make_circuit,
     mean_excitation_cost,
     qaoa_builder,
@@ -89,6 +91,20 @@ class TestGradient:
     def test_parameter_free_circuit_has_empty_gradient(self):
         c = make_circuit(1, [Gate("H", (0,))], [], Z0)
         assert gradient(c, []).shape == (0,)
+
+
+@pytest.mark.parametrize("call", [
+    lambda c, theta: cost_batch(c, theta[None]),
+    gradient,
+    lambda c, theta: loss_landscape(c, theta, points=3, seed=0),
+], ids=["cost_batch", "gradient", "loss_landscape"])
+def test_overflowing_angle_is_a_value_error(call):
+    # theta is finite, but the mixer angle 2 * beta overflows to inf
+    c = qaoa_builder([(0, 1), (1, 2)], p=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflowed to inf"):
+            call(c, np.array([0.1, 1e308]))
 
 
 class TestOptimizerConfig:
@@ -198,6 +214,16 @@ class TestTrain:
         )
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError, match="parameters became non-finite at step 3"):
+                train(c, cfg)
+
+    def test_overflowing_angle_diverges_without_numpy_warning(self):
+        # QAOA's mixer angle is 2 * beta; the first Adam step puts beta near
+        # 1e308, so the angle overflows although the parameters stay finite
+        c = qaoa_builder([(0, 1), (1, 2)], p=1)
+        cfg = OptimizerConfig(method="adam", learning_rate=1e308, steps=5, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match="overflowed at step 1"):
                 train(c, cfg)
 
     def test_table_layout(self):
