@@ -2,11 +2,10 @@
 
 Every analyzer draws parameter vectors uniformly from [0, 2*pi)^M, one
 dedicated RNG stream per sample seeded base + i, all of them up front, and
-simulates its samples through simulator.simulate_map, which runs them as
-memory-bounded ranges of consecutive rows on PQC_LENS_THREADS worker
-threads (default 1). Each row's arithmetic does not depend on its range,
-gathering is ordered and reductions run sequentially, so outputs are
-byte-stable for any thread count.
+simulates its samples through simulator.simulate_map, which runs them in
+memory-bounded ranges of consecutive rows, in order. A row's arithmetic
+does not depend on its range and reductions run sequentially, so outputs
+are byte-stable for any chunk size.
 
 Reports serialize through to_dict() into JSON-compatible trees tagged with
 the schema version "pqc-lens/1".
@@ -29,7 +28,7 @@ from .baselines import (
     kl_divergence,
     mp_reference_spectrum,
     sample_haar_state,
-    spectral_xi,
+    xi_profiles,
 )
 from .circuit import CircuitDescriptor, GateProgram, make_circuit
 from .library import all_zeros_infidelity_cost, mean_excitation_cost
@@ -42,7 +41,6 @@ from .simulator import (
     purity_batch,
     row_vdot,
     sample,
-    schmidt_spectrum,
     simulate_map,
 )
 from .trainer import (
@@ -306,10 +304,8 @@ def entanglement_spectrum(circuit: CircuitDescriptor, samples: int,
     base = _resolve_seed(seed)
     program = circuit.program
 
-    def sorted_xi(states: np.ndarray, rows: range) -> np.ndarray:
-        return np.sort(spectral_xi(schmidt_spectrum(states, k), cutoff), axis=1)[:, ::-1]
-
-    profiles = simulate_map(sorted_xi, program, _sampled_angles(program, base, samples))
+    profiles = simulate_map(lambda states, rows: xi_profiles(states, k, cutoff),
+                            program, _sampled_angles(program, base, samples))
     pooled = histogram(profiles.reshape(-1), bins, (0.0, abs(cutoff)))
     ref_count = samples if reference_samples is None else int(reference_samples)
     reference = mp_reference_spectrum(n, k, ref_count, rng=base + samples,
@@ -409,7 +405,6 @@ class ScanGrids:
     theta2_values: np.ndarray
     loss: np.ndarray
     grad_theta2: np.ndarray
-    seed: int | None = None
 
     @property
     def mean_abs_grad(self) -> float:
@@ -681,8 +676,8 @@ def reachability(circuit: CircuitDescriptor, haar_samples: int,
                            for i in chunk])
         return expectation_batch(states, circuit.cost)
 
-    haar_min = float(np.min(np.concatenate(
-        map_chunks(haar_costs, haar_samples, _AMPLITUDE_BYTES * 2**circuit.n_qubits))))
+    haar_min = float(np.min(map_chunks(haar_costs, haar_samples,
+                                       _AMPLITUDE_BYTES * 2**circuit.n_qubits)))
 
     if config.seed is None:
         config = replace(config, seed=base + haar_samples)

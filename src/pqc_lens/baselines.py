@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulator import _AMPLITUDE_BYTES, StateVector, chunk_ranges, schmidt_spectrum
+from .simulator import _AMPLITUDE_BYTES, StateVector, map_chunks, schmidt_spectrum
 
 _EPS = 1e-12
 
@@ -163,6 +163,11 @@ def spectral_xi(eigenvalues, cutoff: float = -30.0) -> np.ndarray:
     return np.clip(xi, 0.0, abs(cutoff))
 
 
+def xi_profiles(states: np.ndarray, k: int, cutoff: float = -30.0) -> np.ndarray:
+    """Per row of a (B, 2**n) batch, the xi of rho on the first k qubits, sorted descending."""
+    return np.sort(spectral_xi(schmidt_spectrum(states, k), cutoff), axis=1)[:, ::-1]
+
+
 def mp_reference_spectrum(n_qubits: int, k: int, samples: int, rng=None,
                           cutoff: float = -30.0, bins: int = 75) -> MPBaseline:
     """Entanglement-spectrum ensemble of Haar states, split first-k vs rest.
@@ -176,12 +181,12 @@ def mp_reference_spectrum(n_qubits: int, k: int, samples: int, rng=None,
     if samples < 1:
         raise ValueError("samples must be positive")
     rng = np.random.default_rng(rng)
-    profiles = np.empty((samples, 2**k))
-    # a plain loop, not map_chunks: the chunks draw from one generator in order
-    for rows in chunk_ranges(samples, _AMPLITUDE_BYTES * 2**n_qubits):
+
+    def chunk(rows: range) -> np.ndarray:  # the chunks draw from rng in order
         states = np.stack([sample_haar_state(n_qubits, rng).amplitudes for _ in rows])
-        xi = spectral_xi(schmidt_spectrum(states, k), cutoff)
-        profiles[rows.start:rows.stop] = np.sort(xi, axis=1)[:, ::-1]
+        return xi_profiles(states, k, cutoff)
+
+    profiles = map_chunks(chunk, samples, _AMPLITUDE_BYTES * 2**n_qubits)
     pooled = histogram(profiles.reshape(-1), bins, (0.0, abs(cutoff)))
     return MPBaseline(n_qubits, k, profiles.mean(axis=0), pooled, samples)
 

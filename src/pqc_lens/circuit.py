@@ -386,14 +386,18 @@ def compile_program(circuit: CircuitDescriptor) -> GateProgram:
 
 def bind(circuit: CircuitDescriptor, theta) -> CircuitDescriptor:
     """The circuit's qubits and gates with theta substituted: every angle a
-    float, no parameters, no cost. It is validated like any descriptor, so
-    an angle that overflows to inf is a CircuitSpecError.
+    float, no parameters, no cost. It is validated like any descriptor; a
+    parameter times its prefactor that overflows to inf is a CircuitSpecError
+    naming the parameter.
     """
     columns = iter(circuit.program.angles(np.asarray(theta, dtype=float).reshape(1, -1))[0])
-    bound = tuple(
-        Gate(g.kind, g.targets, None if g.angle is None else next(columns))
-        for g in circuit.gates
-    )
+    bound = tuple(Gate(g.kind, g.targets, None if g.angle is None else next(columns))
+                  for g in circuit.gates)
+    for g, b in zip(circuit.gates, bound):
+        if b.angle is not None and not math.isfinite(b.angle):  # literals and theta are finite
+            raise CircuitSpecError(
+                f"a rotation angle overflowed to inf: parameter {g.angle.name!r} times "
+                f"its prefactor {g.angle.prefactor} exceeds the float range")
     return CircuitDescriptor(circuit.n_qubits, bound)
 
 

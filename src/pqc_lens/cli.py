@@ -209,14 +209,11 @@ def _parse_theta(text: str | None, circuit: CircuitDescriptor):
 def _cmd_landscape(args, seed: int):
     circuit = _load_circuit(args.circuit)
     _require_cost(circuit, "landscape")
-    trace = None
-    theta_star = None
+    trace = theta_star = None
     if args.basis == "pca":
-        traces = ensemble_train(circuit, _optimizer_config(args, seed), 1)
-        trace = traces[0]
-        if args.theta is None:
-            _, _, theta_star, _ = _best_trace(traces)
-    if theta_star is None:
+        traces = ensemble_train(circuit, _optimizer_config(args, seed), args.restarts)
+        _, trace, theta_star, _ = _best_trace(traces)
+    if args.theta is not None or theta_star is None:
         theta_star = _parse_theta(args.theta, circuit)
     grid = loss_landscape(circuit, theta_star, basis_mode=args.basis,
                           metric=MetricSpec(), points=args.points,

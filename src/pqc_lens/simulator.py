@@ -17,20 +17,18 @@ one or both slices (runs of RZ and Z only, and CZ), and a swap of the two
 slices (X and CX). Every rotation, a literal one too, reads its angle
 from a column, and a fused matrix that depends on angles is formed per
 row, entry by entry in a fixed order, so every row gets exactly the
-arithmetic it gets alone, as a bound circuit: results depend neither on
-how rows are batched nor on the thread count. The norm of every row is
-checked once, after the last operation, and a drift beyond 1e-10 raises
-ValueError; it is not asserted gate by gate. ``simulate``,
-``simulate_noisy``, ``expectation``, ``subsystem_purity`` and
+arithmetic it gets alone, as a bound circuit, however rows are batched.
+The norm of every row is checked once, after the last operation, and a
+drift beyond 1e-10 raises ValueError; it is not asserted gate by gate.
+``simulate``, ``simulate_noisy``, ``expectation``, ``subsystem_purity`` and
 ``reduced_density_matrix`` are the B = 1 entry points.
 
-Every simulation of many rows goes through ``simulate_map``, which alone
-decides how many rows run at once: ranges of at most CHUNK_BYTES = 4 MiB, a
-row costing its state (16 * 2**n bytes) plus 64 bytes of rotation matrix
-per angle column, no more than an even share per PQC_LENS_THREADS worker
-thread (default 1), gathered in order. A state, a chunk item or a compiled
-observable larger than half of physical memory is rejected with ValueError
-before anything is allocated.
+Every simulation of many rows goes through ``simulate_map``, which runs
+them through ``map_chunks``, the one chunk runner: consecutive ranges of at
+most CHUNK_BYTES = 4 MiB, a row costing its state (16 * 2**n bytes) plus 64
+bytes of rotation matrix per angle column, run one after another in order.
+A state, a chunk item or a compiled observable larger than half of physical
+memory is rejected with ValueError before anything is allocated.
 
 Observables are never applied as gates. Each PauliSum is compiled once per
 (PauliSum, n), and a few compiled forms stay cached, into groups of terms
@@ -46,7 +44,6 @@ trajectory average over seeds estimates the channel output.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -168,48 +165,29 @@ def _fits(size: int, what: str) -> None:
         )
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("PQC_LENS_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ValueError(f"PQC_LENS_THREADS must be an integer, got {raw!r}")
-    return max(1, count)
-
-
-def chunk_ranges(n_items: int, item_bytes: int, workers: int = 1) -> list[range]:
-    """Consecutive ranges covering range(n_items), each of as many items of
-    item_bytes as fit in CHUNK_BYTES (at least one) and at most an even share
-    per worker. ValueError if one item exceeds half of physical memory."""
+def map_chunks(fn, n_items: int, item_bytes: int) -> np.ndarray:
+    """np.concatenate of fn(r), in order, over consecutive ranges r covering
+    range(n_items), each of as many items of item_bytes as fit in CHUNK_BYTES
+    (at least one). ValueError if one item exceeds half of physical memory."""
     _fits(item_bytes, "one chunk item")
-    size = max(1, min(CHUNK_BYTES // item_bytes, -(-n_items // workers)))
-    return [range(s, min(s + size, n_items)) for s in range(0, n_items, size)]
-
-
-def map_chunks(fn, n_items: int, item_bytes: int) -> list:
-    """[fn(r) for r in chunk_ranges(n_items, item_bytes, workers)], in order,
-    run on PQC_LENS_THREADS (default 1) worker threads."""
-    workers = _worker_count()
-    chunks = chunk_ranges(n_items, item_bytes, workers)
-    if workers <= 1 or len(chunks) <= 1:
-        return [fn(chunk) for chunk in chunks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, chunks))
+    size = max(1, CHUNK_BYTES // item_bytes)
+    return np.concatenate([fn(range(s, min(s + size, n_items)))
+                           for s in range(0, n_items, size)])
 
 
 def simulate_map(fn, program: GateProgram, angles: np.ndarray,
                  group: int = 1) -> np.ndarray:
-    """np.concatenate of fn(states, rows), in order, over the map_chunks ranges
-    of rows of the (B, columns) angles, states being those rows' final states.
-    A range holds whole groups of ``group`` rows; a row costs its state plus
-    64 bytes of rotation matrix per angle column."""
+    """map_chunks of fn(states, rows) over the rows of the (B, columns) angles,
+    states being those rows' final states. A range holds whole groups of
+    ``group`` rows; a row costs its state plus 64 bytes of rotation matrix
+    per angle column."""
     row_bytes = _AMPLITUDE_BYTES * (2**program.n_qubits + 4 * program.kinds.size)
 
     def chunk(items: range):
         rows = range(group * items.start, group * items.stop)
         return fn(simulate_batch(program, angles[rows.start:rows.stop]), rows)
 
-    return np.concatenate(map_chunks(chunk, angles.shape[0] // group, group * row_bytes))
+    return map_chunks(chunk, angles.shape[0] // group, group * row_bytes)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -316,6 +317,15 @@ class TestBarrenPlateauScan:
             float(np.mean(np.abs(scan.grad_theta2)))
         )
 
+    def test_to_dict_carries_both_grids(self):
+        scan = barren_plateau_scan(identity_learning_ansatz(2), "local", points=3)
+        doc = json.loads(json.dumps(scan.to_dict()))
+        assert doc["kind"] == "barren-plateau-scan" and doc["cost_kind"] == "local"
+        assert doc["theta1"] == doc["theta2"] == scan.theta1_values.tolist()
+        assert doc["loss"] == scan.loss.tolist()
+        assert doc["grad_theta2"] == scan.grad_theta2.tolist()
+        assert doc["mean_abs_grad"] == scan.mean_abs_grad
+
     def test_rejects_wrong_parameter_count(self):
         with pytest.raises(ValueError, match="2 parameters"):
             barren_plateau_scan(_rx_cost())
@@ -360,6 +370,14 @@ class TestTrainingPath:
         assert path.basis is not None
         assert path.explained is not None
         assert np.all(np.diff(path.explained) <= 1e-12)
+
+    def test_pca_report_carries_the_explained_variance(self):
+        traces = ensemble_train(_two_param_cost(),
+                                OptimizerConfig(steps=8, seed=5), restarts=2)
+        path = training_path(traces)
+        doc = json.loads(json.dumps(path.to_dict()))
+        assert doc["explained_variance_ratio"] == path.explained.tolist()
+        assert doc["basis"]["axes"] == path.basis.axes.tolist()
 
     def test_overlay_frame_does_the_projection(self):
         c = _two_param_cost()

@@ -22,6 +22,7 @@ from pqc_lens import (
     subsystem_purity,
 )
 from pqc_lens import simulator
+from pqc_lens.baselines import xi_profiles
 
 LN2 = math.log(2.0)
 
@@ -215,6 +216,20 @@ class TestMPReference:
             single = mp_reference_spectrum(n, k, samples, rng=seed)
         assert np.array_equal(whole.profile, single.profile)
         assert np.array_equal(whole.histogram.masses, single.histogram.masses)
+
+    def test_chunk_size_keeps_the_draws_in_order(self):
+        # 1 MiB states: the default chunks hold four of the nine draws each,
+        # CHUNK_BYTES = 1 one; both match draws taken one at a time in order
+        whole = mp_reference_spectrum(16, 8, 9, rng=11)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulator, "CHUNK_BYTES", 1)
+            single = mp_reference_spectrum(16, 8, 9, rng=11)
+        assert np.array_equal(whole.profile, single.profile)
+        assert np.array_equal(whole.histogram.masses, single.histogram.masses)
+        rng = np.random.default_rng(11)
+        one_by_one = np.concatenate([xi_profiles(sample_haar_state(16, rng).amplitudes[None], 8)
+                                     for _ in range(9)])
+        assert np.array_equal(whole.profile, one_by_one.mean(axis=0))
 
     def test_rejects_bad_split(self):
         with pytest.raises(ValueError):

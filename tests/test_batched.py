@@ -70,15 +70,12 @@ def _simulate_map_outputs(circuit, thetas, samples, seed) -> list:
 @given(st.integers(0, 10**9), st.integers(2, 40))
 def test_chunk_boundaries_do_not_change_expressibility(seed, samples):
     # expressibility, Scott and the spectrum, the cost, and both landscape
-    # metric modes: one big range versus one item per range on 1 and 2 threads
+    # metric modes: one big range versus one item per range
     circuit, thetas = _circuit_and_thetas(seed, samples, with_cost=True)
+    whole = _simulate_map_outputs(circuit, thetas, samples, seed)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("PQC_LENS_THREADS", "1")
-        whole = _simulate_map_outputs(circuit, thetas, samples, seed)
         mp.setattr(simulator, "CHUNK_BYTES", 1)
-        for threads in ("1", "2"):
-            mp.setenv("PQC_LENS_THREADS", threads)
-            assert _simulate_map_outputs(circuit, thetas, samples, seed) == whole
+        assert _simulate_map_outputs(circuit, thetas, samples, seed) == whole
 
 
 # Circuits built as runs of single-qubit gates on one qubit, the shapes

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pqc_lens import Gate, ParamRef, PauliSum, make_circuit, qaoa_builder, serialize_circuit_spec
+from pqc_lens import (Gate, ParamRef, PauliSum, make_circuit, qaoa_builder,
+                      serialize_circuit_spec, simulator)
 from pqc_lens.cli import run
 from pqc_lens.library import max_cut_size
 
@@ -145,6 +146,20 @@ class TestSubcommands:
         assert code == 0
         doc = _report(out)
         assert doc["result"]["basis"]["origin"] is not None
+
+    def test_landscape_pca_basis_centres_on_the_best_restart(self, two_qubit_spec, tmp_path):
+        # at seed 0 restart 1 of 3 reaches the lowest loss; the landscape is
+        # then the one path --overlay draws from the same training
+        training = ["--circuit", two_qubit_spec, "--steps", "10", "--restarts", "3",
+                    "--seed", "0"]
+        assert run(["train", *training, "--out", str(tmp_path / "t")]) == 0
+        assert _report(str(tmp_path / "t"))["result"]["best_restart"] == 1
+        assert run(["landscape", "--basis", "pca", "--points", "3", *training,
+                    "--out", str(tmp_path / "l")]) == 0
+        assert run(["path", "--overlay", "--points", "3", *training,
+                    "--out", str(tmp_path / "p")]) == 0
+        landscape = _report(str(tmp_path / "l"))["result"]
+        assert landscape == _report(str(tmp_path / "p"))["result"]["overlay"]
 
     def test_path_with_overlay(self, two_qubit_spec, tmp_path):
         out = str(tmp_path / "o")
@@ -327,20 +342,18 @@ class TestDeterminism:
         with open(os.path.join(out, "report.json"), "rb") as fh:
             assert fh.read() == first
 
-    def test_thread_count_does_not_change_bytes(self, two_qubit_spec,
-                                                tmp_path, monkeypatch):
+    def test_chunk_size_does_not_change_bytes(self, two_qubit_spec,
+                                              tmp_path, monkeypatch):
         out = str(tmp_path / "o")
         argv = ["expressibility", "--circuit", two_qubit_spec,
                 "--samples", "30", "--seed", "22", "--out", out]
-        monkeypatch.setenv("PQC_LENS_THREADS", "1")
         assert run(argv) == 0
         with open(os.path.join(out, "report.json"), "rb") as fh:
-            serial = fh.read()
-        monkeypatch.setenv("PQC_LENS_THREADS", "4")
+            whole = fh.read()
+        monkeypatch.setattr(simulator, "CHUNK_BYTES", 1)  # one row per chunk
         assert run(argv) == 0
         with open(os.path.join(out, "report.json"), "rb") as fh:
-            threaded = fh.read()
-        assert serial == threaded
+            assert fh.read() == whole
 
     def test_unseeded_runs_draw_fresh_seeds(self, two_qubit_spec, tmp_path):
         out_a = str(tmp_path / "a")
@@ -459,10 +472,8 @@ def _argv(draw, spec: str, out: str):
 class TestCliFuzz:
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(data=st.data(),
-           threads=_mostly(st.sampled_from(["1", "2", "4"]), st.sampled_from(["0", "x"])))
-    def test_generated_argv_ends_in_a_documented_exit_code(self, tmp_path_factory,
-                                                           data, threads):
+    @given(data=st.data())
+    def test_generated_argv_ends_in_a_documented_exit_code(self, tmp_path_factory, data):
         base = tmp_path_factory.mktemp("fuzz")
         spec = base / "two_qubit.spec.json"
         spec.write_text(serialize_circuit_spec(make_circuit(
@@ -471,9 +482,7 @@ class TestCliFuzz:
             PauliSum.from_terms([(1.0, {0: "Z"}), (0.5, {1: "Z"})]))),
             encoding="utf-8")
         argv = data.draw(_argv(str(spec), str(base / "out")))
-        with pytest.MonkeyPatch.context() as mp, \
-                contextlib.redirect_stdout(io.StringIO()), \
+        with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
-            mp.setenv("PQC_LENS_THREADS", threads)
             code = run(argv)
         assert code in (0, 2, 3, 4), argv

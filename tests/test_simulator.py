@@ -220,18 +220,15 @@ class TestCompiledObservable:
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10**9), st.integers(2, 9))
-    def test_costs_and_gradients_do_not_depend_on_threads(self, seed, points):
+    def test_costs_and_gradients_do_not_depend_on_chunk_size(self, seed, points):
         rng = np.random.default_rng(seed)
         circuit = oracles.random_circuit(rng, max_qubits=6, max_gates=30, with_cost=True)
         thetas = rng.uniform(0, 2 * np.pi, (points, circuit.n_params))
-        results = []
+        cost, grad = cost_batch(circuit, thetas), gradient_batch(circuit, thetas)
         with pytest.MonkeyPatch.context() as mp:
-            for threads in ("1", "2"):
-                mp.setenv("PQC_LENS_THREADS", threads)
-                results.append((cost_batch(circuit, thetas), gradient_batch(circuit, thetas)))
-        (cost_1, grad_1), (cost_2, grad_2) = results
-        assert np.array_equal(cost_1, cost_2)
-        assert np.array_equal(grad_1, grad_2)
+            mp.setattr(simulator, "CHUNK_BYTES", 1)  # one row per chunk
+            assert np.array_equal(cost_batch(circuit, thetas), cost)
+            assert np.array_equal(gradient_batch(circuit, thetas), grad)
 
 
 class TestSampling:
@@ -392,17 +389,22 @@ class TestWidthGuard:
         monkeypatch.setattr(simulator, "_physical_memory", lambda: 2**16)
 
     def test_chunk_ranges_follow_the_item_budget(self):
-        def sizes(n_items, item_bytes, workers=1):
-            return [len(r) for r in simulator.chunk_ranges(n_items, item_bytes, workers)]
+        def sizes(n_items, item_bytes):
+            chunks = []
+
+            def record(items: range) -> np.ndarray:
+                chunks.append(items)
+                return np.arange(items.start, items.stop)
+
+            out = simulator.map_chunks(record, n_items, item_bytes)
+            assert np.array_equal(out, np.arange(n_items))  # consecutive, in order
+            return [len(r) for r in chunks]
 
         state = 16 * 2**8
         assert sizes(2500, state) == [1024, 1024, 452]
-        assert sizes(2500, state, workers=2) == [1024, 1024, 452]
-        assert sizes(10, state, workers=4) == [3, 3, 3, 1]
         assert sizes(3, 16 * 2**18) == [1, 1, 1]
         assert sizes(2, 16 * 2**19) == [1, 1]
         assert sizes(1200, 2 * state) == [512, 512, 176]  # pairs of 8-qubit states
-        assert sizes(0, state) == []
 
     def test_simulate_rejects_too_wide_registers(self, small_memory):
         circuit = make_circuit(12, [Gate("H", (0,))], [])

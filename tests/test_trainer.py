@@ -25,6 +25,7 @@ from pqc_lens import (
     mean_excitation_cost,
     qaoa_builder,
     random_gnm_edges,
+    simulator,
     train,
     trainer,
 )
@@ -160,6 +161,10 @@ class TestTrain:
         assert trace.losses.shape == (8,)
         assert trace.restart_id == 0
 
+    def test_zeros_init_starts_at_the_origin(self):
+        trace = train(_shared_param_circuit(), OptimizerConfig(steps=2, init="zeros", seed=3))
+        assert np.array_equal(trace.thetas[0], np.zeros(2))
+
     def test_zero_steps_records_only_initial_point(self):
         c = _rx_cost()
         trace = train(c, OptimizerConfig(steps=0, init=[1.1]))
@@ -286,8 +291,8 @@ class TestLockstep:
         cfg = OptimizerConfig(method=method, learning_rate=0.1, steps=3, seed=seed)
         want = oracles.sequential_train(c, cfg, restarts)
         with pytest.MonkeyPatch.context() as mp:
-            for threads in ("1", "2"):
-                mp.setenv("PQC_LENS_THREADS", threads)
+            for chunk_bytes in (simulator.CHUNK_BYTES, 1):
+                mp.setattr(simulator, "CHUNK_BYTES", chunk_bytes)
                 traces = ensemble_train(c, cfg, restarts)
                 assert [t.restart_id for t in traces] == list(range(restarts))
                 for trace, (thetas, losses) in zip(traces, want):
