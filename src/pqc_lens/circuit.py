@@ -55,7 +55,12 @@ class Gate:
     angle: float | ParamRef | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
+        targets = tuple(self.targets)
+        for t in targets:
+            # int() would truncate 0.9 to qubit 0; bool is an int subclass
+            if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
+                raise CircuitSpecError(f"gate targets must be integers, got {t!r}")
+        object.__setattr__(self, "targets", tuple(int(t) for t in targets))
         if self.angle is not None and not isinstance(self.angle, ParamRef):
             object.__setattr__(self, "angle", float(self.angle))
 

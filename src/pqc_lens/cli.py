@@ -76,25 +76,38 @@ def _grid_csv(phi_values, values) -> str:
     return _csv(["phi0", "phi1", "value"], rows)
 
 
-def _trace_csv(trace) -> str:
-    header, rows = trace.table()
-    return _csv(header, rows)
+def _trace_files(traces) -> dict:
+    return {f"trace_{t.restart_id}.csv": _csv(*t.table()) for t in traces}
 
 
-def _path_csv(path) -> str:
+def _landscape_files(grid, title: str) -> dict:
+    return {
+        "landscape.csv": _grid_csv(grid.phi_values, grid.values),
+        "landscape.svg": heatmap(grid.phi_values, grid.phi_values, grid.values,
+                                 title, "phi0", "phi1"),
+    }
+
+
+def _path_files(path, title: str) -> dict:
     rows = [
         [int(path.restarts[i]), int(path.steps[i]), float(path.losses[i]),
          float(path.coords[i, 0]), float(path.coords[i, 1])]
         for i in range(path.coords.shape[0])
     ]
-    return _csv(["restart", "step", "loss", "x", "y"], rows)
+    return {
+        "path.csv": _csv(["restart", "step", "loss", "x", "y"], rows),
+        "path.svg": path_plot(path.coords, path.restarts, title),
+    }
 
 
-def _require_cost(circuit: CircuitDescriptor, command: str) -> None:
+def _costed_circuit(args) -> CircuitDescriptor:
+    """The --circuit spec, which must declare a cost observable."""
+    circuit = _load_circuit(args.circuit)
     if circuit.cost is None:
         raise UsageError(
-            f"the {command} command needs a circuit spec with a cost observable"
+            f"the {args.command} command needs a circuit spec with a cost observable"
         )
+    return circuit
 
 
 def _optimizer_config(args, seed: int | None) -> OptimizerConfig:
@@ -107,6 +120,15 @@ def _best_trace(traces):
     trace = traces[best]
     at = int(np.argmin(trace.losses))
     return best, trace, trace.thetas[at].copy(), float(trace.losses[at])
+
+
+def _best_landscape(circuit, traces, args, seed: int, theta=None):
+    """The loss on the PCA frame of the best restart's path, centred on its
+    lowest-loss point, or on ``theta`` if given."""
+    _, trace, best_theta, _ = _best_trace(traces)
+    return loss_landscape(circuit, best_theta if theta is None else theta,
+                          basis_mode="pca", metric=MetricSpec(), points=args.points,
+                          scan_range=args.scan_range, seed=seed, trace=trace)
 
 
 def _training_summary(traces) -> dict:
@@ -179,13 +201,10 @@ def _cmd_spectrum(args, seed: int):
 
 
 def _cmd_train(args, seed: int):
-    circuit = _load_circuit(args.circuit)
-    _require_cost(circuit, "train")
+    circuit = _costed_circuit(args)
     traces = ensemble_train(circuit, _optimizer_config(args, seed),
                             args.restarts)
-    files = {
-        f"trace_{t.restart_id}.csv": _trace_csv(t) for t in traces
-    }
+    files = _trace_files(traces)
     steps = np.arange(traces[0].losses.shape[0])
     files["loss_curves.svg"] = line_plot(
         [(f"restart {t.restart_id}", steps, t.losses) for t in traces],
@@ -196,9 +215,7 @@ def _cmd_train(args, seed: int):
     return result, files
 
 
-def _parse_theta(text: str | None, circuit: CircuitDescriptor):
-    if text is None:
-        return np.zeros(circuit.n_params)
+def _parse_theta(text: str):
     try:
         values = [float(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
@@ -207,56 +224,36 @@ def _parse_theta(text: str | None, circuit: CircuitDescriptor):
 
 
 def _cmd_landscape(args, seed: int):
-    circuit = _load_circuit(args.circuit)
-    _require_cost(circuit, "landscape")
-    trace = theta_star = None
+    circuit = _costed_circuit(args)
+    theta = None if args.theta is None else _parse_theta(args.theta)
     if args.basis == "pca":
         traces = ensemble_train(circuit, _optimizer_config(args, seed), args.restarts)
-        _, trace, theta_star, _ = _best_trace(traces)
-    if args.theta is not None or theta_star is None:
-        theta_star = _parse_theta(args.theta, circuit)
-    grid = loss_landscape(circuit, theta_star, basis_mode=args.basis,
-                          metric=MetricSpec(), points=args.points,
-                          scan_range=args.scan_range, seed=seed, trace=trace)
-    files = {
-        "landscape.csv": _grid_csv(grid.phi_values, grid.values),
-        "landscape.svg": heatmap(grid.phi_values, grid.phi_values,
-                                 grid.values, "loss landscape",
-                                 "phi0", "phi1"),
-    }
-    return grid.to_dict(), files
+        grid = _best_landscape(circuit, traces, args, seed, theta)
+    else:
+        grid = loss_landscape(circuit, np.zeros(circuit.n_params) if theta is None else theta,
+                              basis_mode="random", metric=MetricSpec(), points=args.points,
+                              scan_range=args.scan_range, seed=seed)
+    return grid.to_dict(), _landscape_files(grid, "loss landscape")
 
 
 def _cmd_path(args, seed: int):
-    circuit = _load_circuit(args.circuit)
-    _require_cost(circuit, "path")
+    circuit = _costed_circuit(args)
     if args.overlay and args.mode != "pca":
         raise UsageError("--overlay requires --mode pca")
     traces = ensemble_train(circuit, _optimizer_config(args, seed),
                             args.restarts)
-    overlay = None
-    if args.overlay:
-        _, best_trace, best_theta, _ = _best_trace(traces)
-        overlay = loss_landscape(circuit, best_theta, basis_mode="pca",
-                                 metric=MetricSpec(), points=args.points,
-                                 scan_range=args.scan_range, seed=seed,
-                                 trace=best_trace)
+    overlay = _best_landscape(circuit, traces, args, seed) if args.overlay else None
     path = training_path(traces, mode=args.mode, overlay=overlay,
                          perplexity=args.perplexity, iters=args.iters,
                          seed=seed)
-    files = {
-        "path.csv": _path_csv(path),
-        "path.svg": path_plot(path.coords, path.restarts,
-                              f"training paths ({args.mode})"),
-    }
+    files = _path_files(path, f"training paths ({args.mode})")
     if overlay is not None:
         files["overlay.csv"] = _grid_csv(overlay.phi_values, overlay.values)
     return path.to_dict(), files
 
 
 def _cmd_histogram(args, seed: int):
-    circuit = _load_circuit(args.circuit)
-    _require_cost(circuit, "histogram")
+    circuit = _costed_circuit(args)
     traces = ensemble_train(circuit, _optimizer_config(args, seed),
                             args.restarts)
     series = parameter_histogram(traces, bins=args.bins)
@@ -284,48 +281,36 @@ def _cmd_histogram(args, seed: int):
 
 
 def _cmd_reachability(args, seed: int):
-    circuit = _load_circuit(args.circuit)
-    _require_cost(circuit, "reachability")
-    report = reachability(circuit, args.samples, args.restarts,
+    report = reachability(_costed_circuit(args), args.samples, args.restarts,
                           config=_optimizer_config(args, None), seed=seed)
     return report.to_dict(), {}
 
 
 def _cmd_qaoa(args, seed: int):
     edges = random_gnm_edges(args.nodes, args.edges, seed=seed)
+    optimum_cut = max_cut_size(edges, args.nodes)  # before any simulation
     circuit = qaoa_builder(edges, args.p, n_nodes=args.nodes)
     traces = ensemble_train(circuit, _optimizer_config(args, seed),
                             args.restarts)
-    best, best_trace, best_theta, best_loss = _best_trace(traces)
-
-    state = simulate(bind(circuit, best_theta))
-    counts = sample(state, args.shots, seed + 10_000)
+    _, _, best_theta, best_loss = _best_trace(traces)
+    counts = sample(simulate(bind(circuit, best_theta)), args.shots, seed + 10_000)
     sampled_cut = mean_cut_scorer(edges)(counts.bit_matrix())
-
-    grid = loss_landscape(circuit, best_theta, basis_mode="pca",
-                          metric=MetricSpec(), points=args.points,
-                          scan_range=args.scan_range, seed=seed,
-                          trace=best_trace)
+    grid = _best_landscape(circuit, traces, args, seed)
     path = training_path(traces, mode=args.mode, perplexity=args.perplexity,
                          iters=args.iters, seed=seed)
-
-    files = {f"trace_{t.restart_id}.csv": _trace_csv(t) for t in traces}
-    files["circuit.spec.json"] = serialize_circuit_spec(circuit)
-    files["landscape.csv"] = _grid_csv(grid.phi_values, grid.values)
-    files["landscape.svg"] = heatmap(grid.phi_values, grid.phi_values,
-                                     grid.values, f"qaoa p={args.p} loss",
-                                     "phi0", "phi1")
-    files["path.csv"] = _path_csv(path)
-    files["path.svg"] = path_plot(path.coords, path.restarts,
-                                  f"qaoa p={args.p} training paths")
-
+    files = {
+        **_trace_files(traces),
+        **_landscape_files(grid, f"qaoa p={args.p} loss"),
+        **_path_files(path, f"qaoa p={args.p} training paths"),
+        "circuit.spec.json": serialize_circuit_spec(circuit),
+    }
     result = {
         "schema": SCHEMA,
         "kind": "qaoa",
         "nodes": args.nodes,
         "edges": [[int(u), int(v)] for u, v in edges],
         "p": args.p,
-        "optimum_cut": max_cut_size(edges, args.nodes),
+        "optimum_cut": optimum_cut,
         "expected_cut_at_best": len(edges) / 2.0 - best_loss,
         "sampled_mean_cut": float(sampled_cut),
         "shots": args.shots,
@@ -355,6 +340,22 @@ def _add_training_flags(sub, restarts_default: int) -> None:
     sub.add_argument("--method", choices=("gd", "adam"), default="adam")
 
 
+def _add_grid_flags(sub) -> None:
+    sub.add_argument("--points", type=int, default=21)
+    sub.add_argument("--range", dest="scan_range", type=float, default=math.pi)
+
+
+def _add_path_flags(sub) -> None:
+    sub.add_argument("--mode", choices=("pca", "tsne"), default="pca")
+    sub.add_argument("--perplexity", type=float, default=30.0)
+    sub.add_argument("--iters", type=int, default=1000)
+
+
+def _add_sampling_flags(sub, measures: tuple[str, ...]) -> None:
+    sub.add_argument("--samples", type=int, default=1000)
+    sub.add_argument("--measure", choices=measures, default=measures[0])
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pqc-lens",
@@ -374,18 +375,13 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = new("expressibility")
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--measure", choices=("kld", "jsd"), default="kld")
+    _add_sampling_flags(p, ("kld", "jsd"))
     p.add_argument("--bins", type=int, default=75)
 
-    p = new("entanglement")
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--measure", choices=("meyer-wallach", "scott"),
-                   default="meyer-wallach")
+    _add_sampling_flags(new("entanglement"), ("meyer-wallach", "scott"))
 
     p = new("spectrum")
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--measure", choices=("kld", "jsd"), default="kld")
+    _add_sampling_flags(p, ("kld", "jsd"))
     p.add_argument("--bins", type=int, default=75)
 
     p = new("train")
@@ -397,19 +393,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", default=None,
                    help="comma-separated center parameters (default zeros, "
                         "or the trained optimum with --basis pca)")
-    p.add_argument("--points", type=int, default=21)
-    p.add_argument("--range", dest="scan_range", type=float, default=math.pi)
+    _add_grid_flags(p)
 
     p = new("path")
     _add_training_flags(p, restarts_default=5)
-    p.add_argument("--mode", choices=("pca", "tsne"), default="pca")
+    _add_path_flags(p)
     p.add_argument("--overlay", action="store_true",
                    help="also evaluate the loss on the projection grid "
                         "(pca mode only)")
-    p.add_argument("--points", type=int, default=21)
-    p.add_argument("--range", dest="scan_range", type=float, default=math.pi)
-    p.add_argument("--perplexity", type=float, default=30.0)
-    p.add_argument("--iters", type=int, default=1000)
+    _add_grid_flags(p)
 
     p = new("histogram")
     _add_training_flags(p, restarts_default=8)
@@ -427,19 +419,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, default=1)
     _add_training_flags(p, restarts_default=5)
     p.add_argument("--shots", type=int, default=1024)
-    p.add_argument("--mode", choices=("pca", "tsne"), default="pca")
-    p.add_argument("--points", type=int, default=21)
-    p.add_argument("--range", dest="scan_range", type=float, default=math.pi)
-    p.add_argument("--perplexity", type=float, default=30.0)
-    p.add_argument("--iters", type=int, default=1000)
+    _add_path_flags(p)
+    _add_grid_flags(p)
 
     return parser
-
-
-def _manifest(args, seed: int) -> dict:
-    doc = {k: v for k, v in vars(args).items()}
-    doc["seed"] = seed
-    return doc
 
 
 def run(argv=None) -> int:
@@ -453,9 +436,6 @@ def run(argv=None) -> int:
     seed = _resolve_seed(args.seed)
     try:
         result, files = _COMMANDS[args.command](args, seed)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except CircuitSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -469,7 +449,7 @@ def run(argv=None) -> int:
     report = {
         "schema": SCHEMA,
         "command": args.command,
-        "manifest": _manifest(args, seed),
+        "manifest": {**vars(args), "seed": seed},
         "result": result,
         "artifacts": sorted(list(files) + ["report.json"]),
     }

@@ -105,14 +105,14 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Stochastic Pauli insertion rates plus a readout bit-flip probability."""
+    """Stochastic Pauli insertion rates after one- (p1) and two-qubit (p2)
+    gates. Readout flips are an argument of ``sample``."""
 
     p1: float = 0.0
     p2: float = 0.0
-    readout_flip_prob: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("p1", "p2", "readout_flip_prob"):
+        for name in ("p1", "p2"):
             v = float(getattr(self, name))
             object.__setattr__(self, name, v)
             if not 0.0 <= v <= 1.0:
@@ -134,9 +134,6 @@ class ShotCounts:
         lengths = {len(k) for k in self.counts}
         if len(lengths) > 1:
             raise ValueError("bitstrings have inconsistent lengths")
-
-    def n_qubits(self) -> int:
-        return len(next(iter(self.counts)))
 
     def bit_matrix(self) -> np.ndarray:
         """Expand to a (shots, n) 0/1 array, bitstrings in sorted order."""
@@ -279,12 +276,6 @@ def simulate_batch(program: GateProgram, angles: np.ndarray,
         raise ValueError("a rotation angle overflowed to inf: a parameter times "
                          "its prefactor exceeds the float range")
     n = program.n_qubits
-    # one qubit leaves no amplitude axis to broadcast a per-row coefficient
-    # over, and numpy rounds a vector-by-vector complex product differently
-    # from a row-by-row one
-    if n == 1 and angles.shape[0] > 1:
-        return np.concatenate([simulate_batch(program, angles[r:r + 1], initial)
-                               for r in range(angles.shape[0])])
     _fits(_AMPLITUDE_BYTES * 2**n, f"a {n}-qubit state")
     states = np.zeros((angles.shape[0], 2**n), dtype=complex)
     if initial is None:
@@ -409,10 +400,12 @@ def sample(state: StateVector, shots: int = 1024, seed=None,
     """Draw measurement outcomes in the computational basis.
 
     Readout error, when nonzero, flips each measured bit independently
-    after the ideal outcome is drawn.
+    after the ideal outcome is drawn; its probability must lie in [0, 1].
     """
     if shots < 1:
         raise ValueError("shots must be positive")
+    if not 0.0 <= readout_flip_prob <= 1.0:  # NaN fails too
+        raise ValueError(f"readout_flip_prob must lie in [0, 1], got {readout_flip_prob}")
     rng = np.random.default_rng(seed)
     n = state.n_qubits
     probs = state.probabilities()

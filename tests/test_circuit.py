@@ -46,6 +46,16 @@ class TestMakeCircuit:
         with pytest.raises(CircuitSpecError):
             make_circuit(2, [Gate("CX", (0, 2))], [])
 
+    def test_rejects_non_integer_targets(self):
+        # int() would turn these into H(0) and CX(0, 1)
+        for kind, targets in (("H", (0.9,)), ("CX", (0.2, 1.7)), ("X", (True,))):
+            with pytest.raises(CircuitSpecError, match="integers"):
+                make_circuit(2, [Gate(kind, targets)], [])
+
+    def test_accepts_numpy_integer_targets(self):
+        gate = Gate("CX", (np.int64(1), np.uint8(0)))
+        assert gate.targets == (1, 0) and type(gate.targets[0]) is int
+
     def test_rejects_duplicate_two_qubit_targets(self):
         with pytest.raises(CircuitSpecError, match="distinct"):
             make_circuit(2, [Gate("CX", (1, 1))], [])

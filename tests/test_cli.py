@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from pqc_lens import (Gate, ParamRef, PauliSum, make_circuit, qaoa_builder,
                       serialize_circuit_spec, simulator)
+from pqc_lens import cli
 from pqc_lens.cli import run
 from pqc_lens.library import max_cut_size
 
@@ -312,6 +313,37 @@ class TestExitCodes:
 
     def test_no_arguments_is_usage_error(self):
         assert run([]) == 2
+
+    def test_spec_without_cost_is_usage_error(self, tmp_path, capsys):
+        spec = tmp_path / "no_cost.spec.json"
+        spec.write_text(serialize_circuit_spec(make_circuit(1, [Gate("H", (0,))], [])),
+                        encoding="utf-8")
+        code = run(["histogram", "--circuit", str(spec), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "the histogram command needs a circuit spec with a cost observable" in (
+            capsys.readouterr().err)
+        assert not os.path.exists(tmp_path / "o")
+
+    def test_unparsable_theta_is_usage_error(self, two_qubit_spec, tmp_path, capsys):
+        code = run(["landscape", "--circuit", two_qubit_spec, "--theta", "0.1,x",
+                    "--points", "3", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "cannot parse --theta value '0.1,x'" in capsys.readouterr().err
+
+    def test_oversized_qaoa_graph_fails_before_training(self, tmp_path, monkeypatch, capsys):
+        # the brute-force optimum is capped at 20 nodes, so a 21-node run
+        # must stop before its first simulation
+        def no_training(*args, **kwargs):
+            raise AssertionError("ensemble_train called")
+
+        monkeypatch.setattr(cli, "ensemble_train", no_training)
+        out = tmp_path / "o"
+        code = run(["qaoa", "--nodes", "21", "--edges", "21", "--steps", "2",
+                    "--restarts", "1", "--points", "2", "--shots", "1", "--seed", "0",
+                    "--out", str(out)])
+        assert code == 2
+        assert "brute force capped at 20 nodes" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_tsne_overlay_is_usage_error(self, two_qubit_spec, tmp_path):
         code = run(["path", "--circuit", two_qubit_spec, "--steps", "10",

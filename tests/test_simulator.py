@@ -312,8 +312,10 @@ class TestNoise:
     def test_rejects_rates_outside_unit_interval(self):
         with pytest.raises(ValueError):
             NoiseModel(p1=1.5)
-        with pytest.raises(ValueError):
-            NoiseModel(readout_flip_prob=-0.1)
+        psi = _simulate_gates(1, [Gate("X", (0,))])
+        for rate in (-0.1, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="readout_flip_prob"):
+                sample(psi, shots=10, seed=0, readout_flip_prob=rate)
 
 
 class TestReducedStates:
