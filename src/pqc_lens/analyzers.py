@@ -36,6 +36,7 @@ from .projection import _MAX_COORD, PointCloud, SubspaceBasis, pca, random_basis
 from .simulator import (
     _AMPLITUDE_BYTES,
     StateVector,
+    _fits,
     expectation_batch,
     map_chunks,
     purity_batch,
@@ -374,6 +375,8 @@ def loss_landscape(circuit: CircuitDescriptor, theta_star,
     if not math.isfinite(float(np.max(np.abs(theta_star), initial=0.0)) + 2.0 * scan_range):
         raise ValueError("the scan grid overflows: theta_star must be finite and "
                          "|theta_star| + 2 * scan_range within the float range")
+    _fits(8 * (points**2 + 1) * (circuit.n_params + circuit.program.kinds.size),
+          f"a {points} x {points} landscape grid")
     if metric is None:
         metric = MetricSpec()
     base = _resolve_seed(seed)
@@ -387,15 +390,13 @@ def loss_landscape(circuit: CircuitDescriptor, theta_star,
         basis = SubspaceBasis(theta_star,
                               random_basis(circuit.n_params, 2, seed=base).axes)
 
-    phi_values = np.linspace(-scan_range, scan_range, points)
-    thetas = np.array([
-        theta_star + phi_values[i] * basis.axes[0] + phi_values[j] * basis.axes[1]
-        for i in range(points) for j in range(points)
-    ] + [theta_star])
-    seeds = [base + 1 + flat for flat in range(points * points)] + [base]
-    values = _metric_values(circuit, thetas, metric, seeds)
-    return LandscapeGrid(basis, phi_values, values[:-1].reshape(points, points),
-                         float(values[-1]), metric.mode, float(scan_range), base)
+    phi = np.linspace(-scan_range, scan_range, points)
+    grid = theta_star + phi[:, None, None] * basis.axes[0] + phi[None, :, None] * basis.axes[1]
+    # the center first: row r, node r - 1 in flat order, draws seed base + r
+    thetas = np.concatenate([theta_star[None], grid.reshape(points * points, theta_star.size)])
+    values = _metric_values(circuit, thetas, metric, range(base, base + thetas.shape[0]))
+    return LandscapeGrid(basis, phi, values[1:].reshape(points, points),
+                         float(values[0]), metric.mode, float(scan_range), base)
 
 
 @dataclass(frozen=True)
@@ -447,6 +448,10 @@ def barren_plateau_scan(circuit: CircuitDescriptor, cost_kind: str = "global",
     if not (math.isfinite(scan_range) and scan_range > 0):
         raise ValueError("scan_range must be finite and positive")
 
+    shifts = 2 * np.count_nonzero(circuit.program.params >= 0) + 1  # rows per node
+    _fits(8 * points**2 * (2 + shifts * circuit.program.kinds.size),
+          f"a {points} x {points} scan grid")
+
     n = circuit.n_qubits
     cost = (all_zeros_infidelity_cost(n) if cost_kind == "global"
             else mean_excitation_cost(n))
@@ -454,7 +459,7 @@ def barren_plateau_scan(circuit: CircuitDescriptor, cost_kind: str = "global",
                           [p.name for p in circuit.parameters], cost)
 
     axis = np.linspace(-scan_range, scan_range, points)
-    thetas = np.array([(axis[i], axis[j]) for i in range(points) for j in range(points)])
+    thetas = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     loss, grad = _loss_and_gradient(scored, thetas)
     return ScanGrids(cost_kind, axis, axis.copy(), loss.reshape(points, points),
                      grad[:, 1].reshape(points, points))
@@ -607,6 +612,8 @@ def parameter_histogram(ensemble, bins: int = 75) -> ParameterHistogramSeries:
     if bins < 1:
         raise ValueError("bins must be positive")
     n_steps, n_params = shape
+    _fits(8 * (n_steps + 1) * n_params * (bins + 1),
+          f"{n_params} parameter histograms of {bins} bins over {n_steps} steps")
     stack = np.stack([t.thetas for t in traces])  # (members, steps, params)
 
     ranges = np.empty((n_params, 2))

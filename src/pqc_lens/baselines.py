@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulator import _AMPLITUDE_BYTES, StateVector, map_chunks, schmidt_spectrum
+from .simulator import _AMPLITUDE_BYTES, StateVector, _fits, map_chunks, schmidt_spectrum
 
 _EPS = 1e-12
 
@@ -83,6 +83,7 @@ def histogram(samples, bins: int, value_range: tuple[float, float]) -> Histogram
         raise ValueError(f"empty value range ({lo}, {hi})")
     if bins < 1:
         raise ValueError("bins must be positive")
+    _fits(24 * (bins + 1), f"a histogram of {bins} bins")  # edges, counts, masses
     data = np.asarray(samples, dtype=float).reshape(-1)
     if data.size == 0:
         raise ValueError("histogram needs at least one sample")
@@ -102,6 +103,7 @@ def haar_fidelity_cdf(fidelity, dim: int):
 
 def haar_fidelity_baseline(bins: int, dim: int) -> HaarFidelityBaseline:
     """Closed-form bin masses on [0, 1]; no sampling involved."""
+    _fits(24 * (bins + 1), f"a baseline of {bins} bins")  # edges, CDF, masses
     edges = np.linspace(0.0, 1.0, bins + 1)
     cdf = haar_fidelity_cdf(edges, dim)
     return HaarFidelityBaseline(dim, edges, np.diff(cdf))

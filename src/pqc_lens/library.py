@@ -166,15 +166,17 @@ def mean_excitation_cost(n_qubits: int) -> PauliSum:
 
 
 def random_gnm_edges(n_nodes: int, n_edges: int, seed=None) -> tuple:
-    """Uniform simple graph with exactly n_edges edges."""
-    pairs = list(combinations(range(n_nodes), 2))
-    if not 1 <= n_edges <= len(pairs):
-        raise ValueError(
-            f"n_edges must be in [1, {len(pairs)}] for {n_nodes} nodes"
-        )
+    """Uniform simple graph with exactly n_edges edges, in combinations order."""
+    n_pairs = math.comb(max(n_nodes, 0), 2)
+    if not 1 <= n_edges <= n_pairs:
+        raise ValueError(f"n_edges must be in [1, {n_pairs}] for {n_nodes} nodes")
     rng = np.random.default_rng(seed)
-    chosen = rng.choice(len(pairs), size=n_edges, replace=False)
-    return tuple(pairs[i] for i in sorted(chosen))
+    edges = []
+    for k in map(int, sorted(rng.choice(n_pairs, size=n_edges, replace=False))):
+        # pair k without listing the pairs: rows i = n - 2, n - 3, ... hold 1, 2, ...
+        i = n_nodes - 2 - (math.isqrt(8 * (n_pairs - 1 - k) + 1) - 1) // 2
+        edges.append((i, k - i * (2 * n_nodes - i - 3) // 2 + 1))
+    return tuple(edges)
 
 
 def cut_size(edges, bits) -> int:

@@ -27,13 +27,12 @@ _MAX_COORD = 1e100
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Points as rows of a (P, M) array, with optional per-point tags.
+    """Points as rows of a (P, M) array.
 
     Coordinates must be finite and at most 1e100 in magnitude.
     """
 
     points: np.ndarray
-    labels: tuple | None = None
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=float)
@@ -44,13 +43,6 @@ class PointCloud:
         if not np.all(np.abs(pts) <= _MAX_COORD):
             raise ValueError(f"points must be finite and at most {_MAX_COORD:g} in magnitude")
         object.__setattr__(self, "points", pts)
-        if self.labels is not None:
-            labels = tuple(self.labels)
-            if len(labels) != pts.shape[0]:
-                raise ValueError(
-                    f"{len(labels)} labels for {pts.shape[0]} points"
-                )
-            object.__setattr__(self, "labels", labels)
 
     @property
     def n_points(self) -> int:

@@ -121,7 +121,8 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class ShotCounts:
-    """Measurement outcome histogram: bitstring (qubit 0 leftmost) to count."""
+    """Measurement outcome histogram: bitstring (qubit 0 leftmost) to count;
+    ``sample`` inserts the bitstrings in ascending order."""
 
     counts: dict[str, int]
     shots: int
@@ -136,12 +137,11 @@ class ShotCounts:
             raise ValueError("bitstrings have inconsistent lengths")
 
     def bit_matrix(self) -> np.ndarray:
-        """Expand to a (shots, n) 0/1 array, bitstrings in sorted order."""
-        rows = []
-        for key in sorted(self.counts):
-            row = np.fromiter((int(c) for c in key), dtype=np.uint8)
-            rows.append(np.tile(row, (self.counts[key], 1)))
-        return np.concatenate(rows, axis=0)
+        """Expand to a (shots, n) 0/1 uint8 array, bitstrings in sorted order."""
+        keys = sorted(self.counts)
+        shifts = np.arange(len(keys[0]) - 1, -1, -1)
+        bits = (np.array([int(key, 2) for key in keys])[:, None] >> shifts) & 1
+        return np.repeat(bits.astype(np.uint8), [self.counts[key] for key in keys], axis=0)
 
 
 CHUNK_BYTES = 4 * 2**20
@@ -264,13 +264,12 @@ def _norms(states: np.ndarray) -> np.ndarray:
     return (flat[:, None, :] @ flat[:, :, None])[:, 0, 0]
 
 
-def simulate_batch(program: GateProgram, angles: np.ndarray,
-                   initial: np.ndarray | None = None) -> np.ndarray:
+def simulate_batch(program: GateProgram, angles: np.ndarray) -> np.ndarray:
     """Final states, shape (B, 2**n), one per row of the (B, columns) angles.
 
-    Every row starts from |0...0>, or from the amplitudes ``initial``. An
-    infinite angle (a parameter times its prefactor overflowed, see
-    ``GateProgram.angles``) is a ValueError, raised before any gate runs.
+    Every row starts from |0...0>. An infinite angle (a parameter times its
+    prefactor overflowed, see ``GateProgram.angles``) is a ValueError,
+    raised before any gate runs.
     """
     if not np.all(np.isfinite(angles)):
         raise ValueError("a rotation angle overflowed to inf: a parameter times "
@@ -278,10 +277,7 @@ def simulate_batch(program: GateProgram, angles: np.ndarray,
     n = program.n_qubits
     _fits(_AMPLITUDE_BYTES * 2**n, f"a {n}-qubit state")
     states = np.zeros((angles.shape[0], 2**n), dtype=complex)
-    if initial is None:
-        states[:, 0] = 1.0
-    else:
-        states[:] = initial
+    states[:, 0] = 1.0
     _run(states.reshape((-1,) + (2,) * n), program.ops,
          rotation_matrices(program.kinds, angles))
     drift = np.abs(_norms(states) - 1.0)
@@ -290,23 +286,16 @@ def simulate_batch(program: GateProgram, angles: np.ndarray,
     return states
 
 
-def simulate(bound: CircuitDescriptor, initial: StateVector | None = None) -> StateVector:
-    """Run a bound circuit (``bind``) and return the final state.
+def simulate(bound: CircuitDescriptor) -> StateVector:
+    """Run a bound circuit (``bind``) from |0...0> and return the final state.
 
-    A circuit that still declares parameters is a ValueError. Starts from
-    |0...0> unless an initial state on the same register is given.
+    A circuit that still declares parameters is a ValueError.
     """
-    n = bound.n_qubits
     if bound.parameters:
         raise ValueError("circuit declares parameters; simulate bind(circuit, theta)")
-    if initial is not None and initial.n_qubits != n:
-        raise ValueError(
-            f"initial state has {initial.n_qubits} qubit(s), circuit has {n}"
-        )
     program = bound.program
-    states = simulate_batch(program, program.angles(np.empty((1, 0))),
-                            None if initial is None else initial.amplitudes)
-    return StateVector(n, states[0])
+    states = simulate_batch(program, program.angles(np.empty((1, 0))))
+    return StateVector(bound.n_qubits, states[0])
 
 
 def row_vdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -415,18 +404,15 @@ def sample(state: StateVector, shots: int = 1024, seed=None,
         flips = rng.random((shots, n)) < readout_flip_prob
         weights = 1 << np.arange(n - 1, -1, -1)
         outcomes = outcomes ^ (flips @ weights)
-    counts: dict[str, int] = {}
-    for v in outcomes:
-        key = format(int(v), f"0{n}b")
-        counts[key] = counts.get(key, 0) + 1
-    return ShotCounts(counts, shots)
+    values, counts = np.unique(outcomes, return_counts=True)
+    return ShotCounts({format(int(v), f"0{n}b"): int(c) for v, c in zip(values, counts)},
+                      shots)
 
 
 _PAULI_LETTERS = ("I", "X", "Y", "Z")
 
 
-def simulate_noisy(bound: CircuitDescriptor, noise: NoiseModel, seed=None,
-                   initial: StateVector | None = None) -> StateVector:
+def simulate_noisy(bound: CircuitDescriptor, noise: NoiseModel, seed=None) -> StateVector:
     """One stochastic Pauli trajectory of a bound circuit (see ``simulate``).
 
     After each single-qubit gate a uniformly chosen non-identity Pauli is
@@ -454,7 +440,7 @@ def simulate_noisy(bound: CircuitDescriptor, noise: NoiseModel, seed=None,
                     gates.append(Gate(_PAULI_LETTERS[a], (gate.targets[0],)))
                 if b:
                     gates.append(Gate(_PAULI_LETTERS[b], (gate.targets[1],)))
-    return simulate(CircuitDescriptor(bound.n_qubits, gates, bound.parameters), initial)
+    return simulate(CircuitDescriptor(bound.n_qubits, gates, bound.parameters))
 
 
 def _checked_keep(keep, n: int) -> tuple[int, ...]:

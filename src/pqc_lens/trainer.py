@@ -138,7 +138,7 @@ def _initial_theta(circuit: CircuitDescriptor, config: OptimizerConfig, seed) ->
 
 
 def _train_lockstep(circuit: CircuitDescriptor, config: OptimizerConfig,
-                    seeds, observers=()) -> tuple[np.ndarray, np.ndarray]:
+                    seeds) -> tuple[np.ndarray, np.ndarray]:
     """(R, steps + 1, n_params) parameters and (R, steps + 1) losses of the
     restarts seeded seeds[r]. A batched row gets the arithmetic it gets alone
     and the updates are elementwise, so each restart is bit for bit as if alone."""
@@ -158,9 +158,6 @@ def _train_lockstep(circuit: CircuitDescriptor, config: OptimizerConfig,
             raise DivergenceError(f"loss became non-finite at step {step}")
         thetas.append(theta)
         losses.append(loss)
-        for obs in observers:
-            for theta_r, loss_r in zip(theta, loss):
-                obs(step, theta_r.copy(), float(loss_r))
         if step == config.steps:
             break
         # an update that overflows is reported by the next step's check
@@ -177,17 +174,15 @@ def _train_lockstep(circuit: CircuitDescriptor, config: OptimizerConfig,
     return np.stack(thetas, axis=1), np.stack(losses, axis=1)
 
 
-def train(circuit: CircuitDescriptor, config: OptimizerConfig,
-          observers=(), restart_id: int = 0) -> TrainingTrace:
-    """Minimize the circuit cost with GD or Adam.
+def train(circuit: CircuitDescriptor, config: OptimizerConfig) -> TrainingTrace:
+    """Minimize the circuit cost with GD or Adam; the trace is restart 0.
 
-    Observers are called as observer(step, theta, loss) for the initial
-    point and after every update, in step order. Non-finite parameters or
-    losses, and angles that overflow, abort with DivergenceError;
+    Its rows are the initial point and every update. Non-finite parameters
+    or losses, and angles that overflow, abort with DivergenceError;
     convergence itself is not guaranteed on these non-convex surfaces.
     """
-    thetas, losses = _train_lockstep(circuit, config, [config.seed], observers)
-    return TrainingTrace(restart_id, thetas[0], losses[0])
+    thetas, losses = _train_lockstep(circuit, config, [config.seed])
+    return TrainingTrace(0, thetas[0], losses[0])
 
 
 def ensemble_train(circuit: CircuitDescriptor, config: OptimizerConfig,

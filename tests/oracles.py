@@ -10,6 +10,7 @@ calibration, so that its embedding can be compared bit for bit.
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import numpy as np
 
@@ -235,6 +236,41 @@ def tsne_with_history(points, dims: int = 2, perplexity: float = 30.0,
         Y = Y - Y.mean(axis=0)
         kl.append(float(np.sum(P * np.log(P / Q))))
     return Y, kl
+
+
+def loop_sample_counts(state, shots: int, seed, readout_flip_prob: float = 0.0) -> dict:
+    """The counts dict of ``sample``, one shot at a time: the same draws,
+    each outcome formatted into its bitstring and counted in draw order."""
+    rng = np.random.default_rng(seed)
+    n = state.n_qubits
+    probs = state.probabilities()
+    probs = probs / probs.sum()
+    outcomes = rng.choice(len(probs), size=shots, p=probs)
+    if readout_flip_prob > 0.0:
+        flips = rng.random((shots, n)) < readout_flip_prob
+        weights = 1 << np.arange(n - 1, -1, -1)
+        outcomes = outcomes ^ (flips @ weights)
+    counts: dict[str, int] = {}
+    for v in outcomes:
+        key = format(int(v), f"0{n}b")
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def tiled_bit_matrix(counts: dict) -> np.ndarray:
+    """ShotCounts.bit_matrix by parsing every key and tiling it count times."""
+    rows = []
+    for key in sorted(counts):
+        row = np.fromiter((int(c) for c in key), dtype=np.uint8)
+        rows.append(np.tile(row, (counts[key], 1)))
+    return np.concatenate(rows, axis=0)
+
+
+def listed_gnm_edges(n_nodes: int, n_edges: int, seed) -> tuple:
+    """random_gnm_edges drawing from the materialised list of node pairs."""
+    pairs = list(combinations(range(n_nodes), 2))
+    chosen = np.random.default_rng(seed).choice(len(pairs), size=n_edges, replace=False)
+    return tuple(pairs[i] for i in sorted(chosen))
 
 
 def haar_fidelity_inverse_cdf(u, dim: int):

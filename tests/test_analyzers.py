@@ -25,10 +25,12 @@ from pqc_lens import (
     train,
     training_path,
 )
+from pqc_lens import analyzers, simulator
 from pqc_lens.library import (
     bell_circuit,
     idle_circuit,
     identity_learning_ansatz,
+    layered_ansatz,
     paired_blocks_circuit,
     single_qubit_chain,
 )
@@ -273,6 +275,35 @@ class TestLossLandscape:
         with pytest.raises(ValueError, match="mode"):
             MetricSpec("fidelity")
 
+    def test_rows_and_seeds_are_the_listed_nodes(self, monkeypatch):
+        seen = {}
+
+        def record(circuit, thetas, metric, seeds):
+            seen["thetas"], seen["seeds"] = thetas, list(seeds)
+            return np.zeros(thetas.shape[0])
+
+        monkeypatch.setattr(analyzers, "_metric_values", record)
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            c = layered_ansatz(int(rng.integers(1, 3)), int(rng.integers(1, 3)))
+            theta_star = rng.uniform(-10.0, 10.0, c.n_params)
+            points, scan_range = int(rng.integers(2, 8)), float(rng.uniform(0.1, 5.0))
+            seed = int(rng.integers(2**31))
+            grid = loss_landscape(c, theta_star, points=points, scan_range=scan_range,
+                                  seed=seed)
+            phi, axes = np.linspace(-scan_range, scan_range, points), grid.basis.axes
+            nodes = [theta_star + phi[i] * axes[0] + phi[j] * axes[1]
+                     for i in range(points) for j in range(points)]
+            assert np.array_equal(seen["thetas"], np.array([theta_star] + nodes))
+            assert seen["seeds"] == [seed] + [seed + 1 + k for k in range(points * points)]
+
+    def test_oversized_grid_fails_before_allocation(self, monkeypatch):
+        monkeypatch.setattr(simulator, "_physical_memory", lambda: 2**20)
+        c = _two_param_cost()
+        with pytest.raises(ValueError, match="200 x 200 landscape grid takes"):
+            loss_landscape(c, [0.0, 0.0], points=200, seed=0)
+        assert loss_landscape(c, [0.0, 0.0], points=20, seed=0).values.shape == (20, 20)
+
 
 class TestBarrenPlateauScan:
     def test_origin_is_a_zero_of_both_costs(self):
@@ -333,6 +364,28 @@ class TestBarrenPlateauScan:
     def test_rejects_unknown_cost_kind(self):
         with pytest.raises(ValueError, match="cost_kind"):
             barren_plateau_scan(identity_learning_ansatz(2), "goldilocks")
+
+    def test_rows_are_the_listed_nodes(self, monkeypatch):
+        seen = []
+
+        def record(circuit, thetas):
+            seen.append(thetas)
+            return np.zeros(thetas.shape[0]), np.zeros(thetas.shape)
+
+        monkeypatch.setattr(analyzers, "_loss_and_gradient", record)
+        for points in (2, 3, 8, 21):
+            scan = barren_plateau_scan(identity_learning_ansatz(2), points=points,
+                                       scan_range=1.3)
+            axis = scan.theta1_values
+            nodes = [(axis[i], axis[j]) for i in range(points) for j in range(points)]
+            assert np.array_equal(seen[-1], np.array(nodes))
+
+    def test_oversized_grid_fails_before_allocation(self, monkeypatch):
+        monkeypatch.setattr(simulator, "_physical_memory", lambda: 2**20)
+        c = identity_learning_ansatz(2)
+        with pytest.raises(ValueError, match="100 x 100 scan grid takes"):
+            barren_plateau_scan(c, points=100)
+        assert barren_plateau_scan(c, points=10).loss.shape == (10, 10)
 
 
 class TestTrainingPath:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from oracles import haar_fidelity_inverse_cdf
+from pqc_lens import simulator
 from pqc_lens import (
     Histogram,
     MPBaseline,
@@ -68,6 +69,15 @@ class TestHistogram:
             histogram([0.5], bins=0, value_range=(0.0, 1.0))
         with pytest.raises(ValueError):
             histogram([0.5], bins=4, value_range=(1.0, 1.0))
+
+    def test_oversized_bin_counts_fail_before_allocation(self, monkeypatch):
+        monkeypatch.setattr(simulator, "_physical_memory", lambda: 2**20)
+        with pytest.raises(ValueError, match="histogram of 30000 bins takes"):
+            histogram([0.5], bins=30000, value_range=(0.0, 1.0))
+        with pytest.raises(ValueError, match="baseline of 30000 bins takes"):
+            haar_fidelity_baseline(bins=30000, dim=4)
+        assert histogram([0.5], bins=20000, value_range=(0.0, 1.0)).masses.size == 20000
+        assert haar_fidelity_baseline(bins=20000, dim=4).masses.size == 20000
 
     def test_container_validates_shape_and_mass(self):
         with pytest.raises(ValueError):

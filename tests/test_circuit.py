@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import random_circuit
+from oracles import listed_gnm_edges, random_circuit
 from pqc_lens import (
     CircuitDescriptor,
     CircuitSpecError,
@@ -20,6 +20,7 @@ from pqc_lens import (
     qaoa_builder,
     serialize_circuit_spec,
 )
+from pqc_lens.library import random_gnm_edges
 
 
 def _rx_chain(n_params=2):
@@ -317,3 +318,22 @@ class TestQaoaBuilder:
             qaoa_builder([(0, 1)], p=0)
         with pytest.raises(ValueError):
             qaoa_builder([(0, 5)], p=1, n_nodes=3)
+
+
+class TestRandomGraph:
+    def test_matches_the_listed_pairs(self):
+        for n in range(2, 13):
+            for m in range(1, n * (n - 1) // 2 + 1):
+                for seed in range(3):
+                    edges = random_gnm_edges(n, m, seed=seed)
+                    assert edges == listed_gnm_edges(n, m, seed)
+                    assert all(type(v) is int for edge in edges for v in edge)
+
+    @pytest.mark.parametrize("n_nodes, n_edges", [(30, 435), (300, 2000), (1500, 1), (1500, 40)])
+    def test_wide_graphs_match_the_listed_pairs(self, n_nodes, n_edges):
+        assert random_gnm_edges(n_nodes, n_edges, seed=3) == listed_gnm_edges(n_nodes, n_edges, 3)
+
+    @pytest.mark.parametrize("n_nodes, n_edges", [(1, 1), (0, 1), (-3, 1), (4, 0), (4, 7)])
+    def test_rejects_edge_counts_outside_the_pair_count(self, n_nodes, n_edges):
+        with pytest.raises(ValueError, match="n_edges must be in"):
+            random_gnm_edges(n_nodes, n_edges, seed=0)

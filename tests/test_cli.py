@@ -345,6 +345,23 @@ class TestExitCodes:
         assert "brute force capped at 20 nodes" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("argv", [
+        ["expressibility", "--samples", "4", "--bins", "2000000000"],
+        ["spectrum", "--samples", "2", "--bins", "2000000000"],
+        ["histogram", "--steps", "1", "--restarts", "2", "--bins", "2000000000"],
+        ["landscape", "--points", "2000000000"],
+        ["landscape", "--basis", "pca", "--steps", "1", "--points", "100000"],
+        ["path", "--steps", "1", "--restarts", "2", "--overlay", "--points", "100000"],
+    ], ids=["expressibility", "spectrum", "histogram", "landscape", "landscape-pca",
+            "path-overlay"])
+    def test_oversized_bins_and_grids_fail_before_allocation(self, two_qubit_spec, tmp_path,
+                                                             monkeypatch, capsys, argv):
+        monkeypatch.setattr(simulator, "_physical_memory", lambda: 2**30)
+        code = run(argv[:1] + ["--circuit", two_qubit_spec, "--seed", "0",
+                               "--out", str(tmp_path / "o")] + argv[1:])
+        assert code == 2
+        assert "more than half of physical memory" in capsys.readouterr().err
+
     def test_tsne_overlay_is_usage_error(self, two_qubit_spec, tmp_path):
         code = run(["path", "--circuit", two_qubit_spec, "--steps", "10",
                     "--mode", "tsne", "--overlay",

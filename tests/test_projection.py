@@ -45,12 +45,6 @@ class TestPointCloud:
         with pytest.raises(ValueError, match="magnitude"):
             PointCloud(np.array([[0.0, 1e101], [0.0, 0.0]]))
 
-    def test_labels_must_match_points(self):
-        pts = np.zeros((3, 2)) + np.arange(3)[:, None]
-        assert PointCloud(pts, labels=("a", "b", "c")).labels == ("a", "b", "c")
-        with pytest.raises(ValueError):
-            PointCloud(pts, labels=("a",))
-
 
 class TestSubspaceBasis:
     def test_project_expand_round_trip(self):

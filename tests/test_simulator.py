@@ -59,12 +59,6 @@ class TestStatevector:
         psi = _simulate_gates(1, [Gate("RX", (0,), math.pi)])
         assert psi.amplitudes == pytest.approx([0, -1j], abs=1e-12)
 
-    def test_initial_state_override(self):
-        plus = StateVector(1, np.array([INV_SQRT2, INV_SQRT2], dtype=complex))
-        circuit = make_circuit(1, [Gate("H", (0,))], [])
-        psi = simulate(bind(circuit, []), initial=plus)
-        assert psi.amplitudes == pytest.approx([1, 0], abs=1e-12)
-
     def test_matches_dense_oracle_on_random_circuits(self):
         rng = np.random.default_rng(11)
         for _ in range(60):
@@ -94,10 +88,14 @@ class TestStatevector:
         with pytest.raises(ValueError, match="not normalized"):
             StateVector(1, amplitudes)
 
-    def test_norm_check_fails_on_nan_rows(self):
+    def test_norm_check_fails_on_nan_rows(self, monkeypatch):
+        def run_to_nan(psi, ops, rotations):
+            psi.reshape(psi.shape[0], -1)[-1, 0] = math.nan
+
+        monkeypatch.setattr(simulator, "_run", run_to_nan)
         program = make_circuit(1, [Gate("H", (0,))]).program
         with pytest.raises(ValueError, match="not normalized"):
-            simulator.simulate_batch(program, np.empty((1, 0)), np.array([math.nan, 0.0]))
+            simulator.simulate_batch(program, np.empty((2, 0)))
 
     def test_infinite_angle_is_rejected_before_any_gate(self):
         program = make_circuit(1, [Gate("RX", (0,), ParamRef("a"))], ["a"]).program
@@ -266,6 +264,24 @@ class TestSampling:
         psi = _simulate_gates(1, [Gate("H", (0,))])
         with pytest.raises(ValueError):
             sample(psi, shots=0)
+
+    def test_counts_and_bit_matrix_match_the_shot_loop(self):
+        rng = np.random.default_rng(17)
+        for case in range(320):
+            n = int(rng.integers(1, 9))
+            amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+            if case % 4 == 0:  # few outcomes, some of them certain
+                amps[rng.random(2**n) < 0.8] = 0.0
+                amps[0] += 1.0
+            psi = StateVector(n, amps / np.linalg.norm(amps))
+            shots = int(rng.choice([1, 2, 7, 100, 1024, 3000]))
+            flip = float(rng.choice([0.0, 0.0, 0.01, 0.3, 1.0]))
+            seed = int(rng.integers(2**31))
+            counts = sample(psi, shots, seed, readout_flip_prob=flip)
+            reference = oracles.loop_sample_counts(psi, shots, seed, flip)
+            assert counts.counts == reference
+            assert list(counts.counts) == sorted(reference)
+            assert np.array_equal(counts.bit_matrix(), oracles.tiled_bit_matrix(reference))
 
 
 class TestNoise:

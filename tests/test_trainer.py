@@ -171,30 +171,6 @@ class TestTrain:
         assert trace.thetas.shape == (1, 1)
         assert trace.losses[0] == pytest.approx(math.cos(1.1), abs=1e-12)
 
-    def test_observers_see_every_step_in_order(self):
-        c = _rx_cost()
-        seen = []
-        trace = train(
-            c,
-            OptimizerConfig(steps=5, seed=1),
-            observers=[lambda s, t, l: seen.append((s, t, l))],
-        )
-        assert [s for s, _, _ in seen] == list(range(6))
-        for s, theta, loss in seen:
-            assert theta == pytest.approx(trace.thetas[s])
-            assert loss == pytest.approx(float(trace.losses[s]))
-
-    def test_observer_theta_is_a_copy(self):
-        c = _rx_cost()
-        grabbed = []
-        trace = train(
-            c,
-            OptimizerConfig(steps=2, seed=1),
-            observers=[lambda s, t, l: grabbed.append(t)],
-        )
-        grabbed[0][:] = 999.0
-        assert trace.thetas[0, 0] != 999.0
-
     def test_deterministic_under_seed(self):
         c = _shared_param_circuit()
         a = train(c, OptimizerConfig(steps=10, seed=21))
