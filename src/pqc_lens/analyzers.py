@@ -61,7 +61,13 @@ ENTANGLEMENT_MEASURES = ("meyer-wallach", "scott")
 
 def _sampled_angles(program: GateProgram, base: int, samples: int,
                     draws: int = 1) -> np.ndarray:
-    """Angles of samples * draws rows, sample i's drawn from default_rng(base + i)."""
+    """Angles of samples * draws rows, sample i's drawn from default_rng(base + i).
+
+    ValueError, before any draw, if the parameters and angles of all rows,
+    plus one result word per sample, take more than half of physical memory.
+    """
+    _fits(8 * samples * (draws * (program.n_params + program.kinds.size) + 1),
+          f"the angle table of {samples} samples")
     shape = (draws, program.n_params)
     thetas = [np.random.default_rng(base + i).uniform(0.0, 2.0 * math.pi, shape)
               for i in range(samples)]

@@ -293,11 +293,18 @@ class GateProgram:
     run of single-qubit gates on one qubit is fused into one operation,
     applied where the next two-qubit gate on that qubit needs it or at the
     end; gates on other qubits commute with it.
+
+    The first ``opening`` ops, in program order, are the opening of the
+    circuit: every qubit's first op when it is a single-qubit one, hoisted
+    to the front. No op before it touches its qubit, so it commutes with
+    them all, and it acts on |0> of its qubit: the simulator writes the
+    opening as a product state, not as passes over the state.
     """
 
     n_qubits: int
     n_params: int
     ops: tuple[tuple[str, tuple | None, tuple, tuple], ...]
+    opening: int
     params: np.ndarray
     prefactors: np.ndarray
     literals: np.ndarray
@@ -352,6 +359,8 @@ def compile_program(circuit: CircuitDescriptor) -> GateProgram:
     parameters. Fixed gates become constant matrices here; every rotation,
     literal or not, is left to be formed per row from its angle column, so
     a bound circuit runs the arithmetic of the batched row it was bound from.
+    After fusion, every qubit's first op that is a single-qubit one moves to
+    the front, in program order (``GateProgram.opening``).
     """
     index = {p.name: p.index for p in circuit.parameters}
     ops, params, prefactors, literals, kinds = [], [], [], [], []
@@ -382,11 +391,17 @@ def compile_program(circuit: CircuitDescriptor) -> GateProgram:
         runs.setdefault(g.targets[0], []).append((g.kind, factor))
     for qubit in list(runs):
         flush(qubit)
+    opening, rest, touched = [], [], set()
+    for op in ops:
+        qubits = {qubit for qubit, _ in op[2]}
+        (opening if len(qubits) == 1 and not qubits & touched else rest).append(op)
+        touched |= qubits
     columns = (np.array(params, dtype=int), np.array(prefactors, dtype=float),
                np.array(literals, dtype=float), np.array(kinds, dtype=str))
     for array in columns:  # a descriptor's program is shared by every caller
         array.flags.writeable = False
-    return GateProgram(circuit.n_qubits, len(index), tuple(ops), *columns)
+    return GateProgram(circuit.n_qubits, len(index), tuple(opening + rest), len(opening),
+                       *columns)
 
 
 def bind(circuit: CircuitDescriptor, theta) -> CircuitDescriptor:

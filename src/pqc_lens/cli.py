@@ -37,7 +37,7 @@ from .circuit import (
     serialize_circuit_spec,
 )
 from .library import max_cut_size, mean_cut_scorer, random_gnm_edges
-from .simulator import sample, simulate
+from .simulator import _check_shots, sample, simulate
 from .svg import heatmap, histogram_plot, line_plot, path_plot
 from .trainer import DivergenceError, OptimizerConfig, _resolve_seed, ensemble_train
 
@@ -289,6 +289,7 @@ def _cmd_reachability(args, seed: int):
 def _cmd_qaoa(args, seed: int):
     edges = random_gnm_edges(args.nodes, args.edges, seed=seed)
     optimum_cut = max_cut_size(edges, args.nodes)  # before any simulation
+    _check_shots(args.shots, args.nodes)  # and the shot draw, before training
     circuit = qaoa_builder(edges, args.p, n_nodes=args.nodes)
     traces = ensemble_train(circuit, _optimizer_config(args, seed),
                             args.restarts)

@@ -14,8 +14,13 @@ one pass over the state per qubit, not three. Three kernels apply the
 operations: a dense 2 x 2 update of the two amplitude slices a qubit
 splits the state into (fused runs, H, Y, RX, RY), a diagonal scaling of
 one or both slices (runs of RZ and Z only, and CZ), and a swap of the two
-slices (X and CX). Every rotation, a literal one too, reads its angle
-from a column, and a fused matrix that depends on angles is formed per
+slices (X and CX). The opening of a program (``GateProgram.opening``:
+each qubit's first op, when it is a single-qubit op, hoisted to the front)
+runs through none of them: it acts on |0> of qubits nothing has touched,
+so ``_open`` writes it into the zeroed rows as the product of the ops'
+first columns, built in place by doubling, with about as many writes as
+two passes over the state. Every rotation, a literal one too, reads its
+angle from a column, and a fused matrix that depends on angles is formed per
 row, entry by entry in a fixed order, so every row gets exactly the
 arithmetic it gets alone, as a bound circuit, however rows are batched.
 The norm of every row is checked once, after the last operation, and a
@@ -258,6 +263,33 @@ def _run(psi: np.ndarray, ops, rotations) -> None:
         _scale(psi, hi, m[1, 1])
 
 
+def _open(psi: np.ndarray, ops, rotations) -> None:
+    """Spread |0...0> of a (B, 2, ..., 2) batch into the product of the
+    opening ops' first columns, their action on |0>, in place.
+
+    The columns are (m00, m10) for "dense", (m00, 0) for "diag" and (0, 1)
+    for "perm". Op by op, every qubit not yet placed is fixed at 0: the
+    region of placed qubits doubles onto the op's qubit as hi = c1 lo, then
+    lo = c0 lo, coefficient first as in ``_mix``. hi is formed as a fresh
+    product and copied in: written with out=hi, whose memory interleaves
+    with lo's, numpy rounds some rows differently as the batch grows.
+    """
+    n = psi.ndim - 1
+    unplaced = dict.fromkeys(range(n))
+    for form, _, ((qubit, _),), factors in ops:
+        del unplaced[qubit]
+        fixed = tuple((q, 0) for q in unplaced)
+        lo = psi[_selector(n, fixed + ((qubit, 0),))]
+        hi = psi[_selector(n, fixed + ((qubit, 1),))]
+        if form == "perm":
+            c0, c1 = 0.0, 1.0
+        else:
+            m = _op_matrix(factors, rotations).reshape((2, 2, -1) + (1,) * (lo.ndim - 1))
+            c0, c1 = m[0, 0], m[1, 0]
+        hi[...] = c1 * lo
+        np.multiply(c0, lo, out=lo)
+
+
 def _norms(states: np.ndarray) -> np.ndarray:
     """|psi|^2 per row of a (B, 2**n) batch."""
     flat = states.reshape(states.shape[0], -1).view(np.float64)
@@ -267,9 +299,13 @@ def _norms(states: np.ndarray) -> np.ndarray:
 def simulate_batch(program: GateProgram, angles: np.ndarray) -> np.ndarray:
     """Final states, shape (B, 2**n), one per row of the (B, columns) angles.
 
-    Every row starts from |0...0>. An infinite angle (a parameter times its
-    prefactor overflowed, see ``GateProgram.angles``) is a ValueError,
-    raised before any gate runs.
+    Every row starts from |0...0>. The program's opening (its first
+    ``program.opening`` ops, single-qubit ops on untouched qubits) is
+    written into the zeroed rows as a product state, built in place by
+    doubling (``_open``); the remaining ops then run as passes over the
+    state. An infinite angle (a parameter times its prefactor overflowed,
+    see ``GateProgram.angles``) is a ValueError, raised before any gate
+    runs.
     """
     if not np.all(np.isfinite(angles)):
         raise ValueError("a rotation angle overflowed to inf: a parameter times "
@@ -278,8 +314,10 @@ def simulate_batch(program: GateProgram, angles: np.ndarray) -> np.ndarray:
     _fits(_AMPLITUDE_BYTES * 2**n, f"a {n}-qubit state")
     states = np.zeros((angles.shape[0], 2**n), dtype=complex)
     states[:, 0] = 1.0
-    _run(states.reshape((-1,) + (2,) * n), program.ops,
-         rotation_matrices(program.kinds, angles))
+    psi = states.reshape((-1,) + (2,) * n)
+    rotations = rotation_matrices(program.kinds, angles)
+    _open(psi, program.ops[:program.opening], rotations)
+    _run(psi, program.ops[program.opening:], rotations)
     drift = np.abs(_norms(states) - 1.0)
     if not np.all(drift <= _NORM_TOL):  # NaN fails too
         raise ValueError(f"state is not normalized: ||psi|^2 - 1| = {drift.max()}")
@@ -384,15 +422,25 @@ def expectation(state: StateVector, obs: PauliSum) -> float:
     return float(expectation_batch(state.amplitudes[None], obs)[0])
 
 
+def _check_shots(shots: int, n_qubits: int) -> None:
+    """ValueError unless shots is positive and a draw of that many shots fits:
+    8 bytes per shot for the outcomes, their sorted copy and each qubit's
+    readout flip."""
+    if shots < 1:
+        raise ValueError("shots must be positive")
+    _fits(8 * shots * (2 + n_qubits), f"a draw of {shots} shots on {n_qubits} qubit(s)")
+
+
 def sample(state: StateVector, shots: int = 1024, seed=None,
            readout_flip_prob: float = 0.0) -> ShotCounts:
     """Draw measurement outcomes in the computational basis.
 
     Readout error, when nonzero, flips each measured bit independently
     after the ideal outcome is drawn; its probability must lie in [0, 1].
+    A draw larger than half of physical memory is a ValueError, raised
+    before anything is drawn.
     """
-    if shots < 1:
-        raise ValueError("shots must be positive")
+    _check_shots(shots, state.n_qubits)
     if not 0.0 <= readout_flip_prob <= 1.0:  # NaN fails too
         raise ValueError(f"readout_flip_prob must lie in [0, 1], got {readout_flip_prob}")
     rng = np.random.default_rng(seed)

@@ -572,3 +572,14 @@ class TestReachability:
             reachability(_rx_cost(), 0, 1)
         with pytest.raises(ValueError):
             reachability(_rx_cost(), 10, 0)
+
+
+@pytest.mark.parametrize("analyze", [expressibility, entanglement_capability,
+                                     entanglement_spectrum])
+def test_oversized_sample_counts_fail_before_drawing(monkeypatch, analyze):
+    # 64 KiB: 10 000 samples of six parameters and six angles do not fit, 100 do
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 2**16)
+    circuit = layered_ansatz(2, 1)
+    with pytest.raises(ValueError, match="the angle table of 10000 samples takes"):
+        analyze(circuit, 10_000, seed=0)
+    assert analyze(circuit, 100, seed=0).samples == 100

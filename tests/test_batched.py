@@ -14,7 +14,7 @@ from pqc_lens import (Gate, MetricSpec, ParamRef, PauliSum, bind, entanglement_c
                       entanglement_spectrum, expressibility, loss_landscape, make_circuit,
                       simulate)
 from pqc_lens import simulator
-from pqc_lens.circuit import BoundCircuit, CircuitSpecError, compile_program
+from pqc_lens.circuit import BoundCircuit, CircuitSpecError, compile_program, qaoa_builder
 from pqc_lens.library import layered_ansatz
 from pqc_lens.simulator import simulate_batch
 from pqc_lens.trainer import cost_batch, gradient_batch
@@ -228,3 +228,126 @@ def test_run_form(gates, form):
 def test_malformed_bound_gate_is_rejected(gate):
     with pytest.raises(CircuitSpecError):
         simulate(BoundCircuit(2, (gate,)))
+
+
+# The opening of a circuit: every qubit's first op, when it is a single-qubit
+# op, hoisted to the front of the program and written as a product state.
+
+def test_opening_of_a_layer_of_rotations_is_every_qubit_run():
+    program = compile_program(layered_ansatz(18, 1, "chain"))
+    assert program.opening == 18
+    assert [(form, hi) for form, _, hi, _ in program.ops[:18]] == \
+        [("dense", ((q, 1),)) for q in range(18)]
+    assert [form for form, *_ in program.ops[18:]] == ["perm"] * 17
+
+
+def test_opening_of_qaoa_is_its_hadamard_layer():
+    program = compile_program(qaoa_builder([(q, (q + 1) % 8) for q in range(8)], 1))
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    assert program.opening == 8
+    for q, (form, _, hi, factors) in enumerate(program.ops[:8]):
+        assert (form, hi, len(factors)) == ("dense", ((q, 1),), 1)
+        assert np.array_equal(factors[0][..., 0], hadamard)
+    assert program.ops[8][2] == ((0, 1), (1, 1))  # the first CX
+
+
+def test_no_opening_at_or_after_a_two_qubit_gate():
+    # qubits 0 and 1 open with a CX; qubit 2's RX is hoisted, its Y after the CZ is not
+    circuit = make_circuit(3, [Gate("CX", (0, 1)), Gate("H", (0,)), Gate("RX", (2,), 0.3),
+                               Gate("CZ", (1, 2)), Gate("Y", (2,))])
+    program = compile_program(circuit)
+    assert program.opening == 1
+    assert [hi for _, _, hi, _ in program.ops] == \
+        [((2, 1),), ((0, 1), (1, 1)), ((1, 1), (2, 1)), ((0, 1),), ((2, 1),)]
+    assert compile_program(make_circuit(2, [Gate("CX", (0, 1)), Gate("H", (1,))])).opening == 0
+
+
+def test_empty_circuit_has_no_opening_and_stays_at_zero():
+    program = compile_program(make_circuit(2, []))
+    assert (program.ops, program.opening) == ((), 0)
+    states = simulate_batch(program, np.empty((3, 0)))
+    assert np.array_equal(states, np.eye(1, 4, dtype=complex).repeat(3, axis=0))
+
+
+_OPENINGS = ((), ("X",), ("H",), ("Y",), ("H", "Y"), ("Z",), ("Z", "Z"), ("RZ",),
+             ("Z", "RZ"), ("RX", "RZ", "RX"), ("RY", "X"))
+
+
+@st.composite
+def opening_circuits(draw):
+    """Circuits whose qubits open with the runs that are hoisted: a lone X,
+    H or Y, a constant diagonal (no lo slice), rotations, or nothing, in
+    any qubit order, with two-qubit gates between the openings; some qubits
+    never meet a two-qubit gate."""
+    n = draw(st.integers(1, 8))
+    names = ["a", "b"]
+    lonely = draw(st.sets(st.integers(0, n - 1)))
+    paired = [q for q in range(n) if q not in lonely]
+    gates = []
+
+    def single(kind, q):
+        angle = None
+        if kind in _ROTATIONS:
+            angle = ParamRef(draw(st.sampled_from(names)), draw(st.sampled_from([1.0, -0.5])))
+        gates.append(Gate(kind, (q,), angle))
+
+    def maybe_pair():
+        if len(paired) > 1 and draw(st.booleans()):
+            a, b = draw(st.permutations(paired))[:2]
+            gates.append(Gate(draw(st.sampled_from(("CX", "CZ"))), (a, b)))
+
+    for q in draw(st.permutations(range(n))):
+        for kind in draw(st.sampled_from(_OPENINGS)):
+            single(kind, q)
+        maybe_pair()
+    for _ in range(draw(st.integers(0, 6))):
+        single(draw(st.sampled_from(_SINGLE)), draw(st.integers(0, n - 1)))
+        maybe_pair()
+    gates += [Gate("RZ", (0,), ParamRef(name)) for name in names]
+    circuit = make_circuit(n, gates, names)
+    thetas = np.random.default_rng(draw(st.integers(0, 10**9))).uniform(
+        -2 * np.pi, 2 * np.pi, (draw(st.sampled_from([1, 2, 5, 8])), 2))
+    return circuit, thetas
+
+
+@settings(max_examples=80, deadline=None)
+@given(opening_circuits())
+def test_opening_rows_match_lone_and_dense_simulation(case):
+    circuit, thetas = case
+    program = compile_program(circuit)
+    first = {}
+    for g in circuit.gates:
+        for q in g.targets:
+            first.setdefault(q, len(g.targets) == 1)
+    assert sorted(hi[0][0] for _, _, hi, _ in program.ops[:program.opening]) == \
+        sorted(q for q, single in first.items() if single)
+    angles = program.angles(thetas)
+    states = simulate_batch(program, angles)
+    for i, theta in enumerate(thetas):
+        assert np.array_equal(states[i], simulate_batch(program, angles[i:i + 1])[0])
+        dense = oracles.dense_simulate(bind(circuit, theta))
+        assert np.max(np.abs(states[i] - dense)) <= 1e-12
+
+
+@pytest.mark.parametrize("chunk_bytes", [simulator.CHUNK_BYTES, 1])
+@pytest.mark.parametrize("rows", [1, 2, 5, 33])
+def test_opening_rows_are_bit_identical_to_lone_rows(monkeypatch, rows, chunk_bytes):
+    circuits = [layered_ansatz(5, 2, ent) for ent in ("chain", "full", "none")]
+    circuits.append(qaoa_builder([(q, (q + 1) % 6) for q in range(6)], 2))
+    circuits.append(make_circuit(4, [
+        Gate("X", (0,)), Gate("Z", (1,)), Gate("H", (2,)), Gate("RY", (2,), ParamRef("a")),
+        Gate("Y", (3,)), Gate("CX", (0, 2)), Gate("RX", (1,), ParamRef("b", 2.0))], ["a", "b"]))
+    # the opening places qubit 1, then 2, with 0 and 3 held at 0: the slices
+    # written and read interleave in memory
+    circuits.append(make_circuit(4, [
+        Gate("RX", (1,), ParamRef("a")), Gate("RZ", (1,), ParamRef("b")),
+        Gate("RY", (2,), ParamRef("b")), Gate("RZ", (2,), ParamRef("a")),
+        Gate("CZ", (0, 3)), Gate("CX", (1, 2))], ["a", "b"]))
+    monkeypatch.setattr(simulator, "CHUNK_BYTES", chunk_bytes)
+    rng = np.random.default_rng(rows)
+    for circuit in circuits:
+        program = compile_program(circuit)
+        angles = program.angles(rng.uniform(-2 * np.pi, 2 * np.pi, (rows, circuit.n_params)))
+        states = simulator.simulate_map(lambda states, _: states, program, angles)
+        for i in range(rows):
+            assert np.array_equal(states[i], simulate_batch(program, angles[i:i + 1])[0])

@@ -345,6 +345,37 @@ class TestExitCodes:
         assert "brute force capped at 20 nodes" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("shots, message", [
+        ("20000000000", "a draw of 20000000000 shots on 3 qubit(s) takes"),
+        ("0", "shots must be positive"),
+    ], ids=["oversized", "zero"])
+    def test_unusable_shot_count_fails_before_training(self, tmp_path, monkeypatch, capsys,
+                                                       shots, message):
+        def no_training(*args, **kwargs):
+            raise AssertionError("ensemble_train called")
+
+        monkeypatch.setattr(cli, "ensemble_train", no_training)
+        monkeypatch.setattr(simulator, "_physical_memory", lambda: 2**30)
+        out = tmp_path / "o"
+        code = run(["qaoa", "--nodes", "3", "--edges", "2", "--steps", "1",
+                    "--restarts", "1", "--points", "2", "--shots", shots, "--seed", "0",
+                    "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("command", ["expressibility", "entanglement", "spectrum"])
+    def test_oversized_sample_counts_fail_before_drawing(self, two_qubit_spec, tmp_path,
+                                                         monkeypatch, capsys, command):
+        # 64 KiB: 10 000 samples of two parameters and two angles do not fit
+        monkeypatch.setattr(simulator, "_physical_memory", lambda: 2**16)
+        out = tmp_path / "o"
+        code = run([command, "--circuit", two_qubit_spec, "--samples", "10000",
+                    "--seed", "0", "--out", str(out)])
+        assert code == 2
+        assert "the angle table of 10000 samples takes" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("argv", [
         ["expressibility", "--samples", "4", "--bins", "2000000000"],
         ["spectrum", "--samples", "2", "--bins", "2000000000"],

@@ -265,6 +265,14 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample(psi, shots=0)
 
+    def test_oversized_draw_fails_before_drawing(self, monkeypatch):
+        # 1 MiB: half of it holds 24 bytes per one-qubit shot for 21 845 shots
+        monkeypatch.setattr(simulator, "_physical_memory", lambda: 2**20)
+        psi = _simulate_gates(1, [Gate("H", (0,))])
+        with pytest.raises(ValueError, match="a draw of 30000 shots on 1 qubit"):
+            sample(psi, shots=30000, seed=0)
+        assert sample(psi, shots=20000, seed=0).shots == 20000
+
     def test_counts_and_bit_matrix_match_the_shot_loop(self):
         rng = np.random.default_rng(17)
         for case in range(320):
