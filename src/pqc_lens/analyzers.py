@@ -672,7 +672,8 @@ def reachability(circuit: CircuitDescriptor, haar_samples: int,
     across restarts of training). A finite estimate can land on either
     side of zero, so the raw value is reported together with both terms.
     Haar draws use seeds base + i; when the optimizer config carries no
-    seed, training restarts continue the same seed sequence.
+    seed, training restarts continue the same seed sequence. Costs that do
+    not fit in half of physical memory are a ValueError before any draw.
     """
     if circuit.cost is None:
         raise ValueError("reachability needs a circuit with a cost observable")
@@ -683,6 +684,7 @@ def reachability(circuit: CircuitDescriptor, haar_samples: int,
     if config is None:
         config = OptimizerConfig()
     base = _resolve_seed(seed)
+    _fits(8 * haar_samples, f"the Haar cost array of {haar_samples} samples")
 
     def haar_costs(chunk: range) -> np.ndarray:
         states = np.stack([sample_haar_state(circuit.n_qubits, base + i).amplitudes

@@ -48,6 +48,11 @@ class ParamRef:
         object.__setattr__(self, "prefactor", float(self.prefactor))
 
 
+def _is_integer(value) -> bool:
+    # int() would truncate 0.9 to 0; bool is an int subclass
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Gate:
     kind: str
@@ -57,8 +62,7 @@ class Gate:
     def __post_init__(self) -> None:
         targets = tuple(self.targets)
         for t in targets:
-            # int() would truncate 0.9 to qubit 0; bool is an int subclass
-            if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
+            if not _is_integer(t):
                 raise CircuitSpecError(f"gate targets must be integers, got {t!r}")
         object.__setattr__(self, "targets", tuple(int(t) for t in targets))
         if self.angle is not None and not isinstance(self.angle, ParamRef):
@@ -134,6 +138,9 @@ class CircuitDescriptor:
     cost: PauliSum | None = None
 
     def __post_init__(self) -> None:
+        if not _is_integer(self.n_qubits) or self.n_qubits < 1:
+            raise CircuitSpecError(f"n_qubits must be a positive integer, got {self.n_qubits!r}")
+        object.__setattr__(self, "n_qubits", int(self.n_qubits))
         object.__setattr__(self, "gates", tuple(self.gates))
         object.__setattr__(self, "parameters", tuple(self.parameters))
         _validate_descriptor(self)
@@ -157,9 +164,6 @@ BoundCircuit = CircuitDescriptor
 
 
 def _validate_descriptor(desc: CircuitDescriptor) -> None:
-    if not isinstance(desc.n_qubits, int) or desc.n_qubits < 1:
-        raise CircuitSpecError(f"n_qubits must be a positive integer, got {desc.n_qubits!r}")
-
     seen: set[str] = set()
     for pos, pid in enumerate(desc.parameters):
         if not isinstance(pid, ParameterId):
@@ -462,7 +466,7 @@ def parse_circuit_spec(text: str) -> CircuitDescriptor:
         raise CircuitSpecError("circuit spec is missing gates")
 
     n_qubits = doc["n_qubits"]
-    if isinstance(n_qubits, bool) or not isinstance(n_qubits, int):
+    if not _is_integer(n_qubits):
         raise CircuitSpecError("n_qubits must be an integer")
 
     names = doc.get("parameters", [])
@@ -483,9 +487,7 @@ def parse_circuit_spec(text: str) -> CircuitDescriptor:
             raise CircuitSpecError(f"gate {i} needs kind and targets")
         kind = rec["kind"]
         targets = rec["targets"]
-        if not isinstance(targets, list) or not all(
-            isinstance(t, int) and not isinstance(t, bool) for t in targets
-        ):
+        if not isinstance(targets, list) or not all(_is_integer(t) for t in targets):
             raise CircuitSpecError(f"gate {i} targets must be a list of integers")
         angle = rec.get("angle")
         if isinstance(angle, dict):

@@ -3,9 +3,21 @@
 One subcommand per analyzer plus `train` and `qaoa` pipelines. Every run
 writes a canonical `report.json` (sorted keys, 2-space indent, trailing
 newline) whose `artifacts` array names every file the run produced, so a
-byte-for-byte identical report means the whole run was reproduced. Exit
-codes: 0 success, 2 usage problems, 3 circuit-spec parse failures, 4
-numerical failures such as a diverging optimizer.
+byte-for-byte identical report means the whole run was reproduced. Beside
+it go SVG plots and these CSV tables, floats written as their repr:
+
+- expressibility: fidelity_histogram.csv (bin_lo, bin_hi, observed, haar)
+- spectrum: spectrum_profile.csv (rank, xi_mean, xi_reference)
+- train: trace_<r>.csv per restart (step, loss, theta_0 ... theta_<P-1>)
+- landscape: landscape.csv (phi0, phi1, value)
+- path: path.csv (restart, step, loss, x, y), and overlay.csv (phi0, phi1,
+  value) with --overlay
+- histogram: parameter_histograms.csv (step, param, bin_lo, bin_hi, mass)
+- qaoa: the train, landscape and path tables, and circuit.spec.json
+
+entanglement and reachability write the report alone. Exit codes: 0
+success, 2 usage problems, 3 circuit-spec parse failures, 4 numerical
+failures such as a diverging optimizer.
 """
 from __future__ import annotations
 
@@ -18,8 +30,11 @@ import sys
 import numpy as np
 
 from .analyzers import (
+    BASIS_MODES,
+    DIVERGENCE_MEASURES,
+    ENTANGLEMENT_MEASURES,
+    PATH_MODES,
     SCHEMA,
-    MetricSpec,
     entanglement_capability,
     entanglement_spectrum,
     expressibility,
@@ -39,7 +54,7 @@ from .circuit import (
 from .library import max_cut_size, mean_cut_scorer, random_gnm_edges
 from .simulator import _check_shots, sample, simulate
 from .svg import heatmap, histogram_plot, line_plot, path_plot
-from .trainer import DivergenceError, OptimizerConfig, _resolve_seed, ensemble_train
+from .trainer import METHODS, DivergenceError, OptimizerConfig, _resolve_seed, ensemble_train
 
 
 class UsageError(ValueError):
@@ -55,47 +70,39 @@ def _load_circuit(path: str) -> CircuitDescriptor:
     return parse_circuit_spec(text)
 
 
-def _cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _csv(header, *columns) -> str:
+    """One line per row of the columns, each flattened in C order; every value
+    is written as the repr of its Python int or float, which reads back exactly."""
+    rows = zip(*(np.ravel(column).tolist() for column in columns), strict=True)
+    return "\n".join([",".join(header), *(",".join(map(repr, row)) for row in rows)]) + "\n"
 
 
-def _csv(header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def _grid_csv(phi_values, values) -> str:
-    rows = []
-    for i, p0 in enumerate(phi_values):
-        for j, p1 in enumerate(phi_values):
-            rows.append([float(p0), float(p1), float(values[i][j])])
-    return _csv(["phi0", "phi1", "value"], rows)
+def _grid_csv(grid) -> str:
+    return _csv(["phi0", "phi1", "value"],
+                *np.meshgrid(grid.phi_values, grid.phi_values, indexing="ij"), grid.values)
 
 
 def _trace_files(traces) -> dict:
-    return {f"trace_{t.restart_id}.csv": _csv(*t.table()) for t in traces}
+    return {
+        f"trace_{t.restart_id}.csv": _csv(
+            ["step", "loss"] + [f"theta_{i}" for i in range(t.thetas.shape[1])],
+            np.arange(t.losses.shape[0]), t.losses, *t.thetas.T)
+        for t in traces
+    }
 
 
 def _landscape_files(grid, title: str) -> dict:
     return {
-        "landscape.csv": _grid_csv(grid.phi_values, grid.values),
+        "landscape.csv": _grid_csv(grid),
         "landscape.svg": heatmap(grid.phi_values, grid.phi_values, grid.values,
                                  title, "phi0", "phi1"),
     }
 
 
 def _path_files(path, title: str) -> dict:
-    rows = [
-        [int(path.restarts[i]), int(path.steps[i]), float(path.losses[i]),
-         float(path.coords[i, 0]), float(path.coords[i, 1])]
-        for i in range(path.coords.shape[0])
-    ]
     return {
-        "path.csv": _csv(["restart", "step", "loss", "x", "y"], rows),
+        "path.csv": _csv(["restart", "step", "loss", "x", "y"],
+                         path.restarts, path.steps, path.losses, *path.coords.T),
         "path.svg": path_plot(path.coords, path.restarts, title),
     }
 
@@ -127,7 +134,7 @@ def _best_landscape(circuit, traces, args, seed: int, theta=None):
     lowest-loss point, or on ``theta`` if given."""
     _, trace, best_theta, _ = _best_trace(traces)
     return loss_landscape(circuit, best_theta if theta is None else theta,
-                          basis_mode="pca", metric=MetricSpec(), points=args.points,
+                          basis_mode="pca", points=args.points,
                           scan_range=args.scan_range, seed=seed, trace=trace)
 
 
@@ -157,15 +164,11 @@ def _cmd_expressibility(args, seed: int):
         f"fidelity distribution ({args.measure} = {report.value:.4f})",
         "fidelity",
     )
-    rows = [
-        [float(hist.bin_edges[b]), float(hist.bin_edges[b + 1]),
-         float(hist.masses[b]), float(base.masses[b])]
-        for b in range(hist.masses.shape[0])
-    ]
     files = {
         "expressibility.svg": svg,
-        "fidelity_histogram.csv": _csv(
-            ["bin_lo", "bin_hi", "observed", "haar"], rows),
+        "fidelity_histogram.csv": _csv(["bin_lo", "bin_hi", "observed", "haar"],
+                                       hist.bin_edges[:-1], hist.bin_edges[1:],
+                                       hist.masses, base.masses),
     }
     return report.to_dict(), files
 
@@ -188,14 +191,10 @@ def _cmd_spectrum(args, seed: int):
         f"entanglement spectrum (esd = {report.esd:.4f})",
         "rank", "mean xi",
     )
-    rows = [
-        [int(r), float(report.profile[r - 1]),
-         float(report.reference.profile[r - 1])]
-        for r in ranks
-    ]
     files = {
         "spectrum.svg": svg,
-        "spectrum_profile.csv": _csv(["rank", "xi_mean", "xi_reference"], rows),
+        "spectrum_profile.csv": _csv(["rank", "xi_mean", "xi_reference"],
+                                     ranks, report.profile, report.reference.profile),
     }
     return report.to_dict(), files
 
@@ -231,7 +230,7 @@ def _cmd_landscape(args, seed: int):
         grid = _best_landscape(circuit, traces, args, seed, theta)
     else:
         grid = loss_landscape(circuit, np.zeros(circuit.n_params) if theta is None else theta,
-                              basis_mode="random", metric=MetricSpec(), points=args.points,
+                              basis_mode="random", points=args.points,
                               scan_range=args.scan_range, seed=seed)
     return grid.to_dict(), _landscape_files(grid, "loss landscape")
 
@@ -248,7 +247,7 @@ def _cmd_path(args, seed: int):
                          seed=seed)
     files = _path_files(path, f"training paths ({args.mode})")
     if overlay is not None:
-        files["overlay.csv"] = _grid_csv(overlay.phi_values, overlay.values)
+        files["overlay.csv"] = _grid_csv(overlay)
     return path.to_dict(), files
 
 
@@ -257,16 +256,11 @@ def _cmd_histogram(args, seed: int):
     traces = ensemble_train(circuit, _optimizer_config(args, seed),
                             args.restarts)
     series = parameter_histogram(traces, bins=args.bins)
-    rows = []
-    for t in range(series.n_steps):
-        for p in range(series.n_params):
-            for b in range(series.bins):
-                rows.append([t, p, float(series.bin_edges[p][b]),
-                             float(series.bin_edges[p][b + 1]),
-                             float(series.masses[t, p, b])])
+    step, param, b = np.indices(series.masses.shape)
     files = {
         "parameter_histograms.csv": _csv(
-            ["step", "param", "bin_lo", "bin_hi", "mass"], rows),
+            ["step", "param", "bin_lo", "bin_hi", "mass"], step, param,
+            series.bin_edges[param, b], series.bin_edges[param, b + 1], series.masses),
     }
     steps = np.arange(series.n_steps)
     for p in range(series.n_params):
@@ -338,7 +332,7 @@ def _add_training_flags(sub, restarts_default: int) -> None:
     sub.add_argument("--steps", type=int, default=100)
     sub.add_argument("--restarts", type=int, default=restarts_default)
     sub.add_argument("--lr", type=float, default=0.05)
-    sub.add_argument("--method", choices=("gd", "adam"), default="adam")
+    sub.add_argument("--method", choices=METHODS, default="adam")
 
 
 def _add_grid_flags(sub) -> None:
@@ -347,7 +341,7 @@ def _add_grid_flags(sub) -> None:
 
 
 def _add_path_flags(sub) -> None:
-    sub.add_argument("--mode", choices=("pca", "tsne"), default="pca")
+    sub.add_argument("--mode", choices=PATH_MODES, default="pca")
     sub.add_argument("--perplexity", type=float, default=30.0)
     sub.add_argument("--iters", type=int, default=1000)
 
@@ -376,13 +370,13 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = new("expressibility")
-    _add_sampling_flags(p, ("kld", "jsd"))
+    _add_sampling_flags(p, DIVERGENCE_MEASURES)
     p.add_argument("--bins", type=int, default=75)
 
-    _add_sampling_flags(new("entanglement"), ("meyer-wallach", "scott"))
+    _add_sampling_flags(new("entanglement"), ENTANGLEMENT_MEASURES)
 
     p = new("spectrum")
-    _add_sampling_flags(p, ("kld", "jsd"))
+    _add_sampling_flags(p, DIVERGENCE_MEASURES)
     p.add_argument("--bins", type=int, default=75)
 
     p = new("train")
@@ -390,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = new("landscape")
     _add_training_flags(p, restarts_default=1)
-    p.add_argument("--basis", choices=("random", "pca"), default="random")
+    p.add_argument("--basis", choices=BASIS_MODES, default="random")
     p.add_argument("--theta", default=None,
                    help="comma-separated center parameters (default zeros, "
                         "or the trained optimum with --basis pca)")

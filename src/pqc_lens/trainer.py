@@ -19,7 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import CircuitDescriptor
-from .simulator import expectation_batch, simulate_map
+from .simulator import _fits, expectation_batch, simulate_map
+
+METHODS = ("gd", "adam")
 
 
 def _resolve_seed(seed) -> int:
@@ -34,7 +36,7 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    method: str = "adam"  # "gd" or "adam"
+    method: str = "adam"  # one of METHODS
     learning_rate: float = 0.05
     steps: int = 100
     beta1: float = 0.9
@@ -44,7 +46,7 @@ class OptimizerConfig:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.method not in ("gd", "adam"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown optimizer method {self.method!r}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError("learning_rate must be finite and positive")
@@ -59,16 +61,6 @@ class TrainingTrace:
     restart_id: int
     thetas: np.ndarray  # (steps + 1, n_params)
     losses: np.ndarray  # (steps + 1,)
-
-    def table(self) -> tuple[list[str], list[list[float]]]:
-        """Header and rows for tabular serialization: step, loss, theta_i."""
-        n_params = self.thetas.shape[1]
-        header = ["step", "loss"] + [f"theta_{i}" for i in range(n_params)]
-        rows = []
-        for step in range(self.losses.shape[0]):
-            rows.append([step, float(self.losses[step])] +
-                        [float(v) for v in self.thetas[step]])
-        return header, rows
 
 
 def _costs(circuit: CircuitDescriptor, angles: np.ndarray) -> np.ndarray:
@@ -141,7 +133,11 @@ def _train_lockstep(circuit: CircuitDescriptor, config: OptimizerConfig,
                     seeds) -> tuple[np.ndarray, np.ndarray]:
     """(R, steps + 1, n_params) parameters and (R, steps + 1) losses of the
     restarts seeded seeds[r]. A batched row gets the arithmetic it gets alone
-    and the updates are elementwise, so each restart is bit for bit as if alone."""
+    and the updates are elementwise, so each restart is bit for bit as if alone.
+    ValueError, before the first step, if those arrays take more than half of
+    physical memory."""
+    _fits(8 * (config.steps + 1) * len(seeds) * (circuit.n_params + 1),
+          f"a trace of {len(seeds)} restart(s) over {config.steps} steps")
     theta = np.stack([_initial_theta(circuit, config, seed) for seed in seeds])
     thetas, losses = [], []
     m = v = np.zeros_like(theta)
@@ -179,7 +175,8 @@ def train(circuit: CircuitDescriptor, config: OptimizerConfig) -> TrainingTrace:
 
     Its rows are the initial point and every update. Non-finite parameters
     or losses, and angles that overflow, abort with DivergenceError;
-    convergence itself is not guaranteed on these non-convex surfaces.
+    convergence itself is not guaranteed on these non-convex surfaces. A
+    trace beyond half of physical memory is a ValueError before any step.
     """
     thetas, losses = _train_lockstep(circuit, config, [config.seed])
     return TrainingTrace(0, thetas[0], losses[0])

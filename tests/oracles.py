@@ -273,6 +273,20 @@ def listed_gnm_edges(n_nodes: int, n_edges: int, seed) -> tuple:
     return tuple(pairs[i] for i in sorted(chosen))
 
 
+def _cell(value) -> str:
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def row_csv(header, rows) -> str:
+    """The CLI's CSV text written row by row, floats as repr, other values as str."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(_cell(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
 def haar_fidelity_inverse_cdf(u, dim: int):
     """Sample F with law (N-1)(1-F)^(N-2) from uniform u."""
     return 1.0 - (1.0 - np.asarray(u)) ** (1.0 / (dim - 1))

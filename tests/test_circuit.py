@@ -20,7 +20,7 @@ from pqc_lens import (
     qaoa_builder,
     serialize_circuit_spec,
 )
-from pqc_lens.library import random_gnm_edges
+from pqc_lens.library import layered_ansatz, random_gnm_edges
 
 
 def _rx_chain(n_params=2):
@@ -56,6 +56,15 @@ class TestMakeCircuit:
     def test_accepts_numpy_integer_targets(self):
         gate = Gate("CX", (np.int64(1), np.uint8(0)))
         assert gate.targets == (1, 0) and type(gate.targets[0]) is int
+
+    def test_rejects_bool_width(self):
+        # bool is an int subclass, rejected here as it is for targets
+        with pytest.raises(CircuitSpecError, match="n_qubits must be a positive integer"):
+            make_circuit(True, [Gate("H", (0,))])
+
+    def test_accepts_numpy_integer_width(self):
+        c = layered_ansatz(np.int64(4), 1)
+        assert c.n_qubits == 4 and type(c.n_qubits) is int
 
     def test_rejects_duplicate_two_qubit_targets(self):
         with pytest.raises(CircuitSpecError, match="distinct"):

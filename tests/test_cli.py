@@ -8,10 +8,12 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from pqc_lens import (Gate, ParamRef, PauliSum, make_circuit, qaoa_builder,
                       serialize_circuit_spec, simulator)
 from pqc_lens import cli
@@ -51,6 +53,27 @@ def _report(out_dir):
         return json.load(fh)
 
 
+def _number(text: str):
+    return int(text) if text.lstrip("-").isdigit() else float(text)
+
+
+def _table(out_dir, name):
+    """A CSV artifact's header and its columns, keyed by header, of ints and floats."""
+    with open(os.path.join(out_dir, name), encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    return header, {h: [_number(v) for v in column] for h, column in zip(header, zip(*rows))}
+
+
+def _check_grid_csv(out_dir, name, grid):
+    """The CSV holds the report's grid, one row per (phi0, phi1) point, phi1 fastest."""
+    header, columns = _table(out_dir, name)
+    assert header == ["phi0", "phi1", "value"]
+    phi = grid["phi"]
+    assert columns["phi0"] == [a for a in phi for _ in phi]
+    assert columns["phi1"] == [b for _ in phi for b in phi]
+    assert columns["value"] == [v for row in grid["values"] for v in row]
+
+
 def _check_report_envelope(out_dir, command):
     doc = _report(out_dir)
     assert doc["schema"] == "pqc-lens/1"
@@ -71,13 +94,17 @@ class TestSubcommands:
                     "--samples", "40", "--seed", "1", "--out", out])
         assert code == 0
         doc = _check_report_envelope(out, "expressibility")
-        assert doc["result"]["value"] >= 0.0
-        with open(os.path.join(out, "fidelity_histogram.csv"),
-                  encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["bin_lo", "bin_hi", "observed", "haar"]
-        assert len(rows) == 76
-        assert sum(float(r[2]) for r in rows[1:]) == pytest.approx(1.0)
+        result = doc["result"]
+        assert result["value"] >= 0.0
+        header, columns = _table(out, "fidelity_histogram.csv")
+        assert header == ["bin_lo", "bin_hi", "observed", "haar"]
+        hist = result["fidelity_histogram"]
+        assert len(hist["masses"]) == 75
+        assert columns["bin_lo"] == hist["bin_edges"][:-1]
+        assert columns["bin_hi"] == hist["bin_edges"][1:]
+        assert columns["observed"] == hist["masses"]
+        assert columns["haar"] == result["baseline_histogram"]["masses"]
+        assert sum(columns["observed"]) == pytest.approx(1.0)
 
     def test_entanglement(self, two_qubit_spec, tmp_path):
         out = str(tmp_path / "o")
@@ -101,12 +128,13 @@ class TestSubcommands:
                     "--samples", "20", "--seed", "3", "--out", out])
         assert code == 0
         doc = _check_report_envelope(out, "spectrum")
-        assert doc["result"]["subsystem_size"] == 1
-        with open(os.path.join(out, "spectrum_profile.csv"),
-                  encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["rank", "xi_mean", "xi_reference"]
-        assert len(rows) == 3
+        result = doc["result"]
+        assert result["subsystem_size"] == 1
+        header, columns = _table(out, "spectrum_profile.csv")
+        assert header == ["rank", "xi_mean", "xi_reference"]
+        assert columns["rank"] == [1, 2]
+        assert columns["xi_mean"] == result["profile"]
+        assert columns["xi_reference"] == result["reference_profile"]
 
     def test_train(self, two_qubit_spec, tmp_path):
         out = str(tmp_path / "o")
@@ -121,10 +149,16 @@ class TestSubcommands:
         assert result["best_loss"] <= min(result["final_losses"]) + 1e-12
         for name in ("trace_0.csv", "trace_1.csv", "loss_curves.svg"):
             assert name in doc["artifacts"]
-        with open(os.path.join(out, "trace_0.csv"), encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["step", "loss", "theta_0", "theta_1"]
-        assert len(rows) == 17
+        for r in range(2):
+            header, columns = _table(out, f"trace_{r}.csv")
+            assert header == ["step", "loss", "theta_0", "theta_1"]
+            # one row per step and the initial point; steps are written as integers
+            assert columns["step"] == list(range(16))
+            assert all(type(step) is int for step in columns["step"])
+            assert columns["loss"][-1] == result["final_losses"][r]
+        _, columns = _table(out, f"trace_{result['best_restart']}.csv")
+        at = columns["loss"].index(result["best_loss"])
+        assert [columns["theta_0"][at], columns["theta_1"][at]] == result["best_theta"]
 
     def test_landscape_with_explicit_theta(self, two_qubit_spec, tmp_path):
         out = str(tmp_path / "o")
@@ -134,10 +168,7 @@ class TestSubcommands:
         assert code == 0
         doc = _check_report_envelope(out, "landscape")
         assert len(doc["result"]["values"]) == 5
-        with open(os.path.join(out, "landscape.csv"), encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["phi0", "phi1", "value"]
-        assert len(rows) == 26
+        _check_grid_csv(out, "landscape.csv", doc["result"])
 
     def test_landscape_pca_basis_trains_first(self, two_qubit_spec, tmp_path):
         out = str(tmp_path / "o")
@@ -147,6 +178,7 @@ class TestSubcommands:
         assert code == 0
         doc = _report(out)
         assert doc["result"]["basis"]["origin"] is not None
+        _check_grid_csv(out, "landscape.csv", doc["result"])
 
     def test_landscape_pca_basis_centres_on_the_best_restart(self, two_qubit_spec, tmp_path):
         # at seed 0 restart 1 of 3 reaches the lowest loss; the landscape is
@@ -171,10 +203,13 @@ class TestSubcommands:
         doc = _check_report_envelope(out, "path")
         for name in ("path.csv", "path.svg", "overlay.csv"):
             assert name in doc["artifacts"]
-        with open(os.path.join(out, "path.csv"), encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["restart", "step", "loss", "x", "y"]
-        assert len(rows) == 1 + 2 * 13
+        result = doc["result"]
+        header, columns = _table(out, "path.csv")
+        assert header == ["restart", "step", "loss", "x", "y"]
+        assert len(columns["x"]) == 2 * 13
+        for column in header:
+            assert columns[column] == result[column]
+        _check_grid_csv(out, "overlay.csv", result["overlay"])
 
     def test_path_tsne_mode(self, two_qubit_spec, tmp_path):
         out = str(tmp_path / "o")
@@ -195,11 +230,14 @@ class TestSubcommands:
         doc = _check_report_envelope(out, "histogram")
         for name in ("parameter_histograms.csv", "param_0.svg", "param_1.svg"):
             assert name in doc["artifacts"]
-        with open(os.path.join(out, "parameter_histograms.csv"),
-                  encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["step", "param", "bin_lo", "bin_hi", "mass"]
-        assert len(rows) == 1 + 9 * 2 * 10
+        header, columns = _table(out, "parameter_histograms.csv")
+        assert header == ["step", "param", "bin_lo", "bin_hi", "mass"]
+        # step, then parameter, then bin, as in the report's masses
+        params = doc["result"]["parameters"]
+        assert list(zip(*columns.values())) == [
+            (t, p["index"], p["bin_edges"][b], p["bin_edges"][b + 1], p["masses"][t][b])
+            for t in range(9) for p in params for b in range(10)
+        ]
 
     def test_reachability(self, one_qubit_spec, tmp_path):
         out = str(tmp_path / "o")
@@ -376,6 +414,24 @@ class TestExitCodes:
         assert "the angle table of 10000 samples takes" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("argv, message", [
+        (["reachability", "--samples", "10000", "--restarts", "1", "--steps", "1"],
+         "the Haar cost array of 10000 samples takes"),
+        (["histogram", "--steps", "1000", "--restarts", "2"],
+         "a trace of 2 restart(s) over 1000 steps takes"),
+    ], ids=["reachability", "histogram"])
+    def test_oversized_haar_draws_and_traces_fail_before_the_first_draw(
+            self, two_qubit_spec, tmp_path, monkeypatch, capsys, argv, message):
+        # 64 KiB: 10 000 Haar costs, or 1 001 steps of two restarts' two
+        # parameters and loss, do not fit
+        monkeypatch.setattr(simulator, "_physical_memory", lambda: 2**16)
+        out = tmp_path / "o"
+        code = run(argv[:1] + ["--circuit", two_qubit_spec, "--seed", "0",
+                               "--out", str(out)] + argv[1:])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("argv", [
         ["expressibility", "--samples", "4", "--bins", "2000000000"],
         ["spectrum", "--samples", "2", "--bins", "2000000000"],
@@ -407,6 +463,36 @@ class TestExitCodes:
                     "--samples", "2", "--seed", "1", "--out", str(blocker)])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+_EDGE_FLOATS = st.sampled_from([-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308])
+
+
+@st.composite
+def _typed_columns(draw):
+    """One to four equal-length columns, each a list of Python ints or floats
+    paired with the dtype of the array the CLI would hold them in."""
+    n_rows = draw(st.integers(0, 5))
+    columns = []
+    for is_int in draw(st.lists(st.booleans(), min_size=1, max_size=4)):
+        values = st.integers(-2**63, 2**63 - 1) if is_int else st.floats() | _EDGE_FLOATS
+        columns.append((draw(st.lists(values, min_size=n_rows, max_size=n_rows)),
+                        np.int64 if is_int else np.float64))
+    return columns
+
+
+class TestCsvWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(columns=_typed_columns())
+    def test_matches_the_row_writer(self, columns):
+        header = [f"c{i}" for i in range(len(columns))]
+        arrays = [np.array(values, dtype=dtype) for values, dtype in columns]
+        rows = zip(*(values for values, _ in columns))
+        assert cli._csv(header, *arrays) == oracles.row_csv(header, rows)
+
+    def test_rejects_columns_of_unequal_length(self):
+        with pytest.raises(ValueError):
+            cli._csv(["a", "b"], np.arange(2), np.zeros(3))
 
 
 class TestDeterminism:

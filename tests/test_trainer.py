@@ -207,15 +207,6 @@ class TestTrain:
             with pytest.raises(DivergenceError, match="overflowed at step 1"):
                 train(c, cfg)
 
-    def test_table_layout(self):
-        c = _shared_param_circuit()
-        trace = train(c, OptimizerConfig(steps=2, seed=5))
-        header, rows = trace.table()
-        assert header == ["step", "loss", "theta_0", "theta_1"]
-        assert len(rows) == 3
-        assert rows[1][0] == 1
-        assert rows[2][1] == pytest.approx(float(trace.losses[2]))
-
 
 class TestEnsemble:
     def test_restart_seeds_are_base_plus_index(self):
