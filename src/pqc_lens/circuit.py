@@ -17,6 +17,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 
@@ -247,6 +248,8 @@ _FIXED_MATRICES = {
     "Z": _fixed([[1, 0], [0, -1]]),
 }
 _DIAGONAL_KINDS = ("Z", "RZ")
+# gates that map every basis state to one basis state times a phase
+_MONOMIAL_KINDS = ("X", "Z", "RZ", "CX", "CZ")
 
 
 def rotation_matrices(kinds: np.ndarray, angles: np.ndarray) -> np.ndarray:
@@ -279,6 +282,31 @@ def matrix_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class Monomial:
+    """A run of X, Z, RZ, CX and CZ gates as one map of basis states.
+
+    The run sends the amplitude at source index ``src(y)`` to output index
+    y, times a sign and a phase. ``src`` is affine over GF(2): it is
+    ``constant`` XOR ``columns[j]`` for every set bit j of y (bit j has
+    value 2**j), and ``columns`` is None when ``src`` is the identity.
+
+    Signs and phases are read from affine parities of y: row i of the
+    (M, n) bool ``masks`` marks the bits of y whose XOR, with ``flips[i]``,
+    is parity i. The first ``2 * signs`` parities come in pairs, and each
+    pair contributes -1 where both are 1 (a Z, or a CZ). Each further
+    parity b_c belongs to the angle column ``angles[c]`` of an RZ and adds
+    theta_c * (b_c - 1/2) to the phase exponent.
+    """
+
+    columns: tuple[int, ...] | None
+    constant: int
+    masks: np.ndarray
+    flips: np.ndarray
+    signs: int
+    angles: np.ndarray
+
+
+@dataclass(frozen=True)
 class GateProgram:
     """A circuit compiled once for simulating many parameter vectors.
 
@@ -287,27 +315,34 @@ class GateProgram:
     ``prefactors[c] * theta[params[c]]``, or the literal angle
     ``literals[c]`` where ``params[c]`` is -1.
 
-    ``ops`` is what the simulator applies, one ``(form, lo, hi, factors)``
-    entry per operation. ``lo`` and ``hi`` fix ``(qubit, bit)`` pairs and
-    select the two amplitude slices the operation mixes; ``form`` is
-    "perm" (swap them), "diag" (scale them; ``lo`` is None when its factor
-    is exactly 1) or "dense" (a 2 x 2 matrix). ``factors`` lists the
+    ``ops`` is what the simulator applies, in order. Every maximal run of
+    single-qubit gates on one qubit is fused into one operation, applied
+    where the next two-qubit gate on that qubit needs it or at the end;
+    gates on other qubits commute with it. A fused run is a ``(form, lo,
+    hi, factors)`` entry: ``lo`` and ``hi`` fix ``(qubit, bit)`` pairs and
+    select the two amplitude slices it mixes, and ``factors`` lists the
     matrices to multiply, in the order applied: constant (2, 2, 1) arrays,
-    or the int column of a rotation (``rotation_matrices``). Every maximal
-    run of single-qubit gates on one qubit is fused into one operation,
-    applied where the next two-qubit gate on that qubit needs it or at the
-    end; gates on other qubits commute with it.
+    or the int column of a rotation (``rotation_matrices``).
 
     The first ``opening`` ops, in program order, are the opening of the
     circuit: every qubit's first op when it is a single-qubit one, hoisted
     to the front. No op before it touches its qubit, so it commutes with
     them all, and it acts on |0> of its qubit: the simulator writes the
-    opening as a product state, not as passes over the state.
+    opening as a product state, not as passes over the state. An opening
+    op's form is "perm" (a lone X), "diag" (Z and RZ only; ``lo`` is None
+    when its factor is exactly 1) or "dense" (any other run).
+
+    After the opening there are two forms. "dense" is a fused run that is
+    not monomial. ``("mono", Monomial)`` is a maximal run of CX, CZ and of
+    fused runs that are a lone X or Z and RZ only. Before a stretch of such
+    gates, the fused runs pending on the qubits of its CX and CZ are
+    applied, so that a layer of rotations and its entangling gates compile
+    to one dense op per qubit and one mono op.
     """
 
     n_qubits: int
     n_params: int
-    ops: tuple[tuple[str, tuple | None, tuple, tuple], ...]
+    ops: tuple[tuple, ...]
     opening: int
     params: np.ndarray
     prefactors: np.ndarray
@@ -336,24 +371,76 @@ class GateProgram:
         return angles
 
 
+def _is_monomial(run: list) -> bool:
+    """Whether a run of ``(kind, factor)`` single-qubit gates is a lone X
+    ("perm") or diagonal ("diag"), not "dense"."""
+    kinds = [kind for kind, _ in run]
+    return kinds == ["X"] or all(kind in _DIAGONAL_KINDS for kind in kinds)
+
+
 def _fused_op(qubit: int, run: list) -> tuple:
     """One op for a run of ``(kind, factor)`` single-qubit gates, in order."""
     lo, hi = ((qubit, 0),), ((qubit, 1),)
     if len(run) == 1 and run[0][0] == "X":
         return ("perm", lo, hi, ())
     factors: list = []
-    diagonal = True
-    for kind, factor in run:
-        diagonal = diagonal and kind in _DIAGONAL_KINDS
+    for _, factor in run:
         if factors and isinstance(factor, np.ndarray) and isinstance(factors[-1], np.ndarray):
             factors[-1] = matrix_product(factor, factors[-1])
         else:
             factors.append(factor)
-    if not diagonal:
+    if not _is_monomial(run):
         return ("dense", lo, hi, tuple(factors))
     if len(factors) == 1 and isinstance(factors[0], np.ndarray) and factors[0][0, 0, 0] == 1:
         lo = None
     return ("diag", lo, hi, tuple(factors))
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False  # a descriptor's program is shared by every caller
+    return array
+
+
+def _monomial(n: int, ops) -> Monomial | None:
+    """The Monomial of consecutive "perm" and "diag" ops; None if it does nothing.
+
+    The ops are walked backwards from the output index y. Qubit q's bit
+    before the current op is parity(y & mask[q]) ^ flip[q]; qubit q is bit
+    n - 1 - q of an index.
+    """
+    mask = [1 << (n - 1 - q) for q in range(n)]
+    flip = [0] * n
+    signs, phases = [], []  # collected backwards
+    for form, _, hi, factors in reversed(ops):
+        qubits = [q for q, _ in hi]
+        if form == "perm" and len(qubits) == 1:  # X
+            flip[qubits[0]] ^= 1
+        elif form == "perm":  # CX: the target's bit was target ^ control
+            a, b = qubits
+            mask[b] ^= mask[a]
+            flip[b] ^= flip[a]
+        elif len(qubits) == 2:  # CZ: -1 where both bits are 1
+            signs.append([(mask[q], flip[q]) for q in qubits])
+        else:
+            q = qubits[0]
+            for factor in reversed(factors):
+                if not isinstance(factor, np.ndarray):  # RZ
+                    phases.append((factor, (mask[q], flip[q])))
+                elif factor[1, 1, 0] != factor[0, 0, 0]:  # a product of Z: Z, not I
+                    signs.append([(mask[q], flip[q]), (0, 1)])
+    identity = not any(flip) and mask == [1 << (n - 1 - q) for q in range(n)]
+    if identity and not signs and not phases:
+        return None
+    parities = [p for pair in signs[::-1] for p in pair] + [p for _, p in phases[::-1]]
+    # Python ints: a circuit too wide to simulate still compiles
+    columns = tuple(sum(((mask[q] >> j) & 1) << (n - 1 - q) for q in range(n))
+                    for j in range(n))
+    masks = np.array([[(m >> j) & 1 for j in range(n)] for m, _ in parities], dtype=bool)
+    return Monomial(None if identity else columns,
+                    sum(f << (n - 1 - q) for q, f in enumerate(flip)),
+                    _read_only(masks.reshape(-1, n)),
+                    _read_only(np.array([f for _, f in parities], dtype=bool)),
+                    len(signs), _read_only(np.array([c for c, _ in phases[::-1]], dtype=int)))
 
 
 def compile_program(circuit: CircuitDescriptor) -> GateProgram:
@@ -364,7 +451,8 @@ def compile_program(circuit: CircuitDescriptor) -> GateProgram:
     literal or not, is left to be formed per row from its angle column, so
     a bound circuit runs the arithmetic of the batched row it was bound from.
     After fusion, every qubit's first op that is a single-qubit one moves to
-    the front, in program order (``GateProgram.opening``).
+    the front, in program order (``GateProgram.opening``), and each run of
+    monomial ops after it becomes one "mono" op.
     """
     index = {p.name: p.index for p in circuit.parameters}
     ops, params, prefactors, literals, kinds = [], [], [], [], []
@@ -374,25 +462,31 @@ def compile_program(circuit: CircuitDescriptor) -> GateProgram:
         if qubit in runs:
             ops.append(_fused_op(qubit, runs.pop(qubit)))
 
-    for g in circuit.gates:
-        if len(g.targets) == 2:
-            a, b = g.targets
-            flush(a)
-            flush(b)
-            if g.kind == "CX":
-                ops.append(("perm", ((a, 1), (b, 0)), ((a, 1), (b, 1)), ()))
-            else:  # CZ
-                ops.append(("diag", None, ((a, 1), (b, 1)), (_FIXED_MATRICES["Z"],)))
-            continue
-        factor = _FIXED_MATRICES.get(g.kind)
-        if g.angle is not None:
-            factor = len(params)
-            kinds.append(g.kind)
-            named = isinstance(g.angle, ParamRef)
-            params.append(index[g.angle.name] if named else -1)
-            prefactors.append(g.angle.prefactor if named else 0.0)
-            literals.append(0.0 if named else g.angle)
-        runs.setdefault(g.targets[0], []).append((g.kind, factor))
+    for monomial, block in groupby(circuit.gates, lambda g: g.kind in _MONOMIAL_KINDS):
+        block = tuple(block)
+        if monomial:  # flush now the dense runs its CX and CZ would flush into it
+            for q in (q for g in block if len(g.targets) == 2 for q in g.targets):
+                if q in runs and not _is_monomial(runs[q]):
+                    flush(q)
+        for g in block:
+            if len(g.targets) == 2:
+                a, b = g.targets
+                flush(a)
+                flush(b)
+                if g.kind == "CX":
+                    ops.append(("perm", ((a, 1), (b, 0)), ((a, 1), (b, 1)), ()))
+                else:  # CZ
+                    ops.append(("diag", None, ((a, 1), (b, 1)), (_FIXED_MATRICES["Z"],)))
+                continue
+            factor = _FIXED_MATRICES.get(g.kind)
+            if g.angle is not None:
+                factor = len(params)
+                kinds.append(g.kind)
+                named = isinstance(g.angle, ParamRef)
+                params.append(index[g.angle.name] if named else -1)
+                prefactors.append(g.angle.prefactor if named else 0.0)
+                literals.append(0.0 if named else g.angle)
+            runs.setdefault(g.targets[0], []).append((g.kind, factor))
     for qubit in list(runs):
         flush(qubit)
     opening, rest, touched = [], [], set()
@@ -400,12 +494,16 @@ def compile_program(circuit: CircuitDescriptor) -> GateProgram:
         qubits = {qubit for qubit, _ in op[2]}
         (opening if len(qubits) == 1 and not qubits & touched else rest).append(op)
         touched |= qubits
+    program = list(opening)
+    for dense, group in groupby(rest, lambda op: op[0] == "dense"):
+        if dense:
+            program += group
+        elif (mono := _monomial(circuit.n_qubits, tuple(group))) is not None:
+            program.append(("mono", mono))
     columns = (np.array(params, dtype=int), np.array(prefactors, dtype=float),
                np.array(literals, dtype=float), np.array(kinds, dtype=str))
-    for array in columns:  # a descriptor's program is shared by every caller
-        array.flags.writeable = False
-    return GateProgram(circuit.n_qubits, len(index), tuple(opening + rest), len(opening),
-                       *columns)
+    return GateProgram(circuit.n_qubits, len(index), tuple(program), len(opening),
+                       *map(_read_only, columns))
 
 
 def bind(circuit: CircuitDescriptor, theta) -> CircuitDescriptor:

@@ -52,6 +52,7 @@ from .circuit import (
     serialize_circuit_spec,
 )
 from .library import max_cut_size, mean_cut_scorer, random_gnm_edges
+from .projection import _check_tsne_size
 from .simulator import _check_shots, sample, simulate
 from .svg import heatmap, histogram_plot, line_plot, path_plot
 from .trainer import METHODS, DivergenceError, OptimizerConfig, _resolve_seed, ensemble_train
@@ -235,10 +236,17 @@ def _cmd_landscape(args, seed: int):
     return grid.to_dict(), _landscape_files(grid, "loss landscape")
 
 
+def _check_path_size(args) -> None:
+    """ValueError, before training, if the path's t-SNE would not fit."""
+    if args.mode == "tsne":
+        _check_tsne_size((args.steps + 1) * args.restarts)
+
+
 def _cmd_path(args, seed: int):
     circuit = _costed_circuit(args)
     if args.overlay and args.mode != "pca":
         raise UsageError("--overlay requires --mode pca")
+    _check_path_size(args)
     traces = ensemble_train(circuit, _optimizer_config(args, seed),
                             args.restarts)
     overlay = _best_landscape(circuit, traces, args, seed) if args.overlay else None
@@ -284,6 +292,7 @@ def _cmd_qaoa(args, seed: int):
     edges = random_gnm_edges(args.nodes, args.edges, seed=seed)
     optimum_cut = max_cut_size(edges, args.nodes)  # before any simulation
     _check_shots(args.shots, args.nodes)  # and the shot draw, before training
+    _check_path_size(args)
     circuit = qaoa_builder(edges, args.p, n_nodes=args.nodes)
     traces = ensemble_train(circuit, _optimizer_config(args, seed),
                             args.restarts)

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .simulator import _fits
+
 _NORM_TOL = 1e-10
 _RANK_TOL = 1e-12
 # keeps every mean, variance, squared distance and affinity exponent of a
@@ -242,6 +244,17 @@ def _affinities(sq_dists: np.ndarray, perplexity: float) -> np.ndarray:
     return P
 
 
+# n x n float arrays an iteration holds at once: P, the kernel, Q, the
+# exaggerated P, their difference and W
+_TSNE_ARRAYS = 6
+
+
+def _check_tsne_size(n: int) -> None:
+    """ValueError if t-SNE of n points would take more than half of
+    physical memory, raised before anything is allocated."""
+    _fits(8 * _TSNE_ARRAYS * n * n, f"t-SNE of {n} points")
+
+
 def tsne(cloud, dims: int = 2, perplexity: float = 30.0, iters: int = 1000,
          seed=None) -> np.ndarray:
     """Exact t-SNE embedding of a point cloud.
@@ -265,6 +278,7 @@ def tsne(cloud, dims: int = 2, perplexity: float = 30.0, iters: int = 1000,
         )
     if iters < 1:
         raise ValueError("iters must be positive")
+    _check_tsne_size(n)
 
     cond = _affinities(_pairwise_sq_dists(pts), perplexity)
     P = (cond + cond.T) / (2.0 * n)

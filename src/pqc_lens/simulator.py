@@ -10,19 +10,27 @@ The core simulates a batch: a compiled GateProgram (circuit.compile_program)
 runs on a (B, 2, ..., 2) array of B states, row i driven by row i of a
 (B, columns) angle matrix. Compiling fuses every run of single-qubit gates
 on one qubit into one operation, so a layer of RX, RZ, RX rotations costs
-one pass over the state per qubit, not three. Three kernels apply the
-operations: a dense 2 x 2 update of the two amplitude slices a qubit
-splits the state into (fused runs, H, Y, RX, RY), a diagonal scaling of
-one or both slices (runs of RZ and Z only, and CZ), and a swap of the two
-slices (X and CX). The opening of a program (``GateProgram.opening``:
-each qubit's first op, when it is a single-qubit op, hoisted to the front)
-runs through none of them: it acts on |0> of qubits nothing has touched,
-so ``_open`` writes it into the zeroed rows as the product of the ops'
-first columns, built in place by doubling, with about as many writes as
-two passes over the state. Every rotation, a literal one too, reads its
-angle from a column, and a fused matrix that depends on angles is formed per
-row, entry by entry in a fixed order, so every row gets exactly the
-arithmetic it gets alone, as a bound circuit, however rows are batched.
+one pass over the state per qubit, not three. Two kernels apply the
+operations. A dense 2 x 2 update mixes the two amplitude slices a qubit
+splits the state into (fused runs with H, Y, RX or RY). Every run of X, Z,
+RZ, CX and CZ between them maps each basis state to one basis state times
+a phase (Amy, Maslov and Mosca 2014, arXiv:1303.2042), and costs one
+gather and one phase pass, whatever its length: a GF(2)-affine gather of
+the source amplitudes into a scratch buffer of about half the batch, then
+one multiply by the ±1 signs of its Z and CZ and by the per-row phase
+exp(i sum_c theta_c (b_c - 1/2)) of its RZ, b_c a parity of index bits.
+The gather index and the parity tables are built per call, by doubling,
+in blocks of at most 4096 entries; no 2**n-sized table is kept. The
+opening of a program (``GateProgram.opening``: each qubit's first op, when
+it is a single-qubit op, hoisted to the front) runs through neither: it
+acts on |0> of qubits nothing has touched, so ``_open`` writes it into the
+zeroed rows as the product of the ops' first columns, built in place by
+doubling, with about as many writes as two passes over the state. Every
+rotation, a literal one too, reads its angle from a column. A fused matrix
+that depends on angles is formed per row, entry by entry in a fixed order,
+and a phase exponent is summed one angle column at a time, elementwise, so
+every row gets exactly the arithmetic it gets alone, as a bound circuit,
+however rows are batched.
 The norm of every row is checked once, after the last operation, and a
 drift beyond 1e-10 raises ValueError; it is not asserted gate by gate.
 ``simulate``, ``simulate_noisy``, ``expectation``, ``subsystem_purity`` and
@@ -54,8 +62,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import (CircuitDescriptor, Gate, GateProgram, PauliSum, matrix_product,
-                      rotation_matrices)
+from .circuit import (CircuitDescriptor, Gate, GateProgram, Monomial, PauliSum,
+                      matrix_product, rotation_matrices)
 
 _NORM_TOL = 1e-10
 
@@ -205,17 +213,6 @@ def _selector(n: int, fixed: tuple[tuple[int, int], ...]) -> tuple:
     return tuple(sel)
 
 
-def _swap(psi, lo, hi) -> None:
-    a = psi[lo].copy()
-    psi[lo] = psi[hi]
-    psi[hi] = a
-
-
-def _scale(psi, sel, factor) -> None:
-    view = psi[sel]
-    view *= factor
-
-
 def _mix(psi, lo, hi, u00, u01, u10, u11) -> None:
     """(lo, hi) <- (u00 lo + u01 hi, u10 lo + u11 hi), per-row coefficients.
 
@@ -240,27 +237,121 @@ def _op_matrix(factors, rotations) -> np.ndarray:
     return matrix
 
 
-def _run(psi: np.ndarray, ops, rotations) -> None:
-    """Apply compiled ops to a (B, 2, ..., 2) batch.
+_BLOCK = 2**12  # basis indices per block of a "mono" op
 
-    ``rotations`` holds the (2, 2, columns, B) matrices of the angle
-    columns, row i's in rotations[..., i].
+
+def _xor_table(values: np.ndarray, size: int) -> np.ndarray:
+    """t[..., y] = XOR of values[..., j] over the set bits j of y, for every
+    y < size (a power of two), built by doubling."""
+    table = np.zeros(values.shape[:-1] + (size,), dtype=values.dtype)
+    step = 1
+    while step < size:
+        j = step.bit_length() - 1
+        np.bitwise_xor(table[..., :step], values[..., j, None], out=table[..., step:2 * step])
+        step *= 2
+    return table
+
+
+def _parts(mono: Monomial, rows: int, blocks: int) -> list[tuple[range, range]]:
+    """The (rows, blocks) ranges a "mono" op is applied to, one after another.
+
+    A part is gathered whole before it is written back, so it must not read
+    what an earlier part wrote. Halves of the rows are such parts. So are
+    equal runs of blocks when the op keeps the qubits that select them:
+    with qubits 0..k-1 each read from itself, the 2**k ranges of indices
+    they split the state into each read only themselves, and the gather
+    needs a scratch of 2**-k of the batch.
+    """
+    split = 0
+    if mono.columns is not None:
+        top = len(mono.columns) - 1  # the bit of qubit 0
+        while 1 << split < blocks and not (mono.constant >> (top - split)) & 1 and \
+                [j for j, c in enumerate(mono.columns) if c >> (top - split) & 1] == [top - split]:
+            split += 1
+    if split:
+        length = blocks >> split
+        return [(range(rows), range(b, b + length)) for b in range(0, blocks, length)]
+    step = max(1, -(-rows // 2))
+    return [(range(r0, min(r0 + step, rows)), range(blocks)) for r0 in range(0, rows, step)]
+
+
+def _mono(flat: np.ndarray, angles: np.ndarray, mono: Monomial) -> None:
+    """Apply a "mono" op to a (B, 2**n) batch: y <- sign(y) phase(y) psi[src(y)].
+
+    Indices go in blocks of at most _BLOCK: the gather index and the
+    parities of a block are tables over its low bits, built per call, XORed
+    with values for its high bits. Each part (``_parts``) is gathered into
+    one scratch buffer, at most about half the batch, and then written back
+    times its sign and phase. A row's phase exponent is summed one angle
+    column at a time, elementwise, so it does not depend on B.
+    """
+    rows, dim = flat.shape
+    size = min(dim, _BLOCK)
+    low = size.bit_length() - 1
+    blocks = dim // size
+    pairs = 2 * mono.signs
+    low_parities = _xor_table(mono.masks[:, :low], size)
+    high_parities = _xor_table(mono.masks[:, low:], blocks) ^ mono.flips[:, None]
+    halves = low_parities[pairs:] - 0.5  # b_c - 1/2 over the low bits
+    kept = np.ones(blocks, dtype=bool)  # blocks the gather leaves in place
+    if mono.columns is not None:
+        columns = np.array(mono.columns, dtype=np.intp)
+        index = _xor_table(columns[:low], size)
+        bases = _xor_table(columns[low:], blocks) ^ mono.constant
+        kept = (bases == np.arange(0, dim, size)) & np.array_equal(index, np.arange(size))
+    parts = _parts(mono, rows, blocks)
+    if mono.columns is not None:
+        scratch = np.empty(max([len(r) * len(b) for r, b in parts]) * size, dtype=complex)
+    for part_rows, part_blocks in parts:
+        part = flat[part_rows.start:part_rows.stop]
+        theta = angles[part_rows.start:part_rows.stop, mono.angles]
+        if mono.columns is not None:
+            stage = scratch[:len(part_rows) * len(part_blocks) * size].reshape(
+                len(part_blocks), len(part_rows), size)
+            for block, b in zip(stage, part_blocks):
+                if not kept[b]:
+                    np.take(part, index ^ bases[b], axis=1, out=block, mode="clip")
+        for i, b in enumerate(part_blocks):
+            target = part[:, b * size:(b + 1) * size]
+            source = target if kept[b] else stage[i]
+            if source is target and not mono.masks.size:  # no gather, sign or phase
+                continue
+            factor, high = None, high_parities[:, b]
+            if mono.angles.size:
+                exponent = np.zeros(target.shape)
+                term = np.empty(target.shape)
+                for c in range(mono.angles.size):
+                    np.multiply(theta[:, c, None], halves[c], out=term)
+                    (np.subtract if high[pairs + c] else np.add)(exponent, term, out=exponent)
+                factor = np.empty(target.shape, dtype=complex)
+                np.cos(exponent, out=factor.real)
+                np.sin(exponent, out=factor.imag)
+            if pairs:
+                signs = (low_parities[:pairs] ^ high[:pairs, None]).reshape(-1, 2, size)
+                negative = np.bitwise_xor.reduce(signs[:, 0] & signs[:, 1], axis=0)
+                sign = 1.0 - 2.0 * negative
+                factor = sign if factor is None else np.multiply(factor, sign, out=factor)
+            if factor is None:
+                target[...] = source
+            else:
+                np.multiply(factor, source, out=target)
+
+
+def _run(psi: np.ndarray, ops, rotations, angles) -> None:
+    """Apply compiled ops after the opening to a (B, 2, ..., 2) batch.
+
+    ``rotations`` holds the (2, 2, columns, B) matrices of the (B, columns)
+    ``angles``, row i's in rotations[..., i].
     """
     n = psi.ndim - 1
-    for form, lo_bits, hi_bits, factors in ops:
-        lo = None if lo_bits is None else _selector(n, lo_bits)
-        hi = _selector(n, hi_bits)
-        if form == "perm":
-            _swap(psi, lo, hi)
+    for op in ops:
+        if op[0] == "mono":
+            _mono(psi.reshape(psi.shape[0], -1), angles, op[1])
             continue
+        _, lo, hi, factors = op  # "dense"
         # one coefficient per row, broadcast over the slice's qubit axes
-        m = _op_matrix(factors, rotations).reshape((2, 2, -1) + (1,) * (n - len(hi_bits)))
-        if form == "dense":
-            _mix(psi, lo, hi, m[0, 0], m[0, 1], m[1, 0], m[1, 1])
-            continue
-        if lo is not None:
-            _scale(psi, lo, m[0, 0])
-        _scale(psi, hi, m[1, 1])
+        m = _op_matrix(factors, rotations).reshape((2, 2, -1) + (1,) * (n - 1))
+        _mix(psi, _selector(n, lo), _selector(n, hi), m[0, 0], m[0, 1], m[1, 0], m[1, 1])
 
 
 def _open(psi: np.ndarray, ops, rotations) -> None:
@@ -278,7 +369,9 @@ def _open(psi: np.ndarray, ops, rotations) -> None:
     unplaced = dict.fromkeys(range(n))
     for form, _, ((qubit, _),), factors in ops:
         del unplaced[qubit]
-        fixed = tuple((q, 0) for q in unplaced)
+        # a list, not a generator: one generator per op and call left the
+        # process about 1 MiB more resident memory after a few thousand calls
+        fixed = tuple([(q, 0) for q in unplaced])
         lo = psi[_selector(n, fixed + ((qubit, 0),))]
         hi = psi[_selector(n, fixed + ((qubit, 1),))]
         if form == "perm":
@@ -317,7 +410,7 @@ def simulate_batch(program: GateProgram, angles: np.ndarray) -> np.ndarray:
     psi = states.reshape((-1,) + (2,) * n)
     rotations = rotation_matrices(program.kinds, angles)
     _open(psi, program.ops[:program.opening], rotations)
-    _run(psi, program.ops[program.opening:], rotations)
+    _run(psi, program.ops[program.opening:], rotations, angles)
     drift = np.abs(_norms(states) - 1.0)
     if not np.all(drift <= _NORM_TOL):  # NaN fails too
         raise ValueError(f"state is not normalized: ||psi|^2 - 1| = {drift.max()}")
@@ -410,7 +503,9 @@ def expectation_batch(states: np.ndarray, obs: PauliSum) -> np.ndarray:
     total = np.zeros(rows)
     for flip, weights in _compiled_observable(obs, dim.bit_length() - 1):
         if flip:
-            w = np.conj(states[:, np.arange(dim) ^ flip]) * states
+            # np.take, not states[:, index]: the latter may come back in column
+            # order, and then w has no float64 view
+            w = np.conj(np.take(states, np.arange(dim) ^ flip, axis=1)) * states
         else:
             w = np.square(states.view(np.float64))
         total += (w.view(np.float64)[:, None, :] @ weights)[:, 0, 0]

@@ -194,10 +194,12 @@ def test_row_blocks_of_a_deep_circuit_match_one_block(monkeypatch):
 
 
 def test_layer_of_rotations_fuses_to_one_op_per_qubit():
-    program = compile_program(layered_ansatz(18, 1, "chain"))
-    assert len(program.ops) == 18 + 17
-    assert [form for form, *_ in program.ops].count("dense") == 18
-    assert len(program.params) == 3 * 18  # one angle column per rotation
+    # each qubit's RX, RZ, RX is one dense op; each layer's CX block one mono op
+    program = compile_program(layered_ansatz(19, 1, "chain"))
+    assert [form for form, *_ in program.ops] == ["dense"] * 19 + ["mono"]
+    assert len(program.params) == 3 * 19  # one angle column per rotation
+    program = compile_program(layered_ansatz(8, 4, "full"))
+    assert [form for form, *_ in program.ops] == (["dense"] * 8 + ["mono"]) * 4
 
 
 @pytest.mark.parametrize("gates, form", [
@@ -234,31 +236,47 @@ def test_malformed_bound_gate_is_rejected(gate):
 # op, hoisted to the front of the program and written as a product state.
 
 def test_opening_of_a_layer_of_rotations_is_every_qubit_run():
-    program = compile_program(layered_ansatz(18, 1, "chain"))
-    assert program.opening == 18
-    assert [(form, hi) for form, _, hi, _ in program.ops[:18]] == \
-        [("dense", ((q, 1),)) for q in range(18)]
-    assert [form for form, *_ in program.ops[18:]] == ["perm"] * 17
+    program = compile_program(layered_ansatz(19, 1, "chain"))
+    assert program.opening == 19
+    assert [(form, hi) for form, _, hi, _ in program.ops[:19]] == \
+        [("dense", ((q, 1),)) for q in range(19)]
+    (form, mono), = program.ops[19:]
+    # the CX chain leaves qubit q holding the XOR of qubits 0..q, so source
+    # qubit q is output qubit q XOR output qubit q - 1 (qubit q is bit 18 - q)
+    assert form == "mono" and (mono.constant, mono.signs, mono.angles.size) == (0, 0, 0)
+    assert mono.columns == (1,) + tuple(3 * 2**(j - 1) for j in range(1, 19))
 
 
 def test_opening_of_qaoa_is_its_hadamard_layer():
-    program = compile_program(qaoa_builder([(q, (q + 1) % 8) for q in range(8)], 1))
+    edges = [(q, (q + 1) % 8) for q in range(8)]
+    program = compile_program(qaoa_builder(edges, 1))
     hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     assert program.opening == 8
     for q, (form, _, hi, factors) in enumerate(program.ops[:8]):
         assert (form, hi, len(factors)) == ("dense", ((q, 1),), 1)
         assert np.array_equal(factors[0][..., 0], hadamard)
-    assert program.ops[8][2] == ((0, 1), (1, 1))  # the first CX
+    # the cost layer is one phase with no gather: RZ k reads the parity of
+    # its edge's two bits (qubit q is bit 7 - q)
+    form, mono = program.ops[8]
+    assert form == "mono" and mono.columns is None and mono.signs == 0
+    assert mono.angles.tolist() == list(range(8))
+    assert [np.flatnonzero(row[::-1]).tolist() for row in mono.masks] == \
+        [sorted(edge) for edge in edges]
+    assert not mono.flips.any()
+    assert [form for form, *_ in program.ops[9:]] == ["dense"] * 8
 
 
 def test_no_opening_at_or_after_a_two_qubit_gate():
-    # qubits 0 and 1 open with a CX; qubit 2's RX is hoisted, its Y after the CZ is not
+    # qubits 0 and 1 open with a CX; qubit 2's RX is hoisted, its Y after the
+    # CZ is not. The CX and the CZ then meet and become one mono op
     circuit = make_circuit(3, [Gate("CX", (0, 1)), Gate("H", (0,)), Gate("RX", (2,), 0.3),
                                Gate("CZ", (1, 2)), Gate("Y", (2,))])
     program = compile_program(circuit)
     assert program.opening == 1
-    assert [hi for _, _, hi, _ in program.ops] == \
-        [((2, 1),), ((0, 1), (1, 1)), ((1, 1), (2, 1)), ((0, 1),), ((2, 1),)]
+    assert [op[0] for op in program.ops] == ["dense", "mono", "dense", "dense"]
+    assert [program.ops[i][2] for i in (0, 2, 3)] == [((2, 1),), ((0, 1),), ((2, 1),)]
+    mono = program.ops[1][1]
+    assert (mono.columns, mono.constant, mono.signs) == ((1, 2, 6), 0, 1)
     assert compile_program(make_circuit(2, [Gate("CX", (0, 1)), Gate("H", (1,))])).opening == 0
 
 
@@ -351,3 +369,106 @@ def test_opening_rows_are_bit_identical_to_lone_rows(monkeypatch, rows, chunk_by
         states = simulator.simulate_map(lambda states, _: states, program, angles)
         for i in range(rows):
             assert np.array_equal(states[i], simulate_batch(program, angles[i:i + 1])[0])
+
+
+# Monomial blocks: stretches of X, Z, RZ, CX and CZ, which compile to one
+# gather-and-phase op each, between the dense gates that end them.
+
+_MONOMIAL = ("X", "Z", "RZ", "CX", "CZ")
+
+
+@st.composite
+def monomial_circuits(draw):
+    n = draw(st.integers(1, 6))
+    names = ["a", "b", "c"]
+    gates = []
+
+    def angle():
+        if draw(st.integers(0, 3)) == 0:
+            return draw(st.floats(-3.0, 3.0))
+        return ParamRef(draw(st.sampled_from(names)), draw(st.sampled_from([1.0, 2.0, -0.5])))
+
+    for _ in range(draw(st.integers(1, 5))):
+        for _ in range(draw(st.integers(0, 3))):
+            kind = draw(st.sampled_from(("H", "Y", "RX", "RY")))
+            gates.append(Gate(kind, (draw(st.integers(0, n - 1)),),
+                              angle() if kind in _ROTATIONS else None))
+        for _ in range(draw(st.integers(1, 12))):
+            kind = draw(st.sampled_from(_MONOMIAL if n > 1 else _MONOMIAL[:3]))
+            if kind in ("CX", "CZ"):
+                gates.append(Gate(kind, tuple(draw(st.permutations(range(n)))[:2])))
+            else:
+                gates.append(Gate(kind, (draw(st.integers(0, n - 1)),),
+                                  angle() if kind == "RZ" else None))
+    gates += [Gate("RZ", (0,), ParamRef(name)) for name in names]
+    circuit = make_circuit(n, gates, names)
+    thetas = np.random.default_rng(draw(st.integers(0, 10**9))).uniform(
+        -2 * np.pi, 2 * np.pi, (draw(st.sampled_from([1, 2, 3, 8])), 3))
+    return circuit, thetas
+
+
+@settings(max_examples=120, deadline=None)
+@given(monomial_circuits())
+def test_monomial_rows_match_dense_simulation(case):
+    circuit, thetas = case
+    program = compile_program(circuit)
+    assert {op[0] for op in program.ops[program.opening:]} <= {"dense", "mono"}
+    angles = program.angles(thetas)
+    states = simulate_batch(program, angles)
+    for i, theta in enumerate(thetas):
+        assert np.array_equal(states[i], simulate_batch(program, angles[i:i + 1])[0])
+        dense = oracles.dense_simulate(bind(circuit, theta))
+        assert np.max(np.abs(states[i] - dense)) <= 1e-12
+    # blocks of two basis indices: tables over one low bit, the rest per block
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "_BLOCK", 2)
+        assert np.array_equal(simulate_batch(program, angles), states)
+
+
+@pytest.mark.parametrize("chunk_bytes", [simulator.CHUNK_BYTES, 1])
+@pytest.mark.parametrize("rows", [2, 3, 5, 8, 33])
+def test_monomial_rows_are_bit_identical_to_lone_rows(monkeypatch, rows, chunk_bytes):
+    circuits = [layered_ansatz(6, 2, "full"), qaoa_builder([(0, 1), (1, 2), (2, 3), (0, 3)], 2),
+                make_circuit(3, [
+                    Gate("H", (0,)), Gate("RY", (1,), ParamRef("a")), Gate("CX", (0, 2)),
+                    Gate("RZ", (2,), ParamRef("b", -0.5)), Gate("CZ", (1, 2)), Gate("X", (1,)),
+                    Gate("RZ", (1,), 0.7), Gate("Z", (0,)), Gate("CX", (2, 1)),
+                    Gate("RX", (2,), ParamRef("a", 2.0)), Gate("RZ", (0,), ParamRef("b"))],
+                    ["a", "b"])]
+    monkeypatch.setattr(simulator, "CHUNK_BYTES", chunk_bytes)
+    rng = np.random.default_rng(rows)
+    for circuit in circuits:
+        program = compile_program(circuit)
+        assert "mono" in [op[0] for op in program.ops]
+        angles = program.angles(rng.uniform(-2 * np.pi, 2 * np.pi, (rows, circuit.n_params)))
+        states = simulator.simulate_map(lambda states, _: states, program, angles)
+        for i in range(rows):
+            assert np.array_equal(states[i], simulate_batch(program, angles[i:i + 1])[0])
+
+
+def test_gather_scratch_is_at_most_half_the_batch():
+    # qubit 0 only controls the chain, so the two halves of the index range
+    # each read only themselves; CX(0, 18) keeps qubits 0..17 and so every
+    # block; CX(1, 0) keeps nothing, and then rows go in two halves
+    def parts(circuit, rows):
+        (_, mono), = [op for op in circuit.program.ops if op[0] == "mono"]
+        return simulator._parts(mono, rows, 2**circuit.n_qubits // simulator._BLOCK)
+
+    blocks = 2**19 // simulator._BLOCK
+    assert parts(layered_ansatz(19, 1, "chain"), 1) == \
+        [(range(1), range(blocks // 2)), (range(1), range(blocks // 2, blocks))]
+    assert parts(make_circuit(19, [Gate("CX", (0, 18))]), 2) == \
+        [(range(2), range(b, b + 1)) for b in range(blocks)]
+    assert parts(make_circuit(19, [Gate("CX", (1, 0))]), 5) == \
+        [(range(0, 3), range(blocks)), (range(3, 5), range(blocks))]
+
+
+def test_circuits_too_wide_to_simulate_still_compile():
+    # index masks past 63 bits stay Python ints; only simulating is refused
+    circuit = make_circuit(70, [Gate("RY", (0,), ParamRef("a")), Gate("CX", (0, 69)),
+                                Gate("CZ", (1, 68)), Gate("RZ", (69,), ParamRef("a"))], ["a"])
+    (_, mono), = [op for op in circuit.program.ops if op[0] == "mono"]
+    assert mono.columns[69] == 2**69 + 1 and mono.masks.shape == (3, 70)
+    assert bind(circuit, [0.3]).n_qubits == 70
+    with pytest.raises(ValueError, match="a 70-qubit state takes"):
+        simulate(bind(circuit, [0.3]))

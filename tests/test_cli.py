@@ -402,6 +402,26 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("argv", [
+        ["path", "--circuit", "SPEC"],
+        ["qaoa", "--nodes", "3", "--edges", "2", "--points", "2", "--shots", "1"],
+    ], ids=["path", "qaoa"])
+    def test_oversized_tsne_path_fails_before_training(self, two_qubit_spec, tmp_path,
+                                                       monkeypatch, capsys, argv):
+        # 1 GiB: the trace of 2 x 10 001 points fits, their t-SNE does not
+        def no_training(*args, **kwargs):
+            raise AssertionError("ensemble_train called")
+
+        monkeypatch.setattr(cli, "ensemble_train", no_training)
+        monkeypatch.setattr(simulator, "_physical_memory", lambda: 2**30)
+        out = tmp_path / "o"
+        argv = [two_qubit_spec if arg == "SPEC" else arg for arg in argv]
+        code = run(argv + ["--steps", "10000", "--restarts", "2", "--mode", "tsne",
+                           "--seed", "0", "--out", str(out)])
+        assert code == 2
+        assert "t-SNE of 20002 points takes" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("command", ["expressibility", "entanglement", "spectrum"])
     def test_oversized_sample_counts_fail_before_drawing(self, two_qubit_spec, tmp_path,
                                                          monkeypatch, capsys, command):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import tsne_with_history
-from pqc_lens import PointCloud, SubspaceBasis, pca, random_basis, tsne
+from pqc_lens import PointCloud, SubspaceBasis, pca, random_basis, simulator, tsne
 
 
 def _svd_reference(pts, dims):
@@ -202,6 +202,12 @@ class TestRandomBasis:
 
 
 class TestTSNE:
+    def test_oversized_cloud_fails_before_allocation(self, monkeypatch):
+        # 1 MiB of memory: six 200 x 200 float arrays (1.9 MB) do not fit
+        monkeypatch.setattr(simulator, "_physical_memory", lambda: 2**20)
+        with pytest.raises(ValueError, match="t-SNE of 200 points takes 1920000 bytes"):
+            tsne(np.zeros((200, 2)), perplexity=5.0, iters=1)
+
     def test_deterministic_under_seed(self):
         pts = _clusters(31, centers=(-3.0, 3.0), per=10)
         a = tsne(pts, perplexity=5.0, iters=120, seed=2)

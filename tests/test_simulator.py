@@ -89,7 +89,7 @@ class TestStatevector:
             StateVector(1, amplitudes)
 
     def test_norm_check_fails_on_nan_rows(self, monkeypatch):
-        def run_to_nan(psi, ops, rotations):
+        def run_to_nan(psi, *_):
             psi.reshape(psi.shape[0], -1)[-1, 0] = math.nan
 
         monkeypatch.setattr(simulator, "_run", run_to_nan)
@@ -199,6 +199,17 @@ class TestCompiledObservable:
             for i in range(rows):
                 alone = simulator.expectation_batch(states[i:i + 1].copy(), obs)
                 assert np.array_equal(batch[i], alone[0])
+
+    @pytest.mark.parametrize("rows", [64, 69, 100])
+    def test_flip_groups_of_large_batches(self, rows):
+        # numpy may lay the gathered states out column by column for such
+        # batches; the flip group must still be evaluated row by row
+        obs = PauliSum.from_terms([(0.7, {0: "X", 2: "Y"}), (0.3, {1: "Y"}), (-0.4, {0: "Z"})])
+        states = _random_states(np.random.default_rng(rows), rows, 8)
+        got = simulator.expectation_batch(states, obs)
+        for row, value in zip(states, got):
+            assert np.array_equal(value, simulator.expectation_batch(row[None], obs)[0])
+            assert abs(value - oracles.dense_expectation(row, obs, 8)) <= 1e-12
 
     def test_equal_sums_are_hashed_once_and_share_a_cache_entry(self, monkeypatch):
         hashed = []
