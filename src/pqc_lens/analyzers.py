@@ -22,6 +22,7 @@ from .baselines import (
     HaarFidelityBaseline,
     Histogram,
     MPBaseline,
+    _check_bins,
     haar_fidelity_baseline,
     histogram,
     js_distance,
@@ -507,6 +508,11 @@ class PathEmbedding:
 PATH_MODES = ("pca", "tsne")
 
 
+def _check_pooled_points(n: int) -> None:
+    if n < 3:
+        raise ValueError("need at least 3 pooled points")
+
+
 def training_path(traces, mode: str = "pca",
                   overlay: LandscapeGrid | None = None,
                   perplexity: float = 30.0, iters: int = 1000,
@@ -528,8 +534,7 @@ def training_path(traces, mode: str = "pca",
         raise ValueError("an overlay needs the pca mode (tsne has no inverse map)")
 
     points = np.vstack([t.thetas for t in traces])
-    if points.shape[0] < 3:
-        raise ValueError("need at least 3 pooled points")
+    _check_pooled_points(points.shape[0])
     restarts = np.concatenate([
         np.full(t.thetas.shape[0], t.restart_id, dtype=int) for t in traces
     ])
@@ -596,6 +601,11 @@ class ParameterHistogramSeries:
         }
 
 
+def _check_members(n: int) -> None:
+    if n < 2:
+        raise ValueError("need at least 2 ensemble members")
+
+
 def parameter_histogram(ensemble, bins: int = 75) -> ParameterHistogramSeries:
     """Per-step marginal distribution of each parameter across an ensemble.
 
@@ -607,16 +617,14 @@ def parameter_histogram(ensemble, bins: int = 75) -> ParameterHistogramSeries:
     1e308) is a ValueError, as it is for a PointCloud.
     """
     traces = list(ensemble)
-    if len(traces) < 2:
-        raise ValueError("need at least 2 ensemble members")
+    _check_members(len(traces))
     shape = traces[0].thetas.shape
     for t in traces[1:]:
         if t.thetas.shape != shape:
             raise ValueError(
                 f"ragged ensemble: {t.thetas.shape} does not match {shape}"
             )
-    if bins < 1:
-        raise ValueError("bins must be positive")
+    _check_bins(bins)
     n_steps, n_params = shape
     _fits(8 * (n_steps + 1) * n_params * (bins + 1),
           f"{n_params} parameter histograms of {bins} bins over {n_steps} steps")

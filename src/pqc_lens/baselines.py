@@ -71,6 +71,11 @@ class MPBaseline:
         return 2 ** (self.n_qubits - self.k)
 
 
+def _check_bins(bins: int) -> None:
+    if bins < 1:
+        raise ValueError("bins must be positive")
+
+
 def histogram(samples, bins: int, value_range: tuple[float, float]) -> Histogram:
     """Bin samples into `bins` equal-width cells over value_range.
 
@@ -81,8 +86,7 @@ def histogram(samples, bins: int, value_range: tuple[float, float]) -> Histogram
     lo, hi = float(value_range[0]), float(value_range[1])
     if not lo < hi:
         raise ValueError(f"empty value range ({lo}, {hi})")
-    if bins < 1:
-        raise ValueError("bins must be positive")
+    _check_bins(bins)
     _fits(24 * (bins + 1), f"a histogram of {bins} bins")  # edges, counts, masses
     data = np.asarray(samples, dtype=float).reshape(-1)
     if data.size == 0:

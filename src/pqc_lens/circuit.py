@@ -16,7 +16,7 @@ import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import groupby
 
 import numpy as np
@@ -247,7 +247,6 @@ _FIXED_MATRICES = {
     "Y": _fixed([[0, -1j], [1j, 0]]),
     "Z": _fixed([[1, 0], [0, -1]]),
 }
-_DIAGONAL_KINDS = ("Z", "RZ")
 # gates that map every basis state to one basis state times a phase
 _MONOMIAL_KINDS = ("X", "Z", "RZ", "CX", "CZ")
 
@@ -315,29 +314,25 @@ class GateProgram:
     ``prefactors[c] * theta[params[c]]``, or the literal angle
     ``literals[c]`` where ``params[c]`` is -1.
 
-    ``ops`` is what the simulator applies, in order. Every maximal run of
-    single-qubit gates on one qubit is fused into one operation, applied
-    where the next two-qubit gate on that qubit needs it or at the end;
-    gates on other qubits commute with it. A fused run is a ``(form, lo,
-    hi, factors)`` entry: ``lo`` and ``hi`` fix ``(qubit, bit)`` pairs and
-    select the two amplitude slices it mixes, and ``factors`` lists the
-    matrices to multiply, in the order applied: constant (2, 2, 1) arrays,
-    or the int column of a rotation (``rotation_matrices``).
+    ``ops`` is what the simulator applies, in order, in one of two forms.
+    ``("dense", qubit, factors)`` is a maximal run of single-qubit gates on
+    one qubit, fused into one operation and applied where the next
+    two-qubit gate on that qubit needs it or at the end; gates on other
+    qubits commute with it. ``factors`` lists the matrices to multiply, in
+    the order applied: constant (2, 2, 1) arrays, or the int column of a
+    rotation (``rotation_matrices``). ``("mono", Monomial)`` is a maximal
+    stretch of CX, CZ and of runs whose every gate is X, Z or RZ. Before
+    such a stretch, the dense runs pending on the qubits of its CX and CZ
+    are applied, so that a layer of rotations and its entangling gates
+    compile to one dense op per qubit and one mono op.
 
     The first ``opening`` ops, in program order, are the opening of the
-    circuit: every qubit's first op when it is a single-qubit one, hoisted
-    to the front. No op before it touches its qubit, so it commutes with
-    them all, and it acts on |0> of its qubit: the simulator writes the
-    opening as a product state, not as passes over the state. An opening
-    op's form is "perm" (a lone X), "diag" (Z and RZ only; ``lo`` is None
-    when its factor is exactly 1) or "dense" (any other run).
-
-    After the opening there are two forms. "dense" is a fused run that is
-    not monomial. ``("mono", Monomial)`` is a maximal run of CX, CZ and of
-    fused runs that are a lone X or Z and RZ only. Before a stretch of such
-    gates, the fused runs pending on the qubits of its CX and CZ are
-    applied, so that a layer of rotations and its entangling gates compile
-    to one dense op per qubit and one mono op.
+    circuit: every qubit's first run, when no two-qubit gate on the qubit
+    comes before it, hoisted to the front as a "dense" op, whatever its
+    gates (a lone X is the X matrix). No op before it touches its qubit, so
+    it commutes with them all, and it acts on |0> of its qubit: the
+    simulator writes the opening as a product state, not as passes over
+    the state.
     """
 
     n_qubits: int
@@ -371,29 +366,20 @@ class GateProgram:
         return angles
 
 
-def _is_monomial(run: list) -> bool:
-    """Whether a run of ``(kind, factor)`` single-qubit gates is a lone X
-    ("perm") or diagonal ("diag"), not "dense"."""
-    kinds = [kind for kind, _ in run]
-    return kinds == ["X"] or all(kind in _DIAGONAL_KINDS for kind in kinds)
+def _is_monomial(run) -> bool:
+    """Whether every gate of a run of ``(kind, factor)`` gates is X, Z, RZ,
+    CX or CZ: then the run maps each basis state to one basis state times
+    a phase."""
+    return all(kind in _MONOMIAL_KINDS for kind, _ in run)
 
 
-def _fused_op(qubit: int, run: list) -> tuple:
-    """One op for a run of ``(kind, factor)`` single-qubit gates, in order."""
-    lo, hi = ((qubit, 0),), ((qubit, 1),)
-    if len(run) == 1 and run[0][0] == "X":
-        return ("perm", lo, hi, ())
+def _dense(qubit: int, run) -> tuple:
+    """The "dense" op of a run of ``(kind, factor)`` single-qubit gates, in
+    order: each stretch of constant matrices is multiplied into one."""
     factors: list = []
-    for _, factor in run:
-        if factors and isinstance(factor, np.ndarray) and isinstance(factors[-1], np.ndarray):
-            factors[-1] = matrix_product(factor, factors[-1])
-        else:
-            factors.append(factor)
-    if not _is_monomial(run):
-        return ("dense", lo, hi, tuple(factors))
-    if len(factors) == 1 and isinstance(factors[0], np.ndarray) and factors[0][0, 0, 0] == 1:
-        lo = None
-    return ("diag", lo, hi, tuple(factors))
+    for constant, group in groupby([f for _, f in run], lambda f: isinstance(f, np.ndarray)):
+        factors += [reduce(lambda m, f: matrix_product(f, m), group)] if constant else group
+    return ("dense", qubit, tuple(factors))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -401,33 +387,31 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _monomial(n: int, ops) -> Monomial | None:
-    """The Monomial of consecutive "perm" and "diag" ops; None if it does nothing.
+def _monomial(n: int, steps) -> Monomial | None:
+    """The Monomial of consecutive ``(targets, run)`` steps whose gates are
+    all monomial; None if it does nothing.
 
-    The ops are walked backwards from the output index y. Qubit q's bit
-    before the current op is parity(y & mask[q]) ^ flip[q]; qubit q is bit
-    n - 1 - q of an index.
+    The gates are walked backwards from the output index y. Qubit q's bit
+    before the current gate is parity(y & mask[q]) ^ flip[q]; qubit q is
+    bit n - 1 - q of an index.
     """
     mask = [1 << (n - 1 - q) for q in range(n)]
     flip = [0] * n
     signs, phases = [], []  # collected backwards
-    for form, _, hi, factors in reversed(ops):
-        qubits = [q for q, _ in hi]
-        if form == "perm" and len(qubits) == 1:  # X
-            flip[qubits[0]] ^= 1
-        elif form == "perm":  # CX: the target's bit was target ^ control
-            a, b = qubits
-            mask[b] ^= mask[a]
-            flip[b] ^= flip[a]
-        elif len(qubits) == 2:  # CZ: -1 where both bits are 1
-            signs.append([(mask[q], flip[q]) for q in qubits])
-        else:
-            q = qubits[0]
-            for factor in reversed(factors):
-                if not isinstance(factor, np.ndarray):  # RZ
-                    phases.append((factor, (mask[q], flip[q])))
-                elif factor[1, 1, 0] != factor[0, 0, 0]:  # a product of Z: Z, not I
-                    signs.append([(mask[q], flip[q]), (0, 1)])
+    for targets, run in reversed(steps):
+        a = targets[0]
+        for kind, factor in reversed(run):
+            if kind == "X":
+                flip[a] ^= 1
+            elif kind == "CX":  # the target's bit was target ^ control
+                mask[targets[1]] ^= mask[a]
+                flip[targets[1]] ^= flip[a]
+            elif kind == "RZ":
+                phases.append((factor, (mask[a], flip[a])))
+            elif kind == "Z":  # -1 where the bit is 1: paired with a constant 1
+                signs.append([(mask[a], flip[a]), (0, 1)])
+            else:  # CZ: -1 where both bits are 1
+                signs.append([(mask[q], flip[q]) for q in targets])
     identity = not any(flip) and mask == [1 << (n - 1 - q) for q in range(n)]
     if identity and not signs and not phases:
         return None
@@ -450,17 +434,20 @@ def compile_program(circuit: CircuitDescriptor) -> GateProgram:
     parameters. Fixed gates become constant matrices here; every rotation,
     literal or not, is left to be formed per row from its angle column, so
     a bound circuit runs the arithmetic of the batched row it was bound from.
-    After fusion, every qubit's first op that is a single-qubit one moves to
-    the front, in program order (``GateProgram.opening``), and each run of
-    monomial ops after it becomes one "mono" op.
+    The circuit is first cut into steps: every maximal run of single-qubit
+    gates on one qubit, and every CX and CZ. Every qubit's first step that
+    is a single-qubit run then moves to the front as a "dense" op, in
+    program order (``GateProgram.opening``); after it, each stretch of
+    steps whose gates are all X, Z, RZ, CX or CZ becomes one "mono" op and
+    every other run a "dense" op.
     """
     index = {p.name: p.index for p in circuit.parameters}
-    ops, params, prefactors, literals, kinds = [], [], [], [], []
+    steps, params, prefactors, literals, kinds = [], [], [], [], []
     runs: dict[int, list] = {}
 
     def flush(qubit: int) -> None:
         if qubit in runs:
-            ops.append(_fused_op(qubit, runs.pop(qubit)))
+            steps.append(((qubit,), runs.pop(qubit)))
 
     for monomial, block in groupby(circuit.gates, lambda g: g.kind in _MONOMIAL_KINDS):
         block = tuple(block)
@@ -470,13 +457,9 @@ def compile_program(circuit: CircuitDescriptor) -> GateProgram:
                     flush(q)
         for g in block:
             if len(g.targets) == 2:
-                a, b = g.targets
-                flush(a)
-                flush(b)
-                if g.kind == "CX":
-                    ops.append(("perm", ((a, 1), (b, 0)), ((a, 1), (b, 1)), ()))
-                else:  # CZ
-                    ops.append(("diag", None, ((a, 1), (b, 1)), (_FIXED_MATRICES["Z"],)))
+                for q in g.targets:
+                    flush(q)
+                steps.append((g.targets, ((g.kind, None),)))
                 continue
             factor = _FIXED_MATRICES.get(g.kind)
             if g.angle is not None:
@@ -490,14 +473,14 @@ def compile_program(circuit: CircuitDescriptor) -> GateProgram:
     for qubit in list(runs):
         flush(qubit)
     opening, rest, touched = [], [], set()
-    for op in ops:
-        qubits = {qubit for qubit, _ in op[2]}
-        (opening if len(qubits) == 1 and not qubits & touched else rest).append(op)
-        touched |= qubits
-    program = list(opening)
-    for dense, group in groupby(rest, lambda op: op[0] == "dense"):
-        if dense:
-            program += group
+    for targets, run in steps:
+        single = len(targets) == 1 and targets[0] not in touched
+        (opening if single else rest).append((targets, run))
+        touched.update(targets)
+    program = [_dense(qubit, run) for (qubit,), run in opening]
+    for monomial, group in groupby(rest, lambda step: _is_monomial(step[1])):
+        if not monomial:
+            program += [_dense(qubit, run) for (qubit,), run in group]
         elif (mono := _monomial(circuit.n_qubits, tuple(group))) is not None:
             program.append(("mono", mono))
     columns = (np.array(params, dtype=int), np.array(prefactors, dtype=float),

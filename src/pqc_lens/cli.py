@@ -35,6 +35,8 @@ from .analyzers import (
     ENTANGLEMENT_MEASURES,
     PATH_MODES,
     SCHEMA,
+    _check_members,
+    _check_pooled_points,
     entanglement_capability,
     entanglement_spectrum,
     expressibility,
@@ -43,6 +45,7 @@ from .analyzers import (
     reachability,
     training_path,
 )
+from .baselines import _check_bins
 from .circuit import (
     CircuitDescriptor,
     CircuitSpecError,
@@ -52,7 +55,7 @@ from .circuit import (
     serialize_circuit_spec,
 )
 from .library import max_cut_size, mean_cut_scorer, random_gnm_edges
-from .projection import _check_tsne_size
+from .projection import _check_tsne
 from .simulator import _check_shots, sample, simulate
 from .svg import heatmap, histogram_plot, line_plot, path_plot
 from .trainer import METHODS, DivergenceError, OptimizerConfig, _resolve_seed, ensemble_train
@@ -237,9 +240,12 @@ def _cmd_landscape(args, seed: int):
 
 
 def _check_path_size(args) -> None:
-    """ValueError, before training, if the path's t-SNE would not fit."""
+    """ValueError, before training, if the (steps + 1) x restarts points of
+    the path could not be embedded."""
+    points = (args.steps + 1) * args.restarts
+    _check_pooled_points(points)
     if args.mode == "tsne":
-        _check_tsne_size((args.steps + 1) * args.restarts)
+        _check_tsne(points, args.perplexity, args.iters)
 
 
 def _cmd_path(args, seed: int):
@@ -261,6 +267,8 @@ def _cmd_path(args, seed: int):
 
 def _cmd_histogram(args, seed: int):
     circuit = _costed_circuit(args)
+    _check_members(args.restarts)  # and the bins, before training
+    _check_bins(args.bins)
     traces = ensemble_train(circuit, _optimizer_config(args, seed),
                             args.restarts)
     series = parameter_histogram(traces, bins=args.bins)

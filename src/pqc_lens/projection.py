@@ -249,9 +249,21 @@ def _affinities(sq_dists: np.ndarray, perplexity: float) -> np.ndarray:
 _TSNE_ARRAYS = 6
 
 
-def _check_tsne_size(n: int) -> None:
-    """ValueError if t-SNE of n points would take more than half of
-    physical memory, raised before anything is allocated."""
+def _check_tsne(n: int, perplexity: float, iters: int) -> None:
+    """ValueError unless t-SNE can embed n points at this perplexity over
+    iters iterations in at most half of physical memory; raised before
+    anything is allocated."""
+    if n < 3:
+        raise ValueError("t-SNE needs at least 3 points")
+    if not (math.isfinite(perplexity) and perplexity > 0):
+        raise ValueError("perplexity must be finite and positive")
+    if not perplexity < (n - 1) / 3.0:
+        raise ValueError(
+            f"perplexity {perplexity} too large for {n} points; "
+            f"needs perplexity < {(n - 1) / 3.0}"
+        )
+    if iters < 1:
+        raise ValueError("iters must be positive")
     _fits(8 * _TSNE_ARRAYS * n * n, f"t-SNE of {n} points")
 
 
@@ -267,18 +279,7 @@ def tsne(cloud, dims: int = 2, perplexity: float = 30.0, iters: int = 1000,
     """
     pts = _cloud_points(cloud)
     n = pts.shape[0]
-    if n < 3:
-        raise ValueError("t-SNE needs at least 3 points")
-    if not (math.isfinite(perplexity) and perplexity > 0):
-        raise ValueError("perplexity must be finite and positive")
-    if not perplexity < (n - 1) / 3.0:
-        raise ValueError(
-            f"perplexity {perplexity} too large for {n} points; "
-            f"needs perplexity < {(n - 1) / 3.0}"
-        )
-    if iters < 1:
-        raise ValueError("iters must be positive")
-    _check_tsne_size(n)
+    _check_tsne(n, perplexity, iters)
 
     cond = _affinities(_pairwise_sq_dists(pts), perplexity)
     P = (cond + cond.T) / (2.0 * n)

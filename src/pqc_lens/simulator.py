@@ -10,27 +10,29 @@ The core simulates a batch: a compiled GateProgram (circuit.compile_program)
 runs on a (B, 2, ..., 2) array of B states, row i driven by row i of a
 (B, columns) angle matrix. Compiling fuses every run of single-qubit gates
 on one qubit into one operation, so a layer of RX, RZ, RX rotations costs
-one pass over the state per qubit, not three. Two kernels apply the
-operations. A dense 2 x 2 update mixes the two amplitude slices a qubit
-splits the state into (fused runs with H, Y, RX or RY). Every run of X, Z,
-RZ, CX and CZ between them maps each basis state to one basis state times
-a phase (Amy, Maslov and Mosca 2014, arXiv:1303.2042), and costs one
+one pass over the state per qubit, not three. A program holds operations
+of two forms, each with its kernel. A "dense" op, a fused run with an H,
+Y, RX or RY, is a 2 x 2 update that mixes the two amplitude slices its
+qubit splits the state into. A "mono" op is a stretch of X, Z, RZ, CX and
+CZ gates between them, which maps each basis state to one basis state
+times a phase (Amy, Maslov and Mosca 2014, arXiv:1303.2042), and costs one
 gather and one phase pass, whatever its length: a GF(2)-affine gather of
 the source amplitudes into a scratch buffer of about half the batch, then
 one multiply by the ±1 signs of its Z and CZ and by the per-row phase
 exp(i sum_c theta_c (b_c - 1/2)) of its RZ, b_c a parity of index bits.
 The gather index and the parity tables are built per call, by doubling,
 in blocks of at most 4096 entries; no 2**n-sized table is kept. The
-opening of a program (``GateProgram.opening``: each qubit's first op, when
-it is a single-qubit op, hoisted to the front) runs through neither: it
-acts on |0> of qubits nothing has touched, so ``_open`` writes it into the
-zeroed rows as the product of the ops' first columns, built in place by
-doubling, with about as many writes as two passes over the state. Every
-rotation, a literal one too, reads its angle from a column. A fused matrix
-that depends on angles is formed per row, entry by entry in a fixed order,
-and a phase exponent is summed one angle column at a time, elementwise, so
-every row gets exactly the arithmetic it gets alone, as a bound circuit,
-however rows are batched.
+opening of a program (``GateProgram.opening``: each qubit's first run,
+when no two-qubit gate on the qubit comes before it, hoisted to the front
+as a "dense" op) runs through neither kernel: it acts on |0> of qubits
+nothing has touched, so ``_open`` writes it into the zeroed rows as the
+product of the ops' first columns, built in place by doubling, with about
+as many writes as two passes over the state. Every rotation, a literal
+one too, reads its angle from a column. A fused matrix that depends on
+angles is formed per row, entry by entry in a fixed order, and a phase
+exponent is summed one angle column at a time, elementwise, so every row
+gets exactly the arithmetic it gets alone, as a bound circuit, however
+rows are batched.
 The norm of every row is checked once, after the last operation, and a
 drift beyond 1e-10 raises ValueError; it is not asserted gate by gate.
 ``simulate``, ``simulate_noisy``, ``expectation``, ``subsystem_purity`` and
@@ -206,10 +208,10 @@ def simulate_map(fn, program: GateProgram, angles: np.ndarray,
 
 
 @lru_cache(maxsize=1024)
-def _selector(n: int, fixed: tuple[tuple[int, int], ...]) -> tuple:
-    sel = [slice(None)] * (n + 1)
-    for qubit, bit in fixed:
-        sel[qubit + 1] = bit
+def _selector(n: int, qubit: int, bit: int, zeros: tuple[int, ...] = ()) -> tuple:
+    """Fix ``qubit`` at ``bit`` and every qubit in ``zeros`` at 0."""
+    sel = [slice(None)] + [0 if q in zeros else slice(None) for q in range(n)]
+    sel[qubit + 1] = bit
     return tuple(sel)
 
 
@@ -348,39 +350,33 @@ def _run(psi: np.ndarray, ops, rotations, angles) -> None:
         if op[0] == "mono":
             _mono(psi.reshape(psi.shape[0], -1), angles, op[1])
             continue
-        _, lo, hi, factors = op  # "dense"
+        _, qubit, factors = op  # "dense"
         # one coefficient per row, broadcast over the slice's qubit axes
         m = _op_matrix(factors, rotations).reshape((2, 2, -1) + (1,) * (n - 1))
-        _mix(psi, _selector(n, lo), _selector(n, hi), m[0, 0], m[0, 1], m[1, 0], m[1, 1])
+        _mix(psi, _selector(n, qubit, 0), _selector(n, qubit, 1),
+             m[0, 0], m[0, 1], m[1, 0], m[1, 1])
 
 
 def _open(psi: np.ndarray, ops, rotations) -> None:
     """Spread |0...0> of a (B, 2, ..., 2) batch into the product of the
-    opening ops' first columns, their action on |0>, in place.
+    opening ops' first columns (m00, m10), their action on |0>, in place.
 
-    The columns are (m00, m10) for "dense", (m00, 0) for "diag" and (0, 1)
-    for "perm". Op by op, every qubit not yet placed is fixed at 0: the
-    region of placed qubits doubles onto the op's qubit as hi = c1 lo, then
-    lo = c0 lo, coefficient first as in ``_mix``. hi is formed as a fresh
+    Op by op, every qubit not yet placed is fixed at 0: the region of
+    placed qubits doubles onto the op's qubit as hi = m10 lo, then
+    lo = m00 lo, coefficient first as in ``_mix``. hi is formed as a fresh
     product and copied in: written with out=hi, whose memory interleaves
     with lo's, numpy rounds some rows differently as the batch grows.
     """
     n = psi.ndim - 1
     unplaced = dict.fromkeys(range(n))
-    for form, _, ((qubit, _),), factors in ops:
+    for _, qubit, factors in ops:
         del unplaced[qubit]
-        # a list, not a generator: one generator per op and call left the
-        # process about 1 MiB more resident memory after a few thousand calls
-        fixed = tuple([(q, 0) for q in unplaced])
-        lo = psi[_selector(n, fixed + ((qubit, 0),))]
-        hi = psi[_selector(n, fixed + ((qubit, 1),))]
-        if form == "perm":
-            c0, c1 = 0.0, 1.0
-        else:
-            m = _op_matrix(factors, rotations).reshape((2, 2, -1) + (1,) * (lo.ndim - 1))
-            c0, c1 = m[0, 0], m[1, 0]
-        hi[...] = c1 * lo
-        np.multiply(c0, lo, out=lo)
+        zeros = tuple(unplaced)
+        lo = psi[_selector(n, qubit, 0, zeros)]
+        hi = psi[_selector(n, qubit, 1, zeros)]
+        m = _op_matrix(factors, rotations).reshape((2, 2, -1) + (1,) * (lo.ndim - 1))
+        hi[...] = m[1, 0] * lo
+        np.multiply(m[0, 0], lo, out=lo)
 
 
 def _norms(states: np.ndarray) -> np.ndarray:

@@ -198,21 +198,25 @@ def test_layer_of_rotations_fuses_to_one_op_per_qubit():
     program = compile_program(layered_ansatz(19, 1, "chain"))
     assert [form for form, *_ in program.ops] == ["dense"] * 19 + ["mono"]
     assert len(program.params) == 3 * 19  # one angle column per rotation
+    assert [len(factors) for _, _, factors in program.ops[:19]] == [3] * 19
     program = compile_program(layered_ansatz(8, 4, "full"))
     assert [form for form, *_ in program.ops] == (["dense"] * 8 + ["mono"]) * 4
 
 
 @pytest.mark.parametrize("gates, form", [
-    ([Gate("RZ", (0,), 0.3), Gate("Z", (0,)), Gate("RZ", (0,), 1.1)], "diag"),
-    ([Gate("X", (0,))], "perm"),
+    ([Gate("RZ", (0,), 0.3), Gate("Z", (0,)), Gate("RZ", (0,), 1.1)], "mono"),
+    ([Gate("X", (0,))], "mono"),
     ([Gate("H", (0,))], "dense"),
     ([Gate("Y", (0,))], "dense"),
-    ([Gate("X", (0,)), Gate("X", (0,))], "dense"),
+    ([Gate("X", (0,)), Gate("X", (0,))], "mono"),
     ([Gate("RZ", (0,), 0.3), Gate("RX", (0,), 0.2)], "dense"),
+    ([Gate("X", (0,)), Gate("RZ", (0,), 0.3)], "mono"),
+    ([Gate("Z", (0,)), Gate("X", (0,))], "mono"),
 ])
 def test_run_form(gates, form):
-    ops = compile_program(make_circuit(1, gates)).ops
-    assert [op[0] for op in ops] == [form]
+    # a run after a CX joins its mono op when every gate of it is X, Z or RZ
+    ops = compile_program(make_circuit(2, [Gate("CX", (1, 0))] + gates)).ops
+    assert [op[0] for op in ops] == (["mono"] if form == "mono" else ["mono", "dense"])
 
 
 @pytest.mark.parametrize("gate", [
@@ -238,8 +242,7 @@ def test_malformed_bound_gate_is_rejected(gate):
 def test_opening_of_a_layer_of_rotations_is_every_qubit_run():
     program = compile_program(layered_ansatz(19, 1, "chain"))
     assert program.opening == 19
-    assert [(form, hi) for form, _, hi, _ in program.ops[:19]] == \
-        [("dense", ((q, 1),)) for q in range(19)]
+    assert [op[:2] for op in program.ops[:19]] == [("dense", q) for q in range(19)]
     (form, mono), = program.ops[19:]
     # the CX chain leaves qubit q holding the XOR of qubits 0..q, so source
     # qubit q is output qubit q XOR output qubit q - 1 (qubit q is bit 18 - q)
@@ -252,8 +255,8 @@ def test_opening_of_qaoa_is_its_hadamard_layer():
     program = compile_program(qaoa_builder(edges, 1))
     hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     assert program.opening == 8
-    for q, (form, _, hi, factors) in enumerate(program.ops[:8]):
-        assert (form, hi, len(factors)) == ("dense", ((q, 1),), 1)
+    for q, (form, qubit, factors) in enumerate(program.ops[:8]):
+        assert (form, qubit, len(factors)) == ("dense", q, 1)
         assert np.array_equal(factors[0][..., 0], hadamard)
     # the cost layer is one phase with no gather: RZ k reads the parity of
     # its edge's two bits (qubit q is bit 7 - q)
@@ -274,7 +277,7 @@ def test_no_opening_at_or_after_a_two_qubit_gate():
     program = compile_program(circuit)
     assert program.opening == 1
     assert [op[0] for op in program.ops] == ["dense", "mono", "dense", "dense"]
-    assert [program.ops[i][2] for i in (0, 2, 3)] == [((2, 1),), ((0, 1),), ((2, 1),)]
+    assert [program.ops[i][1] for i in (0, 2, 3)] == [2, 0, 2]
     mono = program.ops[1][1]
     assert (mono.columns, mono.constant, mono.signs) == ((1, 2, 6), 0, 1)
     assert compile_program(make_circuit(2, [Gate("CX", (0, 1)), Gate("H", (1,))])).opening == 0
@@ -293,10 +296,11 @@ _OPENINGS = ((), ("X",), ("H",), ("Y",), ("H", "Y"), ("Z",), ("Z", "Z"), ("RZ",)
 
 @st.composite
 def opening_circuits(draw):
-    """Circuits whose qubits open with the runs that are hoisted: a lone X,
-    H or Y, a constant diagonal (no lo slice), rotations, or nothing, in
-    any qubit order, with two-qubit gates between the openings; some qubits
-    never meet a two-qubit gate."""
+    """Circuits whose qubits open with the runs that are hoisted as "dense"
+    ops: a lone X, H or Y, a constant diagonal (Z, or Z Z whose product is
+    the identity), rotations, or nothing, in any qubit order, with
+    two-qubit gates between the openings; some qubits never meet a
+    two-qubit gate."""
     n = draw(st.integers(1, 8))
     names = ["a", "b"]
     lonely = draw(st.sets(st.integers(0, n - 1)))
@@ -337,7 +341,9 @@ def test_opening_rows_match_lone_and_dense_simulation(case):
     for g in circuit.gates:
         for q in g.targets:
             first.setdefault(q, len(g.targets) == 1)
-    assert sorted(hi[0][0] for _, _, hi, _ in program.ops[:program.opening]) == \
+    opening = program.ops[:program.opening]
+    assert {form for form, *_ in opening} <= {"dense"}
+    assert sorted(qubit for _, qubit, _ in opening) == \
         sorted(q for q, single in first.items() if single)
     angles = program.angles(thetas)
     states = simulate_batch(program, angles)

@@ -422,6 +422,38 @@ class TestExitCodes:
         assert "t-SNE of 20002 points takes" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("argv, message", [
+        (["qaoa", "--nodes", "3", "--edges", "2", "--points", "2", "--shots", "1",
+          "--steps", "2", "--restarts", "2", "--mode", "tsne", "--perplexity", "1000"],
+         "perplexity 1000.0 too large for 6 points"),
+        (["qaoa", "--nodes", "3", "--edges", "2", "--points", "2", "--shots", "1",
+          "--steps", "2", "--restarts", "2", "--mode", "tsne", "--perplexity", "1",
+          "--iters", "0"],
+         "iters must be positive"),
+        (["path", "--circuit", "SPEC", "--steps", "0", "--restarts", "2"],
+         "need at least 3 pooled points"),
+        (["path", "--circuit", "SPEC", "--steps", "1", "--restarts", "1", "--mode", "tsne"],
+         "need at least 3 pooled points"),
+        (["histogram", "--circuit", "SPEC", "--steps", "2", "--restarts", "1"],
+         "need at least 2 ensemble members"),
+        (["histogram", "--circuit", "SPEC", "--steps", "2", "--restarts", "2", "--bins", "0"],
+         "bins must be positive"),
+    ], ids=["qaoa-perplexity", "qaoa-iters", "path-points", "path-tsne-points",
+            "histogram-members", "histogram-bins"])
+    def test_unusable_path_and_histogram_flags_fail_before_training(
+            self, two_qubit_spec, tmp_path, monkeypatch, capsys, argv, message):
+        # the same check, and message, as the library function reached after training
+        def no_training(*args, **kwargs):
+            raise AssertionError("ensemble_train called")
+
+        monkeypatch.setattr(cli, "ensemble_train", no_training)
+        out = tmp_path / "o"
+        argv = [two_qubit_spec if arg == "SPEC" else arg for arg in argv]
+        code = run(argv + ["--seed", "0", "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("command", ["expressibility", "entanglement", "spectrum"])
     def test_oversized_sample_counts_fail_before_drawing(self, two_qubit_spec, tmp_path,
                                                          monkeypatch, capsys, command):
