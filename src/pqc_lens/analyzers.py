@@ -19,7 +19,6 @@ from itertools import combinations
 import numpy as np
 
 from .baselines import (
-    HaarFidelityBaseline,
     Histogram,
     MPBaseline,
     _check_bins,
@@ -33,7 +32,8 @@ from .baselines import (
 )
 from .circuit import CircuitDescriptor, GateProgram, make_circuit
 from .library import all_zeros_infidelity_cost, mean_excitation_cost
-from .projection import _MAX_COORD, PointCloud, SubspaceBasis, pca, random_basis, tsne
+from .projection import (_MAX_COORD, PointCloud, SubspaceBasis, _check_tsne, pca,
+                         random_basis, tsne)
 from .simulator import (
     _AMPLITUDE_BYTES,
     StateVector,
@@ -50,6 +50,7 @@ from .trainer import (
     TrainingTrace,
     _loss_and_gradient,
     _resolve_seed,
+    _rows_per_point,
     cost_batch,
     ensemble_train,
 )
@@ -85,7 +86,7 @@ def _histogram_dict(h) -> dict:
     return {
         "bin_edges": [float(v) for v in h.bin_edges],
         "masses": [float(v) for v in h.masses],
-        "total_samples": int(getattr(h, "total_samples", 0)),
+        "total_samples": int(h.total_samples),
     }
 
 
@@ -141,7 +142,7 @@ class ExpressibilityReport:
     measure: str
     value: float
     fidelity_histogram: Histogram
-    baseline: HaarFidelityBaseline
+    baseline: Histogram
     samples: int
     n_qubits: int
     seed: int
@@ -290,14 +291,13 @@ class SpectrumReport:
 
 def entanglement_spectrum(circuit: CircuitDescriptor, samples: int,
                           measure: str = "kld", cutoff: float = -30.0,
-                          bins: int = 75, seed=None,
-                          reference_samples=None) -> SpectrumReport:
+                          bins: int = 75, seed=None) -> SpectrumReport:
     """Spectrum of -ln(eigenvalues of rho_A) versus the Haar reference.
 
     A is the first ceil(n/2) qubits. Per sample the xi values are sorted
     descending; the report carries their per-rank mean profile plus the
     divergence (esd) between the pooled xi histogram and the histogram of
-    a matching Haar-state ensemble, both binned on [0, |cutoff|].
+    an ensemble of as many Haar states, both binned on [0, |cutoff|].
     """
     n = circuit.n_qubits
     if n < 2:
@@ -315,8 +315,7 @@ def entanglement_spectrum(circuit: CircuitDescriptor, samples: int,
     profiles = simulate_map(lambda states, rows: xi_profiles(states, k, cutoff),
                             program, _sampled_angles(program, base, samples))
     pooled = histogram(profiles.reshape(-1), bins, (0.0, abs(cutoff)))
-    ref_count = samples if reference_samples is None else int(reference_samples)
-    reference = mp_reference_spectrum(n, k, ref_count, rng=base + samples,
+    reference = mp_reference_spectrum(n, k, samples, rng=base + samples,
                                       cutoff=cutoff, bins=bins)
     esd = _divergence(measure, pooled, reference.histogram)
     return SpectrumReport(esd, profiles.mean(axis=0), cutoff, k, pooled,
@@ -350,6 +349,34 @@ class LandscapeGrid:
 BASIS_MODES = ("random", "pca")
 
 
+def _check_grid(points: int, scan_range: float) -> None:
+    if points < 2:
+        raise ValueError("points must be at least 2")
+    if not (math.isfinite(scan_range) and scan_range > 0):
+        raise ValueError("scan_range must be finite and positive")
+
+
+def _check_landscape(circuit: CircuitDescriptor, theta_star, basis_mode: str,
+                     points: int, scan_range: float) -> np.ndarray:
+    """theta_star as a flat float vector; ValueError, before any simulation,
+    unless a ``loss_landscape`` of these arguments can be evaluated."""
+    if basis_mode not in BASIS_MODES:
+        raise ValueError(f"basis_mode must be one of {BASIS_MODES}")
+    _check_grid(points, scan_range)
+    theta_star = np.asarray(theta_star, dtype=float).reshape(-1)
+    if theta_star.shape[0] != circuit.n_params:
+        raise ValueError(
+            f"theta_star has length {theta_star.shape[0]}, "
+            f"circuit declares {circuit.n_params}"
+        )
+    if not math.isfinite(float(np.max(np.abs(theta_star), initial=0.0)) + 2.0 * scan_range):
+        raise ValueError("the scan grid overflows: theta_star must be finite and "
+                         "|theta_star| + 2 * scan_range within the float range")
+    _fits(8 * (points**2 + 1) * (circuit.n_params + circuit.program.kinds.size),
+          f"a {points} x {points} landscape grid")
+    return theta_star
+
+
 def loss_landscape(circuit: CircuitDescriptor, theta_star,
                    basis_mode: str = "random", metric: MetricSpec | None = None,
                    points: int = 21, scan_range: float = math.pi,
@@ -367,23 +394,7 @@ def loss_landscape(circuit: CircuitDescriptor, theta_star,
     Sampling-based metrics draw per-node seeds base + 1 + flat_index; the
     center evaluation uses the base seed itself.
     """
-    if basis_mode not in BASIS_MODES:
-        raise ValueError(f"basis_mode must be one of {BASIS_MODES}")
-    if points < 2:
-        raise ValueError("points must be at least 2")
-    if not (math.isfinite(scan_range) and scan_range > 0):
-        raise ValueError("scan_range must be finite and positive")
-    theta_star = np.asarray(theta_star, dtype=float).reshape(-1)
-    if theta_star.shape[0] != circuit.n_params:
-        raise ValueError(
-            f"theta_star has length {theta_star.shape[0]}, "
-            f"circuit declares {circuit.n_params}"
-        )
-    if not math.isfinite(float(np.max(np.abs(theta_star), initial=0.0)) + 2.0 * scan_range):
-        raise ValueError("the scan grid overflows: theta_star must be finite and "
-                         "|theta_star| + 2 * scan_range within the float range")
-    _fits(8 * (points**2 + 1) * (circuit.n_params + circuit.program.kinds.size),
-          f"a {points} x {points} landscape grid")
+    theta_star = _check_landscape(circuit, theta_star, basis_mode, points, scan_range)
     if metric is None:
         metric = MetricSpec()
     base = _resolve_seed(seed)
@@ -450,13 +461,8 @@ def barren_plateau_scan(circuit: CircuitDescriptor, cost_kind: str = "global",
         raise ValueError(f"cost_kind must be one of {COST_KINDS}")
     if circuit.n_params != 2:
         raise ValueError("scan expects a circuit with exactly 2 parameters")
-    if points < 2:
-        raise ValueError("points must be at least 2")
-    if not (math.isfinite(scan_range) and scan_range > 0):
-        raise ValueError("scan_range must be finite and positive")
-
-    shifts = 2 * np.count_nonzero(circuit.program.params >= 0) + 1  # rows per node
-    _fits(8 * points**2 * (2 + shifts * circuit.program.kinds.size),
+    _check_grid(points, scan_range)
+    _fits(8 * points**2 * (2 + _rows_per_point(circuit.program) * circuit.program.kinds.size),
           f"a {points} x {points} scan grid")
 
     n = circuit.n_qubits
@@ -508,9 +514,18 @@ class PathEmbedding:
 PATH_MODES = ("pca", "tsne")
 
 
-def _check_pooled_points(n: int) -> None:
-    if n < 3:
+def _check_path(points: int, mode: str, overlay: bool, perplexity: float,
+                iters: int) -> None:
+    """ValueError, before any embedding, unless ``training_path`` can embed
+    ``points`` pooled points in this mode, with an overlay or not."""
+    if mode not in PATH_MODES:
+        raise ValueError(f"mode must be one of {PATH_MODES}")
+    if overlay and mode != "pca":
+        raise ValueError("an overlay needs the pca mode (tsne has no inverse map)")
+    if points < 3:
         raise ValueError("need at least 3 pooled points")
+    if mode == "tsne":
+        _check_tsne(points, perplexity, iters)
 
 
 def training_path(traces, mode: str = "pca",
@@ -528,13 +543,10 @@ def training_path(traces, mode: str = "pca",
     traces = list(traces)
     if not traces:
         raise ValueError("need at least one trace")
-    if mode not in PATH_MODES:
-        raise ValueError(f"mode must be one of {PATH_MODES}")
-    if overlay is not None and mode != "pca":
-        raise ValueError("an overlay needs the pca mode (tsne has no inverse map)")
+    _check_path(sum(t.thetas.shape[0] for t in traces), mode, overlay is not None,
+                perplexity, iters)
 
     points = np.vstack([t.thetas for t in traces])
-    _check_pooled_points(points.shape[0])
     restarts = np.concatenate([
         np.full(t.thetas.shape[0], t.restart_id, dtype=int) for t in traces
     ])
@@ -601,9 +613,14 @@ class ParameterHistogramSeries:
         }
 
 
-def _check_members(n: int) -> None:
-    if n < 2:
+def _check_histogram(members: int, n_steps: int, n_params: int, bins: int) -> None:
+    """ValueError, before any binning, unless ``parameter_histogram`` can bin
+    ``members`` traces of n_steps x n_params parameters into ``bins`` cells."""
+    if members < 2:
         raise ValueError("need at least 2 ensemble members")
+    _check_bins(bins)
+    _fits(8 * (n_steps + 1) * n_params * (bins + 1),
+          f"{n_params} parameter histograms of {bins} bins over {n_steps} steps")
 
 
 def parameter_histogram(ensemble, bins: int = 75) -> ParameterHistogramSeries:
@@ -617,17 +634,14 @@ def parameter_histogram(ensemble, bins: int = 75) -> ParameterHistogramSeries:
     1e308) is a ValueError, as it is for a PointCloud.
     """
     traces = list(ensemble)
-    _check_members(len(traces))
-    shape = traces[0].thetas.shape
+    shape = traces[0].thetas.shape if traces else (0, 0)
+    _check_histogram(len(traces), *shape, bins)
     for t in traces[1:]:
         if t.thetas.shape != shape:
             raise ValueError(
                 f"ragged ensemble: {t.thetas.shape} does not match {shape}"
             )
-    _check_bins(bins)
     n_steps, n_params = shape
-    _fits(8 * (n_steps + 1) * n_params * (bins + 1),
-          f"{n_params} parameter histograms of {bins} bins over {n_steps} steps")
     stack = np.stack([t.thetas for t in traces])  # (members, steps, params)
 
     ranges = np.empty((n_params, 2))

@@ -40,15 +40,6 @@ class Histogram:
 
 
 @dataclass(frozen=True)
-class HaarFidelityBaseline:
-    """Exact per-bin masses of the Haar fidelity distribution for dimension N."""
-
-    dim: int
-    bin_edges: np.ndarray
-    masses: np.ndarray
-
-
-@dataclass(frozen=True)
 class MPBaseline:
     """Haar-state entanglement spectrum reference for an (n_qubits, k) split.
 
@@ -105,12 +96,13 @@ def haar_fidelity_cdf(fidelity, dim: int):
     return float(out) if np.isscalar(fidelity) else out
 
 
-def haar_fidelity_baseline(bins: int, dim: int) -> HaarFidelityBaseline:
-    """Closed-form bin masses on [0, 1]; no sampling involved."""
+def haar_fidelity_baseline(bins: int, dim: int) -> Histogram:
+    """Closed-form bin masses on [0, 1] of the Haar fidelity distribution for
+    dimension N = dim; no sampling involved, so ``total_samples`` is 0."""
     _fits(24 * (bins + 1), f"a baseline of {bins} bins")  # edges, CDF, masses
     edges = np.linspace(0.0, 1.0, bins + 1)
     cdf = haar_fidelity_cdf(edges, dim)
-    return HaarFidelityBaseline(dim, edges, np.diff(cdf))
+    return Histogram(edges, np.diff(cdf), 0)
 
 
 def sample_haar_state(n_qubits: int, rng=None) -> StateVector:

@@ -32,10 +32,9 @@ class CircuitSpecError(ValueError):
 
 @dataclass(frozen=True)
 class ParameterId:
-    """A named circuit parameter and its position in the parameter vector."""
+    """A named circuit parameter; its position in ``parameters`` is its index."""
 
     name: str
-    index: int
 
 
 @dataclass(frozen=True)
@@ -160,23 +159,15 @@ class CircuitDescriptor:
         return compile_program(self)
 
 
-# a bound circuit is a descriptor with literal angles only and no parameters
-BoundCircuit = CircuitDescriptor
-
-
 def _validate_descriptor(desc: CircuitDescriptor) -> None:
     seen: set[str] = set()
-    for pos, pid in enumerate(desc.parameters):
+    for pid in desc.parameters:
         if not isinstance(pid, ParameterId):
             raise CircuitSpecError("parameters must be ParameterId instances")
         if not pid.name or not isinstance(pid.name, str):
             raise CircuitSpecError("parameter names must be non-empty strings")
         if pid.name in seen:
             raise CircuitSpecError(f"duplicate parameter name {pid.name!r}")
-        if pid.index != pos:
-            raise CircuitSpecError(
-                f"parameter {pid.name!r} has index {pid.index}, expected {pos}"
-            )
         seen.add(pid.name)
 
     referenced: set[str] = set()
@@ -227,7 +218,7 @@ def _validate_descriptor(desc: CircuitDescriptor) -> None:
 
 def make_circuit(n_qubits, gates, parameter_names=(), cost=None) -> CircuitDescriptor:
     """Convenience constructor turning an ordered name list into ParameterIds."""
-    params = tuple(ParameterId(name, i) for i, name in enumerate(parameter_names))
+    params = tuple(ParameterId(name) for name in parameter_names)
     return CircuitDescriptor(n_qubits, tuple(gates), params, cost)
 
 
@@ -441,7 +432,7 @@ def compile_program(circuit: CircuitDescriptor) -> GateProgram:
     steps whose gates are all X, Z, RZ, CX or CZ becomes one "mono" op and
     every other run a "dense" op.
     """
-    index = {p.name: p.index for p in circuit.parameters}
+    index = {p.name: i for i, p in enumerate(circuit.parameters)}
     steps, params, prefactors, literals, kinds = [], [], [], [], []
     runs: dict[int, list] = {}
 

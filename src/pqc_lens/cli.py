@@ -35,8 +35,9 @@ from .analyzers import (
     ENTANGLEMENT_MEASURES,
     PATH_MODES,
     SCHEMA,
-    _check_members,
-    _check_pooled_points,
+    _check_histogram,
+    _check_landscape,
+    _check_path,
     entanglement_capability,
     entanglement_spectrum,
     expressibility,
@@ -45,7 +46,6 @@ from .analyzers import (
     reachability,
     training_path,
 )
-from .baselines import _check_bins
 from .circuit import (
     CircuitDescriptor,
     CircuitSpecError,
@@ -55,14 +55,10 @@ from .circuit import (
     serialize_circuit_spec,
 )
 from .library import max_cut_size, mean_cut_scorer, random_gnm_edges
-from .projection import _check_tsne
 from .simulator import _check_shots, sample, simulate
 from .svg import heatmap, histogram_plot, line_plot, path_plot
-from .trainer import METHODS, DivergenceError, OptimizerConfig, _resolve_seed, ensemble_train
-
-
-class UsageError(ValueError):
-    """Semantically invalid flag combination or input file problem."""
+from .trainer import (METHODS, DivergenceError, OptimizerConfig, _check_trace,
+                      _resolve_seed, ensemble_train)
 
 
 def _load_circuit(path: str) -> CircuitDescriptor:
@@ -70,7 +66,7 @@ def _load_circuit(path: str) -> CircuitDescriptor:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise UsageError(f"cannot read circuit file {path}: {exc}") from exc
+        raise ValueError(f"cannot read circuit file {path}: {exc}") from exc
     return parse_circuit_spec(text)
 
 
@@ -115,7 +111,7 @@ def _costed_circuit(args) -> CircuitDescriptor:
     """The --circuit spec, which must declare a cost observable."""
     circuit = _load_circuit(args.circuit)
     if circuit.cost is None:
-        raise UsageError(
+        raise ValueError(
             f"the {args.command} command needs a circuit spec with a cost observable"
         )
     return circuit
@@ -131,6 +127,13 @@ def _best_trace(traces):
     trace = traces[best]
     at = int(np.argmin(trace.losses))
     return best, trace, trace.thetas[at].copy(), float(trace.losses[at])
+
+
+def _check_best_landscape(circuit, args, theta=None) -> None:
+    """``_best_landscape``'s checks, before training: at ``theta``, or at zeros
+    in place of the trained point."""
+    _check_landscape(circuit, np.zeros(circuit.n_params) if theta is None else theta,
+                     "pca", args.points, args.scan_range)
 
 
 def _best_landscape(circuit, traces, args, seed: int, theta=None):
@@ -222,7 +225,7 @@ def _parse_theta(text: str):
     try:
         values = [float(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
-        raise UsageError(f"cannot parse --theta value {text!r}") from exc
+        raise ValueError(f"cannot parse --theta value {text!r}") from exc
     return np.asarray(values)
 
 
@@ -230,6 +233,7 @@ def _cmd_landscape(args, seed: int):
     circuit = _costed_circuit(args)
     theta = None if args.theta is None else _parse_theta(args.theta)
     if args.basis == "pca":
+        _check_best_landscape(circuit, args, theta)
         traces = ensemble_train(circuit, _optimizer_config(args, seed), args.restarts)
         grid = _best_landscape(circuit, traces, args, seed, theta)
     else:
@@ -239,20 +243,12 @@ def _cmd_landscape(args, seed: int):
     return grid.to_dict(), _landscape_files(grid, "loss landscape")
 
 
-def _check_path_size(args) -> None:
-    """ValueError, before training, if the (steps + 1) x restarts points of
-    the path could not be embedded."""
-    points = (args.steps + 1) * args.restarts
-    _check_pooled_points(points)
-    if args.mode == "tsne":
-        _check_tsne(points, args.perplexity, args.iters)
-
-
 def _cmd_path(args, seed: int):
     circuit = _costed_circuit(args)
-    if args.overlay and args.mode != "pca":
-        raise UsageError("--overlay requires --mode pca")
-    _check_path_size(args)
+    _check_path((args.steps + 1) * args.restarts, args.mode, args.overlay,
+                args.perplexity, args.iters)
+    if args.overlay:
+        _check_best_landscape(circuit, args)
     traces = ensemble_train(circuit, _optimizer_config(args, seed),
                             args.restarts)
     overlay = _best_landscape(circuit, traces, args, seed) if args.overlay else None
@@ -267,8 +263,8 @@ def _cmd_path(args, seed: int):
 
 def _cmd_histogram(args, seed: int):
     circuit = _costed_circuit(args)
-    _check_members(args.restarts)  # and the bins, before training
-    _check_bins(args.bins)
+    _check_trace(circuit.n_params, args.steps, args.restarts)  # the check training makes first
+    _check_histogram(args.restarts, args.steps + 1, circuit.n_params, args.bins)
     traces = ensemble_train(circuit, _optimizer_config(args, seed),
                             args.restarts)
     series = parameter_histogram(traces, bins=args.bins)
@@ -300,8 +296,10 @@ def _cmd_qaoa(args, seed: int):
     edges = random_gnm_edges(args.nodes, args.edges, seed=seed)
     optimum_cut = max_cut_size(edges, args.nodes)  # before any simulation
     _check_shots(args.shots, args.nodes)  # and the shot draw, before training
-    _check_path_size(args)
+    _check_path((args.steps + 1) * args.restarts, args.mode, False,
+                args.perplexity, args.iters)
     circuit = qaoa_builder(edges, args.p, n_nodes=args.nodes)
+    _check_best_landscape(circuit, args)
     traces = ensemble_train(circuit, _optimizer_config(args, seed),
                             args.restarts)
     _, _, best_theta, best_loss = _best_trace(traces)

@@ -257,19 +257,21 @@ def _xor_table(values: np.ndarray, size: int) -> np.ndarray:
 def _parts(mono: Monomial, rows: int, blocks: int) -> list[tuple[range, range]]:
     """The (rows, blocks) ranges a "mono" op is applied to, one after another.
 
-    A part is gathered whole before it is written back, so it must not read
+    An op that gathers nothing is one part, applied in place. Otherwise a
+    part is gathered whole before it is written back, so it must not read
     what an earlier part wrote. Halves of the rows are such parts. So are
     equal runs of blocks when the op keeps the qubits that select them:
     with qubits 0..k-1 each read from itself, the 2**k ranges of indices
     they split the state into each read only themselves, and the gather
     needs a scratch of 2**-k of the batch.
     """
+    if mono.columns is None:
+        return [(range(rows), range(blocks))]
     split = 0
-    if mono.columns is not None:
-        top = len(mono.columns) - 1  # the bit of qubit 0
-        while 1 << split < blocks and not (mono.constant >> (top - split)) & 1 and \
-                [j for j, c in enumerate(mono.columns) if c >> (top - split) & 1] == [top - split]:
-            split += 1
+    top = len(mono.columns) - 1  # the bit of qubit 0
+    while 1 << split < blocks and not (mono.constant >> (top - split)) & 1 and \
+            [j for j, c in enumerate(mono.columns) if c >> (top - split) & 1] == [top - split]:
+        split += 1
     if split:
         length = blocks >> split
         return [(range(rows), range(b, b + length)) for b in range(0, blocks, length)]
@@ -282,9 +284,10 @@ def _mono(flat: np.ndarray, angles: np.ndarray, mono: Monomial) -> None:
 
     Indices go in blocks of at most _BLOCK: the gather index and the
     parities of a block are tables over its low bits, built per call, XORed
-    with values for its high bits. Each part (``_parts``) is gathered into
-    one scratch buffer, at most about half the batch, and then written back
-    times its sign and phase. A row's phase exponent is summed one angle
+    with values for its high bits. An op with a gather gathers each part
+    (``_parts``) into one scratch buffer, at most about half the batch, and
+    writes it back times its sign and phase; an op without one multiplies
+    the batch by them in place. A row's phase exponent is summed one angle
     column at a time, elementwise, so it does not depend on B.
     """
     rows, dim = flat.shape
@@ -295,29 +298,24 @@ def _mono(flat: np.ndarray, angles: np.ndarray, mono: Monomial) -> None:
     low_parities = _xor_table(mono.masks[:, :low], size)
     high_parities = _xor_table(mono.masks[:, low:], blocks) ^ mono.flips[:, None]
     halves = low_parities[pairs:] - 0.5  # b_c - 1/2 over the low bits
-    kept = np.ones(blocks, dtype=bool)  # blocks the gather leaves in place
-    if mono.columns is not None:
+    parts = _parts(mono, rows, blocks)
+    gathers = mono.columns is not None
+    if gathers:
         columns = np.array(mono.columns, dtype=np.intp)
         index = _xor_table(columns[:low], size)
         bases = _xor_table(columns[low:], blocks) ^ mono.constant
-        kept = (bases == np.arange(0, dim, size)) & np.array_equal(index, np.arange(size))
-    parts = _parts(mono, rows, blocks)
-    if mono.columns is not None:
         scratch = np.empty(max([len(r) * len(b) for r, b in parts]) * size, dtype=complex)
     for part_rows, part_blocks in parts:
         part = flat[part_rows.start:part_rows.stop]
         theta = angles[part_rows.start:part_rows.stop, mono.angles]
-        if mono.columns is not None:
+        if gathers:
             stage = scratch[:len(part_rows) * len(part_blocks) * size].reshape(
                 len(part_blocks), len(part_rows), size)
             for block, b in zip(stage, part_blocks):
-                if not kept[b]:
-                    np.take(part, index ^ bases[b], axis=1, out=block, mode="clip")
+                np.take(part, index ^ bases[b], axis=1, out=block, mode="clip")
         for i, b in enumerate(part_blocks):
             target = part[:, b * size:(b + 1) * size]
-            source = target if kept[b] else stage[i]
-            if source is target and not mono.masks.size:  # no gather, sign or phase
-                continue
+            source = stage[i] if gathers else target
             factor, high = None, high_parities[:, b]
             if mono.angles.size:
                 exponent = np.zeros(target.shape)

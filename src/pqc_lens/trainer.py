@@ -18,10 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import CircuitDescriptor
+from .circuit import CircuitDescriptor, GateProgram
 from .simulator import _fits, expectation_batch, simulate_map
 
 METHODS = ("gd", "adam")
+# Adam's moment decay rates and denominator guard
+_BETA1, _BETA2, _EPSILON = 0.9, 0.999, 1e-8
 
 
 def _resolve_seed(seed) -> int:
@@ -39,9 +41,6 @@ class OptimizerConfig:
     method: str = "adam"  # one of METHODS
     learning_rate: float = 0.05
     steps: int = 100
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     init: object = "uniform"  # "uniform", "zeros", or an explicit vector
     seed: int | None = None
 
@@ -102,14 +101,15 @@ def _loss_and_gradient(circuit: CircuitDescriptor, thetas) -> tuple[np.ndarray, 
     return values[rows.size:], grad
 
 
-def gradient_batch(circuit: CircuitDescriptor, thetas) -> np.ndarray:
-    """Parameter-shift gradients at every row of a (B, n_params) batch."""
-    return _loss_and_gradient(circuit, thetas)[1]
+def _rows_per_point(program: GateProgram) -> int:
+    """The states ``_loss_and_gradient`` simulates per point: two per rotation
+    occurrence of a parameter, and the point itself."""
+    return 2 * np.count_nonzero(program.params >= 0) + 1
 
 
 def gradient(circuit: CircuitDescriptor, theta) -> np.ndarray:
     """Parameter-shift gradient of the attached cost at theta."""
-    return gradient_batch(circuit, np.reshape(theta, (1, -1)))[0]
+    return _loss_and_gradient(circuit, np.reshape(theta, (1, -1)))[1][0]
 
 
 def _initial_theta(circuit: CircuitDescriptor, config: OptimizerConfig, seed) -> np.ndarray:
@@ -129,6 +129,13 @@ def _initial_theta(circuit: CircuitDescriptor, config: OptimizerConfig, seed) ->
     return theta.copy()
 
 
+def _check_trace(n_params: int, steps: int, restarts: int) -> None:
+    """ValueError if the parameters and losses of ``restarts`` traces of
+    ``steps`` steps take more than half of physical memory."""
+    _fits(8 * (steps + 1) * restarts * (n_params + 1),
+          f"a trace of {restarts} restart(s) over {steps} steps")
+
+
 def _train_lockstep(circuit: CircuitDescriptor, config: OptimizerConfig,
                     seeds) -> tuple[np.ndarray, np.ndarray]:
     """(R, steps + 1, n_params) parameters and (R, steps + 1) losses of the
@@ -136,8 +143,7 @@ def _train_lockstep(circuit: CircuitDescriptor, config: OptimizerConfig,
     and the updates are elementwise, so each restart is bit for bit as if alone.
     ValueError, before the first step, if those arrays take more than half of
     physical memory."""
-    _fits(8 * (config.steps + 1) * len(seeds) * (circuit.n_params + 1),
-          f"a trace of {len(seeds)} restart(s) over {config.steps} steps")
+    _check_trace(circuit.n_params, config.steps, len(seeds))
     theta = np.stack([_initial_theta(circuit, config, seed) for seed in seeds])
     thetas, losses = [], []
     m = v = np.zeros_like(theta)
@@ -161,12 +167,11 @@ def _train_lockstep(circuit: CircuitDescriptor, config: OptimizerConfig,
             if config.method == "gd":
                 theta = theta - config.learning_rate * g
             else:
-                m = config.beta1 * m + (1.0 - config.beta1) * g
-                v = config.beta2 * v + (1.0 - config.beta2) * g * g
-                m_hat = m / (1.0 - config.beta1**(step + 1))
-                v_hat = v / (1.0 - config.beta2**(step + 1))
-                theta = theta - (config.learning_rate * m_hat
-                                 / (np.sqrt(v_hat) + config.epsilon))
+                m = _BETA1 * m + (1.0 - _BETA1) * g
+                v = _BETA2 * v + (1.0 - _BETA2) * g * g
+                m_hat = m / (1.0 - _BETA1**(step + 1))
+                v_hat = v / (1.0 - _BETA2**(step + 1))
+                theta = theta - (config.learning_rate * m_hat / (np.sqrt(v_hat) + _EPSILON))
     return np.stack(thetas, axis=1), np.stack(losses, axis=1)
 
 

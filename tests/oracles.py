@@ -15,7 +15,6 @@ from itertools import combinations
 import numpy as np
 
 from pqc_lens import CircuitDescriptor, Gate, ParamRef, make_circuit
-from pqc_lens.circuit import BoundCircuit
 
 _I = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -68,7 +67,7 @@ def gate_unitary(kind: str, targets, angle, n: int) -> np.ndarray:
     return embed({control: p0}, n) + embed({control: p1, target: tail}, n)
 
 
-def dense_simulate(bound: BoundCircuit) -> np.ndarray:
+def dense_simulate(bound: CircuitDescriptor) -> np.ndarray:
     """Matrix-chain statevector: multiply every gate's full unitary."""
     n = bound.n_qubits
     psi = np.zeros(2**n, dtype=complex)
@@ -104,7 +103,7 @@ def kron_and_trace(psi: np.ndarray, keep, n: int) -> np.ndarray:
     return rho.reshape(d, d)
 
 
-def dense_noisy_rho(bound: BoundCircuit, p1: float, p2: float) -> np.ndarray:
+def dense_noisy_rho(bound: CircuitDescriptor, p1: float, p2: float) -> np.ndarray:
     """Exact density-matrix evolution of the stochastic Pauli channel:
     each gate's unitary, then with probability p1 (p2) a uniformly chosen
     non-identity Pauli on its target(s)."""
@@ -187,11 +186,11 @@ def sequential_train(circuit: CircuitDescriptor, config, restarts: int) -> list:
             if config.method == "gd":
                 theta = theta - config.learning_rate * g
             else:
-                m = config.beta1 * m + (1.0 - config.beta1) * g
-                v = config.beta2 * v + (1.0 - config.beta2) * g * g
-                m_hat = m / (1.0 - config.beta1**step)
-                v_hat = v / (1.0 - config.beta2**step)
-                theta = theta - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+                m = 0.9 * m + (1.0 - 0.9) * g
+                v = 0.999 * v + (1.0 - 0.999) * g * g
+                m_hat = m / (1.0 - 0.9**step)
+                v_hat = v / (1.0 - 0.999**step)
+                theta = theta - config.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
             thetas.append(theta)
             losses.append(checked_cost(theta, step))
         runs.append((np.array(thetas), np.array(losses)))

@@ -181,9 +181,6 @@ class TestEntanglementSpectrum:
     def test_reference_defaults_to_sample_count(self):
         report = entanglement_spectrum(bell_circuit(), 15, seed=4)
         assert report.reference.samples == 15
-        bigger = entanglement_spectrum(bell_circuit(), 15, seed=4,
-                                       reference_samples=30)
-        assert bigger.reference.samples == 30
 
     def test_deterministic_under_seed(self):
         a = entanglement_spectrum(paired_blocks_circuit(), 10, seed=8)

@@ -14,10 +14,11 @@ from pqc_lens import (Gate, MetricSpec, ParamRef, PauliSum, bind, entanglement_c
                       entanglement_spectrum, expressibility, loss_landscape, make_circuit,
                       simulate)
 from pqc_lens import simulator
-from pqc_lens.circuit import BoundCircuit, CircuitSpecError, compile_program, qaoa_builder
+from pqc_lens.circuit import (CircuitDescriptor, CircuitSpecError, compile_program,
+                              qaoa_builder)
 from pqc_lens.library import layered_ansatz
 from pqc_lens.simulator import simulate_batch
-from pqc_lens.trainer import cost_batch, gradient_batch
+from pqc_lens.trainer import _loss_and_gradient, cost_batch
 
 
 def _circuit_and_thetas(seed: int, rows: int, with_cost: bool = False):
@@ -45,7 +46,7 @@ def test_batch_rows_match_lone_and_dense_simulation(seed, rows):
 @given(st.integers(0, 10**9), st.integers(1, 4))
 def test_batched_gradient_matches_finite_differences(seed, points):
     circuit, thetas = _circuit_and_thetas(seed, points, with_cost=True)
-    grads = gradient_batch(circuit, thetas)
+    grads = _loss_and_gradient(circuit, thetas)[1]
     assert grads.shape == (points, circuit.n_params)
     for theta, grad in zip(thetas, grads):
         assert grad == pytest.approx(oracles.fd_gradient(circuit, theta), abs=1e-6)
@@ -145,7 +146,7 @@ def test_fused_rows_match_lone_and_dense_simulation(case):
 @given(fusable_circuits())
 def test_fused_gradient_matches_finite_differences(case):
     circuit, thetas = case
-    for theta, grad in zip(thetas, gradient_batch(circuit, thetas)):
+    for theta, grad in zip(thetas, _loss_and_gradient(circuit, thetas)[1]):
         assert grad == pytest.approx(oracles.fd_gradient(circuit, theta), abs=1e-6)
 
 
@@ -233,7 +234,7 @@ def test_run_form(gates, form):
 ])
 def test_malformed_bound_gate_is_rejected(gate):
     with pytest.raises(CircuitSpecError):
-        simulate(BoundCircuit(2, (gate,)))
+        simulate(CircuitDescriptor(2, (gate,)))
 
 
 # The opening of a circuit: every qubit's first op, when it is a single-qubit
@@ -467,6 +468,27 @@ def test_gather_scratch_is_at_most_half_the_batch():
         [(range(2), range(b, b + 1)) for b in range(blocks)]
     assert parts(make_circuit(19, [Gate("CX", (1, 0))]), 5) == \
         [(range(0, 3), range(blocks)), (range(3, 5), range(blocks))]
+
+
+def test_a_mono_op_without_a_gather_is_one_part():
+    (_, mono), = [op for op in make_circuit(19, [
+        Gate("H", (0,)), Gate("CZ", (0, 1)), Gate("RZ", (1,), 0.3)]).program.ops
+        if op[0] == "mono"]
+    blocks = 2**19 // simulator._BLOCK
+    assert mono.columns is None
+    assert simulator._parts(mono, 5, blocks) == [(range(5), range(blocks))]
+
+
+def test_blocks_the_gather_leaves_in_place_match_dense_simulation():
+    # at 14 qubits CX(0, 1) reads the two blocks with qubit 0 at 0 from
+    # themselves and swaps the other two
+    angles = np.random.default_rng(14).uniform(-np.pi, np.pi, 14)
+    ry = [Gate("RY", (q,), a) for q, a in enumerate(angles)]
+    state = simulate(make_circuit(14, ry + [Gate("CX", (0, 1))])).amplitudes
+    want = oracles.dense_simulate(make_circuit(2, ry[:2] + [Gate("CX", (0, 1))]))
+    for angle in angles[2:]:
+        want = np.kron(want, oracles.dense_simulate(make_circuit(1, [Gate("RY", (0,), angle)])))
+    assert np.max(np.abs(state - want)) <= 1e-12
 
 
 def test_circuits_too_wide_to_simulate_still_compile():

@@ -438,8 +438,35 @@ class TestExitCodes:
          "need at least 2 ensemble members"),
         (["histogram", "--circuit", "SPEC", "--steps", "2", "--restarts", "2", "--bins", "0"],
          "bins must be positive"),
+        (["landscape", "--circuit", "SPEC", "--basis", "pca", "--points", "1"],
+         "points must be at least 2"),
+        (["landscape", "--circuit", "SPEC", "--basis", "pca", "--range", "0"],
+         "scan_range must be finite and positive"),
+        (["landscape", "--circuit", "SPEC", "--basis", "pca", "--range", "-1"],
+         "scan_range must be finite and positive"),
+        (["landscape", "--circuit", "SPEC", "--basis", "pca", "--range", "nan"],
+         "scan_range must be finite and positive"),
+        (["landscape", "--circuit", "SPEC", "--basis", "pca", "--range", "1e308"],
+         "the scan grid overflows"),
+        (["landscape", "--circuit", "SPEC", "--basis", "pca", "--theta", "0.1"],
+         "theta_star has length 1, circuit declares 2"),
+        (["path", "--circuit", "SPEC", "--overlay", "--points", "1"],
+         "points must be at least 2"),
+        (["path", "--circuit", "SPEC", "--overlay", "--range", "0"],
+         "scan_range must be finite and positive"),
+        (["path", "--circuit", "SPEC", "--overlay", "--mode", "tsne"],
+         "an overlay needs the pca mode"),
+        (["qaoa", "--nodes", "3", "--edges", "2", "--shots", "1", "--points", "1"],
+         "points must be at least 2"),
+        (["qaoa", "--nodes", "3", "--edges", "2", "--shots", "1", "--points", "2",
+          "--range", "1e308"],
+         "the scan grid overflows"),
     ], ids=["qaoa-perplexity", "qaoa-iters", "path-points", "path-tsne-points",
-            "histogram-members", "histogram-bins"])
+            "histogram-members", "histogram-bins", "landscape-pca-points",
+            "landscape-pca-range-zero", "landscape-pca-range-negative",
+            "landscape-pca-range-nan", "landscape-pca-range-overflow", "landscape-pca-theta",
+            "path-overlay-points", "path-overlay-range", "path-overlay-tsne", "qaoa-points",
+            "qaoa-range-overflow"])
     def test_unusable_path_and_histogram_flags_fail_before_training(
             self, two_qubit_spec, tmp_path, monkeypatch, capsys, argv, message):
         # the same check, and message, as the library function reached after training
@@ -495,6 +522,11 @@ class TestExitCodes:
             "path-overlay"])
     def test_oversized_bins_and_grids_fail_before_allocation(self, two_qubit_spec, tmp_path,
                                                              monkeypatch, capsys, argv):
+        # and, for the commands that train, before training
+        def no_training(*args, **kwargs):
+            raise AssertionError("ensemble_train called")
+
+        monkeypatch.setattr(cli, "ensemble_train", no_training)
         monkeypatch.setattr(simulator, "_physical_memory", lambda: 2**30)
         code = run(argv[:1] + ["--circuit", two_qubit_spec, "--seed", "0",
                                "--out", str(tmp_path / "o")] + argv[1:])

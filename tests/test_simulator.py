@@ -28,7 +28,7 @@ from pqc_lens import simulator
 from pqc_lens.cli import run
 from pqc_lens.library import (all_zeros_infidelity_cost, bell_circuit, layered_ansatz,
                               mean_excitation_cost)
-from pqc_lens.trainer import cost_batch, gradient_batch
+from pqc_lens.trainer import _loss_and_gradient, cost_batch
 
 INV_SQRT2 = 1.0 / math.sqrt(2)
 
@@ -233,11 +233,11 @@ class TestCompiledObservable:
         rng = np.random.default_rng(seed)
         circuit = oracles.random_circuit(rng, max_qubits=6, max_gates=30, with_cost=True)
         thetas = rng.uniform(0, 2 * np.pi, (points, circuit.n_params))
-        cost, grad = cost_batch(circuit, thetas), gradient_batch(circuit, thetas)
+        cost, grad = cost_batch(circuit, thetas), _loss_and_gradient(circuit, thetas)[1]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulator, "CHUNK_BYTES", 1)  # one row per chunk
             assert np.array_equal(cost_batch(circuit, thetas), cost)
-            assert np.array_equal(gradient_batch(circuit, thetas), grad)
+            assert np.array_equal(_loss_and_gradient(circuit, thetas)[1], grad)
 
 
 class TestSampling:
