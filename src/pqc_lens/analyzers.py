@@ -48,6 +48,7 @@ from .simulator import (
 from .trainer import (
     OptimizerConfig,
     TrainingTrace,
+    _check_trace,
     _loss_and_gradient,
     _resolve_seed,
     _rows_per_point,
@@ -57,7 +58,8 @@ from .trainer import (
 
 SCHEMA = "pqc-lens/1"
 
-DIVERGENCE_MEASURES = ("kld", "jsd")
+_DIVERGENCES = {"kld": kl_divergence, "jsd": js_distance}
+DIVERGENCE_MEASURES = tuple(_DIVERGENCES)
 ENTANGLEMENT_MEASURES = ("meyer-wallach", "scott")
 
 
@@ -74,12 +76,6 @@ def _sampled_angles(program: GateProgram, base: int, samples: int,
     thetas = [np.random.default_rng(base + i).uniform(0.0, 2.0 * math.pi, shape)
               for i in range(samples)]
     return program.angles(np.concatenate(thetas))
-
-
-def _divergence(measure: str, p, q) -> float:
-    if measure == "kld":
-        return kl_divergence(p, q)
-    return js_distance(p, q)
 
 
 def _histogram_dict(h) -> dict:
@@ -101,24 +97,25 @@ def _basis_dict(basis: SubspaceBasis) -> dict:
 class MetricSpec:
     """How to turn a bound circuit into a scalar figure of merit.
 
-    mode "expectation" evaluates the circuit's cost observable exactly.
-    mode "from_samples" measures the state (shots repetitions) and feeds
-    the resulting (shots, n_qubits) 0/1 matrix to the scorer callable.
+    The mode follows from the scorer. Without one it is "expectation": the
+    cost observable, evaluated exactly. With one it is "from_samples": the
+    state is measured shots times and the scorer gets the (shots, n) 0/1 matrix.
     """
 
     EXPECTATION = "expectation"
     FROM_SAMPLES = "from_samples"
 
-    mode: str = "expectation"
     scorer: object = None
     shots: int = 1024
 
+    @property
+    def mode(self) -> str:
+        return self.EXPECTATION if self.scorer is None else self.FROM_SAMPLES
+
     def __post_init__(self) -> None:
-        if self.mode not in (self.EXPECTATION, self.FROM_SAMPLES):
-            raise ValueError(f"unknown metric mode {self.mode!r}")
-        if self.mode == self.FROM_SAMPLES:
+        if self.scorer is not None:
             if not callable(self.scorer):
-                raise ValueError("from_samples metric needs a scorer callable")
+                raise ValueError("scorer must be callable")
             if self.shots < 1:
                 raise ValueError("from_samples metric needs shots >= 1")
 
@@ -174,6 +171,7 @@ def expressibility(circuit: CircuitDescriptor, samples: int,
         raise ValueError("need at least 2 fidelity samples")
     if measure not in DIVERGENCE_MEASURES:
         raise ValueError(f"measure must be one of {DIVERGENCE_MEASURES}")
+    _check_bins(bins)
     base = _resolve_seed(seed)
     program = circuit.program
     # pair i is rows 2i and 2i + 1
@@ -182,7 +180,7 @@ def expressibility(circuit: CircuitDescriptor, samples: int,
         program, _sampled_angles(program, base, samples, draws=2), group=2)
     observed = histogram(fidelities, bins, (0.0, 1.0))
     reference = haar_fidelity_baseline(bins, 2**circuit.n_qubits)
-    value = _divergence(measure, observed, reference)
+    value = _DIVERGENCES[measure](observed, reference)
     return ExpressibilityReport(measure, value, observed, reference,
                                 samples, circuit.n_qubits, base)
 
@@ -308,6 +306,7 @@ def entanglement_spectrum(circuit: CircuitDescriptor, samples: int,
         raise ValueError(f"measure must be one of {DIVERGENCE_MEASURES}")
     if cutoff >= 0:
         raise ValueError("cutoff must be negative (it is a log threshold)")
+    _check_bins(bins)
     k = (n + 1) // 2
     base = _resolve_seed(seed)
     program = circuit.program
@@ -317,7 +316,7 @@ def entanglement_spectrum(circuit: CircuitDescriptor, samples: int,
     pooled = histogram(profiles.reshape(-1), bins, (0.0, abs(cutoff)))
     reference = mp_reference_spectrum(n, k, samples, rng=base + samples,
                                       cutoff=cutoff, bins=bins)
-    esd = _divergence(measure, pooled, reference.histogram)
+    esd = _DIVERGENCES[measure](pooled, reference.histogram)
     return SpectrumReport(esd, profiles.mean(axis=0), cutoff, k, pooled,
                           reference, measure, samples, n, base)
 
@@ -442,7 +441,8 @@ class ScanGrids:
         }
 
 
-COST_KINDS = ("global", "local")
+_COSTS = {"global": all_zeros_infidelity_cost, "local": mean_excitation_cost}
+COST_KINDS = tuple(_COSTS)
 
 
 def barren_plateau_scan(circuit: CircuitDescriptor, cost_kind: str = "global",
@@ -465,11 +465,8 @@ def barren_plateau_scan(circuit: CircuitDescriptor, cost_kind: str = "global",
     _fits(8 * points**2 * (2 + _rows_per_point(circuit.program) * circuit.program.kinds.size),
           f"a {points} x {points} scan grid")
 
-    n = circuit.n_qubits
-    cost = (all_zeros_infidelity_cost(n) if cost_kind == "global"
-            else mean_excitation_cost(n))
-    scored = make_circuit(n, circuit.gates,
-                          [p.name for p in circuit.parameters], cost)
+    scored = make_circuit(circuit.n_qubits, circuit.gates, circuit.parameter_names,
+                          _COSTS[cost_kind](circuit.n_qubits))
 
     axis = np.linspace(-scan_range, scan_range, points)
     thetas = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
@@ -618,9 +615,10 @@ def _check_histogram(members: int, n_steps: int, n_params: int, bins: int) -> No
     ``members`` traces of n_steps x n_params parameters into ``bins`` cells."""
     if members < 2:
         raise ValueError("need at least 2 ensemble members")
-    _check_bins(bins)
+    # this larger check first, so oversized bins are reported in its terms
     _fits(8 * (n_steps + 1) * n_params * (bins + 1),
           f"{n_params} parameter histograms of {bins} bins over {n_steps} steps")
+    _check_bins(bins)
 
 
 def parameter_histogram(ensemble, bins: int = 75) -> ParameterHistogramSeries:
@@ -694,8 +692,8 @@ def reachability(circuit: CircuitDescriptor, haar_samples: int,
     across restarts of training). A finite estimate can land on either
     side of zero, so the raw value is reported together with both terms.
     Haar draws use seeds base + i; when the optimizer config carries no
-    seed, training restarts continue the same seed sequence. Costs that do
-    not fit in half of physical memory are a ValueError before any draw.
+    seed, training restarts continue the same seed sequence. Costs or traces
+    beyond half of physical memory are a ValueError before any draw.
     """
     if circuit.cost is None:
         raise ValueError("reachability needs a circuit with a cost observable")
@@ -707,6 +705,7 @@ def reachability(circuit: CircuitDescriptor, haar_samples: int,
         config = OptimizerConfig()
     base = _resolve_seed(seed)
     _fits(8 * haar_samples, f"the Haar cost array of {haar_samples} samples")
+    _check_trace(circuit.n_params, config.steps, restarts)  # the check training makes first
 
     def haar_costs(chunk: range) -> np.ndarray:
         states = np.stack([sample_haar_state(circuit.n_qubits, base + i).amplitudes

@@ -62,9 +62,12 @@ class MPBaseline:
         return 2 ** (self.n_qubits - self.k)
 
 
-def _check_bins(bins: int) -> None:
+def _check_bins(bins: int, what: str = "histogram") -> None:
+    """ValueError unless bins is positive and a ``what`` of that many bins,
+    three arrays of bins + 1 floats, takes at most half of physical memory."""
     if bins < 1:
         raise ValueError("bins must be positive")
+    _fits(24 * (bins + 1), f"a {what} of {bins} bins")
 
 
 def histogram(samples, bins: int, value_range: tuple[float, float]) -> Histogram:
@@ -78,7 +81,6 @@ def histogram(samples, bins: int, value_range: tuple[float, float]) -> Histogram
     if not lo < hi:
         raise ValueError(f"empty value range ({lo}, {hi})")
     _check_bins(bins)
-    _fits(24 * (bins + 1), f"a histogram of {bins} bins")  # edges, counts, masses
     data = np.asarray(samples, dtype=float).reshape(-1)
     if data.size == 0:
         raise ValueError("histogram needs at least one sample")
@@ -99,7 +101,7 @@ def haar_fidelity_cdf(fidelity, dim: int):
 def haar_fidelity_baseline(bins: int, dim: int) -> Histogram:
     """Closed-form bin masses on [0, 1] of the Haar fidelity distribution for
     dimension N = dim; no sampling involved, so ``total_samples`` is 0."""
-    _fits(24 * (bins + 1), f"a baseline of {bins} bins")  # edges, CDF, masses
+    _check_bins(bins, "baseline")
     edges = np.linspace(0.0, 1.0, bins + 1)
     cdf = haar_fidelity_cdf(edges, dim)
     return Histogram(edges, np.diff(cdf), 0)
@@ -178,6 +180,7 @@ def mp_reference_spectrum(n_qubits: int, k: int, samples: int, rng=None,
         raise ValueError(f"subsystem size k={k} must satisfy 1 <= k < n_qubits")
     if samples < 1:
         raise ValueError("samples must be positive")
+    _check_bins(bins)
     rng = np.random.default_rng(rng)
 
     def chunk(rows: range) -> np.ndarray:  # the chunks draw from rng in order

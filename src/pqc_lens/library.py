@@ -19,7 +19,9 @@ from .circuit import (
     make_circuit,
 )
 
-ENTANGLER_STYLES = ("chain", "full", "none")
+_ENTANGLERS = {"chain": lambda n: zip(range(n - 1), range(1, n)),
+               "full": lambda n: combinations(range(n), 2), "none": lambda n: ()}
+ENTANGLER_STYLES = tuple(_ENTANGLERS)
 
 
 def _rotation_block(qubit: int, names: list[str], gates: list[Gate]) -> None:
@@ -47,12 +49,7 @@ def layered_ansatz(n_qubits: int, layers: int,
     for _ in range(layers):
         for q in range(n_qubits):
             _rotation_block(q, names, gates)
-        if entangler == "chain":
-            for q in range(n_qubits - 1):
-                gates.append(Gate("CX", (q, q + 1)))
-        elif entangler == "full":
-            for i, j in combinations(range(n_qubits), 2):
-                gates.append(Gate("CX", (i, j)))
+        gates += [Gate("CX", pair) for pair in _ENTANGLERS[entangler](n_qubits)]
     return make_circuit(n_qubits, gates, names)
 
 
@@ -74,7 +71,7 @@ def append_pairwise_cx(circuit: CircuitDescriptor, count: int) -> CircuitDescrip
         )
     gates = list(circuit.gates) + [Gate("CX", pair) for pair in pairs[:count]]
     return make_circuit(circuit.n_qubits, gates,
-                        [p.name for p in circuit.parameters], circuit.cost)
+                        circuit.parameter_names, circuit.cost)
 
 
 def idle_circuit(n_qubits: int = 1) -> CircuitDescriptor:
@@ -179,21 +176,24 @@ def random_gnm_edges(n_nodes: int, n_edges: int, seed=None) -> tuple:
     return tuple(edges)
 
 
-def cut_size(edges, bits) -> int:
-    """Edges crossing the partition encoded by 0/1 node labels."""
-    bits = np.asarray(bits)
-    return int(sum(1 for u, v in edges if bits[u] != bits[v]))
+def _cuts(edges, bits: np.ndarray) -> np.ndarray:
+    """Per row of a (rows, n_nodes) 0/1 matrix, the edges its labels cut, as floats."""
+    crossings = np.zeros(bits.shape[0])
+    for u, v in edges:
+        crossings += bits[:, u] != bits[:, v]
+    return crossings
 
 
 def max_cut_size(edges, n_nodes: int) -> int:
-    """Brute-force MaxCut value; fine for the desk-scale graphs here."""
+    """Brute-force MaxCut value: the largest cut over all 2^n assignments,
+    enumerated in numpy as one (2^n, n) uint8 matrix; capped at 20 nodes."""
     if n_nodes > 20:
         raise ValueError("brute force capped at 20 nodes")
-    best = 0
-    for assignment in range(2**n_nodes):
-        bits = [(assignment >> (n_nodes - 1 - q)) & 1 for q in range(n_nodes)]
-        best = max(best, cut_size(edges, bits))
-    return best
+    assignments = np.arange(2**n_nodes)
+    bits = np.empty((assignments.size, n_nodes), dtype=np.uint8, order="F")
+    for q in range(n_nodes):  # one contiguous column at a time: 2^n int64 words, not 2^n * n
+        bits[:, q] = (assignments >> (n_nodes - 1 - q)) & 1
+    return int(_cuts(edges, bits).max())
 
 
 def mean_cut_scorer(edges):
@@ -208,9 +208,6 @@ def mean_cut_scorer(edges):
         bits = np.asarray(bit_matrix)
         if bits.ndim != 2:
             raise ValueError("expected a (shots, n_qubits) matrix")
-        crossings = np.zeros(bits.shape[0])
-        for u, v in edge_list:
-            crossings += bits[:, u] != bits[:, v]
-        return float(crossings.mean())
+        return float(_cuts(edge_list, bits).mean())
 
     return score

@@ -140,13 +140,14 @@ class ShotCounts:
     ``sample`` inserts the bitstrings in ascending order."""
 
     counts: dict[str, int]
-    shots: int
+
+    @property
+    def shots(self) -> int:
+        return sum(self.counts.values())
 
     def __post_init__(self) -> None:
         if self.shots < 1:
             raise ValueError("shots must be positive")
-        if sum(self.counts.values()) != self.shots:
-            raise ValueError("counts do not sum to the shot total")
         lengths = {len(k) for k in self.counts}
         if len(lengths) > 1:
             raise ValueError("bitstrings have inconsistent lengths")
@@ -542,8 +543,7 @@ def sample(state: StateVector, shots: int = 1024, seed=None,
         weights = 1 << np.arange(n - 1, -1, -1)
         outcomes = outcomes ^ (flips @ weights)
     values, counts = np.unique(outcomes, return_counts=True)
-    return ShotCounts({format(int(v), f"0{n}b"): int(c) for v, c in zip(values, counts)},
-                      shots)
+    return ShotCounts({format(int(v), f"0{n}b"): int(c) for v, c in zip(values, counts)})
 
 
 _PAULI_LETTERS = ("I", "X", "Y", "Z")

@@ -51,6 +51,8 @@ class OptimizerConfig:
             raise ValueError("learning_rate must be finite and positive")
         if self.steps < 0:
             raise ValueError("steps must be non-negative")
+        if isinstance(self.init, str) and self.init not in ("uniform", "zeros"):
+            raise ValueError(f"unknown init mode {self.init!r}")
 
 
 @dataclass(frozen=True)
@@ -115,11 +117,9 @@ def gradient(circuit: CircuitDescriptor, theta) -> np.ndarray:
 def _initial_theta(circuit: CircuitDescriptor, config: OptimizerConfig, seed) -> np.ndarray:
     init = config.init
     if isinstance(init, str):
-        if init == "uniform":
-            return np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, circuit.n_params)
         if init == "zeros":
             return np.zeros(circuit.n_params)
-        raise ValueError(f"unknown init mode {init!r}")
+        return np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, circuit.n_params)
     theta = np.asarray(init, dtype=float).reshape(-1)
     if theta.shape[0] != circuit.n_params:
         raise ValueError(

@@ -272,6 +272,25 @@ def listed_gnm_edges(n_nodes: int, n_edges: int, seed) -> tuple:
     return tuple(pairs[i] for i in sorted(chosen))
 
 
+def max_cut_brute_force(edges, n_nodes: int) -> int:
+    """max_cut_size by decoding every assignment's bits and counting its cut
+    edges one at a time."""
+    best = 0
+    for assignment in range(2**n_nodes):
+        bits = [(assignment >> (n_nodes - 1 - q)) & 1 for q in range(n_nodes)]
+        best = max(best, sum(1 for u, v in edges if bits[u] != bits[v]))
+    return best
+
+
+def loop_mean_cut(edges, bit_matrix) -> float:
+    """mean_cut_scorer's score: a float cut count per row, summed edge by edge."""
+    bits = np.asarray(bit_matrix)
+    crossings = np.zeros(bits.shape[0])
+    for u, v in edges:
+        crossings += bits[:, u] != bits[:, v]
+    return float(crossings.mean())
+
+
 def _cell(value) -> str:
     if isinstance(value, float):
         return repr(value)

@@ -25,7 +25,8 @@ from pqc_lens import (
     train,
     training_path,
 )
-from pqc_lens import analyzers, simulator
+from pqc_lens import analyzers, baselines, simulator
+from pqc_lens.baselines import haar_fidelity_baseline, mp_reference_spectrum
 from pqc_lens.library import (
     bell_circuit,
     idle_circuit,
@@ -236,8 +237,7 @@ class TestLossLandscape:
 
     def test_sampling_metric_is_deterministic_per_seed(self):
         c = _two_param_cost()
-        metric = MetricSpec("from_samples",
-                            scorer=lambda bits: float(bits.mean()), shots=64)
+        metric = MetricSpec(scorer=lambda bits: float(bits.mean()), shots=64)
         a = loss_landscape(c, [0.2, 0.5], metric=metric, points=3, seed=10)
         b = loss_landscape(c, [0.2, 0.5], metric=metric, points=3, seed=10)
         assert np.array_equal(a.values, b.values)
@@ -267,10 +267,14 @@ class TestLossLandscape:
             loss_landscape(_rx_cost(), [0.0], scan_range=scan_range)
 
     def test_metric_spec_validation(self):
-        with pytest.raises(ValueError, match="scorer"):
+        with pytest.raises(ValueError, match="scorer must be callable"):
             MetricSpec("from_samples")
-        with pytest.raises(ValueError, match="mode"):
-            MetricSpec("fidelity")
+        with pytest.raises(ValueError, match="shots >= 1"):
+            MetricSpec(len, shots=0)
+
+    def test_metric_mode_follows_the_scorer(self):
+        assert MetricSpec().mode == MetricSpec.EXPECTATION == "expectation"
+        assert MetricSpec(len).mode == MetricSpec.FROM_SAMPLES == "from_samples"
 
     def test_rows_and_seeds_are_the_listed_nodes(self, monkeypatch):
         seen = {}
@@ -570,6 +574,14 @@ class TestReachability:
         with pytest.raises(ValueError):
             reachability(_rx_cost(), 10, 0)
 
+    def test_oversized_trace_fails_before_any_draw(self, monkeypatch):
+        monkeypatch.setattr(analyzers, "sample_haar_state", _no_work)
+        monkeypatch.setattr(simulator, "_physical_memory", lambda: 2**30)
+        config = OptimizerConfig(steps=2_000_000_000)
+        with pytest.raises(ValueError, match="a trace of 2 restart"
+                                             r"\(s\) over 2000000000 steps takes"):
+            reachability(_rx_cost(), 300_000, 2, config=config, seed=0)
+
 
 @pytest.mark.parametrize("analyze", [expressibility, entanglement_capability,
                                      entanglement_spectrum])
@@ -580,3 +592,32 @@ def test_oversized_sample_counts_fail_before_drawing(monkeypatch, analyze):
     with pytest.raises(ValueError, match="the angle table of 10000 samples takes"):
         analyze(circuit, 10_000, seed=0)
     assert analyze(circuit, 100, seed=0).samples == 100
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("simulated or drew before checking the arguments")
+
+
+_BINNED = {
+    "expressibility": lambda bins: expressibility(layered_ansatz(3, 1), 50, bins=bins, seed=0),
+    "entanglement_spectrum": lambda bins: entanglement_spectrum(layered_ansatz(3, 1), 50,
+                                                                bins=bins, seed=0),
+    "mp_reference_spectrum": lambda bins: mp_reference_spectrum(3, 1, 50, rng=0, bins=bins),
+    "haar_fidelity_baseline": lambda bins: haar_fidelity_baseline(bins, 4),
+}
+
+
+@pytest.mark.parametrize("bins, message", [
+    (0, "bins must be positive"),
+    (-3, "bins must be positive"),
+    (2_000_000_000, "a {} of 2000000000 bins takes"),
+])
+@pytest.mark.parametrize("name", _BINNED)
+def test_bins_are_checked_before_any_simulation_or_draw(monkeypatch, name, bins, message):
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 2**30)
+    for module, attr in ((simulator, "simulate_map"), (analyzers, "simulate_map"),
+                         (baselines, "sample_haar_state")):
+        monkeypatch.setattr(module, attr, _no_work)
+    what = "baseline" if name == "haar_fidelity_baseline" else "histogram"
+    with pytest.raises(ValueError, match=message.format(what)):
+        _BINNED[name](bins)

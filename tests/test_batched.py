@@ -54,7 +54,7 @@ def test_batched_gradient_matches_finite_differences(seed, points):
 
 def _simulate_map_outputs(circuit, thetas, samples, seed) -> list:
     """What every caller of simulate_map returns for these inputs, as lists."""
-    spread = MetricSpec("from_samples", lambda bits: bits.mean(), shots=16)
+    spread = MetricSpec(lambda bits: bits.mean(), shots=16)
     out = [expressibility(circuit, samples, seed=seed).to_dict(),
            cost_batch(circuit, thetas).tolist()]
     if circuit.n_params:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import listed_gnm_edges, random_circuit
+from oracles import listed_gnm_edges, loop_mean_cut, max_cut_brute_force, random_circuit
 from pqc_lens import (
     CircuitDescriptor,
     CircuitSpecError,
@@ -20,7 +20,7 @@ from pqc_lens import (
     qaoa_builder,
     serialize_circuit_spec,
 )
-from pqc_lens.library import layered_ansatz, random_gnm_edges
+from pqc_lens.library import layered_ansatz, max_cut_size, mean_cut_scorer, random_gnm_edges
 
 
 def _rx_chain(n_params=2):
@@ -346,3 +346,32 @@ class TestRandomGraph:
     def test_rejects_edge_counts_outside_the_pair_count(self, n_nodes, n_edges):
         with pytest.raises(ValueError, match="n_edges must be in"):
             random_gnm_edges(n_nodes, n_edges, seed=0)
+
+
+@st.composite
+def graphs(draw, max_nodes=12):
+    """(edges, n_nodes) of a simple graph on up to max_nodes nodes; nodes no
+    edge touches are kept, and an edge list may be empty."""
+    n = draw(st.integers(1, max_nodes))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return edges, n
+
+
+class TestMaxCut:
+    @settings(max_examples=60, deadline=None)
+    @given(graphs())
+    def test_matches_the_assignment_loop(self, graph):
+        edges, n = graph
+        assert max_cut_size(edges, n) == max_cut_brute_force(edges, n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs(), st.integers(1, 40), st.integers(0, 10**9))
+    def test_mean_cut_matches_the_edge_loop(self, graph, rows, seed):
+        edges, n = graph
+        bits = np.random.default_rng(seed).integers(0, 2, (rows, n), dtype=np.uint8)
+        assert mean_cut_scorer(edges)(bits) == loop_mean_cut(edges, bits)
+
+    def test_caps_the_brute_force_at_20_nodes(self):
+        with pytest.raises(ValueError, match="brute force capped at 20 nodes"):
+            max_cut_size([(0, 1)], 21)

@@ -240,6 +240,14 @@ class TestTSNE:
         emb = tsne(pts, perplexity=4.0, iters=150, seed=6)
         assert np.all(np.isfinite(emb))
 
+    def test_points_too_far_apart_for_any_bandwidth_stay_finite(self):
+        # every affinity underflows to 0 at each bandwidth tried, so each row
+        # falls back to uniform affinities
+        pts = np.arange(6.0)[:, None] * 1e10
+        emb = tsne(pts, perplexity=1.5, iters=100, seed=9)
+        assert emb.shape == (6, 2)
+        assert np.all(np.isfinite(emb))
+
     def test_embedding_is_centered(self):
         pts = _clusters(39, centers=(-2.0, 2.0), per=8)
         emb = tsne(pts, perplexity=4.0, iters=80, seed=7)

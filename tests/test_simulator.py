@@ -13,6 +13,7 @@ from pqc_lens import (
     ParamRef,
     PauliSum,
     PauliTerm,
+    ShotCounts,
     StateVector,
     bind,
     expectation,
@@ -275,6 +276,13 @@ class TestSampling:
         psi = _simulate_gates(1, [Gate("H", (0,))])
         with pytest.raises(ValueError):
             sample(psi, shots=0)
+
+    def test_shot_total_is_the_sum_of_the_counts(self):
+        assert ShotCounts({"01": 3, "10": 2}).shots == 5
+        with pytest.raises(ValueError, match="shots must be positive"):
+            ShotCounts({"0": 0})
+        with pytest.raises(ValueError, match="inconsistent lengths"):
+            ShotCounts({"0": 1, "01": 1})
 
     def test_oversized_draw_fails_before_drawing(self, monkeypatch):
         # 1 MiB: half of it holds 24 bytes per one-qubit shot for 21 845 shots

@@ -131,6 +131,10 @@ class TestOptimizerConfig:
         with pytest.raises(ValueError):
             OptimizerConfig(steps=-1)
 
+    def test_rejects_unknown_init_mode_when_built(self):
+        with pytest.raises(ValueError, match="unknown init mode 'zero'"):
+            OptimizerConfig(init="zero")
+
 
 class TestTrain:
     def test_gd_single_step_update_rule(self):
