@@ -1,13 +1,18 @@
 """Entanglement spectrum: deeper circuits approach the Haar reference.
 
 An 8-qubit layered ansatz with a CX chain is sampled at depths 1, 4,
-and 8. For each parameter draw the state is split down the middle, the
-reduced density matrix on the first 4 qubits is diagonalized, and the
-log-spectrum xi = -ln(lambda) is collected. Shallow circuits leave most
-weight on a single Schmidt vector (one small xi, the rest pushed to the
-cutoff); deep circuits spread weight across all 16 ranks the way random
-states do, so the divergence from the Haar ensemble (esd) falls with
-depth.
+and 8. For each parameter draw the state is split down the middle; the
+eigenvalues lambda of the reduced density matrix on the first 4 qubits
+are the squared singular values of the state's 16 x 16 amplitude
+matrix, so the density matrix is never formed, and the log-spectrum
+xi = -ln(lambda) is collected. A depth-L chain crosses the cut with L
+CX gates, so its Schmidt rank is at most 2^L: at depth 1 a range finder
+computes only those 2 values, in O(16 * 16 * 2) work, and from depth 4
+on the bound reaches all 16 ranks and the full SVD runs. Shallow
+circuits leave most weight on a single Schmidt vector (one small xi,
+the rest pushed to the cutoff); deep circuits spread weight across all
+16 ranks the way random states do, so the divergence from the Haar
+ensemble (esd) falls with depth.
 
 A parameter-free Bell pair is included as the textbook check: both of
 its Schmidt weights are exactly 1/2, so the profile is [ln 2, ln 2].

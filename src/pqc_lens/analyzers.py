@@ -48,6 +48,7 @@ from .simulator import (
 from .trainer import (
     OptimizerConfig,
     TrainingTrace,
+    _check_init,
     _check_trace,
     _loss_and_gradient,
     _resolve_seed,
@@ -287,6 +288,16 @@ class SpectrumReport:
         }
 
 
+def _schmidt_rank_bound(circuit: CircuitDescriptor, k: int) -> int:
+    """2**min(c, k, n - k), c the CX and CZ gates with one qubit below k and
+    one at or above it. From |0...0>, each such gate at most doubles the
+    Schmidt rank across that cut and no other gate changes it, whatever the
+    angles."""
+    c = sum((g.targets[0] < k) != (g.targets[1] < k)
+            for g in circuit.gates if g.kind in ("CX", "CZ"))
+    return 2 ** min(c, k, circuit.n_qubits - k)
+
+
 def entanglement_spectrum(circuit: CircuitDescriptor, samples: int,
                           measure: str = "kld", cutoff: float = -30.0,
                           bins: int = 75, seed=None) -> SpectrumReport:
@@ -296,6 +307,10 @@ def entanglement_spectrum(circuit: CircuitDescriptor, samples: int,
     descending; the report carries their per-rank mean profile plus the
     divergence (esd) between the pooled xi histogram and the histogram of
     an ensemble of as many Haar states, both binned on [0, |cutoff|].
+    The eigenvalues are the squared singular values of each state's
+    (2**k, 2**(n-k)) amplitude matrix, found at the circuit's Schmidt rank
+    bound r (``_schmidt_rank_bound``) in O(2**k * 2**(n-k) * r) work; when r
+    is the smaller side, that is the full SVD.
     """
     n = circuit.n_qubits
     if n < 2:
@@ -311,7 +326,8 @@ def entanglement_spectrum(circuit: CircuitDescriptor, samples: int,
     base = _resolve_seed(seed)
     program = circuit.program
 
-    profiles = simulate_map(lambda states, rows: xi_profiles(states, k, cutoff),
+    rank = _schmidt_rank_bound(circuit, k)
+    profiles = simulate_map(lambda states, rows: xi_profiles(states, k, cutoff, rank),
                             program, _sampled_angles(program, base, samples))
     pooled = histogram(profiles.reshape(-1), bins, (0.0, abs(cutoff)))
     reference = mp_reference_spectrum(n, k, samples, rng=base + samples,
@@ -693,7 +709,8 @@ def reachability(circuit: CircuitDescriptor, haar_samples: int,
     side of zero, so the raw value is reported together with both terms.
     Haar draws use seeds base + i; when the optimizer config carries no
     seed, training restarts continue the same seed sequence. Costs or traces
-    beyond half of physical memory are a ValueError before any draw.
+    beyond half of physical memory, and an init vector of the wrong length,
+    are a ValueError before any draw.
     """
     if circuit.cost is None:
         raise ValueError("reachability needs a circuit with a cost observable")
@@ -705,7 +722,8 @@ def reachability(circuit: CircuitDescriptor, haar_samples: int,
         config = OptimizerConfig()
     base = _resolve_seed(seed)
     _fits(8 * haar_samples, f"the Haar cost array of {haar_samples} samples")
-    _check_trace(circuit.n_params, config.steps, restarts)  # the check training makes first
+    _check_trace(circuit.n_params, config.steps, restarts)  # the checks training makes first
+    _check_init(config.init, circuit.n_params)
 
     def haar_costs(chunk: range) -> np.ndarray:
         states = np.stack([sample_haar_state(circuit.n_qubits, base + i).amplitudes

@@ -163,9 +163,11 @@ def spectral_xi(eigenvalues, cutoff: float = -30.0) -> np.ndarray:
     return np.clip(xi, 0.0, abs(cutoff))
 
 
-def xi_profiles(states: np.ndarray, k: int, cutoff: float = -30.0) -> np.ndarray:
-    """Per row of a (B, 2**n) batch, the xi of rho on the first k qubits, sorted descending."""
-    return np.sort(spectral_xi(schmidt_spectrum(states, k), cutoff), axis=1)[:, ::-1]
+def xi_profiles(states: np.ndarray, k: int, cutoff: float = -30.0,
+                rank: int | None = None) -> np.ndarray:
+    """Per row of a (B, 2**n) batch, the xi of rho on the first k qubits, sorted
+    descending; ``rank`` bounds the rows' Schmidt rank (``schmidt_spectrum``)."""
+    return np.sort(spectral_xi(schmidt_spectrum(states, k, rank), cutoff), axis=1)[:, ::-1]
 
 
 def mp_reference_spectrum(n_qubits: int, k: int, samples: int, rng=None,

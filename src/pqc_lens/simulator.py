@@ -621,14 +621,38 @@ def subsystem_purity(state: StateVector, keep) -> float:
     return float(purity_batch(state.amplitudes[None], keep)[0])
 
 
-def schmidt_spectrum(states: np.ndarray, k: int) -> np.ndarray:
+@lru_cache(maxsize=8)
+def _sketch(dim: int, rank: int) -> np.ndarray:
+    """The fixed, read-only (dim, rank) complex Gaussian test matrix."""
+    rng = np.random.default_rng(217)  # a constant: no caller's seed reaches it
+    omega = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    omega.flags.writeable = False
+    return omega
+
+
+def schmidt_spectrum(states: np.ndarray, k: int, rank: int | None = None) -> np.ndarray:
     """Ascending eigenvalues of rho over the first k qubits, per row of a (B, 2**n) batch.
 
     They are the squared singular values of the (2**k, 2**(n-k)) amplitude
-    matrix, padded with leading zeros to 2**k values when k > n - k.
+    matrix M, padded with leading zeros to 2**k values. ``rank`` bounds every
+    row's Schmidt rank and defaults to the smaller side of M, which takes
+    M's full SVD. Below that side, a randomized range finder (Halko,
+    Martinsson and Tropp 2011, SIAM Rev. 53, 217) first replaces M by
+    Q^dagger M, Q = qr(M Omega), Omega a fixed complex Gaussian of ``rank``
+    columns; the SVD of that smaller matrix gives every nonzero value in
+    O(2**k * 2**(n-k) * rank) work. Each step is a stacked per-row matmul,
+    qr or svd, so a row gets the arithmetic it gets alone.
     """
     rows = states.shape[0]
-    sv = np.linalg.svd(states.reshape(rows, 2**k, -1), compute_uv=False)
+    m = states.reshape(rows, 2**k, -1)
+    side = min(m.shape[1:])
+    rank = side if rank is None else rank
+    if not 1 <= rank <= side:
+        raise ValueError(f"rank {rank} must lie in [1, {side}]")
+    if rank < side:
+        q = np.linalg.qr(m @ _sketch(m.shape[2], rank))[0]
+        m = q.conj().transpose(0, 2, 1) @ m
+    sv = np.linalg.svd(m, compute_uv=False)
     lam = np.zeros((rows, 2**k))
     lam[:, 2**k - sv.shape[1]:] = sv[:, ::-1] ** 2
     return lam

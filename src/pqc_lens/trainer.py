@@ -114,19 +114,20 @@ def gradient(circuit: CircuitDescriptor, theta) -> np.ndarray:
     return _loss_and_gradient(circuit, np.reshape(theta, (1, -1)))[1][0]
 
 
+def _check_init(init, n_params: int) -> None:
+    """ValueError if an explicit init vector does not hold n_params values."""
+    if not isinstance(init, str) and np.size(init) != n_params:
+        raise ValueError(f"init vector has length {np.size(init)}, circuit declares {n_params}")
+
+
 def _initial_theta(circuit: CircuitDescriptor, config: OptimizerConfig, seed) -> np.ndarray:
     init = config.init
+    _check_init(init, circuit.n_params)
     if isinstance(init, str):
         if init == "zeros":
             return np.zeros(circuit.n_params)
         return np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, circuit.n_params)
-    theta = np.asarray(init, dtype=float).reshape(-1)
-    if theta.shape[0] != circuit.n_params:
-        raise ValueError(
-            f"init vector has length {theta.shape[0]}, "
-            f"circuit declares {circuit.n_params}"
-        )
-    return theta.copy()
+    return np.array(init, dtype=float).reshape(-1)
 
 
 def _check_trace(n_params: int, steps: int, restarts: int) -> None:

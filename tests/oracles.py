@@ -291,6 +291,16 @@ def loop_mean_cut(edges, bit_matrix) -> float:
     return float(crossings.mean())
 
 
+def svd_schmidt_spectrum(states: np.ndarray, k: int) -> np.ndarray:
+    """schmidt_spectrum by the full SVD of every row's (2**k, 2**(n-k))
+    amplitude matrix, squared, ascending and padded with leading zeros."""
+    rows = states.shape[0]
+    sv = np.linalg.svd(states.reshape(rows, 2**k, -1), compute_uv=False)
+    lam = np.zeros((rows, 2**k))
+    lam[:, 2**k - sv.shape[1]:] = sv[:, ::-1] ** 2
+    return lam
+
+
 def _cell(value) -> str:
     if isinstance(value, float):
         return repr(value)

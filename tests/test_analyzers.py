@@ -189,6 +189,27 @@ class TestEntanglementSpectrum:
         assert a.esd == b.esd
         assert np.array_equal(a.profile, b.profile)
 
+    def test_rank_bound_counts_cx_and_cz_across_the_cut(self):
+        circuit = make_circuit(4, [Gate("CX", (0, 3)), Gate("CZ", (3, 1)), Gate("H", (0,)),
+                                   Gate("CX", (0, 1)), Gate("CZ", (2, 3))])
+        # k = 1 is crossed by CX(0, 3) and CX(0, 1), k = 2 by CX(0, 3) and
+        # CZ(3, 1), and k = 3 by all but CX(0, 1); the smaller side caps it
+        assert [analyzers._schmidt_rank_bound(circuit, k) for k in (1, 2, 3)] == [2, 4, 2]
+        assert analyzers._schmidt_rank_bound(layered_ansatz(19, 1, "chain"), 10) == 2
+        assert analyzers._schmidt_rank_bound(idle_circuit(4), 2) == 1
+
+    @pytest.mark.parametrize("n, layers, entangler", [(8, 4, "full"), (6, 2, "full")])
+    def test_saturated_rank_bound_keeps_the_full_svd(self, n, layers, entangler):
+        circuit = layered_ansatz(n, layers, entangler)
+        k = (n + 1) // 2
+        assert analyzers._schmidt_rank_bound(circuit, k) == 2 ** (n - k)
+        program = circuit.program
+        states = simulator.simulate_batch(program, analyzers._sampled_angles(program, 3, 25))
+        want = baselines.spectral_xi(oracles.svd_schmidt_spectrum(states, k))
+        want = np.sort(want, axis=1)[:, ::-1]
+        assert np.array_equal(entanglement_spectrum(circuit, 25, seed=3).profile,
+                              want.mean(axis=0))
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="2 qubits"):
             entanglement_spectrum(idle_circuit(1), 5)
@@ -573,6 +594,14 @@ class TestReachability:
             reachability(_rx_cost(), 0, 1)
         with pytest.raises(ValueError):
             reachability(_rx_cost(), 10, 0)
+
+    def test_wrong_length_init_fails_before_any_draw(self, monkeypatch):
+        draws = []
+        monkeypatch.setattr(analyzers, "sample_haar_state", lambda *args: draws.append(args))
+        config = OptimizerConfig(init=[0.0, 0.0], steps=1)
+        with pytest.raises(ValueError, match="init vector has length 2, circuit declares 1"):
+            reachability(_rx_cost(), 300_000, 2, config=config, seed=0)
+        assert len(draws) == 0
 
     def test_oversized_trace_fails_before_any_draw(self, monkeypatch):
         monkeypatch.setattr(analyzers, "sample_haar_state", _no_work)

@@ -25,7 +25,7 @@ from pqc_lens import (
     simulate_noisy,
     subsystem_purity,
 )
-from pqc_lens import simulator
+from pqc_lens import analyzers, simulator
 from pqc_lens.cli import run
 from pqc_lens.library import (all_zeros_infidelity_cost, bell_circuit, layered_ansatz,
                               mean_excitation_cost)
@@ -423,6 +423,85 @@ class TestReducedStates:
         psi = simulate(bind(bell_circuit(), []))
         with pytest.raises(ValueError, match="keep"):
             subsystem_purity(psi, keep)
+
+
+@st.composite
+def cut_circuits(draw):
+    """A cut k and a circuit of every gate kind with literal angles, after a
+    layer of RY on every qubit so that a CX or CZ across the cut usually
+    does raise the Schmidt rank. CX and CZ take ordered qubit pairs, so they
+    cross the cut in both directions."""
+    n = draw(st.integers(2, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 10**9)))
+    gates = [Gate("RY", (q,), float(rng.uniform(-3, 3))) for q in range(n)]
+    for _ in range(draw(st.integers(0, 16))):
+        kind = draw(st.sampled_from(oracles._GATE_POOL))
+        if kind in ("CX", "CZ"):
+            gates.append(Gate(kind, tuple(draw(st.permutations(range(n)))[:2])))
+        else:
+            angle = float(rng.uniform(-3, 3)) if kind.startswith("R") else None
+            gates.append(Gate(kind, (draw(st.integers(0, n - 1)),), angle))
+    return make_circuit(n, gates), draw(st.integers(1, n - 1))
+
+
+class TestRankedSchmidtSpectrum:
+    """schmidt_spectrum at the Schmidt rank bound the spectrum analyzer uses."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(cut_circuits())
+    def test_rank_bound_holds_and_the_range_finder_reaches_it(self, case):
+        circuit, k = case
+        rank = analyzers._schmidt_rank_bound(circuit, k)
+        states = simulate(bind(circuit, [])).amplitudes[None]
+        full = oracles.svd_schmidt_spectrum(states, k)
+        assert np.count_nonzero(full > 1e-20) <= rank
+        assert np.max(np.abs(simulator.schmidt_spectrum(states, k, rank) - full)) <= 1e-12
+        m = states.reshape(2**k, -1)
+        if rank < min(m.shape):
+            q = np.linalg.qr(m @ simulator._sketch(m.shape[1], rank))[0]
+            assert np.linalg.norm(m - q @ (q.conj().T @ m)) <= 1e-13
+        else:
+            assert np.array_equal(simulator.schmidt_spectrum(states, k, rank), full)
+
+    @pytest.mark.parametrize("n, layers", [(8, 1), (9, 2), (12, 1), (13, 3)])
+    def test_chain_spectra_match_the_full_svd(self, n, layers):
+        # a chain of L layers crosses the cut L times and generically reaches
+        # Schmidt rank 2**L, so every one of the r values is nonzero
+        circuit = layered_ansatz(n, layers, "chain")
+        k = (n + 1) // 2
+        rank = analyzers._schmidt_rank_bound(circuit, k)
+        assert rank == 2**layers
+        program = circuit.program
+        states = simulator.simulate_batch(program, analyzers._sampled_angles(program, n, 3))
+        full = oracles.svd_schmidt_spectrum(states, k)
+        assert np.all(full[:, -rank:] > 1e-6)
+        assert np.max(np.abs(simulator.schmidt_spectrum(states, k, rank) - full)) <= 1e-12
+
+    @pytest.mark.parametrize("chunk_bytes", [simulator.CHUNK_BYTES, 1])
+    @pytest.mark.parametrize("rows", [2, 3, 5, 8, 33])
+    def test_ranked_rows_are_bit_identical_to_lone_rows(self, monkeypatch, rows, chunk_bytes):
+        circuits = [layered_ansatz(8, 1, "chain"), layered_ansatz(7, 2, "chain"),
+                    make_circuit(6, [Gate("H", (q,)) for q in range(6)]
+                                 + [Gate("CZ", (4, 1)), Gate("RY", (2,), ParamRef("a")),
+                                    Gate("CX", (1, 2)), Gate("CX", (0, 5))], ["a"])]
+        monkeypatch.setattr(simulator, "CHUNK_BYTES", chunk_bytes)
+        rng = np.random.default_rng(rows)
+        for circuit in circuits:
+            k = (circuit.n_qubits + 1) // 2
+            rank = analyzers._schmidt_rank_bound(circuit, k)
+            assert rank < 2 ** (circuit.n_qubits - k)
+            program = circuit.program
+            angles = program.angles(rng.uniform(0, 2 * np.pi, (rows, circuit.n_params)))
+            got = simulator.simulate_map(
+                lambda states, _: simulator.schmidt_spectrum(states, k, rank), program, angles)
+            for i in range(rows):
+                lone = simulator.simulate_batch(program, angles[i:i + 1])
+                assert np.array_equal(got[i], simulator.schmidt_spectrum(lone, k, rank)[0])
+
+    @pytest.mark.parametrize("rank", [0, -1, 5])
+    def test_rejects_a_rank_outside_the_smaller_side(self, rank):
+        with pytest.raises(ValueError, match=f"rank {rank} must lie in \\[1, 4\\]"):
+            simulator.schmidt_spectrum(np.eye(1, 2**5, dtype=complex), 3, rank)
 
 
 class TestWidthGuard:
