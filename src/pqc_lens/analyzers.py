@@ -22,6 +22,7 @@ from .baselines import (
     Histogram,
     MPBaseline,
     _check_bins,
+    _check_cutoff,
     haar_fidelity_baseline,
     histogram,
     js_distance,
@@ -319,8 +320,7 @@ def entanglement_spectrum(circuit: CircuitDescriptor, samples: int,
         raise ValueError("samples must be positive")
     if measure not in DIVERGENCE_MEASURES:
         raise ValueError(f"measure must be one of {DIVERGENCE_MEASURES}")
-    if cutoff >= 0:
-        raise ValueError("cutoff must be negative (it is a log threshold)")
+    _check_cutoff(cutoff)
     _check_bins(bins)
     k = (n + 1) // 2
     base = _resolve_seed(seed)

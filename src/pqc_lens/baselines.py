@@ -70,6 +70,12 @@ def _check_bins(bins: int, what: str = "histogram") -> None:
     _fits(24 * (bins + 1), f"a {what} of {bins} bins")
 
 
+def _check_cutoff(cutoff: float) -> None:
+    """ValueError unless cutoff, a log threshold, is finite and negative."""
+    if not (math.isfinite(cutoff) and cutoff < 0):
+        raise ValueError(f"cutoff must be finite and negative, got {cutoff}")
+
+
 def histogram(samples, bins: int, value_range: tuple[float, float]) -> Histogram:
     """Bin samples into `bins` equal-width cells over value_range.
 
@@ -157,6 +163,7 @@ def spectral_xi(eigenvalues, cutoff: float = -30.0) -> np.ndarray:
     produce) saturate at |cutoff|; values a hair above 1 from rounding are
     clipped to xi = 0.
     """
+    _check_cutoff(cutoff)
     lam = np.asarray(eigenvalues, dtype=float)
     floor = math.exp(cutoff)
     xi = np.where(lam < floor, abs(cutoff), -np.log(np.maximum(lam, floor)))
@@ -178,6 +185,7 @@ def mp_reference_spectrum(n_qubits: int, k: int, samples: int, rng=None,
     sample) and the pooled histogram on [0, |cutoff|], the two pieces the
     spectral-divergence analyzer compares against.
     """
+    _check_cutoff(cutoff)
     if not 1 <= k < n_qubits:
         raise ValueError(f"subsystem size k={k} must satisfy 1 <= k < n_qubits")
     if samples < 1:

@@ -317,8 +317,8 @@ class GateProgram:
     are applied, so that a layer of rotations and its entangling gates
     compile to one dense op per qubit and one mono op.
 
-    The first ``opening`` ops, in program order, are the opening of the
-    circuit: every qubit's first run, when no two-qubit gate on the qubit
+    The first ``opening`` ops, in ascending qubit order, are the opening of
+    the circuit: every qubit's first run, when no two-qubit gate on the qubit
     comes before it, hoisted to the front as a "dense" op, whatever its
     gates (a lone X is the X matrix). No op before it touches its qubit, so
     it commutes with them all, and it acts on |0> of its qubit: the
@@ -407,11 +407,15 @@ def _monomial(n: int, steps) -> Monomial | None:
     if identity and not signs and not phases:
         return None
     parities = [p for pair in signs[::-1] for p in pair] + [p for _, p in phases[::-1]]
-    # Python ints: a circuit too wide to simulate still compiles
-    columns = tuple(sum(((mask[q] >> j) & 1) << (n - 1 - q) for q in range(n))
-                    for j in range(n))
+    # Python ints: a circuit too wide to simulate still compiles. columns is
+    # mask's bit transpose, built from its set bits, in near-linear time
+    columns = [0] * n
+    for q, m in enumerate(mask):
+        while m:
+            columns[(m & -m).bit_length() - 1] |= 1 << (n - 1 - q)
+            m &= m - 1
     masks = np.array([[(m >> j) & 1 for j in range(n)] for m, _ in parities], dtype=bool)
-    return Monomial(None if identity else columns,
+    return Monomial(None if identity else tuple(columns),
                     sum(f << (n - 1 - q) for q, f in enumerate(flip)),
                     _read_only(masks.reshape(-1, n)),
                     _read_only(np.array([f for _, f in parities], dtype=bool)),
@@ -428,7 +432,7 @@ def compile_program(circuit: CircuitDescriptor) -> GateProgram:
     The circuit is first cut into steps: every maximal run of single-qubit
     gates on one qubit, and every CX and CZ. Every qubit's first step that
     is a single-qubit run then moves to the front as a "dense" op, in
-    program order (``GateProgram.opening``); after it, each stretch of
+    ascending qubit order (``GateProgram.opening``); after it, each stretch of
     steps whose gates are all X, Z, RZ, CX or CZ becomes one "mono" op and
     every other run a "dense" op.
     """
@@ -468,7 +472,7 @@ def compile_program(circuit: CircuitDescriptor) -> GateProgram:
         single = len(targets) == 1 and targets[0] not in touched
         (opening if single else rest).append((targets, run))
         touched.update(targets)
-    program = [_dense(qubit, run) for (qubit,), run in opening]
+    program = [_dense(qubit, run) for (qubit,), run in sorted(opening)]
     for monomial, group in groupby(rest, lambda step: _is_monomial(step[1])):
         if not monomial:
             program += [_dense(qubit, run) for (qubit,), run in group]

@@ -3,11 +3,11 @@
 Amplitudes are stored as a complex vector of length 2**n where qubit 0 is
 the most significant bit of the basis index, so |q0 q1 ... q_{n-1}> lives at
 index q0*2**(n-1) + ... + q_{n-1}. Gates are applied by pairwise amplitude
-updates on the state reshaped to a rank-n tensor, never by building the
-2**n x 2**n unitary.
+updates on the state viewed as (2**q, 2, 2**(n-q-1)), whose middle axis is
+qubit q's bit, never by building the 2**n x 2**n unitary.
 
 The core simulates a batch: a compiled GateProgram (circuit.compile_program)
-runs on a (B, 2, ..., 2) array of B states, row i driven by row i of a
+runs on a flat (B, 2**n) array of B states, row i driven by row i of a
 (B, columns) angle matrix. Compiling fuses every run of single-qubit gates
 on one qubit into one operation, so a layer of RX, RZ, RX rotations costs
 one pass over the state per qubit, not three. A program holds operations
@@ -24,15 +24,15 @@ The gather index and the parity tables are built per call, by doubling,
 in blocks of at most 4096 entries; no 2**n-sized table is kept. The
 opening of a program (``GateProgram.opening``: each qubit's first run,
 when no two-qubit gate on the qubit comes before it, hoisted to the front
-as a "dense" op) runs through neither kernel: it acts on |0> of qubits
-nothing has touched, so ``_open`` writes it into the zeroed rows as the
-product of the ops' first columns, built in place by doubling, with about
-as many writes as two passes over the state. Every rotation, a literal
-one too, reads its angle from a column. A fused matrix that depends on
-angles is formed per row, entry by entry in a fixed order, and a phase
-exponent is summed one angle column at a time, elementwise, so every row
-gets exactly the arithmetic it gets alone, as a bound circuit, however
-rows are batched.
+as a "dense" op, in ascending qubit order) runs through neither kernel: it
+acts on |0> of qubits nothing has touched, so ``_open`` writes it into the
+zeroed rows as the product of the ops' first columns, built in place by
+doubling, with about as many writes as two passes over the state. Every
+rotation, a literal one too, reads its angle from a column. A fused matrix
+that depends on angles is formed per row, entry by entry in a fixed order,
+and a phase exponent is summed one angle column at a time, elementwise, so
+every row gets exactly the arithmetic it gets alone, as a bound circuit,
+however rows are batched.
 The norm of every row is checked once, after the last operation, and a
 drift beyond 1e-10 raises ValueError; it is not asserted gate by gate.
 ``simulate``, ``simulate_noisy``, ``expectation``, ``subsystem_purity`` and
@@ -172,8 +172,10 @@ def _fits(size: int, what: str) -> None:
     """ValueError if ``what``, taking size bytes, exceeds half of physical memory."""
     limit = _physical_memory() // 2
     if size > limit:
+        # Python formats no int of over 4300 digits, so a huge size is bounded
+        count = size if size < 2**64 else f"at least 2**{size.bit_length() - 1}"
         raise ValueError(
-            f"{what} takes {size} bytes, more than half of physical memory "
+            f"{what} takes {count} bytes, more than half of physical memory "
             f"({limit} bytes)"
         )
 
@@ -204,25 +206,22 @@ def simulate_map(fn, program: GateProgram, angles: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# kernels on a (B, 2, ..., 2) batch; a selector fixes qubit axes, axis 0 is
-# the batch
+# kernels on a (B, 2**n) batch; axis 0 is the batch
 
 
-@lru_cache(maxsize=1024)
-def _selector(n: int, qubit: int, bit: int, zeros: tuple[int, ...] = ()) -> tuple:
-    """Fix ``qubit`` at ``bit`` and every qubit in ``zeros`` at 0."""
-    sel = [slice(None)] + [0 if q in zeros else slice(None) for q in range(n)]
-    sel[qubit + 1] = bit
-    return tuple(sel)
+def _pair(states: np.ndarray, qubit: int) -> np.ndarray:
+    """The (B, 2**q, 2, 2**(n-q-1)) view of a (B, 2**n) batch; axis 2 is qubit q's bit."""
+    rows, dim = states.shape
+    return states.reshape(rows, 1 << qubit, 2, dim >> (qubit + 1))
 
 
-def _mix(psi, lo, hi, u00, u01, u10, u11) -> None:
+def _mix(pair, u00, u01, u10, u11) -> None:
     """(lo, hi) <- (u00 lo + u01 hi, u10 lo + u11 hi), per-row coefficients.
 
     Operand order matters: numpy's vectorised complex product is not
     commutative to the last bit.
     """
-    top, bottom = psi[lo], psi[hi]
+    top, bottom = pair[:, :, 0], pair[:, :, 1]
     cross = u01 * bottom
     np.multiply(u11, bottom, out=bottom)
     bottom += u10 * top
@@ -338,42 +337,36 @@ def _mono(flat: np.ndarray, angles: np.ndarray, mono: Monomial) -> None:
                 np.multiply(factor, source, out=target)
 
 
-def _run(psi: np.ndarray, ops, rotations, angles) -> None:
-    """Apply compiled ops after the opening to a (B, 2, ..., 2) batch.
+def _run(states: np.ndarray, ops, rotations, angles) -> None:
+    """Apply compiled ops after the opening to a (B, 2**n) batch.
 
     ``rotations`` holds the (2, 2, columns, B) matrices of the (B, columns)
     ``angles``, row i's in rotations[..., i].
     """
-    n = psi.ndim - 1
     for op in ops:
         if op[0] == "mono":
-            _mono(psi.reshape(psi.shape[0], -1), angles, op[1])
+            _mono(states, angles, op[1])
             continue
         _, qubit, factors = op  # "dense"
-        # one coefficient per row, broadcast over the slice's qubit axes
-        m = _op_matrix(factors, rotations).reshape((2, 2, -1) + (1,) * (n - 1))
-        _mix(psi, _selector(n, qubit, 0), _selector(n, qubit, 1),
-             m[0, 0], m[0, 1], m[1, 0], m[1, 1])
+        m = _op_matrix(factors, rotations)[..., None, None]  # one coefficient per row
+        _mix(_pair(states, qubit), m[0, 0], m[0, 1], m[1, 0], m[1, 1])
 
 
-def _open(psi: np.ndarray, ops, rotations) -> None:
-    """Spread |0...0> of a (B, 2, ..., 2) batch into the product of the
-    opening ops' first columns (m00, m10), their action on |0>, in place.
+def _open(states: np.ndarray, ops, rotations) -> None:
+    """Spread |0...0> of a (B, 2**n) batch into the product of the opening
+    ops' first columns (m00, m10), their action on |0>, in place.
 
-    Op by op, every qubit not yet placed is fixed at 0: the region of
-    placed qubits doubles onto the op's qubit as hi = m10 lo, then
-    lo = m00 lo, coefficient first as in ``_mix``. hi is formed as a fresh
-    product and copied in: written with out=hi, whose memory interleaves
-    with lo's, numpy rounds some rows differently as the batch grows.
+    The ops come in ascending qubit order, so before qubit q is placed only
+    the ``[..., 0]`` slice of its ``_pair`` view can be nonzero: its half lo
+    doubles onto hi = m10 lo, then lo = m00 lo, coefficient first as in
+    ``_mix``. hi is formed as a fresh product and copied in: written with
+    out=hi, whose memory interleaves with lo's, numpy rounds some rows
+    differently as the batch grows.
     """
-    n = psi.ndim - 1
-    unplaced = dict.fromkeys(range(n))
     for _, qubit, factors in ops:
-        del unplaced[qubit]
-        zeros = tuple(unplaced)
-        lo = psi[_selector(n, qubit, 0, zeros)]
-        hi = psi[_selector(n, qubit, 1, zeros)]
-        m = _op_matrix(factors, rotations).reshape((2, 2, -1) + (1,) * (lo.ndim - 1))
+        first = _pair(states, qubit)[..., 0]
+        lo, hi = first[:, :, 0], first[:, :, 1]
+        m = _op_matrix(factors, rotations)[..., None]
         hi[...] = m[1, 0] * lo
         np.multiply(m[0, 0], lo, out=lo)
 
@@ -388,12 +381,12 @@ def simulate_batch(program: GateProgram, angles: np.ndarray) -> np.ndarray:
     """Final states, shape (B, 2**n), one per row of the (B, columns) angles.
 
     Every row starts from |0...0>. The program's opening (its first
-    ``program.opening`` ops, single-qubit ops on untouched qubits) is
-    written into the zeroed rows as a product state, built in place by
-    doubling (``_open``); the remaining ops then run as passes over the
-    state. An infinite angle (a parameter times its prefactor overflowed,
-    see ``GateProgram.angles``) is a ValueError, raised before any gate
-    runs.
+    ``program.opening`` ops, single-qubit ops on untouched qubits in
+    ascending qubit order) is written into the zeroed rows as a product
+    state, built in place by doubling (``_open``); the remaining ops then
+    run as passes over the state. An infinite angle (a parameter times its
+    prefactor overflowed, see ``GateProgram.angles``) is a ValueError,
+    raised before any gate runs.
     """
     if not np.all(np.isfinite(angles)):
         raise ValueError("a rotation angle overflowed to inf: a parameter times "
@@ -402,10 +395,9 @@ def simulate_batch(program: GateProgram, angles: np.ndarray) -> np.ndarray:
     _fits(_AMPLITUDE_BYTES * 2**n, f"a {n}-qubit state")
     states = np.zeros((angles.shape[0], 2**n), dtype=complex)
     states[:, 0] = 1.0
-    psi = states.reshape((-1,) + (2,) * n)
     rotations = rotation_matrices(program.kinds, angles)
-    _open(psi, program.ops[:program.opening], rotations)
-    _run(psi, program.ops[program.opening:], rotations, angles)
+    _open(states, program.ops[:program.opening], rotations)
+    _run(states, program.ops[program.opening:], rotations, angles)
     drift = np.abs(_norms(states) - 1.0)
     if not np.all(drift <= _NORM_TOL):  # NaN fails too
         raise ValueError(f"state is not normalized: ||psi|^2 - 1| = {drift.max()}")

@@ -216,6 +216,15 @@ class TestEntanglementSpectrum:
         with pytest.raises(ValueError, match="cutoff"):
             entanglement_spectrum(bell_circuit(), 5, cutoff=1.0)
 
+    @pytest.mark.parametrize("cutoff", [math.nan, math.inf, -math.inf, 0.0, 1.0])
+    def test_bad_cutoff_fails_before_any_simulation(self, monkeypatch, cutoff):
+        calls = []
+        monkeypatch.setattr(analyzers, "simulate_map", lambda *args: calls.append(args))
+        monkeypatch.setattr(baselines, "sample_haar_state", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="cutoff"):
+            entanglement_spectrum(bell_circuit(), 5, cutoff=cutoff)
+        assert not calls
+
 
 class TestLossLandscape:
     def test_single_parameter_cosine_slice(self):

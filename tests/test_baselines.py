@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from oracles import haar_fidelity_inverse_cdf
-from pqc_lens import simulator
+from pqc_lens import baselines, simulator
 from pqc_lens import (
     Histogram,
     MPBaseline,
@@ -198,8 +198,21 @@ class TestSpectralXi:
         xi = spectral_xi([math.exp(-12.0), 0.0], cutoff=-10.0)
         assert xi == pytest.approx([10.0, 10.0])
 
+    @pytest.mark.parametrize("cutoff", [math.nan, math.inf, -math.inf, 0.0, 1.0])
+    def test_rejects_cutoff_that_is_not_finite_and_negative(self, cutoff):
+        with pytest.raises(ValueError, match="cutoff"):
+            spectral_xi([0.5, 0.1], cutoff=cutoff)
+
 
 class TestMPReference:
+    @pytest.mark.parametrize("cutoff", [math.nan, math.inf, -math.inf, 0.0, 1.0])
+    def test_bad_cutoff_fails_before_any_draw(self, monkeypatch, cutoff):
+        draws = []
+        monkeypatch.setattr(baselines, "sample_haar_state", lambda *args: draws.append(args))
+        with pytest.raises(ValueError, match="cutoff"):
+            mp_reference_spectrum(4, 2, 3, cutoff=cutoff)
+        assert not draws
+
     def test_shapes_and_grid(self):
         ref = mp_reference_spectrum(4, 2, samples=50, rng=0)
         assert isinstance(ref, MPBaseline)

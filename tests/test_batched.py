@@ -344,7 +344,8 @@ def test_opening_rows_match_lone_and_dense_simulation(case):
             first.setdefault(q, len(g.targets) == 1)
     opening = program.ops[:program.opening]
     assert {form for form, *_ in opening} <= {"dense"}
-    assert sorted(qubit for _, qubit, _ in opening) == \
+    # in ascending qubit order
+    assert [qubit for _, qubit, _ in opening] == \
         sorted(q for q, single in first.items() if single)
     angles = program.angles(thetas)
     states = simulate_batch(program, angles)
@@ -500,3 +501,39 @@ def test_circuits_too_wide_to_simulate_still_compile():
     assert bind(circuit, [0.3]).n_qubits == 70
     with pytest.raises(ValueError, match="a 70-qubit state takes"):
         simulate(bind(circuit, [0.3]))
+
+
+def test_circuits_too_wide_to_format_their_size_are_refused():
+    # 16 * 2**20000 bytes has more digits than Python formats
+    circuit = make_circuit(20_000, [Gate("RY", (0,), ParamRef("a")), Gate("CX", (0, 1))], ["a"])
+    with pytest.raises(ValueError, match="at least 2\\*\\*20005 bytes, more than half "
+                                         "of physical memory"):
+        expressibility(circuit, 10, seed=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 70), st.integers(0, 10**9))
+def test_gather_columns_are_the_bit_transpose_of_the_index_masks(n, seed):
+    # a CZ on every qubit first leaves no opening: all gates form one "mono" op
+    rng = np.random.default_rng(seed)
+    gates = [Gate("CZ", (q, q + 1)) for q in range(n - 1)]
+    for _ in range(int(rng.integers(1, 3 * n))):
+        kind = str(rng.choice(["X", "Z", "RZ", "CX", "CZ"]))
+        if kind in ("CX", "CZ"):
+            gates.append(Gate(kind, tuple(int(q) for q in rng.choice(n, 2, replace=False))))
+        else:
+            gates.append(Gate(kind, (int(rng.integers(n)),), 0.3 if kind == "RZ" else None))
+    (form, mono), = compile_program(make_circuit(n, gates)).ops
+    # qubit q's bit before the gates is the parity of mask[q] & y, with flip[q]
+    mask, flip = [1 << (n - 1 - q) for q in range(n)], [0] * n
+    for g in reversed(gates):
+        if g.kind == "X":
+            flip[g.targets[0]] ^= 1
+        elif g.kind == "CX":
+            control, target = g.targets
+            mask[target] ^= mask[control]
+            flip[target] ^= flip[control]
+    identity = not any(flip) and mask == [1 << (n - 1 - q) for q in range(n)]
+    transpose = tuple(sum(((mask[q] >> j) & 1) << (n - 1 - q) for q in range(n))
+                      for j in range(n))
+    assert form == "mono" and mono.columns == (None if identity else transpose)
