@@ -7,8 +7,10 @@ memory-bounded ranges of consecutive rows, in order. A row's arithmetic
 does not depend on its range and reductions run sequentially, so outputs
 are byte-stable for any chunk size.
 
-Reports serialize through to_dict() into JSON-compatible trees tagged with
-the schema version "pqc-lens/1".
+Reports serialize through to_dict() into plain JSON trees tagged with the
+schema version "pqc-lens/1". Every to_dict, and every result the command
+line writes, goes through one converter (``_document``), so a numpy value
+becomes JSON by one rule: its ``tolist()``.
 """
 from __future__ import annotations
 
@@ -80,19 +82,33 @@ def _sampled_angles(program: GateProgram, base: int, samples: int,
     return program.angles(np.concatenate(thetas))
 
 
-def _histogram_dict(h) -> dict:
-    return {
-        "bin_edges": [float(v) for v in h.bin_edges],
-        "masses": [float(v) for v in h.masses],
-        "total_samples": int(h.total_samples),
-    }
+def _plain(value):
+    """``value`` as plain JSON data: numpy scalars and arrays by ``tolist()``,
+    tuples as lists, a Histogram or SubspaceBasis as the dict of its fields, a
+    nested report as its ``to_dict()``, and dicts and lists entry by entry."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    if isinstance(value, (Histogram, SubspaceBasis)):
+        value = vars(value)
+    elif hasattr(value, "to_dict"):
+        return value.to_dict()
+    if isinstance(value, dict):
+        return {key: _plain(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
 
 
-def _basis_dict(basis: SubspaceBasis) -> dict:
-    return {
-        "origin": [float(v) for v in basis.origin],
-        "axes": [[float(v) for v in row] for row in basis.axes],
-    }
+def _document(kind: str, **fields) -> dict:
+    """The report of this kind: the schema, the kind and every field that is
+    not None, as plain JSON data (``_plain``)."""
+    fields = {key: v for key, v in fields.items() if v is not None}
+    return _plain({"schema": SCHEMA, "kind": kind, **fields})
+
+
+def _final_losses(traces) -> tuple:
+    """The last loss of every trace, in order."""
+    return tuple(float(t.losses[-1]) for t in traces)
 
 
 @dataclass(frozen=True)
@@ -147,17 +163,14 @@ class ExpressibilityReport:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "kind": "expressibility",
-            "measure": self.measure,
-            "value": float(self.value),
-            "samples": int(self.samples),
-            "n_qubits": int(self.n_qubits),
-            "seed": int(self.seed),
-            "fidelity_histogram": _histogram_dict(self.fidelity_histogram),
-            "baseline_histogram": _histogram_dict(self.baseline),
-        }
+        return _document("expressibility",
+                         measure=self.measure,
+                         value=self.value,
+                         samples=self.samples,
+                         n_qubits=self.n_qubits,
+                         seed=self.seed,
+                         fidelity_histogram=self.fidelity_histogram,
+                         baseline_histogram=self.baseline)
 
 
 def expressibility(circuit: CircuitDescriptor, samples: int,
@@ -196,19 +209,12 @@ class EntanglementReport:
     seed: int
 
     def to_dict(self) -> dict:
-        if self.measure == "scott":
-            q_value = [float(v) for v in self.q]
-        else:
-            q_value = float(self.q)
-        return {
-            "schema": SCHEMA,
-            "kind": "entanglement",
-            "measure": self.measure,
-            "q": q_value,
-            "samples": int(self.samples),
-            "n_qubits": int(self.n_qubits),
-            "seed": int(self.seed),
-        }
+        return _document("entanglement",
+                         measure=self.measure,
+                         q=self.q,
+                         samples=self.samples,
+                         n_qubits=self.n_qubits,
+                         seed=self.seed)
 
 
 def _mean_block_impurity(states: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -271,22 +277,19 @@ class SpectrumReport:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "kind": "spectrum",
-            "esd": float(self.esd),
-            "measure": self.measure,
-            "profile": [float(v) for v in self.profile],
-            "reference_profile": [float(v) for v in self.reference.profile],
-            "cutoff": float(self.cutoff),
-            "subsystem_size": int(self.subsystem_size),
-            "samples": int(self.samples),
-            "reference_samples": int(self.reference.samples),
-            "n_qubits": int(self.n_qubits),
-            "seed": int(self.seed),
-            "xi_histogram": _histogram_dict(self.xi_histogram),
-            "reference_histogram": _histogram_dict(self.reference.histogram),
-        }
+        return _document("spectrum",
+                         esd=self.esd,
+                         measure=self.measure,
+                         profile=self.profile,
+                         reference_profile=self.reference.profile,
+                         cutoff=self.cutoff,
+                         subsystem_size=self.subsystem_size,
+                         samples=self.samples,
+                         reference_samples=self.reference.samples,
+                         n_qubits=self.n_qubits,
+                         seed=self.seed,
+                         xi_histogram=self.xi_histogram,
+                         reference_histogram=self.reference.histogram)
 
 
 def _schmidt_rank_bound(circuit: CircuitDescriptor, k: int) -> int:
@@ -321,6 +324,7 @@ def entanglement_spectrum(circuit: CircuitDescriptor, samples: int,
     if measure not in DIVERGENCE_MEASURES:
         raise ValueError(f"measure must be one of {DIVERGENCE_MEASURES}")
     _check_cutoff(cutoff)
+    cutoff = float(cutoff)
     _check_bins(bins)
     k = (n + 1) // 2
     base = _resolve_seed(seed)
@@ -348,17 +352,14 @@ class LandscapeGrid:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "kind": "landscape",
-            "basis": _basis_dict(self.basis),
-            "phi": [float(v) for v in self.phi_values],
-            "values": [[float(v) for v in row] for row in self.values],
-            "center_value": float(self.center_value),
-            "metric_mode": self.metric_mode,
-            "scan_range": float(self.scan_range),
-            "seed": int(self.seed),
-        }
+        return _document("landscape",
+                         basis=self.basis,
+                         phi=self.phi_values,
+                         values=self.values,
+                         center_value=self.center_value,
+                         metric_mode=self.metric_mode,
+                         scan_range=self.scan_range,
+                         seed=self.seed)
 
 
 BASIS_MODES = ("random", "pca")
@@ -445,16 +446,13 @@ class ScanGrids:
         return float(np.mean(np.abs(self.grad_theta2)))
 
     def to_dict(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "kind": "barren-plateau-scan",
-            "cost_kind": self.cost_kind,
-            "theta1": [float(v) for v in self.theta1_values],
-            "theta2": [float(v) for v in self.theta2_values],
-            "loss": [[float(v) for v in row] for row in self.loss],
-            "grad_theta2": [[float(v) for v in row] for row in self.grad_theta2],
-            "mean_abs_grad": self.mean_abs_grad,
-        }
+        return _document("barren-plateau-scan",
+                         cost_kind=self.cost_kind,
+                         theta1=self.theta1_values,
+                         theta2=self.theta2_values,
+                         loss=self.loss,
+                         grad_theta2=self.grad_theta2,
+                         mean_abs_grad=self.mean_abs_grad)
 
 
 _COSTS = {"global": all_zeros_infidelity_cost, "local": mean_excitation_cost}
@@ -504,24 +502,17 @@ class PathEmbedding:
     overlay: LandscapeGrid | None = None
 
     def to_dict(self) -> dict:
-        doc = {
-            "schema": SCHEMA,
-            "kind": "training-path",
-            "mode": self.mode,
-            "restart": [int(v) for v in self.restarts],
-            "step": [int(v) for v in self.steps],
-            "loss": [float(v) for v in self.losses],
-            "x": [float(v) for v in self.coords[:, 0]],
-            "y": [float(v) for v in self.coords[:, 1]],
-            "restart_final_loss": [float(v) for v in self.final_losses],
-        }
-        if self.explained is not None:
-            doc["explained_variance_ratio"] = [float(v) for v in self.explained]
-        if self.basis is not None:
-            doc["basis"] = _basis_dict(self.basis)
-        if self.overlay is not None:
-            doc["overlay"] = self.overlay.to_dict()
-        return doc
+        return _document("training-path",
+                         mode=self.mode,
+                         restart=self.restarts,
+                         step=self.steps,
+                         loss=self.losses,
+                         x=self.coords[:, 0],
+                         y=self.coords[:, 1],
+                         restart_final_loss=self.final_losses,
+                         explained_variance_ratio=self.explained,
+                         basis=self.basis,
+                         overlay=self.overlay)
 
 
 PATH_MODES = ("pca", "tsne")
@@ -551,11 +542,21 @@ def training_path(traces, mode: str = "pca",
     (restart, step, loss) tag so the polylines can be reassembled. With an
     overlay the landscape's own frame does the projecting, which puts the
     paths and the loss surface on shared axes for a 3-axis plot; that only
-    makes sense for linear frames, so overlay plus tsne is rejected.
+    makes sense for linear frames, so overlay plus tsne is rejected. Traces
+    of different parameter counts, or an overlay frame of another, are a
+    ValueError before any embedding.
     """
     traces = list(traces)
     if not traces:
         raise ValueError("need at least one trace")
+    width = traces[0].thetas.shape[1]
+    for t in traces[1:]:
+        if t.thetas.shape[1] != width:
+            raise ValueError(f"trace {t.restart_id} has {t.thetas.shape[1]} parameters, "
+                             f"trace {traces[0].restart_id} has {width}")
+    if overlay is not None and overlay.basis.origin.shape[0] != width:
+        raise ValueError(f"the overlay's frame has {overlay.basis.origin.shape[0]} "
+                         f"parameters, the traces have {width}")
     _check_path(sum(t.thetas.shape[0] for t in traces), mode, overlay is not None,
                 perplexity, iters)
 
@@ -567,7 +568,6 @@ def training_path(traces, mode: str = "pca",
         np.arange(t.thetas.shape[0], dtype=int) for t in traces
     ])
     losses = np.concatenate([t.losses for t in traces])
-    final_losses = tuple(float(t.losses[-1]) for t in traces)
 
     explained = None
     basis = None
@@ -580,7 +580,7 @@ def training_path(traces, mode: str = "pca",
         coords = tsne(PointCloud(points), dims=2, perplexity=perplexity,
                       iters=iters, seed=_resolve_seed(seed))
     return PathEmbedding(mode, coords, restarts, steps, losses,
-                         final_losses, explained, basis, overlay)
+                         _final_losses(traces), explained, basis, overlay)
 
 
 @dataclass(frozen=True)
@@ -603,27 +603,21 @@ class ParameterHistogramSeries:
         return Histogram(self.bin_edges[param], self.masses[step, param],
                          self.n_members)
 
-    def to_dict(self) -> dict:
+    def _parameter(self, p: int) -> dict:
         return {
-            "schema": SCHEMA,
-            "kind": "parameter-histograms",
-            "bins": int(self.bins),
-            "members": int(self.n_members),
-            "steps": int(self.n_steps),
-            "parameters": [
-                {
-                    "index": p,
-                    "lo": float(self.ranges[p, 0]),
-                    "hi": float(self.ranges[p, 1]),
-                    "bin_edges": [float(v) for v in self.bin_edges[p]],
-                    "masses": [
-                        [float(v) for v in self.masses[t, p]]
-                        for t in range(self.n_steps)
-                    ],
-                }
-                for p in range(self.n_params)
-            ],
+            "index": p,
+            "lo": self.ranges[p, 0],
+            "hi": self.ranges[p, 1],
+            "bin_edges": self.bin_edges[p],
+            "masses": self.masses[:, p],
         }
+
+    def to_dict(self) -> dict:
+        return _document("parameter-histograms",
+                         bins=self.bins,
+                         members=self.n_members,
+                         steps=self.n_steps,
+                         parameters=list(map(self._parameter, range(self.n_params))))
 
 
 def _check_histogram(members: int, n_steps: int, n_params: int, bins: int) -> None:
@@ -687,16 +681,13 @@ class ReachabilityReport:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "kind": "reachability",
-            "f_r": float(self.f_r),
-            "haar_minimum": float(self.haar_minimum),
-            "pqc_minimum": float(self.pqc_minimum),
-            "haar_samples": int(self.haar_samples),
-            "restarts": int(self.restarts),
-            "seed": int(self.seed),
-        }
+        return _document("reachability",
+                         f_r=self.f_r,
+                         haar_minimum=self.haar_minimum,
+                         pqc_minimum=self.pqc_minimum,
+                         haar_samples=self.haar_samples,
+                         restarts=self.restarts,
+                         seed=self.seed)
 
 
 def reachability(circuit: CircuitDescriptor, haar_samples: int,

@@ -38,6 +38,8 @@ from .analyzers import (
     _check_histogram,
     _check_landscape,
     _check_path,
+    _document,
+    _final_losses,
     entanglement_capability,
     entanglement_spectrum,
     expressibility,
@@ -147,16 +149,13 @@ def _best_landscape(circuit, traces, args, seed: int, theta=None):
 
 def _training_summary(traces) -> dict:
     best, _, best_theta, best_loss = _best_trace(traces)
-    return {
-        "schema": SCHEMA,
-        "kind": "training",
-        "restarts": len(traces),
-        "steps": int(traces[0].losses.shape[0] - 1),
-        "final_losses": [float(t.losses[-1]) for t in traces],
-        "best_restart": best,
-        "best_loss": best_loss,
-        "best_theta": [float(v) for v in best_theta],
-    }
+    return _document("training",
+                     restarts=len(traces),
+                     steps=traces[0].losses.shape[0] - 1,
+                     final_losses=_final_losses(traces),
+                     best_restart=best,
+                     best_loss=best_loss,
+                     best_theta=best_theta)
 
 
 def _cmd_expressibility(args, seed: int):
@@ -216,9 +215,7 @@ def _cmd_train(args, seed: int):
         [(f"restart {t.restart_id}", steps, t.losses) for t in traces],
         "training loss", "step", "loss",
     )
-    result = _training_summary(traces)
-    result["seed"] = seed
-    return result, files
+    return {**_training_summary(traces), "seed": seed}, files
 
 
 def _parse_theta(text: str):
@@ -281,9 +278,7 @@ def _cmd_histogram(args, seed: int):
             steps, centers, series.masses[:, p, :],
             f"theta_{p} marginal over training", "step", f"theta_{p}",
         )
-    result = series.to_dict()
-    result["seed"] = seed
-    return result, files
+    return {**series.to_dict(), "seed": seed}, files
 
 
 def _cmd_reachability(args, seed: int):
@@ -314,20 +309,16 @@ def _cmd_qaoa(args, seed: int):
         **_path_files(path, f"qaoa p={args.p} training paths"),
         "circuit.spec.json": serialize_circuit_spec(circuit),
     }
-    result = {
-        "schema": SCHEMA,
-        "kind": "qaoa",
-        "nodes": args.nodes,
-        "edges": [[int(u), int(v)] for u, v in edges],
-        "p": args.p,
-        "optimum_cut": optimum_cut,
-        "expected_cut_at_best": len(edges) / 2.0 - best_loss,
-        "sampled_mean_cut": float(sampled_cut),
-        "shots": args.shots,
-        "training": _training_summary(traces),
-        "seed": seed,
-    }
-    return result, files
+    return _document("qaoa",
+                     nodes=args.nodes,
+                     edges=edges,
+                     p=args.p,
+                     optimum_cut=optimum_cut,
+                     expected_cut_at_best=len(edges) / 2.0 - best_loss,
+                     sampled_mean_cut=sampled_cut,
+                     shots=args.shots,
+                     training=_training_summary(traces),
+                     seed=seed), files
 
 
 _COMMANDS = {

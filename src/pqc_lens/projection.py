@@ -117,6 +117,11 @@ def _fix_signs(axes: np.ndarray) -> np.ndarray:
     return fixed
 
 
+def _check_dims(dims: int) -> None:
+    if dims < 1:
+        raise ValueError("dims must be positive")
+
+
 def _gram_schmidt(axes: list[np.ndarray], candidates, needed: int) -> list[np.ndarray]:
     """Extend orthonormal axes to ``needed`` rows from candidates, in order.
 
@@ -152,8 +157,7 @@ def pca(cloud, dims: int = 2):
     """
     pts = _cloud_points(cloud)
     n_points, dim = pts.shape
-    if dims < 1:
-        raise ValueError("dims must be positive")
+    _check_dims(dims)
     if dim < dims:
         raise ValueError(f"cloud dimension {dim} is below dims={dims}")
     if n_points < dims + 1:
@@ -180,6 +184,7 @@ def random_basis(dim: int, dims: int = 2, seed=None) -> SubspaceBasis:
     When dim < dims the surplus rows come out as zeros, matching the
     degenerate-axis allowance of SubspaceBasis.
     """
+    _check_dims(dims)
     rng = np.random.default_rng(seed)
     needed = min(dims, dim)
     kept = _gram_schmidt([], (rng.standard_normal(dim) for _ in range(64 * needed)), needed)
@@ -277,6 +282,7 @@ def tsne(cloud, dims: int = 2, perplexity: float = 30.0, iters: int = 1000,
     a given seed. There is no inverse map, so overlays that need one must
     use PCA instead.
     """
+    _check_dims(dims)
     pts = _cloud_points(cloud)
     n = pts.shape[0]
     _check_tsne(n, perplexity, iters)

@@ -357,14 +357,18 @@ def _open(states: np.ndarray, ops, rotations) -> None:
     ops' first columns (m00, m10), their action on |0>, in place.
 
     The ops come in ascending qubit order, so before qubit q is placed only
-    the ``[..., 0]`` slice of its ``_pair`` view can be nonzero: its half lo
-    doubles onto hi = m10 lo, then lo = m00 lo, coefficient first as in
-    ``_mix``. hi is formed as a fresh product and copied in: written with
-    out=hi, whose memory interleaves with lo's, numpy rounds some rows
-    differently as the batch grows.
+    the ``[..., 0]`` slice of its ``_pair`` view can be nonzero, and of that
+    slice only the first 2**(q - lead) entries, lead being the first op's
+    qubit: the qubits below lead stay |0>. That part's half lo doubles onto
+    hi = m10 lo, then lo = m00 lo, coefficient first as in ``_mix``. hi is
+    formed as a fresh product and copied in: written with out=hi, whose
+    memory interleaves with lo's, numpy rounds some rows differently as the
+    batch grows. An idle qubit between two opened ones still has its zeros
+    written.
     """
+    lead = ops[0][1] if ops else 0
     for _, qubit, factors in ops:
-        first = _pair(states, qubit)[..., 0]
+        first = _pair(states, qubit)[:, :1 << (qubit - lead), :, 0]
         lo, hi = first[:, :, 0], first[:, :, 1]
         m = _op_matrix(factors, rotations)[..., None]
         hi[...] = m[1, 0] * lo

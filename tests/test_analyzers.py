@@ -503,6 +503,19 @@ class TestTrainingPath:
         with pytest.raises(ValueError, match="3 pooled"):
             training_path([tiny])
 
+    def test_traces_of_different_widths_are_rejected(self):
+        narrow = train(_rx_cost(), OptimizerConfig(steps=3, seed=1))
+        wide = train(_two_param_cost(), OptimizerConfig(steps=3, seed=2))
+        with pytest.raises(ValueError, match="2 parameters, trace 0 has 1"):
+            training_path([narrow, wide])
+
+    def test_overlay_of_another_dimension_is_rejected(self):
+        c = _two_param_cost()
+        grid = loss_landscape(c, np.zeros(2), points=3, seed=12)
+        narrow = train(_rx_cost(), OptimizerConfig(steps=3, seed=1))
+        with pytest.raises(ValueError, match="frame has 2 parameters, the traces have 1"):
+            training_path([narrow], overlay=grid)
+
 
 class TestParameterHistogram:
     def _ensemble(self, members=32, steps=150):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import tsne_with_history
-from pqc_lens import PointCloud, SubspaceBasis, pca, random_basis, simulator, tsne
+from pqc_lens import PointCloud, SubspaceBasis, pca, projection, random_basis, simulator, tsne
 
 
 def _svd_reference(pts, dims):
@@ -299,3 +299,19 @@ class TestTSNE:
         pts = np.random.default_rng(41).standard_normal((10, 3))
         with pytest.raises(ValueError, match="perplexity must be finite"):
             tsne(pts, perplexity=perplexity)
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("ran before the dims check")
+
+
+@pytest.mark.parametrize("project", [
+    lambda: tsne(np.arange(12.0).reshape(6, 2), dims=0, perplexity=1.0, iters=1),
+    lambda: random_basis(3, 0),
+    lambda: random_basis(3, -1),
+])
+def test_dims_below_one_is_rejected_before_any_work(monkeypatch, project):
+    monkeypatch.setattr(projection, "_pairwise_sq_dists", _no_work)
+    monkeypatch.setattr(projection, "_gram_schmidt", _no_work)
+    with pytest.raises(ValueError, match="dims must be positive"):
+        project()
