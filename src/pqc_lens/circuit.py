@@ -306,21 +306,27 @@ class GateProgram:
     ``literals[c]`` where ``params[c]`` is -1.
 
     ``ops`` is what the simulator applies, in order, in one of two forms.
-    ``("dense", qubit, factors)`` is a maximal run of single-qubit gates on
-    one qubit, fused into one operation and applied where the next
-    two-qubit gate on that qubit needs it or at the end; gates on other
-    qubits commute with it. ``factors`` lists the matrices to multiply, in
-    the order applied: constant (2, 2, 1) arrays, or the int column of a
-    rotation (``rotation_matrices``). ``("mono", Monomial)`` is a maximal
-    stretch of CX, CZ and of runs whose every gate is X, Z or RZ. Before
-    such a stretch, the dense runs pending on the qubits of its CX and CZ
-    are applied, so that a layer of rotations and its entangling gates
-    compile to one dense op per qubit and one mono op.
+    ``("dense", qubit, runs)`` acts on the k = len(runs) adjacent qubits
+    qubit, ..., qubit + k - 1. Each run is a maximal run of single-qubit
+    gates on one of them, fused into one 2 x 2 operation and applied where
+    the next two-qubit gate on that qubit needs it or at the end; gates on
+    other qubits commute with it. A run lists the matrices to multiply, in
+    the order applied: constant (2, 2, 1) arrays, or the int index i of the
+    rotation matrix of angle column ``dense_columns[i]``
+    (``rotation_matrices``). ``("mono", Monomial)`` is a maximal stretch of
+    CX, CZ and of runs whose every gate is X, Z or RZ. Before such a
+    stretch, the dense runs pending on the qubits of its CX and CZ are
+    applied. The runs between two mono ops act on distinct qubits and
+    commute; they are cut into blocks of at most three adjacent qubits,
+    which the simulator applies as one 2**k x 2**k Kronecker matrix each.
+    A layer of rotations and its entangling gates on n qubits compile to
+    ceil(n / 3) dense ops and one mono op. Only the ``dense_columns`` are
+    read as matrices; a mono op reads its RZ angles alone.
 
     The first ``opening`` ops, in ascending qubit order, are the opening of
     the circuit: every qubit's first run, when no two-qubit gate on the qubit
-    comes before it, hoisted to the front as a "dense" op, whatever its
-    gates (a lone X is the X matrix). No op before it touches its qubit, so
+    comes before it, hoisted to the front as a one-qubit "dense" op, whatever
+    its gates (a lone X is the X matrix). No op before it touches its qubit, so
     it commutes with them all, and it acts on |0> of its qubit: the
     simulator writes the opening as a product state, not as passes over
     the state.
@@ -334,6 +340,7 @@ class GateProgram:
     prefactors: np.ndarray
     literals: np.ndarray
     kinds: np.ndarray
+    dense_columns: np.ndarray
 
     def angles(self, thetas) -> np.ndarray:
         """The (B, columns) rotation angles for a (B, n_params) parameter batch.
@@ -364,13 +371,32 @@ def _is_monomial(run) -> bool:
     return all(kind in _MONOMIAL_KINDS for kind, _ in run)
 
 
-def _dense(qubit: int, run) -> tuple:
-    """The "dense" op of a run of ``(kind, factor)`` single-qubit gates, in
-    order: each stretch of constant matrices is multiplied into one."""
+_BLOCK_QUBITS = 3  # the widest "dense" op after the opening
+
+
+def _factors(run, matrix: dict) -> tuple:
+    """The factors of a run of ``(kind, factor)`` single-qubit gates, in
+    order: each stretch of constant matrices is multiplied into one, and a
+    rotation's angle column c becomes its matrix's index ``matrix[c]``."""
     factors: list = []
     for constant, group in groupby([f for _, f in run], lambda f: isinstance(f, np.ndarray)):
-        factors += [reduce(lambda m, f: matrix_product(f, m), group)] if constant else group
-    return ("dense", qubit, tuple(factors))
+        factors += [reduce(lambda m, f: matrix_product(f, m), group)] if constant else \
+            [matrix[c] for c in group]
+    return tuple(factors)
+
+
+def _blocks(steps, matrix: dict) -> list:
+    """The "dense" ops of single-qubit runs on distinct qubits, which
+    commute: ascending qubits, each stretch of adjacent ones cut into blocks
+    of at most _BLOCK_QUBITS."""
+    ops: list = []
+    for (qubit,), run in sorted(steps):
+        last = ops[-1] if ops else None
+        if last and last[1] + len(last[2]) == qubit and len(last[2]) < _BLOCK_QUBITS:
+            ops[-1] = ("dense", last[1], last[2] + (_factors(run, matrix),))
+        else:
+            ops.append(("dense", qubit, (_factors(run, matrix),)))
+    return ops
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -431,10 +457,11 @@ def compile_program(circuit: CircuitDescriptor) -> GateProgram:
     a bound circuit runs the arithmetic of the batched row it was bound from.
     The circuit is first cut into steps: every maximal run of single-qubit
     gates on one qubit, and every CX and CZ. Every qubit's first step that
-    is a single-qubit run then moves to the front as a "dense" op, in
-    ascending qubit order (``GateProgram.opening``); after it, each stretch of
-    steps whose gates are all X, Z, RZ, CX or CZ becomes one "mono" op and
-    every other run a "dense" op.
+    is a single-qubit run then moves to the front as a one-qubit "dense" op,
+    in ascending qubit order (``GateProgram.opening``); after it, each stretch
+    of steps whose gates are all X, Z, RZ, CX or CZ becomes one "mono" op, and
+    the other runs between two of them become "dense" ops over blocks of at
+    most three adjacent qubits, in ascending qubit order.
     """
     index = {p.name: i for i, p in enumerate(circuit.parameters)}
     steps, params, prefactors, literals, kinds = [], [], [], [], []
@@ -472,14 +499,20 @@ def compile_program(circuit: CircuitDescriptor) -> GateProgram:
         single = len(targets) == 1 and targets[0] not in touched
         (opening if single else rest).append((targets, run))
         touched.update(targets)
-    program = [_dense(qubit, run) for (qubit,), run in sorted(opening)]
-    for monomial, group in groupby(rest, lambda step: _is_monomial(step[1])):
+    stretches = [(monomial, tuple(group))
+                 for monomial, group in groupby(rest, lambda step: _is_monomial(step[1]))]
+    dense = opening + [step for monomial, group in stretches if not monomial for step in group]
+    read = sorted(f for _, run in dense for _, f in run if isinstance(f, int))
+    matrix = {c: i for i, c in enumerate(read)}
+    program = [("dense", qubit, (_factors(run, matrix),)) for (qubit,), run in sorted(opening)]
+    for monomial, group in stretches:
         if not monomial:
-            program += [_dense(qubit, run) for (qubit,), run in group]
-        elif (mono := _monomial(circuit.n_qubits, tuple(group))) is not None:
+            program += _blocks(group, matrix)
+        elif (mono := _monomial(circuit.n_qubits, group)) is not None:
             program.append(("mono", mono))
     columns = (np.array(params, dtype=int), np.array(prefactors, dtype=float),
-               np.array(literals, dtype=float), np.array(kinds, dtype=str))
+               np.array(literals, dtype=float), np.array(kinds, dtype=str),
+               np.array(read, dtype=int))
     return GateProgram(circuit.n_qubits, len(index), tuple(program), len(opening),
                        *map(_read_only, columns))
 

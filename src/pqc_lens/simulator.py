@@ -2,37 +2,46 @@
 
 Amplitudes are stored as a complex vector of length 2**n where qubit 0 is
 the most significant bit of the basis index, so |q0 q1 ... q_{n-1}> lives at
-index q0*2**(n-1) + ... + q_{n-1}. Gates are applied by pairwise amplitude
-updates on the state viewed as (2**q, 2, 2**(n-q-1)), whose middle axis is
-qubit q's bit, never by building the 2**n x 2**n unitary.
+index q0*2**(n-1) + ... + q_{n-1}. Gates are applied on the state viewed
+as (2**q, 2**k, 2**(n-q-k)), whose middle axis holds the bits of the k
+adjacent qubits q, ..., q + k - 1, never by building the 2**n x 2**n
+unitary.
 
-The core simulates a batch: a compiled GateProgram (circuit.compile_program)
-runs on a flat (B, 2**n) array of B states, row i driven by row i of a
-(B, columns) angle matrix. Compiling fuses every run of single-qubit gates
-on one qubit into one operation, so a layer of RX, RZ, RX rotations costs
-one pass over the state per qubit, not three. A program holds operations
-of two forms, each with its kernel. A "dense" op, a fused run with an H,
-Y, RX or RY, is a 2 x 2 update that mixes the two amplitude slices its
-qubit splits the state into. A "mono" op is a stretch of X, Z, RZ, CX and
-CZ gates between them, which maps each basis state to one basis state
-times a phase (Amy, Maslov and Mosca 2014, arXiv:1303.2042), and costs one
-gather and one phase pass, whatever its length: a GF(2)-affine gather of
-the source amplitudes into a scratch buffer of about half the batch, then
-one multiply by the ±1 signs of its Z and CZ and by the per-row phase
-exp(i sum_c theta_c (b_c - 1/2)) of its RZ, b_c a parity of index bits.
-The gather index and the parity tables are built per call, by doubling,
-in blocks of at most 4096 entries; no 2**n-sized table is kept. The
-opening of a program (``GateProgram.opening``: each qubit's first run,
-when no two-qubit gate on the qubit comes before it, hoisted to the front
-as a "dense" op, in ascending qubit order) runs through neither kernel: it
-acts on |0> of qubits nothing has touched, so ``_open`` writes it into the
-zeroed rows as the product of the ops' first columns, built in place by
-doubling, with about as many writes as two passes over the state. Every
-rotation, a literal one too, reads its angle from a column. A fused matrix
-that depends on angles is formed per row, entry by entry in a fixed order,
-and a phase exponent is summed one angle column at a time, elementwise, so
-every row gets exactly the arithmetic it gets alone, as a bound circuit,
-however rows are batched.
+The core simulates a batch: a compiled GateProgram
+(circuit.compile_program) runs on a flat (B, 2**n) array of B states, row
+i driven by row i of a (B, columns) angle matrix. Compiling fuses every
+run of single-qubit gates on one qubit into one 2 x 2 operation, so a
+layer of RX, RZ, RX rotations is one operation per qubit, not three. A
+program holds operations of two forms, each with its kernel. A "dense" op
+holds the fused runs, each with an H, Y, RX or RY, of k <= 3 adjacent
+qubits. With k = 1 it is an elementwise 2 x 2 update that mixes the two
+amplitude slices its qubit splits the state into. With k = 2 or 3 each
+row's 2**k x 2**k Kronecker product of the runs' matrices (16 * 4**k
+bytes) is formed and applied as one stacked np.matmul on the (B, 2**q,
+2**k, 2**(n-q-k)) view, so a layer of n single-qubit runs after the
+opening costs ceil(n / 3) passes, each about one pass's memory traffic
+plus 2**k complex multiply-adds per amplitude, and one output buffer the
+size of the batch. A "mono" op is a stretch of X, Z, RZ, CX and CZ gates
+between them, which maps each basis state to one basis state times a phase
+(Amy, Maslov and Mosca 2014, arXiv:1303.2042), and costs one gather and
+one phase pass, whatever its length: a GF(2)-affine gather of the source
+amplitudes into a scratch buffer of about half the batch, then one
+multiply by the ±1 signs of its Z and CZ and by the per-row phase exp(i
+sum_c theta_c (b_c - 1/2)) of its RZ, b_c a parity of index bits. The
+gather index and the parity tables are built per call, by doubling, in
+blocks of at most 4096 entries; no 2**n-sized table is kept. The opening
+of a program (``GateProgram.opening``: each qubit's first run, when no
+two-qubit gate on the qubit comes before it, hoisted to the front as a
+one-qubit "dense" op, in ascending qubit order) runs through neither
+kernel: it acts on |0> of qubits nothing has touched, so ``_open`` writes
+it into the zeroed rows as the product of the ops' first columns, built in
+place by doubling, with about as many writes as two passes over the state.
+Every rotation, a literal one too, reads its angle from a column. A fused
+matrix that depends on angles is formed per row, entry by entry in a fixed
+order, a Kronecker matrix reaches np.matmul C-contiguous, so that every
+row goes through the same BLAS call, and a phase exponent is summed one
+angle column at a time, elementwise, so every row gets exactly the
+arithmetic it gets alone, as a bound circuit, however rows are batched.
 The norm of every row is checked once, after the last operation, and a
 drift beyond 1e-10 raises ValueError; it is not asserted gate by gate.
 ``simulate``, ``simulate_noisy``, ``expectation``, ``subsystem_purity`` and
@@ -40,8 +49,11 @@ drift beyond 1e-10 raises ValueError; it is not asserted gate by gate.
 
 Every simulation of many rows goes through ``simulate_map``, which runs
 them through ``map_chunks``, the one chunk runner: consecutive ranges of at
-most CHUNK_BYTES = 4 MiB, a row costing its state (16 * 2**n bytes) plus 64
-bytes of rotation matrix per angle column, run one after another in order.
+most CHUNK_BYTES = 4 MiB, a row costing its state (16 * 2**n bytes), 64
+bytes of rotation matrix per angle column a dense op reads (a mono op reads
+its RZ angles alone) and 16 * 4**k bytes of matrix per k-qubit dense op
+after the opening, run one after another in order. A batch of no rows gives
+an empty result.
 A state, a chunk item or a compiled observable larger than half of physical
 memory is rejected with ValueError before anything is allocated.
 
@@ -187,16 +199,18 @@ def map_chunks(fn, n_items: int, item_bytes: int) -> np.ndarray:
     _fits(item_bytes, "one chunk item")
     size = max(1, CHUNK_BYTES // item_bytes)
     return np.concatenate([fn(range(s, min(s + size, n_items)))
-                           for s in range(0, n_items, size)])
+                           for s in range(0, max(n_items, 1), size)])
 
 
 def simulate_map(fn, program: GateProgram, angles: np.ndarray,
                  group: int = 1) -> np.ndarray:
     """map_chunks of fn(states, rows) over the rows of the (B, columns) angles,
     states being those rows' final states. A range holds whole groups of
-    ``group`` rows; a row costs its state plus 64 bytes of rotation matrix
-    per angle column."""
-    row_bytes = _AMPLITUDE_BYTES * (2**program.n_qubits + 4 * program.kinds.size)
+    ``group`` rows; a row costs its state, 64 bytes of rotation matrix per
+    angle column a dense op reads, and 16 * 4**k bytes of Kronecker matrix
+    per k-qubit dense op after the opening."""
+    kron = sum(4 ** len(op[2]) for op in program.ops[program.opening:] if op[0] == "dense")
+    row_bytes = _AMPLITUDE_BYTES * (2**program.n_qubits + 4 * program.dense_columns.size + kron)
 
     def chunk(items: range):
         rows = range(group * items.start, group * items.stop)
@@ -209,10 +223,11 @@ def simulate_map(fn, program: GateProgram, angles: np.ndarray,
 # kernels on a (B, 2**n) batch; axis 0 is the batch
 
 
-def _pair(states: np.ndarray, qubit: int) -> np.ndarray:
-    """The (B, 2**q, 2, 2**(n-q-1)) view of a (B, 2**n) batch; axis 2 is qubit q's bit."""
+def _pair(states: np.ndarray, qubit: int, k: int = 1) -> np.ndarray:
+    """The (B, 2**q, 2**k, 2**(n-q-k)) view of a (B, 2**n) batch; axis 2 holds
+    the bits of qubits q, ..., q + k - 1, qubit q's the most significant."""
     rows, dim = states.shape
-    return states.reshape(rows, 1 << qubit, 2, dim >> (qubit + 1))
+    return states.reshape(rows, 1 << qubit, 1 << k, dim >> (qubit + k))
 
 
 def _mix(pair, u00, u01, u10, u11) -> None:
@@ -230,13 +245,46 @@ def _mix(pair, u00, u01, u10, u11) -> None:
 
 
 def _op_matrix(factors, rotations) -> np.ndarray:
-    """The (2, 2, B) product of an op's factors, B = 1 if all are constant."""
+    """The (2, 2, B) product of a run's factors, B = 1 if all are constant."""
     matrix = None
     for factor in factors:
         if not isinstance(factor, np.ndarray):
             factor = rotations[:, :, factor]
         matrix = factor if matrix is None else matrix_product(factor, matrix)
     return matrix
+
+
+def _kron(matrices) -> np.ndarray:
+    """The C-contiguous (B, 2**k, 2**k) Kronecker products of k (2, 2, B)
+    matrices, the first the most significant; B = 1 if all are constant.
+
+    Each entry is a product of one entry per matrix, taken elementwise in
+    matrix order, so one row's product does not depend on B.
+    """
+    kron = matrices[0]
+    for m in matrices[1:]:
+        size = 2 * kron.shape[0]
+        kron = (kron[:, None, :, None] * m[None, :, None, :]).reshape(size, size, -1)
+    return np.ascontiguousarray(np.moveaxis(kron, -1, 0))
+
+
+def _block(states: np.ndarray, qubit: int, matrices) -> None:
+    """Apply the Kronecker product U of k >= 2 per-row (2, 2, B) matrices to
+    qubits qubit, ..., qubit + k - 1 of a (B, 2**n) batch, in place.
+
+    U is one stacked np.matmul on the ``_pair`` view: U times each
+    (2**k, 2**(n-q-k)) slice, or, when the block holds the last qubit, the
+    (2**q, 2**k) slice times U^T. The matmul goes into one fresh buffer
+    that is copied back. numpy hands each matrix of a stacked matmul to
+    BLAS only when its rows are contiguous, and a (2**k, 2**k, B) product
+    viewed as (B, 2**k, 2**k) has them so only at B = 1; its own loop rounds
+    sums differently, so U and U^T are copied C-contiguous.
+    """
+    view = _pair(states, qubit, len(matrices))
+    if view.shape[3] == 1:
+        view[..., 0] = np.matmul(view[..., 0], _kron([m.transpose(1, 0, 2) for m in matrices]))
+    else:
+        view[...] = np.matmul(_kron(matrices)[:, None], view)
 
 
 _BLOCK = 2**12  # basis indices per block of a "mono" op
@@ -304,7 +352,8 @@ def _mono(flat: np.ndarray, angles: np.ndarray, mono: Monomial) -> None:
         columns = np.array(mono.columns, dtype=np.intp)
         index = _xor_table(columns[:low], size)
         bases = _xor_table(columns[low:], blocks) ^ mono.constant
-        scratch = np.empty(max([len(r) * len(b) for r, b in parts]) * size, dtype=complex)
+        scratch = np.empty(max([len(r) * len(b) for r, b in parts], default=0) * size,
+                           dtype=complex)
     for part_rows, part_blocks in parts:
         part = flat[part_rows.start:part_rows.stop]
         theta = angles[part_rows.start:part_rows.stop, mono.angles]
@@ -340,15 +389,23 @@ def _mono(flat: np.ndarray, angles: np.ndarray, mono: Monomial) -> None:
 def _run(states: np.ndarray, ops, rotations, angles) -> None:
     """Apply compiled ops after the opening to a (B, 2**n) batch.
 
-    ``rotations`` holds the (2, 2, columns, B) matrices of the (B, columns)
-    ``angles``, row i's in rotations[..., i].
+    ``rotations`` holds the (2, 2, m, B) matrices of the program's m
+    ``dense_columns``, row i's in rotations[..., i]; ``angles`` is the
+    (B, columns) angle batch the mono ops read. A one-qubit dense op is an
+    elementwise pass (``_mix``); a k-qubit one forms each row's 2**k x 2**k
+    Kronecker matrix and applies it with one stacked matmul (``_block``),
+    so a layer of n single-qubit runs costs ceil(n / 3) passes.
     """
     for op in ops:
         if op[0] == "mono":
             _mono(states, angles, op[1])
             continue
-        _, qubit, factors = op  # "dense"
-        m = _op_matrix(factors, rotations)[..., None, None]  # one coefficient per row
+        _, qubit, runs = op  # "dense"
+        matrices = [_op_matrix(factors, rotations) for factors in runs]
+        if len(matrices) > 1:
+            _block(states, qubit, matrices)
+            continue
+        m = matrices[0][..., None, None]  # one coefficient per row
         _mix(_pair(states, qubit), m[0, 0], m[0, 1], m[1, 0], m[1, 1])
 
 
@@ -367,7 +424,7 @@ def _open(states: np.ndarray, ops, rotations) -> None:
     written.
     """
     lead = ops[0][1] if ops else 0
-    for _, qubit, factors in ops:
+    for _, qubit, (factors,) in ops:
         first = _pair(states, qubit)[:, :1 << (qubit - lead), :, 0]
         lo, hi = first[:, :, 0], first[:, :, 1]
         m = _op_matrix(factors, rotations)[..., None]
@@ -377,7 +434,7 @@ def _open(states: np.ndarray, ops, rotations) -> None:
 
 def _norms(states: np.ndarray) -> np.ndarray:
     """|psi|^2 per row of a (B, 2**n) batch."""
-    flat = states.reshape(states.shape[0], -1).view(np.float64)
+    flat = states.view(np.float64)
     return (flat[:, None, :] @ flat[:, :, None])[:, 0, 0]
 
 
@@ -399,7 +456,8 @@ def simulate_batch(program: GateProgram, angles: np.ndarray) -> np.ndarray:
     _fits(_AMPLITUDE_BYTES * 2**n, f"a {n}-qubit state")
     states = np.zeros((angles.shape[0], 2**n), dtype=complex)
     states[:, 0] = 1.0
-    rotations = rotation_matrices(program.kinds, angles)
+    read = program.dense_columns
+    rotations = rotation_matrices(program.kinds[read], angles[:, read])
     _open(states, program.ops[:program.opening], rotations)
     _run(states, program.ops[program.opening:], rotations, angles)
     drift = np.abs(_norms(states) - 1.0)

@@ -98,6 +98,12 @@ class TestStatevector:
         with pytest.raises(ValueError, match="not normalized"):
             simulator.simulate_batch(program, np.empty((2, 0)))
 
+    def test_zero_row_batch_is_empty(self):
+        # a layer of blocks and a mono op with a gather, run on no rows
+        program = layered_ansatz(5, 2, "chain").program
+        states = simulator.simulate_batch(program, np.empty((0, program.kinds.size)))
+        assert states.shape == (0, 2**5) and states.dtype == complex
+
     def test_infinite_angle_is_rejected_before_any_gate(self):
         program = make_circuit(1, [Gate("RX", (0,), ParamRef("a"))], ["a"]).program
         with pytest.raises(ValueError, match="overflowed to inf"):

@@ -62,6 +62,11 @@ class TestEvaluateCost:
         with pytest.raises(ValueError, match="cost"):
             evaluate_cost(c, [])
 
+    def test_zero_row_batch_is_empty(self):
+        c = qaoa_builder([(0, 1), (1, 2), (2, 3), (0, 3)], 2)
+        costs = cost_batch(c, np.empty((0, c.n_params)))
+        assert costs.shape == (0,) and costs.dtype == float
+
 
 class TestGradient:
     def test_rx_gradient_is_minus_sine(self):
