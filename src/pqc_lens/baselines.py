@@ -35,7 +35,9 @@ class Histogram:
         object.__setattr__(self, "masses", masses)
         if edges.ndim != 1 or edges.shape[0] != masses.shape[0] + 1:
             raise ValueError("bin_edges must have one more entry than masses")
-        if abs(float(masses.sum()) - 1.0) > 1e-9:
+        if not np.all(masses >= 0.0):  # NaN fails too
+            raise ValueError("histogram masses must be non-negative")
+        if not abs(float(masses.sum()) - 1.0) <= 1e-9:  # an infinite sum fails too
             raise ValueError("histogram masses must sum to 1")
 
 

@@ -61,9 +61,10 @@ Observables are never applied as gates. Each PauliSum is compiled once per
 (PauliSum, n), and a few compiled forms stay cached, into groups of terms
 that share an X/Y flip mask. The Z strings and the identity form one real
 diagonal, whose expectation is the probabilities dotted with it; every
-other group is a gather index plus a phase vector. An expectation costs one
-pass over the batch per group, whatever the number of terms, and each row
-is reduced on its own.
+other group is a gather index plus a phase vector. Each group's vector is
+one Walsh-Hadamard transform of its terms' coefficients, O(n 2**n) to
+compile. An expectation costs one pass over the batch per group, whatever
+the number of terms, and each row is reduced on its own.
 
 Sampling and the stochastic Pauli noise channel take explicit seeds; a
 trajectory average over seeds estimates the channel output.
@@ -77,7 +78,7 @@ from functools import lru_cache
 import numpy as np
 
 from .circuit import (CircuitDescriptor, Gate, GateProgram, Monomial, PauliSum,
-                      matrix_product, rotation_matrices)
+                      _is_integer, matrix_product, rotation_matrices)
 
 _NORM_TOL = 1e-10
 
@@ -158,6 +159,11 @@ class ShotCounts:
         return sum(self.counts.values())
 
     def __post_init__(self) -> None:
+        for key, count in self.counts.items():
+            if not (isinstance(key, str) and key and set(key) <= {"0", "1"}):
+                raise ValueError(f"bitstring {key!r} is not a string of 0s and 1s")
+            if not (_is_integer(count) and count >= 0):
+                raise ValueError(f"count {count!r} of {key!r} is not a non-negative integer")
         if self.shots < 1:
             raise ValueError("shots must be positive")
         lengths = {len(k) for k in self.counts}
@@ -483,17 +489,6 @@ def row_vdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.conj()[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _add_signs(out: np.ndarray, value: float, zmask: int, scratch: np.ndarray) -> None:
-    """out[i] += value * (-1)**popcount(i & zmask), the signs built by doubling."""
-    scratch[0] = value
-    size = 1
-    while size < scratch.size:
-        np.multiply(scratch[:size], -1.0 if zmask & size else 1.0,
-                    out=scratch[size:2 * size])
-        size *= 2
-    out += scratch
-
-
 @lru_cache(maxsize=8)
 def _compiled_observable(obs: PauliSum, n: int) -> tuple:
     """obs on n qubits as ((flip, weights), ...), one pair per X/Y flip mask.
@@ -504,6 +499,11 @@ def _compiled_observable(obs: PauliSum, n: int) -> tuple:
     read-only column of interleaved (Re d, -Im d), to be dotted with the re
     and im parts of conj(psi[i ^ flip]) psi[i]. The flip-0 group's d is the
     real diagonal, stored as (d, d) for the squared re and im parts of psi.
+
+    d is the Walsh-Hadamard transform of the group's coefficient table c,
+    d_i = sum_z c_z (-1)**popcount(i & z): each term's phased coefficient
+    is added to c at its zmask, then one butterfly pass per index bit turns
+    c into d in place, O(n 2**n) per group whatever its number of terms.
     """
     if obs.max_qubit() >= n:
         raise ValueError(
@@ -522,14 +522,16 @@ def _compiled_observable(obs: PauliSum, n: int) -> tuple:
         groups.setdefault(flip, []).append((term.coeff, zmask, n_y))
     dim = 2**n
     _fits(16 * dim * len(groups), f"the observable compiled on {n} qubits")
-    scratch = np.empty(dim)
     compiled = []
     for flip, terms in groups.items():
         d = np.zeros((dim, 2))
         for coeff, zmask, n_y in terms:
             # coeff * i**n_y goes to Re d for even n_y, to -Im d for odd
-            value = coeff if n_y % 4 in (0, 3) else -coeff
-            _add_signs(d[:, n_y % 2], value, zmask, scratch)
+            d[zmask, n_y % 2] += coeff if n_y % 4 in (0, 3) else -coeff
+        for bit in range(n):
+            pairs = d.reshape(-1, 2, 1 << bit, 2)
+            lo, hi = pairs[:, 0], pairs[:, 1]
+            lo[...], hi[...] = lo + hi, lo - hi
         if not flip:
             d[:, 1] = d[:, 0]
         d.flags.writeable = False

@@ -115,9 +115,13 @@ def gradient(circuit: CircuitDescriptor, theta) -> np.ndarray:
 
 
 def _check_init(init, n_params: int) -> None:
-    """ValueError if an explicit init vector does not hold n_params values."""
-    if not isinstance(init, str) and np.size(init) != n_params:
+    """ValueError if an explicit init vector does not hold n_params finite values."""
+    if isinstance(init, str):
+        return
+    if np.size(init) != n_params:
         raise ValueError(f"init vector has length {np.size(init)}, circuit declares {n_params}")
+    if not np.all(np.isfinite(init)):
+        raise ValueError("init vector holds a non-finite value")
 
 
 def _initial_theta(circuit: CircuitDescriptor, config: OptimizerConfig, seed) -> np.ndarray:

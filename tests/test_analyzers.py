@@ -625,6 +625,14 @@ class TestReachability:
             reachability(_rx_cost(), 300_000, 2, config=config, seed=0)
         assert len(draws) == 0
 
+    def test_non_finite_init_fails_before_any_draw(self, monkeypatch):
+        draws = []
+        monkeypatch.setattr(analyzers, "sample_haar_state", lambda *args: draws.append(args))
+        config = OptimizerConfig(init=[math.nan], steps=1)
+        with pytest.raises(ValueError, match="init vector holds a non-finite value"):
+            reachability(_rx_cost(), 300_000, 2, config=config, seed=0)
+        assert len(draws) == 0
+
     def test_oversized_trace_fails_before_any_draw(self, monkeypatch):
         monkeypatch.setattr(analyzers, "sample_haar_state", _no_work)
         monkeypatch.setattr(simulator, "_physical_memory", lambda: 2**30)

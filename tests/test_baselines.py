@@ -85,6 +85,17 @@ class TestHistogram:
         with pytest.raises(ValueError):
             Histogram(np.array([0.0, 0.5, 1.0]), np.array([0.5, 0.2]), 1)
 
+    @pytest.mark.parametrize("masses, message", [
+        ([1.5, -0.5], "non-negative"),
+        ([math.nan], "non-negative"),
+        ([math.inf, -math.inf], "non-negative"),
+        ([math.inf, 0.0], "sum to 1"),
+    ])
+    def test_container_rejects_negative_and_non_finite_masses(self, masses, message):
+        edges = np.linspace(0.0, 1.0, len(masses) + 1)
+        with pytest.raises(ValueError, match=message):
+            Histogram(edges, masses, 1)
+
 
 class TestHaarFidelityBaseline:
     def test_cdf_endpoints_and_shape(self):

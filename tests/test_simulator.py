@@ -18,6 +18,7 @@ from pqc_lens import (
     bind,
     expectation,
     make_circuit,
+    qaoa_builder,
     reduced_density_matrix,
     serialize_circuit_spec,
     sample,
@@ -28,7 +29,7 @@ from pqc_lens import (
 from pqc_lens import analyzers, simulator
 from pqc_lens.cli import run
 from pqc_lens.library import (all_zeros_infidelity_cost, bell_circuit, layered_ansatz,
-                              mean_excitation_cost)
+                              mean_excitation_cost, random_gnm_edges)
 from pqc_lens.trainer import _loss_and_gradient, cost_batch
 
 INV_SQRT2 = 1.0 / math.sqrt(2)
@@ -184,6 +185,34 @@ class TestCompiledObservable:
         want = [oracles.dense_expectation(row, obs, n) for row in states]
         assert np.max(np.abs(got - want)) <= 1e-12
 
+    @settings(max_examples=150, deadline=None)
+    @given(pauli_sums())
+    def test_groups_are_the_dense_matrix_entries(self, case):
+        # group flip holds d_i = <i ^ flip|O|i>, the Walsh-Hadamard transform
+        # of its coefficients; together the groups rebuild the whole matrix
+        n, obs = case
+        dim = 2**n
+        rebuilt = np.zeros((dim, dim), dtype=complex)
+        for flip, weights in simulator._compiled_observable(obs, n):
+            re, minus_im = weights.reshape(dim, 2).T
+            if not flip:
+                assert np.array_equal(re, minus_im)
+                minus_im = np.zeros(dim)
+            rebuilt[np.arange(dim) ^ flip, np.arange(dim)] = re - 1j * minus_im
+        assert np.max(np.abs(rebuilt - oracles.pauli_sum_matrix(obs, n))) <= 1e-12
+
+    @pytest.mark.parametrize("obs, n", [
+        *[(qaoa_builder(random_gnm_edges(8, 20, seed), 1).cost, 8) for seed in range(3)],
+        *[(qaoa_builder(random_gnm_edges(6, 9, seed), 1).cost, 6) for seed in range(3)],
+        (all_zeros_infidelity_cost(8), 8),
+        (mean_excitation_cost(8), 8),
+    ])
+    def test_dyadic_costs_compile_to_the_exact_diagonal(self, obs, n):
+        ((flip, weights),) = simulator._compiled_observable(obs, n)
+        diagonal = np.diag(oracles.pauli_sum_matrix(obs, n)).real
+        assert flip == 0
+        assert np.array_equal(weights.reshape(-1, 2), np.stack([diagonal, diagonal], 1))
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_library_costs_match_closed_forms(self, n):
         states = _random_states(np.random.default_rng(n), 4, n)
@@ -285,10 +314,24 @@ class TestSampling:
 
     def test_shot_total_is_the_sum_of_the_counts(self):
         assert ShotCounts({"01": 3, "10": 2}).shots == 5
+        zero = ShotCounts({"0": np.int64(0), "1": 2})
+        assert zero.shots == 2 and np.array_equal(zero.bit_matrix(), [[1], [1]])
         with pytest.raises(ValueError, match="shots must be positive"):
             ShotCounts({"0": 0})
         with pytest.raises(ValueError, match="inconsistent lengths"):
             ShotCounts({"0": 1, "01": 1})
+
+    @pytest.mark.parametrize("counts, message", [
+        ({"0": 2.5}, "2.5 of '0' is not a non-negative integer"),
+        ({"0": 5, "1": -3}, "-3 of '1' is not a non-negative integer"),
+        ({"0": True}, "True of '0' is not a non-negative integer"),
+        ({"2": 3}, "bitstring '2' is not a string of 0s and 1s"),
+        ({"": 3}, "bitstring '' is not"),
+        ({0: 3}, "bitstring 0 is not"),
+    ])
+    def test_counts_and_bitstrings_are_checked_when_built(self, counts, message):
+        with pytest.raises(ValueError, match=message):
+            ShotCounts(counts)
 
     def test_oversized_draw_fails_before_drawing(self, monkeypatch):
         # 1 MiB: half of it holds 24 bytes per one-qubit shot for 21 845 shots

@@ -197,6 +197,12 @@ class TestTrain:
         with pytest.raises(ValueError, match="length"):
             train(c, OptimizerConfig(steps=0, init=[0.1]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_init_before_training(self, bad):
+        c = qaoa_builder([(0, 1), (1, 2)], 1)
+        with pytest.raises(ValueError, match="init vector holds a non-finite value"):
+            train(c, OptimizerConfig(steps=2, init=[bad, 0.1]))
+
     def test_divergence_raises(self):
         c = _rx_cost()
         cfg = OptimizerConfig(
