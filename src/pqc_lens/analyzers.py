@@ -25,22 +25,22 @@ from .baselines import (
     MPBaseline,
     _check_bins,
     _check_cutoff,
+    _haar_batch,
     haar_fidelity_baseline,
     histogram,
     js_distance,
     kl_divergence,
     mp_reference_spectrum,
-    sample_haar_state,
     xi_profiles,
 )
-from .circuit import CircuitDescriptor, GateProgram, make_circuit
+from .circuit import CircuitDescriptor, GateProgram, _check_integer, make_circuit
 from .library import all_zeros_infidelity_cost, mean_excitation_cost
 from .projection import (_MAX_COORD, PointCloud, SubspaceBasis, _check_tsne, pca,
                          random_basis, tsne)
 from .simulator import (
-    _AMPLITUDE_BYTES,
     StateVector,
     _fits,
+    _row_bytes,
     expectation_batch,
     map_chunks,
     purity_batch,
@@ -182,6 +182,7 @@ def expressibility(circuit: CircuitDescriptor, samples: int,
     vectors (2 * samples draws in total, none reused). Smaller values mean
     the ensemble covers state space more evenly.
     """
+    _check_integer(samples, "samples")
     if samples < 2:
         raise ValueError("need at least 2 fidelity samples")
     if measure not in DIVERGENCE_MEASURES:
@@ -240,6 +241,7 @@ def entanglement_capability(circuit: CircuitDescriptor, samples: int,
     n = circuit.n_qubits
     if n < 2:
         raise ValueError("entanglement needs at least 2 qubits")
+    _check_integer(samples, "samples")
     if samples < 1:
         raise ValueError("samples must be positive")
     if measure not in ENTANGLEMENT_MEASURES:
@@ -319,6 +321,7 @@ def entanglement_spectrum(circuit: CircuitDescriptor, samples: int,
     n = circuit.n_qubits
     if n < 2:
         raise ValueError("spectrum needs at least 2 qubits")
+    _check_integer(samples, "samples")
     if samples < 1:
         raise ValueError("samples must be positive")
     if measure not in DIVERGENCE_MEASURES:
@@ -366,6 +369,7 @@ BASIS_MODES = ("random", "pca")
 
 
 def _check_grid(points: int, scan_range: float) -> None:
+    _check_integer(points, "points")
     if points < 2:
         raise ValueError("points must be at least 2")
     if not (math.isfinite(scan_range) and scan_range > 0):
@@ -705,8 +709,10 @@ def reachability(circuit: CircuitDescriptor, haar_samples: int,
     """
     if circuit.cost is None:
         raise ValueError("reachability needs a circuit with a cost observable")
+    _check_integer(haar_samples, "haar_samples")
     if haar_samples < 1:
         raise ValueError("haar_samples must be positive")
+    _check_integer(restarts, "restarts")
     if restarts < 1:
         raise ValueError("restarts must be positive")
     if config is None:
@@ -717,12 +723,11 @@ def reachability(circuit: CircuitDescriptor, haar_samples: int,
     _check_init(config.init, circuit.n_params)
 
     def haar_costs(chunk: range) -> np.ndarray:
-        states = np.stack([sample_haar_state(circuit.n_qubits, base + i).amplitudes
-                           for i in chunk])
-        return expectation_batch(states, circuit.cost)
+        rngs = [np.random.default_rng(base + i) for i in chunk]
+        return expectation_batch(_haar_batch(circuit.n_qubits, rngs), circuit.cost)
 
     haar_min = float(np.min(map_chunks(haar_costs, haar_samples,
-                                       _AMPLITUDE_BYTES * 2**circuit.n_qubits)))
+                                       _row_bytes(circuit.n_qubits))))
 
     if config.seed is None:
         config = replace(config, seed=base + haar_samples)

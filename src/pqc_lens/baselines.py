@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulator import _AMPLITUDE_BYTES, StateVector, _fits, map_chunks, schmidt_spectrum
+from .circuit import _check_integer
+from .simulator import StateVector, _fits, _row_bytes, map_chunks, schmidt_spectrum
 
 _EPS = 1e-12
 
@@ -67,6 +68,7 @@ class MPBaseline:
 def _check_bins(bins: int, what: str = "histogram") -> None:
     """ValueError unless bins is positive and a ``what`` of that many bins,
     three arrays of bins + 1 floats, takes at most half of physical memory."""
+    _check_integer(bins, "bins")
     if bins < 1:
         raise ValueError("bins must be positive")
     _fits(24 * (bins + 1), f"a {what} of {bins} bins")
@@ -115,12 +117,21 @@ def haar_fidelity_baseline(bins: int, dim: int) -> Histogram:
     return Histogram(edges, np.diff(cdf), 0)
 
 
+def _haar_batch(n_qubits: int, rngs) -> np.ndarray:
+    """Haar-random states, row i drawn from the generator rngs[i], in order:
+    2**n normal real parts, then as many imaginary parts, written straight
+    into the row, which is then normalised in place."""
+    states = np.empty((len(rngs), 2**n_qubits), dtype=complex)
+    for rng, row in zip(rngs, states):
+        row.real = rng.standard_normal(row.size)
+        row.imag = rng.standard_normal(row.size)
+        row /= np.linalg.norm(row)
+    return states
+
+
 def sample_haar_state(n_qubits: int, rng=None) -> StateVector:
     """Haar-random pure state: normalized complex Gaussian amplitudes."""
-    rng = np.random.default_rng(rng)
-    dim = 2**n_qubits
-    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return StateVector(n_qubits, z / np.linalg.norm(z))
+    return StateVector(n_qubits, _haar_batch(n_qubits, [np.random.default_rng(rng)])[0])
 
 
 def _smoothed(masses: np.ndarray) -> np.ndarray:
@@ -190,16 +201,16 @@ def mp_reference_spectrum(n_qubits: int, k: int, samples: int, rng=None,
     _check_cutoff(cutoff)
     if not 1 <= k < n_qubits:
         raise ValueError(f"subsystem size k={k} must satisfy 1 <= k < n_qubits")
+    _check_integer(samples, "samples")
     if samples < 1:
         raise ValueError("samples must be positive")
     _check_bins(bins)
     rng = np.random.default_rng(rng)
 
     def chunk(rows: range) -> np.ndarray:  # the chunks draw from rng in order
-        states = np.stack([sample_haar_state(n_qubits, rng).amplitudes for _ in rows])
-        return xi_profiles(states, k, cutoff)
+        return xi_profiles(_haar_batch(n_qubits, [rng] * len(rows)), k, cutoff)
 
-    profiles = map_chunks(chunk, samples, _AMPLITUDE_BYTES * 2**n_qubits)
+    profiles = map_chunks(chunk, samples, _row_bytes(n_qubits))
     pooled = histogram(profiles.reshape(-1), bins, (0.0, abs(cutoff)))
     return MPBaseline(n_qubits, k, profiles.mean(axis=0), pooled, samples)
 

@@ -53,6 +53,12 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_integer(value, name: str) -> None:
+    """ValueError unless value is an int or numpy integer (a bool is not)."""
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Gate:
     kind: str
@@ -250,15 +256,18 @@ def rotation_matrices(kinds: np.ndarray, angles: np.ndarray) -> np.ndarray:
     number.
     """
     half = angles.T / 2.0
-    c, s = np.cos(half), np.sin(half)
+    s = np.sin(half)
+    c = np.cos(half, out=half)
     m = np.zeros((2, 2) + half.shape, dtype=complex)
     m.real[0, 0] = m.real[1, 1] = c
-    rx, ry, rz = (kinds == kind for kind in ROTATION_KINDS)
-    m.imag[0, 1, rx] = m.imag[1, 0, rx] = -s[rx]
-    m.real[0, 1, ry] = -s[ry]
-    m.real[1, 0, ry] = s[ry]
-    m.imag[0, 0, rz] = -s[rz]
-    m.imag[1, 1, rz] = s[rz]
+    rx, ry, rz = ((kinds == kind)[:, None] for kind in ROTATION_KINDS)
+    np.copyto(m.real[1, 0], s, where=ry)
+    np.copyto(m.imag[1, 1], s, where=rz)
+    np.negative(s, out=s)
+    np.copyto(m.imag[0, 1], s, where=rx)
+    np.copyto(m.imag[1, 0], s, where=rx)
+    np.copyto(m.real[0, 1], s, where=ry)
+    np.copyto(m.imag[0, 0], s, where=rz)
     return m
 
 

@@ -25,17 +25,18 @@ size of the batch. A "mono" op is a stretch of X, Z, RZ, CX and CZ gates
 between them, which maps each basis state to one basis state times a phase
 (Amy, Maslov and Mosca 2014, arXiv:1303.2042), and costs one gather and
 one phase pass, whatever its length: a GF(2)-affine gather of the source
-amplitudes into a scratch buffer of about half the batch, then one
-multiply by the ±1 signs of its Z and CZ and by the per-row phase exp(i
-sum_c theta_c (b_c - 1/2)) of its RZ, b_c a parity of index bits. The
-gather index and the parity tables are built per call, by doubling, in
-blocks of at most 4096 entries; no 2**n-sized table is kept. The opening
-of a program (``GateProgram.opening``: each qubit's first run, when no
-two-qubit gate on the qubit comes before it, hoisted to the front as a
-one-qubit "dense" op, in ascending qubit order) runs through neither
-kernel: it acts on |0> of qubits nothing has touched, so ``_open`` writes
-it into the zeroed rows as the product of the ops' first columns, built in
-place by doubling, with about as many writes as two passes over the state.
+amplitudes, half the rows at a time, through a scratch buffer of half the
+batch (one state for one row), then one multiply in place by the ±1 signs
+of its Z and CZ and by the per-row phase exp(i sum_c theta_c (b_c - 1/2))
+of its RZ, b_c a parity of index bits. The gather index and the parity
+tables are built per call, by doubling, in blocks of at most 4096
+entries; no 2**n-sized table is kept. The opening of a program
+(``GateProgram.opening``: each qubit's first run, when no two-qubit gate
+on the qubit comes before it, hoisted to the front as a one-qubit "dense"
+op, in ascending qubit order) runs through neither kernel: it acts on |0>
+of qubits nothing has touched, so ``_open`` writes it into the zeroed rows
+as the product of the ops' first columns, built in place by doubling,
+with about as many writes as two passes over the state.
 Every rotation, a literal one too, reads its angle from a column. A fused
 matrix that depends on angles is formed per row, entry by entry in a fixed
 order, a Kronecker matrix reaches np.matmul C-contiguous, so that every
@@ -49,13 +50,16 @@ drift beyond 1e-10 raises ValueError; it is not asserted gate by gate.
 
 Every simulation of many rows goes through ``simulate_map``, which runs
 them through ``map_chunks``, the one chunk runner: consecutive ranges of at
-most CHUNK_BYTES = 4 MiB, a row costing its state (16 * 2**n bytes), 64
-bytes of rotation matrix per angle column a dense op reads (a mono op reads
-its RZ angles alone) and 16 * 4**k bytes of matrix per k-qubit dense op
-after the opening, run one after another in order. A batch of no rows gives
-an empty result.
-A state, a chunk item or a compiled observable larger than half of physical
-memory is rejected with ValueError before anything is allocated.
+most CHUNK_BYTES = 4 MiB (and half of physical memory), run one after
+another in order. One rule, ``_row_bytes``, sizes a row: two states (32 *
+2**n bytes), its own and one pass's output or scratch, plus 96 bytes per
+angle column a dense op reads (a mono op reads its RZ angles alone) and
+2048 bytes of workspace. The kernels, the reductions the analyzers run on
+a chunk and the chunks of Haar states stay within it, but for per-call
+tables and the one case ``_row_bytes`` names. A batch of no rows gives an
+empty result. A batch whose rows take more than half of physical memory by
+that rule, a chunk item or a compiled observable that does, is rejected
+with ValueError before anything is allocated.
 
 Observables are never applied as gates. Each PauliSum is compiled once per
 (PauliSum, n), and a few compiled forms stay cached, into groups of terms
@@ -78,7 +82,7 @@ from functools import lru_cache
 import numpy as np
 
 from .circuit import (CircuitDescriptor, Gate, GateProgram, Monomial, PauliSum,
-                      _is_integer, matrix_product, rotation_matrices)
+                      _check_integer, _is_integer, matrix_product, rotation_matrices)
 
 _NORM_TOL = 1e-10
 
@@ -198,12 +202,33 @@ def _fits(size: int, what: str) -> None:
         )
 
 
+def _row_bytes(n_qubits: int, program: GateProgram | None = None) -> int:
+    """Bytes per row of n-qubit states: the one rule that sizes and checks
+    every chunk. Two states of 16 * 2**n bytes, the row's own and one
+    pass's output or scratch (a ``_block`` product, a ``_mono`` gather or
+    phase buffers, a reduction's copy, a Haar draw's normals); 2048 bytes of
+    workspace (a 3-qubit block's 8 x 8 Kronecker product and its contiguous
+    copy, or a reduction's results); and, with ``program``, 96 bytes per
+    angle column a dense op reads (its complex rotation matrix, 64, and the
+    angle, half angle or cosine, and sine it is formed from, 24). Tables a
+    kernel builds per call over one block of at most _BLOCK indices come on
+    top where its buffers fill the room (a gather of one row, a phase over
+    all rows of at most 8 qubits); ``_gram_batch`` checks the third state
+    one row over qubits that do not lead takes.
+    """
+    row = 2 * _AMPLITUDE_BYTES * 2**n_qubits + 2048
+    if program is not None:
+        row += 96 * program.dense_columns.size
+    return row
+
+
 def map_chunks(fn, n_items: int, item_bytes: int) -> np.ndarray:
     """np.concatenate of fn(r), in order, over consecutive ranges r covering
     range(n_items), each of as many items of item_bytes as fit in CHUNK_BYTES
-    (at least one). ValueError if one item exceeds half of physical memory."""
+    and in half of physical memory (at least one). ValueError if one item
+    exceeds half of physical memory."""
     _fits(item_bytes, "one chunk item")
-    size = max(1, CHUNK_BYTES // item_bytes)
+    size = max(1, min(CHUNK_BYTES, _physical_memory() // 2) // item_bytes)
     return np.concatenate([fn(range(s, min(s + size, n_items)))
                            for s in range(0, max(n_items, 1), size)])
 
@@ -212,17 +237,14 @@ def simulate_map(fn, program: GateProgram, angles: np.ndarray,
                  group: int = 1) -> np.ndarray:
     """map_chunks of fn(states, rows) over the rows of the (B, columns) angles,
     states being those rows' final states. A range holds whole groups of
-    ``group`` rows; a row costs its state, 64 bytes of rotation matrix per
-    angle column a dense op reads, and 16 * 4**k bytes of Kronecker matrix
-    per k-qubit dense op after the opening."""
-    kron = sum(4 ** len(op[2]) for op in program.ops[program.opening:] if op[0] == "dense")
-    row_bytes = _AMPLITUDE_BYTES * (2**program.n_qubits + 4 * program.dense_columns.size + kron)
+    ``group`` rows, each row costing ``_row_bytes``."""
 
     def chunk(items: range):
         rows = range(group * items.start, group * items.stop)
         return fn(simulate_batch(program, angles[rows.start:rows.stop]), rows)
 
-    return map_chunks(chunk, angles.shape[0] // group, group * row_bytes)
+    return map_chunks(chunk, angles.shape[0] // group,
+                      group * _row_bytes(program.n_qubits, program))
 
 
 # ---------------------------------------------------------------------------
@@ -308,88 +330,90 @@ def _xor_table(values: np.ndarray, size: int) -> np.ndarray:
     return table
 
 
-def _parts(mono: Monomial, rows: int, blocks: int) -> list[tuple[range, range]]:
-    """The (rows, blocks) ranges a "mono" op is applied to, one after another.
-
-    An op that gathers nothing is one part, applied in place. Otherwise a
-    part is gathered whole before it is written back, so it must not read
-    what an earlier part wrote. Halves of the rows are such parts. So are
-    equal runs of blocks when the op keeps the qubits that select them:
-    with qubits 0..k-1 each read from itself, the 2**k ranges of indices
-    they split the state into each read only themselves, and the gather
-    needs a scratch of 2**-k of the batch.
-    """
-    if mono.columns is None:
-        return [(range(rows), range(blocks))]
-    split = 0
-    top = len(mono.columns) - 1  # the bit of qubit 0
-    while 1 << split < blocks and not (mono.constant >> (top - split)) & 1 and \
-            [j for j, c in enumerate(mono.columns) if c >> (top - split) & 1] == [top - split]:
-        split += 1
-    if split:
-        length = blocks >> split
-        return [(range(rows), range(b, b + length)) for b in range(0, blocks, length)]
+def _parts(rows: int) -> list[range]:
+    """The ranges of rows a "mono" op gathers, one after another: the halves
+    of a batch, or its one row. A part reads only its own rows, so it can
+    be gathered whole into scratch before it is written back, and its
+    scratch takes at most half the batch, or one state for one row."""
     step = max(1, -(-rows // 2))
-    return [(range(r0, min(r0 + step, rows)), range(blocks)) for r0 in range(0, rows, step)]
+    return [range(r0, min(r0 + step, rows)) for r0 in range(0, rows, step)]
+
+
+def _gather(flat: np.ndarray, mono: Monomial, size: int) -> None:
+    """y <- psi[src(y)] for a (B, 2**n) batch, part by part (``_parts``), a
+    block of ``size`` indices at a time, through one scratch buffer."""
+    rows, dim = flat.shape
+    low = size.bit_length() - 1
+    blocks = dim // size
+    columns = np.array(mono.columns, dtype=np.intp)
+    index = _xor_table(columns[:low], size)
+    bases = _xor_table(columns[low:], blocks) ^ mono.constant
+    parts = _parts(rows)
+    scratch = np.empty(len(parts[0]) * dim if parts else 0, dtype=complex)
+    for part_rows in parts:
+        part = flat[part_rows.start:part_rows.stop]
+        stage = scratch[:part.size].reshape(blocks, len(part_rows), size)
+        for b, block in enumerate(stage):
+            np.take(part, index ^ bases[b], axis=1, out=block, mode="clip")
+        for b, block in enumerate(stage):
+            part[:, b * size:(b + 1) * size] = block
 
 
 def _mono(flat: np.ndarray, angles: np.ndarray, mono: Monomial) -> None:
     """Apply a "mono" op to a (B, 2**n) batch: y <- sign(y) phase(y) psi[src(y)].
 
-    Indices go in blocks of at most _BLOCK: the gather index and the
-    parities of a block are tables over its low bits, built per call, XORed
-    with values for its high bits. An op with a gather gathers each part
-    (``_parts``) into one scratch buffer, at most about half the batch, and
-    writes it back times its sign and phase; an op without one multiplies
-    the batch by them in place. A row's phase exponent is summed one angle
-    column at a time, elementwise, so it does not depend on B.
+    The gather (``_gather``) runs first. Then each block of at most _BLOCK
+    indices is multiplied in place by its signs and phases, read from parity
+    tables over its low bits, built per call, XORed with values for its high
+    bits. A row's phase exponent is summed one angle column at a time,
+    elementwise, so it does not depend on B. A block's exponent, one
+    column's terms and its complex factors take 24 bytes per amplitude: all
+    rows go at once when that fits in the room ``_row_bytes`` gives a row
+    beside its state, halves of them otherwise.
     """
     rows, dim = flat.shape
     size = min(dim, _BLOCK)
+    if mono.columns is not None:
+        _gather(flat, mono, size)
+    pairs = 2 * mono.signs
+    if not (pairs or mono.angles.size):
+        return
     low = size.bit_length() - 1
     blocks = dim // size
-    pairs = 2 * mono.signs
     low_parities = _xor_table(mono.masks[:, :low], size)
     high_parities = _xor_table(mono.masks[:, low:], blocks) ^ mono.flips[:, None]
-    halves = low_parities[pairs:] - 0.5  # b_c - 1/2 over the low bits
-    parts = _parts(mono, rows, blocks)
-    gathers = mono.columns is not None
-    if gathers:
-        columns = np.array(mono.columns, dtype=np.intp)
-        index = _xor_table(columns[:low], size)
-        bases = _xor_table(columns[low:], blocks) ^ mono.constant
-        scratch = np.empty(max([len(r) * len(b) for r, b in parts], default=0) * size,
-                           dtype=complex)
-    for part_rows, part_blocks in parts:
+    steps = low_parities[pairs:].view(np.int8)  # (-1)**b_c, in the parities' place
+    steps *= -2
+    steps += 1
+    room = _row_bytes(dim.bit_length() - 1) - _AMPLITUDE_BYTES * dim
+    parts = [range(rows)] if 24 * size <= room else _parts(rows)
+    step = len(parts[0]) if mono.angles.size and parts else 0
+    buffer = np.empty(3 * step * size)
+    for part_rows in parts:
         part = flat[part_rows.start:part_rows.stop]
-        theta = angles[part_rows.start:part_rows.stop, mono.angles]
-        if gathers:
-            stage = scratch[:len(part_rows) * len(part_blocks) * size].reshape(
-                len(part_blocks), len(part_rows), size)
-            for block, b in zip(stage, part_blocks):
-                np.take(part, index ^ bases[b], axis=1, out=block, mode="clip")
-        for i, b in enumerate(part_blocks):
+        # theta_c (b_c - 1/2) is -theta_c / 2 times (-1)**b_c, exactly
+        theta = angles[part_rows.start:part_rows.stop, mono.angles] * -0.5
+        k = len(part_rows) * size
+        exponent = buffer[:k].reshape(-1, size)
+        term = buffer[step * size:step * size + k].reshape(-1, size)
+        phases = buffer[step * size:step * size + 2 * k].view(complex).reshape(-1, size)
+        for b in range(blocks):
             target = part[:, b * size:(b + 1) * size]
-            source = stage[i] if gathers else target
             factor, high = None, high_parities[:, b]
             if mono.angles.size:
-                exponent = np.zeros(target.shape)
-                term = np.empty(target.shape)
+                exponent[...] = 0.0
                 for c in range(mono.angles.size):
-                    np.multiply(theta[:, c, None], halves[c], out=term)
+                    np.multiply(theta[:, c, None], steps[c], out=term)
                     (np.subtract if high[pairs + c] else np.add)(exponent, term, out=exponent)
-                factor = np.empty(target.shape, dtype=complex)
-                np.cos(exponent, out=factor.real)
-                np.sin(exponent, out=factor.imag)
+                np.cos(exponent, out=phases.real)
+                np.sin(exponent, out=phases.imag)
+                factor = phases
             if pairs:
                 signs = (low_parities[:pairs] ^ high[:pairs, None]).reshape(-1, 2, size)
                 negative = np.bitwise_xor.reduce(signs[:, 0] & signs[:, 1], axis=0)
                 sign = 1.0 - 2.0 * negative
                 factor = sign if factor is None else np.multiply(factor, sign, out=factor)
-            if factor is None:
-                target[...] = source
-            else:
-                np.multiply(factor, source, out=target)
+            np.multiply(factor, target, out=target)
 
 
 def _run(states: np.ndarray, ops, rotations, angles) -> None:
@@ -458,9 +482,9 @@ def simulate_batch(program: GateProgram, angles: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(angles)):
         raise ValueError("a rotation angle overflowed to inf: a parameter times "
                          "its prefactor exceeds the float range")
-    n = program.n_qubits
-    _fits(_AMPLITUDE_BYTES * 2**n, f"a {n}-qubit state")
-    states = np.zeros((angles.shape[0], 2**n), dtype=complex)
+    n, rows = program.n_qubits, angles.shape[0]
+    _fits(rows * _row_bytes(n, program), f"the simulation of {rows} row(s) of a {n}-qubit state")
+    states = np.zeros((rows, 2**n), dtype=complex)
     states[:, 0] = 1.0
     read = program.dense_columns
     rotations = rotation_matrices(program.kinds[read], angles[:, read])
@@ -539,26 +563,38 @@ def _compiled_observable(obs: PauliSum, n: int) -> tuple:
     return tuple(compiled)
 
 
+def _flipped(states: np.ndarray, flip: int) -> np.ndarray:
+    """The view of a (B, 2**n) batch whose entry (r, i) is states[r, i ^ flip]:
+    one axis per qubit, reversed along the qubits flip marks."""
+    n = states.shape[1].bit_length() - 1
+    return states.reshape((-1,) + (2,) * n)[(slice(None),) + tuple(
+        slice(None, None, 1 - 2 * (flip >> (n - 1 - q) & 1)) for q in range(n))]
+
+
 def expectation_batch(states: np.ndarray, obs: PauliSum) -> np.ndarray:
     """<psi|O|psi> for every row of a (B, 2**n) batch; always real.
 
     The observable is compiled once per (obs, n) into groups of terms that
     share an X/Y flip mask: one real diagonal for the Z strings and the
-    identity, one gather index i ^ flip and phase vector per other mask.
+    identity, one gather psi[i ^ flip] and phase vector per other mask.
     Each group costs one pass over the batch, whatever its number of terms,
     and every row is reduced on its own, so a row's value does not depend
-    on B.
+    on B. Every group fills one buffer of a state per row: with the squared
+    re and im parts of psi, or with psi[i ^ flip], copied through a view
+    (``_flipped``), then conjugated and multiplied by psi[i] in place.
     """
     rows, dim = states.shape
     states = np.ascontiguousarray(states, dtype=complex)
     total = np.zeros(rows)
+    w = np.empty_like(states)
     for flip, weights in _compiled_observable(obs, dim.bit_length() - 1):
         if flip:
-            # np.take, not states[:, index]: the latter may come back in column
-            # order, and then w has no float64 view
-            w = np.conj(np.take(states, np.arange(dim) ^ flip, axis=1)) * states
+            flipped = _flipped(states, flip)
+            np.copyto(w.reshape(flipped.shape), flipped)
+            np.conjugate(w, out=w)
+            np.multiply(w, states, out=w)
         else:
-            w = np.square(states.view(np.float64))
+            np.square(states.view(np.float64), out=w.view(np.float64))
         total += (w.view(np.float64)[:, None, :] @ weights)[:, 0, 0]
     return total
 
@@ -572,6 +608,7 @@ def _check_shots(shots: int, n_qubits: int) -> None:
     """ValueError unless shots is positive and a draw of that many shots fits:
     8 bytes per shot for the outcomes, their sorted copy and each qubit's
     readout flip."""
+    _check_integer(shots, "shots")
     if shots < 1:
         raise ValueError("shots must be positive")
     _fits(8 * shots * (2 + n_qubits), f"a draw of {shots} shots on {n_qubits} qubit(s)")
@@ -592,7 +629,7 @@ def sample(state: StateVector, shots: int = 1024, seed=None,
     rng = np.random.default_rng(seed)
     n = state.n_qubits
     probs = state.probabilities()
-    probs = probs / probs.sum()
+    probs /= probs.sum()
     outcomes = rng.choice(len(probs), size=shots, p=probs)
     if readout_flip_prob > 0.0:
         flips = rng.random((shots, n)) < readout_flip_prob
@@ -637,6 +674,9 @@ def simulate_noisy(bound: CircuitDescriptor, noise: NoiseModel, seed=None) -> St
 
 
 def _checked_keep(keep, n: int) -> tuple[int, ...]:
+    keep = tuple(keep)
+    if not all(_is_integer(q) for q in keep):
+        raise ValueError(f"keep must hold integer qubit indices, got {keep}")
     keep = tuple(sorted(int(q) for q in keep))
     if not keep:
         raise ValueError("keep must name at least one qubit")
@@ -648,14 +688,30 @@ def _checked_keep(keep, n: int) -> tuple[int, ...]:
 
 
 def _gram_batch(states: np.ndarray, keep) -> np.ndarray:
-    """m m^dagger per row, m the state as a (2**k, 2**(n-k)) kept-by-rest matrix."""
+    """m m^dagger per row, m the state as a (2**k, 2**(n-k)) kept-by-rest matrix.
+
+    m is a view when the kept qubits lead, else a copy, and m^dagger a copy:
+    all rows go at once when their copies fit in the room ``_row_bytes``
+    gives a row beside its state, else half of them at a time (one row, and
+    three states, for B = 1). ValueError, before anything is allocated, if
+    the matrices and a group's copies exceed half of physical memory.
+    """
     rows, dim = states.shape
     n = dim.bit_length() - 1
     keep = _checked_keep(keep, n)
-    tensor = states.reshape((rows,) + (2,) * n)
-    tensor = np.moveaxis(tensor, [q + 1 for q in keep], range(1, len(keep) + 1))
-    m = tensor.reshape(rows, 2 ** len(keep), -1)
-    return m @ m.conj().transpose(0, 2, 1)
+    k = len(keep)
+    copies = 1 if keep == tuple(range(k)) else 2
+    room = _row_bytes(n) - _AMPLITUDE_BYTES * dim
+    step = rows if copies * _AMPLITUDE_BYTES * dim <= room else max(1, rows // 2)
+    _fits(_AMPLITUDE_BYTES * (rows * 4**k + copies * step * dim),
+          f"the reduced density matrices of {rows} row(s) on {k} of {n} qubits")
+    rest = tuple(q + 1 for q in range(n) if q not in keep)
+    tensor = states.reshape((rows,) + (2,) * n).transpose((0,) + tuple(q + 1 for q in keep) + rest)
+    gram = np.empty((rows, 2**k, 2**k), dtype=complex)
+    for r in range(0, rows, step):
+        m = tensor[r:r + step].reshape(-1, 2**k, dim >> k)
+        np.matmul(m, m.conj().transpose(0, 2, 1), out=gram[r:r + step])
+    return gram
 
 
 def purity_batch(states: np.ndarray, keep) -> np.ndarray:

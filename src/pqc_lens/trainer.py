@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import CircuitDescriptor, GateProgram
+from .circuit import CircuitDescriptor, GateProgram, _check_integer
 from .simulator import _fits, expectation_batch, simulate_map
 
 METHODS = ("gd", "adam")
@@ -49,6 +49,7 @@ class OptimizerConfig:
             raise ValueError(f"unknown optimizer method {self.method!r}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError("learning_rate must be finite and positive")
+        _check_integer(self.steps, "steps")
         if self.steps < 0:
             raise ValueError("steps must be non-negative")
         if isinstance(self.init, str) and self.init not in ("uniform", "zeros"):
@@ -197,6 +198,7 @@ def ensemble_train(circuit: CircuitDescriptor, config: OptimizerConfig,
     """Independent restarts seeded base + r, trained in lockstep; each trace is
     bit for bit ``train`` with the seed base + r. A DivergenceError names the
     earliest step at which any restart is non-finite."""
+    _check_integer(restarts, "restarts")
     if restarts < 1:
         raise ValueError("restarts must be positive")
     base = _resolve_seed(config.seed)

@@ -25,7 +25,7 @@ from pqc_lens import (
     train,
     training_path,
 )
-from pqc_lens import analyzers, baselines, simulator
+from pqc_lens import analyzers, baselines, simulator, trainer
 from pqc_lens.baselines import haar_fidelity_baseline, mp_reference_spectrum
 from pqc_lens.library import (
     bell_circuit,
@@ -220,7 +220,7 @@ class TestEntanglementSpectrum:
     def test_bad_cutoff_fails_before_any_simulation(self, monkeypatch, cutoff):
         calls = []
         monkeypatch.setattr(analyzers, "simulate_map", lambda *args: calls.append(args))
-        monkeypatch.setattr(baselines, "sample_haar_state", lambda *args: calls.append(args))
+        monkeypatch.setattr(baselines, "_haar_batch", lambda *args: calls.append(args))
         with pytest.raises(ValueError, match="cutoff"):
             entanglement_spectrum(bell_circuit(), 5, cutoff=cutoff)
         assert not calls
@@ -619,7 +619,7 @@ class TestReachability:
 
     def test_wrong_length_init_fails_before_any_draw(self, monkeypatch):
         draws = []
-        monkeypatch.setattr(analyzers, "sample_haar_state", lambda *args: draws.append(args))
+        monkeypatch.setattr(analyzers, "_haar_batch", lambda *args: draws.append(args))
         config = OptimizerConfig(init=[0.0, 0.0], steps=1)
         with pytest.raises(ValueError, match="init vector has length 2, circuit declares 1"):
             reachability(_rx_cost(), 300_000, 2, config=config, seed=0)
@@ -627,14 +627,14 @@ class TestReachability:
 
     def test_non_finite_init_fails_before_any_draw(self, monkeypatch):
         draws = []
-        monkeypatch.setattr(analyzers, "sample_haar_state", lambda *args: draws.append(args))
+        monkeypatch.setattr(analyzers, "_haar_batch", lambda *args: draws.append(args))
         config = OptimizerConfig(init=[math.nan], steps=1)
         with pytest.raises(ValueError, match="init vector holds a non-finite value"):
             reachability(_rx_cost(), 300_000, 2, config=config, seed=0)
         assert len(draws) == 0
 
     def test_oversized_trace_fails_before_any_draw(self, monkeypatch):
-        monkeypatch.setattr(analyzers, "sample_haar_state", _no_work)
+        monkeypatch.setattr(analyzers, "_haar_batch", _no_work)
         monkeypatch.setattr(simulator, "_physical_memory", lambda: 2**30)
         config = OptimizerConfig(steps=2_000_000_000)
         with pytest.raises(ValueError, match="a trace of 2 restart"
@@ -675,8 +675,34 @@ _BINNED = {
 def test_bins_are_checked_before_any_simulation_or_draw(monkeypatch, name, bins, message):
     monkeypatch.setattr(simulator, "_physical_memory", lambda: 2**30)
     for module, attr in ((simulator, "simulate_map"), (analyzers, "simulate_map"),
-                         (baselines, "sample_haar_state")):
+                         (baselines, "_haar_batch")):
         monkeypatch.setattr(module, attr, _no_work)
     what = "baseline" if name == "haar_fidelity_baseline" else "histogram"
     with pytest.raises(ValueError, match=message.format(what)):
         _BINNED[name](bins)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("samples", lambda: expressibility(layered_ansatz(2, 1), 2.5, seed=0)),
+    ("samples", lambda: expressibility(layered_ansatz(2, 1), True, seed=0)),
+    ("samples", lambda: entanglement_capability(layered_ansatz(2, 1), 1.5, seed=0)),
+    ("samples", lambda: entanglement_spectrum(layered_ansatz(2, 1), 2.5, seed=0)),
+    ("bins", lambda: expressibility(layered_ansatz(2, 1), 10, bins=10.5, seed=0)),
+    ("bins", lambda: entanglement_spectrum(layered_ansatz(2, 1), 10, bins=10.0, seed=0)),
+    ("points", lambda: loss_landscape(_two_param_cost(), [0.0, 0.0], points=3.5, seed=0)),
+    ("points", lambda: barren_plateau_scan(identity_learning_ansatz(2), points=3.5)),
+    ("haar_samples", lambda: reachability(_rx_cost(), 2.5, 1, seed=0)),
+    ("restarts", lambda: reachability(_rx_cost(), 10, 1.5, seed=0)),
+    ("samples", lambda: mp_reference_spectrum(4, 2, 2.5, rng=0)),
+    ("bins", lambda: mp_reference_spectrum(4, 2, 3, rng=0, bins=7.5)),
+], ids=["expressibility-samples", "expressibility-bool-samples", "entanglement-samples",
+        "spectrum-samples", "expressibility-bins", "spectrum-bins", "landscape-points",
+        "plateau-points", "reachability-haar-samples", "reachability-restarts",
+        "reference-samples", "reference-bins"])
+def test_counts_that_are_not_integers_fail_before_any_work(monkeypatch, name, call):
+    for module, attr in ((simulator, "simulate_map"), (analyzers, "simulate_map"),
+                         (trainer, "simulate_map"), (analyzers, "_haar_batch"),
+                         (baselines, "_haar_batch")):
+        monkeypatch.setattr(module, attr, _no_work)
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        call()

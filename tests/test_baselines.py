@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from pqc_lens import baselines, simulator
 from pqc_lens import (
     Histogram,
     MPBaseline,
+    PauliSum,
     haar_fidelity_baseline,
     haar_fidelity_cdf,
     haar_mean_marginal_purity,
@@ -24,6 +26,7 @@ from pqc_lens import (
 )
 from pqc_lens import simulator
 from pqc_lens.baselines import xi_profiles
+from pqc_lens.simulator import expectation_batch
 
 LN2 = math.log(2.0)
 
@@ -219,7 +222,7 @@ class TestMPReference:
     @pytest.mark.parametrize("cutoff", [math.nan, math.inf, -math.inf, 0.0, 1.0])
     def test_bad_cutoff_fails_before_any_draw(self, monkeypatch, cutoff):
         draws = []
-        monkeypatch.setattr(baselines, "sample_haar_state", lambda *args: draws.append(args))
+        monkeypatch.setattr(baselines, "_haar_batch", lambda *args: draws.append(args))
         with pytest.raises(ValueError, match="cutoff"):
             mp_reference_spectrum(4, 2, 3, cutoff=cutoff)
         assert not draws
@@ -252,18 +255,42 @@ class TestMPReference:
         assert np.array_equal(whole.histogram.masses, single.histogram.masses)
 
     def test_chunk_size_keeps_the_draws_in_order(self):
-        # 1 MiB states: the default chunks hold four of the nine draws each,
-        # CHUNK_BYTES = 1 one; both match draws taken one at a time in order
-        whole = mp_reference_spectrum(16, 8, 9, rng=11)
+        # a row of two 512 KiB states: the default chunks hold three of the
+        # nine draws each, CHUNK_BYTES = 1 one; both match draws taken one at
+        # a time in order
+        assert simulator.CHUNK_BYTES // simulator._row_bytes(15) == 3
+        whole = mp_reference_spectrum(15, 8, 9, rng=11)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulator, "CHUNK_BYTES", 1)
-            single = mp_reference_spectrum(16, 8, 9, rng=11)
+            single = mp_reference_spectrum(15, 8, 9, rng=11)
         assert np.array_equal(whole.profile, single.profile)
         assert np.array_equal(whole.histogram.masses, single.histogram.masses)
         rng = np.random.default_rng(11)
-        one_by_one = np.concatenate([xi_profiles(sample_haar_state(16, rng).amplitudes[None], 8)
+        one_by_one = np.concatenate([xi_profiles(sample_haar_state(15, rng).amplitudes[None], 8)
                                      for _ in range(9)])
         assert np.array_equal(whole.profile, one_by_one.mean(axis=0))
+
+    @pytest.mark.parametrize("n", [2, 8, 12, 14])
+    def test_a_chunk_of_haar_states_holds_at_most_the_bytes_the_rule_counts(self, n):
+        rule = simulator._row_bytes(n)
+        assert rule == 32 * 2**n + 2048
+        rows = simulator.CHUNK_BYTES // rule
+        cost = PauliSum.from_terms([(1.0, {0: "X"}), (0.5, {n - 1: "Z"})])
+        for reduce in (lambda s: xi_profiles(s, (n + 1) // 2),
+                       lambda s: expectation_batch(s, cost)):
+            reduce(baselines._haar_batch(n, [np.random.default_rng(0)]))  # fills the caches
+            tracemalloc.start()
+            try:
+                reduce(baselines._haar_batch(n, [np.random.default_rng(1)] * rows))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= rows * rule
+        # a row's 2**n normal real parts, then as many imaginary parts, normalised
+        rng, check = np.random.default_rng(2), np.random.default_rng(2)
+        for row in baselines._haar_batch(n, [rng] * 3):
+            z = check.standard_normal(2**n) + 1j * check.standard_normal(2**n)
+            assert np.array_equal(row, z / np.linalg.norm(z))
 
     def test_rejects_bad_split(self):
         with pytest.raises(ValueError):

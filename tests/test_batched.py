@@ -4,6 +4,8 @@ A batch must give every row exactly what a lone simulation of that row
 gives, agree with the dense oracles, and not depend on how rows are
 split into chunks.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -13,11 +15,13 @@ import oracles
 from pqc_lens import (Gate, MetricSpec, ParamRef, PauliSum, bind, entanglement_capability,
                       entanglement_spectrum, expressibility, loss_landscape, make_circuit,
                       simulate)
-from pqc_lens import simulator
+from pqc_lens import analyzers, simulator
+from pqc_lens.baselines import xi_profiles
 from pqc_lens.circuit import (CircuitDescriptor, CircuitSpecError, compile_program,
                               qaoa_builder)
-from pqc_lens.library import layered_ansatz
-from pqc_lens.simulator import simulate_batch
+from pqc_lens.library import layered_ansatz, random_gnm_edges
+from pqc_lens.simulator import (StateVector, expectation_batch, row_vdot, sample,
+                                simulate_batch)
 from pqc_lens.trainer import _loss_and_gradient, cost_batch
 
 
@@ -179,9 +183,8 @@ def test_batched_row_is_bit_identical_to_lone_row(rows):
 
 
 def test_row_blocks_of_a_deep_circuit_match_one_block(monkeypatch):
-    # a row costs its state, one 2 x 2 rotation matrix per angle column (all
-    # of them are read by dense ops here) and one 8 x 8 Kronecker matrix for
-    # each of the five layers after the opening
+    # every angle column is read by a dense op here, and each of the five
+    # layers after the opening is one 3-qubit block; a chunk of three rows
     ansatz = layered_ansatz(3, 6, "chain")
     circuit = make_circuit(3, ansatz.gates, [p.name for p in ansatz.parameters],
                            PauliSum.from_terms([(1.0, {0: "Z"}), (0.5, {2: "X"})]))
@@ -198,8 +201,7 @@ def test_row_blocks_of_a_deep_circuit_match_one_block(monkeypatch):
         return simulate_batch(program, angles)
 
     monkeypatch.setattr(simulator, "simulate_batch", counted)
-    monkeypatch.setattr(simulator, "CHUNK_BYTES",
-                        3 * 16 * (2**3 + 4 * program.kinds.size + 5 * 4**3))
+    monkeypatch.setattr(simulator, "CHUNK_BYTES", 3 * simulator._row_bytes(3, program))
     assert np.array_equal(cost_batch(circuit, thetas), whole)
     assert blocks == [3, 3, 1]
 
@@ -523,34 +525,47 @@ def test_monomial_rows_are_bit_identical_to_lone_rows(monkeypatch, rows, chunk_b
 
 
 def test_gather_scratch_is_at_most_half_the_batch():
-    # qubit 0 only controls the chain, so the two halves of the index range
-    # each read only themselves; CX(0, 18) keeps qubits 0..17 and so every
-    # block; CX(1, 0) keeps nothing, and then rows go in two halves
-    def parts(circuit, rows):
-        (_, mono), = [op for op in circuit.program.ops if op[0] == "mono"]
-        return simulator._parts(mono, rows, 2**circuit.n_qubits // simulator._BLOCK)
-
-    blocks = 2**19 // simulator._BLOCK
-    assert parts(layered_ansatz(19, 1, "chain"), 1) == \
-        [(range(1), range(blocks // 2)), (range(1), range(blocks // 2, blocks))]
-    assert parts(make_circuit(19, [Gate("CX", (0, 18))]), 2) == \
-        [(range(2), range(b, b + 1)) for b in range(blocks)]
-    assert parts(make_circuit(19, [Gate("CX", (1, 0))]), 5) == \
-        [(range(0, 3), range(blocks)), (range(3, 5), range(blocks))]
+    # a gather goes in halves of the rows, or in its one row, so its scratch
+    # takes at most half the batch, or one state for one row
+    assert simulator._parts(0) == []
+    assert simulator._parts(1) == [range(0, 1)]
+    assert simulator._parts(2) == [range(0, 1), range(1, 2)]
+    assert simulator._parts(5) == [range(0, 3), range(3, 5)]
+    assert simulator._parts(33) == [range(0, 17), range(17, 33)]
 
 
-def test_a_mono_op_without_a_gather_is_one_part():
-    (_, mono), = [op for op in make_circuit(19, [
-        Gate("H", (0,)), Gate("CZ", (0, 1)), Gate("RZ", (1,), 0.3)]).program.ops
-        if op[0] == "mono"]
-    blocks = 2**19 // simulator._BLOCK
-    assert mono.columns is None
-    assert simulator._parts(mono, 5, blocks) == [(range(5), range(blocks))]
+def test_phase_in_halves_of_the_rows_matches_dense_simulation():
+    # at 10 qubits a block's exponent, terms and factors (24 bytes per
+    # amplitude) do not fit in the room the row rule leaves beside a state,
+    # so a phase goes over halves of the rows; the first mono op has no
+    # gather, the second has one
+    n = 10
+    assert 24 * 2**n > simulator._row_bytes(n) - 16 * 2**n
+    gates = [Gate("H", (q,)) for q in range(n)]
+    gates += [Gate("CX", (0, 9)), Gate("RZ", (9,), ParamRef("a")), Gate("CX", (0, 9)),
+              Gate("CZ", (1, 6)), Gate("RZ", (4,), ParamRef("b", 2.0)), Gate("Z", (7,))]
+    gates += [Gate("RY", (1,), ParamRef("c")), Gate("RY", (6,), ParamRef("a"))]
+    gates += [Gate("CX", (1, 6)), Gate("RZ", (6,), ParamRef("c", -0.5)), Gate("CZ", (3, 8)),
+              Gate("X", (2,)), Gate("RZ", (0,), 0.4)]
+    circuit = make_circuit(n, gates, ["a", "b", "c"])
+    program = circuit.program
+    monos = [op[1] for op in program.ops if op[0] == "mono"]
+    assert [m.columns is None for m in monos] == [True, False]
+    assert all(m.angles.size and m.signs for m in monos)
+    thetas = np.random.default_rng(10).uniform(-2 * np.pi, 2 * np.pi, (5, 3))
+    angles = program.angles(thetas)
+    for rows in (2, 3, 5):
+        states = simulate_batch(program, angles[:rows])
+        for i in range(rows):
+            assert np.array_equal(states[i], simulate_batch(program, angles[i:i + 1])[0])
+    for state, theta in zip(states, thetas):
+        assert np.max(np.abs(state - oracles.dense_simulate(bind(circuit, theta)))) <= 1e-12
 
 
 def test_blocks_the_gather_leaves_in_place_match_dense_simulation():
-    # at 14 qubits CX(0, 1) reads the two blocks with qubit 0 at 0 from
-    # themselves and swaps the other two
+    # at 14 qubits, four blocks of 4096 indices, CX(0, 1) reads the two
+    # blocks with qubit 0 at 0 from themselves and swaps the other two; the
+    # one row is gathered whole into scratch before any block is written
     angles = np.random.default_rng(14).uniform(-np.pi, np.pi, 14)
     ry = [Gate("RY", (q,), a) for q, a in enumerate(angles)]
     state = simulate(make_circuit(14, ry + [Gate("CX", (0, 1))])).amplitudes
@@ -572,9 +587,10 @@ def test_circuits_too_wide_to_simulate_still_compile():
 
 
 def test_circuits_too_wide_to_format_their_size_are_refused():
-    # 16 * 2**20000 bytes has more digits than Python formats
+    # a pair of rows of two 20 000-qubit states, 64 * 2**20000 bytes, has
+    # more digits than Python formats
     circuit = make_circuit(20_000, [Gate("RY", (0,), ParamRef("a")), Gate("CX", (0, 1))], ["a"])
-    with pytest.raises(ValueError, match="at least 2\\*\\*20005 bytes, more than half "
+    with pytest.raises(ValueError, match="at least 2\\*\\*20006 bytes, more than half "
                                          "of physical memory"):
         expressibility(circuit, 10, seed=0)
 
@@ -605,3 +621,73 @@ def test_gather_columns_are_the_bit_transpose_of_the_index_masks(n, seed):
     transpose = tuple(sum(((mask[q] >> j) & 1) << (n - 1 - q) for q in range(n))
                       for j in range(n))
     assert form == "mono" and mono.columns == (None if identity else transpose)
+
+
+# The working-set rule: a chunk of rows, simulated and then reduced by an
+# analyzer, holds at most the bytes simulator._row_bytes counts for it.
+
+
+def _reductions(circuit):
+    """(name, rows per group, fn(states, rows)) for the reduction of every
+    analyzer, an X/Y cost and a Z cost."""
+    n = circuit.n_qubits
+    k = (n + 1) // 2
+    rank = analyzers._schmidt_rank_bound(circuit, k)
+    z_cost = circuit.cost or PauliSum.from_terms(
+        [(0.5, {q: "Z", q + 1: "Z"}) for q in range(n - 1)])
+    xy_cost = PauliSum.from_terms([(1.0, {0: "X", 1: "Y"}), (0.5, {n - 1: "Z"}),
+                                   (0.25, {1: "X"})])
+    return [
+        ("expressibility", 2, lambda s, rows: np.abs(row_vdot(s[0::2], s[1::2])) ** 2),
+        ("meyer-wallach", 1, lambda s, rows: analyzers._mean_block_impurity(s, n, 1)),
+        ("scott", 1, lambda s, rows: np.stack(
+            [analyzers._mean_block_impurity(s, n, m) for m in range(1, min(2, n // 2) + 1)])),
+        ("spectrum", 1, lambda s, rows: xi_profiles(s, k, -30.0, rank)),
+        ("full spectrum", 1, lambda s, rows: xi_profiles(s, k)),
+        ("z cost", 1, lambda s, rows: expectation_batch(s, z_cost)),
+        ("x/y cost", 1, lambda s, rows: expectation_batch(s, xy_cost)),
+        ("sampled metric", 1, lambda s, rows: [sample(StateVector(n, psi), 64, r).shots
+                                               for r, psi in zip(rows, s)]),
+    ]
+
+
+@pytest.mark.parametrize("circuit", [
+    qaoa_builder(random_gnm_edges(12, 30, seed=0), 2, n_nodes=12),
+    layered_ansatz(14, 2, "chain"), layered_ansatz(12, 3, "full"),
+    layered_ansatz(8, 4, "full"), layered_ansatz(6, 3, "chain"),
+    layered_ansatz(3, 40, "chain"),
+], ids=["qaoa-12-30-p2", "14q-2l-chain", "12q-3l-full", "8q-4l-full", "6q-3l-chain",
+        "3q-40l-chain"])
+def test_one_chunk_holds_at_most_the_bytes_the_rule_counts(circuit):
+    program = circuit.program
+    rule = simulator._row_bytes(circuit.n_qubits, program)
+    assert rule == 32 * 2**circuit.n_qubits + 96 * program.dense_columns.size + 2048
+    for name, group, reduce in _reductions(circuit):
+        rows = max(1, simulator.CHUNK_BYTES // (group * rule)) * group
+        thetas = np.random.default_rng(rows).uniform(0, 2 * np.pi, (rows, circuit.n_params))
+        angles = program.angles(thetas)
+        reduce(simulate_batch(program, angles[:group]), range(group))  # fills the caches
+        tracemalloc.start()
+        try:
+            simulator.simulate_map(reduce, program, angles, group)  # one chunk
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= rows * rule, name
+
+
+def test_a_row_whose_two_states_do_not_fit_is_refused_before_allocating(monkeypatch):
+    # 1 MiB: one 15-qubit state, 512 KiB, fits in half of it; two do not
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 2**20)
+    circuit = make_circuit(15, [Gate("H", (0,)), Gate("CX", (0, 14))])
+    circuit.program  # compiled outside the trace
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"the simulation of 1 row\(s\) of a 15-qubit "
+                                             r"state takes \d+ bytes, more than half"):
+            simulate(circuit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**15  # not a sixteenth of a state
+    assert simulate(make_circuit(13, [Gate("H", (0,)), Gate("CX", (0, 12))])).n_qubits == 13

@@ -312,6 +312,13 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample(psi, shots=0)
 
+    @pytest.mark.parametrize("shots", [2.5, 2.0, True])
+    def test_rejects_shot_counts_that_are_not_integers(self, shots):
+        psi = _simulate_gates(1, [Gate("H", (0,))])
+        with pytest.raises(ValueError, match="shots must be an integer"):
+            sample(psi, shots=shots, seed=0)
+        assert sample(psi, shots=np.int64(3), seed=0).shots == 3
+
     def test_shot_total_is_the_sum_of_the_counts(self):
         assert ShotCounts({"01": 3, "10": 2}).shots == 5
         zero = ShotCounts({"0": np.int64(0), "1": 2})
@@ -473,6 +480,26 @@ class TestReducedStates:
         with pytest.raises(ValueError, match="keep"):
             subsystem_purity(psi, keep)
 
+    @pytest.mark.parametrize("keep", [[1.7], [True], [0, 1.0], np.array([1.0])])
+    def test_keep_sets_must_hold_integers(self, keep):
+        psi = simulate(bind(bell_circuit(), []))
+        for reduce in (subsystem_purity, reduced_density_matrix):
+            with pytest.raises(ValueError, match="keep must hold integer qubit indices"):
+                reduce(psi, keep)
+        assert subsystem_purity(psi, np.array([1])) == pytest.approx(0.5)
+
+    def test_reduced_density_matrices_too_large_fail_before_allocating(self, monkeypatch):
+        # 1 MiB: the 16 MiB density matrix over 10 of 12 qubits does not fit
+        # in half of it; the one over 4 qubits, 4 KiB, and its copies do
+        psi = StateVector(12, np.full(2**12, 2.0**-6, dtype=complex))
+        monkeypatch.setattr(simulator, "_physical_memory", lambda: 2**20)
+        for reduce in (reduced_density_matrix, subsystem_purity,
+                       lambda st, keep: simulator.purity_batch(st.amplitudes[None], keep)):
+            with pytest.raises(ValueError, match=r"the reduced density matrices of 1 "
+                                                 r"row\(s\) on 10 of 12 qubits takes"):
+                reduce(psi, range(10))
+        assert subsystem_purity(psi, range(4)) == pytest.approx(1.0)
+
 
 @st.composite
 def cut_circuits(draw):
@@ -558,7 +585,8 @@ class TestWidthGuard:
 
     @pytest.fixture()
     def small_memory(self, monkeypatch):
-        # 64 KiB: a 12-qubit state (64 KiB) exceeds half of it, 11 qubits fit
+        # 64 KiB: a 12-qubit state (64 KiB) exceeds half of it; a row of 11
+        # qubits, two states and 2 KiB of workspace, does too; 9 qubits fit
         monkeypatch.setattr(simulator, "_physical_memory", lambda: 2**16)
 
     def test_chunk_ranges_follow_the_item_budget(self):
@@ -583,8 +611,10 @@ class TestWidthGuard:
         circuit = make_circuit(12, [Gate("H", (0,))], [])
         with pytest.raises(ValueError, match="physical memory"):
             simulate(bind(circuit, []))
-        narrower = make_circuit(11, [Gate("H", (0,))], [])
-        assert simulate(bind(narrower, [])).n_qubits == 11
+        with pytest.raises(ValueError, match="physical memory"):
+            simulate(bind(make_circuit(11, [Gate("H", (0,))], []), []))
+        narrower = make_circuit(9, [Gate("H", (0,))], [])
+        assert simulate(bind(narrower, [])).n_qubits == 9
 
     def test_expectation_rejects_observables_too_large_to_compile(self, small_memory):
         # on 11 qubits one group of terms takes 32 KiB, all the budget allows

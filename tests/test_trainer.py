@@ -140,6 +140,21 @@ class TestOptimizerConfig:
         with pytest.raises(ValueError, match="unknown init mode 'zero'"):
             OptimizerConfig(init="zero")
 
+    @pytest.mark.parametrize("steps", [2.5, 3.0, True])
+    def test_rejects_step_counts_that_are_not_integers(self, steps):
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            OptimizerConfig(steps=steps)
+        assert OptimizerConfig(steps=np.int64(3)).steps == 3
+
+    @pytest.mark.parametrize("restarts", [1.5, 2.0, True])
+    def test_ensemble_rejects_restart_counts_that_are_not_integers(self, monkeypatch, restarts):
+        def no_work(*args):
+            raise AssertionError("trained before checking the restart count")
+
+        monkeypatch.setattr(trainer, "_train_lockstep", no_work)
+        with pytest.raises(ValueError, match="restarts must be an integer"):
+            ensemble_train(_rx_cost(), OptimizerConfig(steps=1, seed=0), restarts)
+
 
 class TestTrain:
     def test_gd_single_step_update_rule(self):
