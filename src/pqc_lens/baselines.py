@@ -199,6 +199,8 @@ def mp_reference_spectrum(n_qubits: int, k: int, samples: int, rng=None,
     spectral-divergence analyzer compares against.
     """
     _check_cutoff(cutoff)
+    _check_integer(n_qubits, "n_qubits")
+    _check_integer(k, "k")
     if not 1 <= k < n_qubits:
         raise ValueError(f"subsystem size k={k} must satisfy 1 <= k < n_qubits")
     _check_integer(samples, "samples")

@@ -85,7 +85,10 @@ class PauliTerm:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeff", float(self.coeff))
-        items = self.paulis.items() if isinstance(self.paulis, Mapping) else self.paulis
+        items = tuple(self.paulis.items() if isinstance(self.paulis, Mapping) else self.paulis)
+        for q, _ in items:
+            if not _is_integer(q):
+                raise CircuitSpecError(f"Pauli term qubit indices must be integers, got {q!r}")
         pairs = tuple(sorted((int(q), str(a)) for q, a in items))
         object.__setattr__(self, "paulis", pairs)
         if not math.isfinite(self.coeff):
@@ -113,14 +116,11 @@ class PauliSum:
         for t in self.terms:
             if not isinstance(t, PauliTerm):
                 raise CircuitSpecError("PauliSum terms must be PauliTerm instances")
-        # hashed once: the compiled-observable cache hashes its key per call
-        object.__setattr__(self, "_hash", hash(self.terms))
-
-    def __hash__(self) -> int:
-        return self._hash
+        # simulator._compiled_observable's groups, per register width
+        object.__setattr__(self, "_compiled", {})
 
     def __reduce__(self):
-        # rebuild through __init__, so the hash is taken in the new process
+        # rebuild through __init__, so pickles and copies carry no compiled groups
         return PauliSum, (self.terms,)
 
     @classmethod
@@ -641,7 +641,10 @@ def parse_circuit_spec(text: str) -> CircuitDescriptor:
                 raise CircuitSpecError(f"cost term {i} paulis must be an object")
             pairs = {}
             for key, axis in paulis.items():
+                # ASCII digits alone: int() also reads "1_0", " 1", "+1" and non-ASCII digits
                 try:
+                    if not (key.isascii() and key.isdigit()):
+                        raise ValueError(key)
                     q = int(key)
                 except ValueError:
                     raise CircuitSpecError(
@@ -697,12 +700,15 @@ def qaoa_builder(edges, p: int, n_nodes: int | None = None) -> CircuitDescriptor
     Parameters are interleaved as [gamma0, beta0, gamma1, beta1, ...], which
     puts gamma_i at index 2i and beta_i at 2i + 1.
     """
-    edges = [(int(u), int(v)) for u, v in edges]
+    edges = list(edges)
     if not edges:
         raise ValueError("QAOA needs at least one edge")
+    _check_integer(p, "QAOA layer count p")
     if p < 1:
         raise ValueError("QAOA layer count p must be >= 1")
     for u, v in edges:
+        _check_integer(u, "edge endpoint")
+        _check_integer(v, "edge endpoint")
         if u == v:
             raise ValueError(f"self-loop ({u}, {v}) is not a valid edge")
         if u < 0 or v < 0:
@@ -710,6 +716,7 @@ def qaoa_builder(edges, p: int, n_nodes: int | None = None) -> CircuitDescriptor
     highest = max(max(u, v) for u, v in edges)
     if n_nodes is None:
         n_nodes = highest + 1
+    _check_integer(n_nodes, "n_nodes")
     if n_nodes < 2:
         raise ValueError("QAOA graph needs at least 2 nodes")
     if highest >= n_nodes:

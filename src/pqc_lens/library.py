@@ -16,6 +16,7 @@ from .circuit import (
     Gate,
     ParamRef,
     PauliSum,
+    _check_integer,
     make_circuit,
 )
 
@@ -42,6 +43,8 @@ def layered_ansatz(n_qubits: int, layers: int,
     """
     if entangler not in ENTANGLER_STYLES:
         raise ValueError(f"entangler must be one of {ENTANGLER_STYLES}")
+    _check_integer(n_qubits, "n_qubits")
+    _check_integer(layers, "layers")
     if layers < 1:
         raise ValueError("layers must be positive")
     names: list[str] = []
@@ -65,6 +68,7 @@ def append_pairwise_cx(circuit: CircuitDescriptor, count: int) -> CircuitDescrip
     may run up to n*(n-1)/2.
     """
     pairs = list(combinations(range(circuit.n_qubits), 2))
+    _check_integer(count, "count")
     if not 0 <= count <= len(pairs):
         raise ValueError(
             f"count must be in [0, {len(pairs)}] for {circuit.n_qubits} qubits"
@@ -128,6 +132,7 @@ def identity_learning_ansatz(n_qubits: int = 2) -> CircuitDescriptor:
     meaningful and lets the global cost flatten with width where the
     local cost does not.
     """
+    _check_integer(n_qubits, "n_qubits")
     if n_qubits < 2:
         raise ValueError("need at least 2 qubits")
     gates = [Gate("RX", (0,), ParamRef("theta_0")),
@@ -142,6 +147,7 @@ def identity_learning_ansatz(n_qubits: int = 2) -> CircuitDescriptor:
 def all_zeros_infidelity_cost(n_qubits: int) -> PauliSum:
     """1 - p(every qubit reads 0): the projector onto |0...0> expanded
     into 2^n Pauli-Z terms, subtracted from the identity."""
+    _check_integer(n_qubits, "n_qubits")
     if n_qubits < 1:
         raise ValueError("need at least 1 qubit")
     scale = 1.0 / 2**n_qubits
@@ -155,6 +161,7 @@ def all_zeros_infidelity_cost(n_qubits: int) -> PauliSum:
 def mean_excitation_cost(n_qubits: int) -> PauliSum:
     """1 - mean over qubits of p(qubit reads 0), i.e. the average
     excitation probability: 1/2 - (1/2n) sum_j Z_j."""
+    _check_integer(n_qubits, "n_qubits")
     if n_qubits < 1:
         raise ValueError("need at least 1 qubit")
     terms = [(0.5, {})]
@@ -164,6 +171,8 @@ def mean_excitation_cost(n_qubits: int) -> PauliSum:
 
 def random_gnm_edges(n_nodes: int, n_edges: int, seed=None) -> tuple:
     """Uniform simple graph with exactly n_edges edges, in combinations order."""
+    _check_integer(n_nodes, "n_nodes")
+    _check_integer(n_edges, "n_edges")
     n_pairs = math.comb(max(n_nodes, 0), 2)
     if not 1 <= n_edges <= n_pairs:
         raise ValueError(f"n_edges must be in [1, {n_pairs}] for {n_nodes} nodes")
@@ -187,6 +196,7 @@ def _cuts(edges, bits: np.ndarray) -> np.ndarray:
 def max_cut_size(edges, n_nodes: int) -> int:
     """Brute-force MaxCut value: the largest cut over all 2^n assignments,
     enumerated in numpy as one (2^n, n) uint8 matrix; capped at 20 nodes."""
+    _check_integer(n_nodes, "n_nodes")
     if n_nodes > 20:
         raise ValueError("brute force capped at 20 nodes")
     assignments = np.arange(2**n_nodes)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .circuit import _check_integer
 from .simulator import _fits
 
 _NORM_TOL = 1e-10
@@ -118,6 +119,7 @@ def _fix_signs(axes: np.ndarray) -> np.ndarray:
 
 
 def _check_dims(dims: int) -> None:
+    _check_integer(dims, "dims")
     if dims < 1:
         raise ValueError("dims must be positive")
 
@@ -184,6 +186,7 @@ def random_basis(dim: int, dims: int = 2, seed=None) -> SubspaceBasis:
     When dim < dims the surplus rows come out as zeros, matching the
     degenerate-axis allowance of SubspaceBasis.
     """
+    _check_integer(dim, "dim")
     _check_dims(dims)
     rng = np.random.default_rng(seed)
     needed = min(dims, dim)
@@ -267,6 +270,7 @@ def _check_tsne(n: int, perplexity: float, iters: int) -> None:
             f"perplexity {perplexity} too large for {n} points; "
             f"needs perplexity < {(n - 1) / 3.0}"
         )
+    _check_integer(iters, "iters")
     if iters < 1:
         raise ValueError("iters must be positive")
     _fits(8 * _TSNE_ARRAYS * n * n, f"t-SNE of {n} points")

@@ -61,14 +61,14 @@ empty result. A batch whose rows take more than half of physical memory by
 that rule, a chunk item or a compiled observable that does, is rejected
 with ValueError before anything is allocated.
 
-Observables are never applied as gates. Each PauliSum is compiled once per
-(PauliSum, n), and a few compiled forms stay cached, into groups of terms
-that share an X/Y flip mask. The Z strings and the identity form one real
-diagonal, whose expectation is the probabilities dotted with it; every
-other group is a gather index plus a phase vector. Each group's vector is
-one Walsh-Hadamard transform of its terms' coefficients, O(n 2**n) to
-compile. An expectation costs one pass over the batch per group, whatever
-the number of terms, and each row is reduced on its own.
+Observables are never applied as gates. A PauliSum is compiled once per
+register width n into groups of terms that share an X/Y flip mask, and
+keeps them for as long as it lives. The Z strings and the identity form
+one real diagonal, whose expectation is the probabilities dotted with it;
+every other group is a gather index plus a phase vector. Each group's
+vector is one Walsh-Hadamard transform of its terms' coefficients,
+O(n 2**n) to compile. An expectation costs one pass over the batch per
+group, whatever the number of terms, and each row is reduced on its own.
 
 Sampling and the stochastic Pauli noise channel take explicit seeds; a
 trajectory average over seeds estimates the channel output.
@@ -513,7 +513,6 @@ def row_vdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.conj()[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-@lru_cache(maxsize=8)
 def _compiled_observable(obs: PauliSum, n: int) -> tuple:
     """obs on n qubits as ((flip, weights), ...), one pair per X/Y flip mask.
 
@@ -528,7 +527,10 @@ def _compiled_observable(obs: PauliSum, n: int) -> tuple:
     d_i = sum_z c_z (-1)**popcount(i & z): each term's phased coefficient
     is added to c at its zmask, then one butterfly pass per index bit turns
     c into d in place, O(n 2**n) per group whatever its number of terms.
+    The result is kept on obs, one entry per n, for as long as obs lives.
     """
+    if n in obs._compiled:
+        return obs._compiled[n]
     if obs.max_qubit() >= n:
         raise ValueError(
             f"observable touches qubit {obs.max_qubit()}, state has {n}"
@@ -560,7 +562,8 @@ def _compiled_observable(obs: PauliSum, n: int) -> tuple:
             d[:, 1] = d[:, 0]
         d.flags.writeable = False
         compiled.append((flip, d.reshape(-1, 1)))
-    return tuple(compiled)
+    obs._compiled[n] = tuple(compiled)
+    return obs._compiled[n]
 
 
 def _flipped(states: np.ndarray, flip: int) -> np.ndarray:
@@ -574,9 +577,10 @@ def _flipped(states: np.ndarray, flip: int) -> np.ndarray:
 def expectation_batch(states: np.ndarray, obs: PauliSum) -> np.ndarray:
     """<psi|O|psi> for every row of a (B, 2**n) batch; always real.
 
-    The observable is compiled once per (obs, n) into groups of terms that
-    share an X/Y flip mask: one real diagonal for the Z strings and the
-    identity, one gather psi[i ^ flip] and phase vector per other mask.
+    The observable is compiled once per width n, and kept on obs, into
+    groups of terms that share an X/Y flip mask: one real diagonal for the
+    Z strings and the identity, one gather psi[i ^ flip] and phase vector
+    per other mask.
     Each group costs one pass over the batch, whatever its number of terms,
     and every row is reduced on its own, so a row's value does not depend
     on B. Every group fills one buffer of a state per row: with the squared

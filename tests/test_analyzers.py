@@ -695,10 +695,12 @@ def test_bins_are_checked_before_any_simulation_or_draw(monkeypatch, name, bins,
     ("restarts", lambda: reachability(_rx_cost(), 10, 1.5, seed=0)),
     ("samples", lambda: mp_reference_spectrum(4, 2, 2.5, rng=0)),
     ("bins", lambda: mp_reference_spectrum(4, 2, 3, rng=0, bins=7.5)),
+    ("k", lambda: mp_reference_spectrum(4, 1.5, 2, rng=0)),
+    ("n_qubits", lambda: mp_reference_spectrum(4.0, 2, 2, rng=0)),
 ], ids=["expressibility-samples", "expressibility-bool-samples", "entanglement-samples",
         "spectrum-samples", "expressibility-bins", "spectrum-bins", "landscape-points",
         "plateau-points", "reachability-haar-samples", "reachability-restarts",
-        "reference-samples", "reference-bins"])
+        "reference-samples", "reference-bins", "reference-k", "reference-n-qubits"])
 def test_counts_that_are_not_integers_fail_before_any_work(monkeypatch, name, call):
     for module, attr in ((simulator, "simulate_map"), (analyzers, "simulate_map"),
                          (trainer, "simulate_map"), (analyzers, "_haar_batch"),

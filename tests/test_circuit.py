@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from pqc_lens import (
     qaoa_builder,
     serialize_circuit_spec,
 )
-from pqc_lens.library import layered_ansatz, max_cut_size, mean_cut_scorer, random_gnm_edges
+from pqc_lens.library import (all_zeros_infidelity_cost, append_pairwise_cx,
+                              identity_learning_ansatz, layered_ansatz, max_cut_size,
+                              mean_cut_scorer, mean_excitation_cost, random_gnm_edges)
 
 
 def _rx_chain(n_params=2):
@@ -103,6 +106,16 @@ class TestMakeCircuit:
             PauliTerm(1.0, ((0, "X"), (0, "Z")))
         with pytest.raises(CircuitSpecError, match="more than once"):
             PauliSum.from_terms([(1.0, [(0, "X"), (0, "Z")])])
+
+    @pytest.mark.parametrize("qubit", [True, 1.7, 1.0, "1"])
+    def test_pauli_term_rejects_a_qubit_index_that_is_not_an_integer(self, qubit):
+        with pytest.raises(CircuitSpecError, match="qubit indices must be integers"):
+            PauliTerm(1.0, {qubit: "Z"})
+        with pytest.raises(CircuitSpecError, match="qubit indices must be integers"):
+            PauliSum.from_terms([(1.0, [(0, "X"), (qubit, "Z")])])
+
+    def test_pauli_term_takes_numpy_integer_indices(self):
+        assert PauliTerm(1.0, {np.int64(2): "Z", np.uint8(0): "X"}).paulis == ((0, "X"), (2, "Z"))
 
     def test_rejects_nonpositive_width(self):
         with pytest.raises(CircuitSpecError):
@@ -212,6 +225,26 @@ class TestSpecFormat:
         }
         with pytest.raises(CircuitSpecError, match="cost term 0 names qubit 0 more than once"):
             parse_circuit_spec(json.dumps(doc))
+
+    @pytest.mark.parametrize("key", ["1_0", "\u0661", " 1", "1 ", "+1", "-1", "", "0x1", "1.0"])
+    def test_rejects_cost_keys_that_are_not_ascii_digits(self, key):
+        doc = {
+            "n_qubits": 11,
+            "gates": [{"kind": "H", "targets": [0]}],
+            "cost": [{"coeff": 1.0, "paulis": {key: "Z"}}],
+        }
+        message = re.escape(f"cost term 0 pauli key {key!r} is not a qubit index")
+        with pytest.raises(CircuitSpecError, match=message):
+            parse_circuit_spec(json.dumps(doc))
+
+    @pytest.mark.parametrize("key, qubit", [("0", 0), ("00", 0), ("07", 7), ("10", 10)])
+    def test_cost_keys_of_ascii_digits_are_qubit_indices(self, key, qubit):
+        doc = {
+            "n_qubits": 11,
+            "gates": [{"kind": "H", "targets": [0]}],
+            "cost": [{"coeff": 1.0, "paulis": {key: "Z"}}],
+        }
+        assert parse_circuit_spec(json.dumps(doc)).cost.terms[0].paulis == ((qubit, "Z"),)
 
     @pytest.mark.parametrize("doc", [
         {"n_qubits": 1, "gates": [{"kind": "RX", "targets": [0], "angle": 10**400}]},
@@ -327,6 +360,33 @@ class TestQaoaBuilder:
             qaoa_builder([(0, 1)], p=0)
         with pytest.raises(ValueError):
             qaoa_builder([(0, 5)], p=1, n_nodes=3)
+
+    def test_takes_numpy_integer_edges(self):
+        edges = [(0, 1), (1, 2), (0, 2)]
+        assert qaoa_builder(np.array(edges), 2) == qaoa_builder(edges, 2)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("edge endpoint", lambda: qaoa_builder([(0, 1.7)], 1)),
+    ("edge endpoint", lambda: qaoa_builder([(0, 1), (True, 2)], 1)),
+    ("QAOA layer count p", lambda: qaoa_builder([(0, 1), (1, 2)], True)),
+    ("QAOA layer count p", lambda: qaoa_builder([(0, 1), (1, 2)], 1.0)),
+    ("n_nodes", lambda: qaoa_builder([(0, 1)], 1, n_nodes=3.0)),
+    ("layers", lambda: layered_ansatz(3, 2.0)),
+    ("n_qubits", lambda: layered_ansatz(3.0, 2)),
+    ("n_qubits", lambda: identity_learning_ansatz(3.0)),
+    ("n_nodes", lambda: random_gnm_edges(4.0, 2)),
+    ("n_edges", lambda: random_gnm_edges(4, 2.0)),
+    ("n_nodes", lambda: max_cut_size([(0, 1), (1, 2)], 4.5)),
+    ("count", lambda: append_pairwise_cx(layered_ansatz(3, 1), 1.5)),
+    ("n_qubits", lambda: all_zeros_infidelity_cost(2.0)),
+    ("n_qubits", lambda: mean_excitation_cost(2.0)),
+], ids=["qaoa-float-endpoint", "qaoa-bool-endpoint", "qaoa-bool-p", "qaoa-float-p",
+        "qaoa-n-nodes", "layered-layers", "layered-width", "identity-learning", "gnm-nodes",
+        "gnm-edges", "max-cut", "pairwise-cx", "global-cost", "local-cost"])
+def test_builder_counts_and_indices_must_be_integers(name, call):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        call()
 
 
 class TestRandomGraph:

@@ -315,3 +315,20 @@ def test_dims_below_one_is_rejected_before_any_work(monkeypatch, project):
     monkeypatch.setattr(projection, "_gram_schmidt", _no_work)
     with pytest.raises(ValueError, match="dims must be positive"):
         project()
+
+
+@pytest.mark.parametrize("name, project", [
+    ("dims", lambda cloud: pca(cloud, dims=True)),
+    ("dims", lambda cloud: pca(cloud, dims=1.5)),
+    ("dims", lambda cloud: tsne(cloud, dims=2.0, perplexity=1.0, iters=1)),
+    ("iters", lambda cloud: tsne(cloud, perplexity=1.0, iters=2.5)),
+    ("dims", lambda cloud: random_basis(3, 2.0)),
+    ("dim", lambda cloud: random_basis(3.0, 2)),
+], ids=["pca-bool-dims", "pca-float-dims", "tsne-dims", "tsne-iters", "random-dims",
+        "random-dim"])
+def test_counts_that_are_not_integers_are_rejected_before_any_work(monkeypatch, name, project):
+    monkeypatch.setattr(projection, "_pairwise_sq_dists", _no_work)
+    monkeypatch.setattr(projection, "_gram_schmidt", _no_work)
+    monkeypatch.setattr(np.linalg, "svd", _no_work)
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        project(np.arange(12.0).reshape(6, 2))

@@ -1,4 +1,8 @@
+import copy
+import gc
 import math
+import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -30,7 +34,7 @@ from pqc_lens import analyzers, simulator
 from pqc_lens.cli import run
 from pqc_lens.library import (all_zeros_infidelity_cost, bell_circuit, layered_ansatz,
                               mean_excitation_cost, random_gnm_edges)
-from pqc_lens.trainer import _loss_and_gradient, cost_batch
+from pqc_lens.trainer import OptimizerConfig, _loss_and_gradient, cost_batch, ensemble_train
 
 INV_SQRT2 = 1.0 / math.sqrt(2)
 
@@ -247,21 +251,62 @@ class TestCompiledObservable:
             assert np.array_equal(value, simulator.expectation_batch(row[None], obs)[0])
             assert abs(value - oracles.dense_expectation(row, obs, 8)) <= 1e-12
 
-    def test_equal_sums_are_hashed_once_and_share_a_cache_entry(self, monkeypatch):
-        hashed = []
-        term_hash = PauliTerm.__hash__
-        monkeypatch.setattr(PauliTerm, "__hash__", lambda t: hashed.append(t) or term_hash(t))
-        a, b = all_zeros_infidelity_cost(3), all_zeros_infidelity_cost(3)
-        assert a is not b and a == b and hash(a) == hash(b)
-        # each sum hashed its 8 terms when it was built, and never again
-        assert len(hashed) == 16
-        simulator._compiled_observable.cache_clear()
-        states = _random_states(np.random.default_rng(0), 2, 3)
-        assert np.array_equal(simulator.expectation_batch(states, a),
-                              simulator.expectation_batch(states, b))
-        info = simulator._compiled_observable.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-        assert len(hashed) == 16
+    def test_an_equal_fresh_sum_is_neither_compared_nor_hashed(self, monkeypatch):
+        circuit = layered_ansatz(3, 1)
+        thetas = np.random.default_rng(0).uniform(0, 2 * np.pi, (4, circuit.n_params))
+        first = make_circuit(3, circuit.gates, circuit.parameter_names,
+                             all_zeros_infidelity_cost(3))
+        fresh = make_circuit(3, circuit.gates, circuit.parameter_names,
+                             all_zeros_infidelity_cost(3))
+        assert first.cost == fresh.cost and first.cost is not fresh.cost
+        cost = cost_batch(first, thetas)
+        calls = []
+        term_eq, term_hash = PauliTerm.__eq__, PauliTerm.__hash__
+        monkeypatch.setattr(PauliTerm, "__eq__", lambda a, b: calls.append("eq") or term_eq(a, b))
+        monkeypatch.setattr(PauliTerm, "__hash__", lambda t: calls.append("hash") or term_hash(t))
+        assert np.array_equal(cost_batch(fresh, thetas), cost)
+        assert calls == []
+
+    def test_a_compiled_sum_is_freed_with_its_last_reference(self):
+        obs = PauliSum.from_terms([(0.5, {0: "X", 1: "Y"}), (0.25, {2: "Z"})])
+        simulator.expectation_batch(_random_states(np.random.default_rng(0), 2, 3), obs)
+        ref = weakref.ref(obs)
+        del obs
+        gc.collect()
+        assert ref() is None
+
+    def test_a_sum_is_compiled_once_per_width(self, monkeypatch):
+        class Recording(dict):
+            def __setitem__(self, n, groups):
+                widths.append(n)
+                super().__setitem__(n, groups)
+
+        widths = []
+        circuit = make_circuit(
+            3, layered_ansatz(3, 2).gates, layered_ansatz(3, 2).parameter_names,
+            PauliSum.from_terms([(0.5, {0: "X", 1: "Y"}), (-0.3, {1: "X"}), (0.25, {2: "Z"})]))
+        object.__setattr__(circuit.cost, "_compiled", Recording())
+        thetas = np.random.default_rng(1).uniform(0, 2 * np.pi, (20, circuit.n_params))
+        monkeypatch.setattr(simulator, "CHUNK_BYTES", 1)  # one row per chunk
+        cost_batch(circuit, thetas)
+        _loss_and_gradient(circuit, thetas)
+        ensemble_train(circuit, OptimizerConfig(steps=6, seed=2), restarts=3)
+        assert widths == [3]
+        wider = np.zeros((1, 16), dtype=complex)
+        wider[0, 0] = 1.0
+        assert simulator.expectation_batch(wider, circuit.cost)[0] == 0.25
+        assert widths == [3, 4]
+
+    def test_pickles_and_copies_carry_no_compiled_groups(self):
+        obs = PauliSum.from_terms([(0.5, {0: "X", 1: "Y"}), (0.25, {2: "Z"}), (1.0, {})])
+        before = pickle.dumps(obs)
+        simulator.expectation_batch(_random_states(np.random.default_rng(0), 2, 3), obs)
+        assert 3 in obs._compiled
+        after = pickle.dumps(obs)
+        assert len(after) == len(before)
+        for twin in (pickle.loads(after), copy.copy(obs), copy.deepcopy(obs)):
+            assert twin == obs and hash(twin) == hash(obs)
+            assert twin._compiled == {}
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10**9), st.integers(2, 9))
@@ -618,7 +663,6 @@ class TestWidthGuard:
 
     def test_expectation_rejects_observables_too_large_to_compile(self, small_memory):
         # on 11 qubits one group of terms takes 32 KiB, all the budget allows
-        simulator._compiled_observable.cache_clear()
         states = np.zeros((1, 2**11), dtype=complex)
         states[0, 0] = 1.0
         z_only = PauliSum.from_terms([(1.0, {0: "Z"}), (0.5, {1: "Z"})])
