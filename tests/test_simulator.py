@@ -254,10 +254,8 @@ class TestCompiledObservable:
     def test_an_equal_fresh_sum_is_neither_compared_nor_hashed(self, monkeypatch):
         circuit = layered_ansatz(3, 1)
         thetas = np.random.default_rng(0).uniform(0, 2 * np.pi, (4, circuit.n_params))
-        first = make_circuit(3, circuit.gates, circuit.parameter_names,
-                             all_zeros_infidelity_cost(3))
-        fresh = make_circuit(3, circuit.gates, circuit.parameter_names,
-                             all_zeros_infidelity_cost(3))
+        first, fresh = (make_circuit(3, circuit.gates, circuit.parameter_names,
+                                     all_zeros_infidelity_cost(3)) for _ in range(2))
         assert first.cost == fresh.cost and first.cost is not fresh.cost
         cost = cost_batch(first, thetas)
         calls = []
@@ -282,8 +280,9 @@ class TestCompiledObservable:
                 super().__setitem__(n, groups)
 
         widths = []
+        ansatz = layered_ansatz(3, 2)
         circuit = make_circuit(
-            3, layered_ansatz(3, 2).gates, layered_ansatz(3, 2).parameter_names,
+            3, ansatz.gates, ansatz.parameter_names,
             PauliSum.from_terms([(0.5, {0: "X", 1: "Y"}), (-0.3, {1: "X"}), (0.25, {2: "Z"})]))
         object.__setattr__(circuit.cost, "_compiled", Recording())
         thetas = np.random.default_rng(1).uniform(0, 2 * np.pi, (20, circuit.n_params))
