@@ -5,7 +5,10 @@ dedicated RNG stream per sample seeded base + i, all of them up front, and
 simulates its samples through simulator.simulate_map, which runs them in
 memory-bounded ranges of consecutive rows, in order. A row's arithmetic
 does not depend on its range and reductions run sequentially, so outputs
-are byte-stable for any chunk size.
+are byte-stable for any chunk size. The base seed is None, for a fresh
+one, or a non-negative integer, never rounded; it, the counts and the
+modes are checked by one rule (``circuit._check_count`` and
+``_check_choice``) before any draw.
 
 Reports serialize through to_dict() into plain JSON trees tagged with the
 schema version "pqc-lens/1". Every to_dict, and every result the command
@@ -33,7 +36,7 @@ from .baselines import (
     mp_reference_spectrum,
     xi_profiles,
 )
-from .circuit import CircuitDescriptor, GateProgram, _check_integer, make_circuit
+from .circuit import CircuitDescriptor, GateProgram, _check_choice, _check_count, make_circuit
 from .library import all_zeros_infidelity_cost, mean_excitation_cost
 from .projection import (_MAX_COORD, PointCloud, SubspaceBasis, _check_tsne, pca,
                          random_basis, tsne)
@@ -182,11 +185,8 @@ def expressibility(circuit: CircuitDescriptor, samples: int,
     vectors (2 * samples draws in total, none reused). Smaller values mean
     the ensemble covers state space more evenly.
     """
-    _check_integer(samples, "samples")
-    if samples < 2:
-        raise ValueError("need at least 2 fidelity samples")
-    if measure not in DIVERGENCE_MEASURES:
-        raise ValueError(f"measure must be one of {DIVERGENCE_MEASURES}")
+    _check_count(samples, "samples", 2)
+    _check_choice(measure, "measure", DIVERGENCE_MEASURES)
     _check_bins(bins)
     base = _resolve_seed(seed)
     program = circuit.program
@@ -241,11 +241,8 @@ def entanglement_capability(circuit: CircuitDescriptor, samples: int,
     n = circuit.n_qubits
     if n < 2:
         raise ValueError("entanglement needs at least 2 qubits")
-    _check_integer(samples, "samples")
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    if measure not in ENTANGLEMENT_MEASURES:
-        raise ValueError(f"measure must be one of {ENTANGLEMENT_MEASURES}")
+    _check_count(samples, "samples")
+    _check_choice(measure, "measure", ENTANGLEMENT_MEASURES)
     base = _resolve_seed(seed)
     program = circuit.program
 
@@ -321,11 +318,8 @@ def entanglement_spectrum(circuit: CircuitDescriptor, samples: int,
     n = circuit.n_qubits
     if n < 2:
         raise ValueError("spectrum needs at least 2 qubits")
-    _check_integer(samples, "samples")
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    if measure not in DIVERGENCE_MEASURES:
-        raise ValueError(f"measure must be one of {DIVERGENCE_MEASURES}")
+    _check_count(samples, "samples")
+    _check_choice(measure, "measure", DIVERGENCE_MEASURES)
     _check_cutoff(cutoff)
     cutoff = float(cutoff)
     _check_bins(bins)
@@ -369,9 +363,7 @@ BASIS_MODES = ("random", "pca")
 
 
 def _check_grid(points: int, scan_range: float) -> None:
-    _check_integer(points, "points")
-    if points < 2:
-        raise ValueError("points must be at least 2")
+    _check_count(points, "points", 2)
     if not (math.isfinite(scan_range) and scan_range > 0):
         raise ValueError("scan_range must be finite and positive")
 
@@ -380,8 +372,7 @@ def _check_landscape(circuit: CircuitDescriptor, theta_star, basis_mode: str,
                      points: int, scan_range: float) -> np.ndarray:
     """theta_star as a flat float vector; ValueError, before any simulation,
     unless a ``loss_landscape`` of these arguments can be evaluated."""
-    if basis_mode not in BASIS_MODES:
-        raise ValueError(f"basis_mode must be one of {BASIS_MODES}")
+    _check_choice(basis_mode, "basis_mode", BASIS_MODES)
     _check_grid(points, scan_range)
     theta_star = np.asarray(theta_star, dtype=float).reshape(-1)
     if theta_star.shape[0] != circuit.n_params:
@@ -475,8 +466,7 @@ def barren_plateau_scan(circuit: CircuitDescriptor, cost_kind: str = "global",
     grid node, so the two cost kinds can be compared for flatness on
     equal footing.
     """
-    if cost_kind not in COST_KINDS:
-        raise ValueError(f"cost_kind must be one of {COST_KINDS}")
+    _check_choice(cost_kind, "cost_kind", COST_KINDS)
     if circuit.n_params != 2:
         raise ValueError("scan expects a circuit with exactly 2 parameters")
     _check_grid(points, scan_range)
@@ -526,8 +516,7 @@ def _check_path(points: int, mode: str, overlay: bool, perplexity: float,
                 iters: int) -> None:
     """ValueError, before any embedding, unless ``training_path`` can embed
     ``points`` pooled points in this mode, with an overlay or not."""
-    if mode not in PATH_MODES:
-        raise ValueError(f"mode must be one of {PATH_MODES}")
+    _check_choice(mode, "mode", PATH_MODES)
     if overlay and mode != "pca":
         raise ValueError("an overlay needs the pca mode (tsne has no inverse map)")
     if points < 3:
@@ -709,12 +698,8 @@ def reachability(circuit: CircuitDescriptor, haar_samples: int,
     """
     if circuit.cost is None:
         raise ValueError("reachability needs a circuit with a cost observable")
-    _check_integer(haar_samples, "haar_samples")
-    if haar_samples < 1:
-        raise ValueError("haar_samples must be positive")
-    _check_integer(restarts, "restarts")
-    if restarts < 1:
-        raise ValueError("restarts must be positive")
+    _check_count(haar_samples, "haar_samples")
+    _check_count(restarts, "restarts")
     if config is None:
         config = OptimizerConfig()
     base = _resolve_seed(seed)

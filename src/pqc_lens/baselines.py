@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import _check_integer
+from .circuit import _check_count
 from .simulator import StateVector, _fits, _row_bytes, map_chunks, schmidt_spectrum
 
 _EPS = 1e-12
@@ -68,9 +68,7 @@ class MPBaseline:
 def _check_bins(bins: int, what: str = "histogram") -> None:
     """ValueError unless bins is positive and a ``what`` of that many bins,
     three arrays of bins + 1 floats, takes at most half of physical memory."""
-    _check_integer(bins, "bins")
-    if bins < 1:
-        raise ValueError("bins must be positive")
+    _check_count(bins, "bins")
     _fits(24 * (bins + 1), f"a {what} of {bins} bins")
 
 
@@ -199,13 +197,9 @@ def mp_reference_spectrum(n_qubits: int, k: int, samples: int, rng=None,
     spectral-divergence analyzer compares against.
     """
     _check_cutoff(cutoff)
-    _check_integer(n_qubits, "n_qubits")
-    _check_integer(k, "k")
-    if not 1 <= k < n_qubits:
-        raise ValueError(f"subsystem size k={k} must satisfy 1 <= k < n_qubits")
-    _check_integer(samples, "samples")
-    if samples < 1:
-        raise ValueError("samples must be positive")
+    _check_count(n_qubits, "n_qubits", 2)
+    _check_count(k, "k", 1, n_qubits - 1)
+    _check_count(samples, "samples")
     _check_bins(bins)
     rng = np.random.default_rng(rng)
 

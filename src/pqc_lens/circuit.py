@@ -59,6 +59,35 @@ def _check_integer(value, name: str) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_count(value, name: str, least: int = 1, most: int | None = None) -> None:
+    """ValueError unless value is an integer (not a bool) in [least, most];
+    the message names the argument, the bound and the value received."""
+    _check_integer(value, name)
+    if value < least or (most is not None and value > most):
+        bound = (f"in [{least}, {most}]" if most is not None else
+                 {0: "non-negative", 1: "positive"}.get(least, f"at least {least}"))
+        raise ValueError(f"{name} must be {bound}, got {value!r}")
+
+
+def _check_choice(value, name: str, choices: tuple) -> None:
+    """ValueError unless value is one of choices."""
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {choices}, got {value!r}")
+
+
+def _check_edges(edges, n_nodes: int | None = None) -> None:
+    """ValueError unless each edge joins two distinct integer nodes in
+    [0, n_nodes), or in [0, infinity) when n_nodes is None."""
+    if n_nodes is not None:
+        _check_count(n_nodes, "n_nodes")
+    highest = None if n_nodes is None else n_nodes - 1
+    for u, v in edges:
+        _check_count(u, "edge endpoint", 0, highest)
+        _check_count(v, "edge endpoint", 0, highest)
+        if u == v:
+            raise ValueError(f"self-loop ({u}, {v}) is not a valid edge")
+
+
 @dataclass(frozen=True)
 class Gate:
     kind: str
@@ -703,24 +732,10 @@ def qaoa_builder(edges, p: int, n_nodes: int | None = None) -> CircuitDescriptor
     edges = list(edges)
     if not edges:
         raise ValueError("QAOA needs at least one edge")
-    _check_integer(p, "QAOA layer count p")
-    if p < 1:
-        raise ValueError("QAOA layer count p must be >= 1")
-    for u, v in edges:
-        _check_integer(u, "edge endpoint")
-        _check_integer(v, "edge endpoint")
-        if u == v:
-            raise ValueError(f"self-loop ({u}, {v}) is not a valid edge")
-        if u < 0 or v < 0:
-            raise ValueError("edge endpoints must be non-negative")
-    highest = max(max(u, v) for u, v in edges)
+    _check_count(p, "QAOA layer count p")
+    _check_edges(edges, n_nodes)
     if n_nodes is None:
-        n_nodes = highest + 1
-    _check_integer(n_nodes, "n_nodes")
-    if n_nodes < 2:
-        raise ValueError("QAOA graph needs at least 2 nodes")
-    if highest >= n_nodes:
-        raise ValueError(f"edge endpoint {highest} out of range for {n_nodes} nodes")
+        n_nodes = max(max(u, v) for u, v in edges) + 1
 
     names = []
     for i in range(p):

@@ -434,8 +434,8 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
 
-    seed = _resolve_seed(args.seed)
     try:
+        seed = _resolve_seed(args.seed)
         result, files = _COMMANDS[args.command](args, seed)
     except CircuitSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)

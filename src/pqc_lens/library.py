@@ -12,10 +12,14 @@ from itertools import combinations
 import numpy as np
 
 from .circuit import (
+    ROTATION_KINDS,
     CircuitDescriptor,
     Gate,
     ParamRef,
     PauliSum,
+    _check_choice,
+    _check_count,
+    _check_edges,
     _check_integer,
     make_circuit,
 )
@@ -41,12 +45,9 @@ def layered_ansatz(n_qubits: int, layers: int,
     leaves the layer as bare rotations. Every rotation gets its own fresh
     parameter, 3 * n_qubits * layers in total.
     """
-    if entangler not in ENTANGLER_STYLES:
-        raise ValueError(f"entangler must be one of {ENTANGLER_STYLES}")
+    _check_choice(entangler, "entangler", ENTANGLER_STYLES)
     _check_integer(n_qubits, "n_qubits")
-    _check_integer(layers, "layers")
-    if layers < 1:
-        raise ValueError("layers must be positive")
+    _check_count(layers, "layers")
     names: list[str] = []
     gates: list[Gate] = []
     for _ in range(layers):
@@ -68,11 +69,7 @@ def append_pairwise_cx(circuit: CircuitDescriptor, count: int) -> CircuitDescrip
     may run up to n*(n-1)/2.
     """
     pairs = list(combinations(range(circuit.n_qubits), 2))
-    _check_integer(count, "count")
-    if not 0 <= count <= len(pairs):
-        raise ValueError(
-            f"count must be in [0, {len(pairs)}] for {circuit.n_qubits} qubits"
-        )
+    _check_count(count, "count", 0, len(pairs))
     gates = list(circuit.gates) + [Gate("CX", pair) for pair in pairs[:count]]
     return make_circuit(circuit.n_qubits, gates,
                         circuit.parameter_names, circuit.cost)
@@ -91,8 +88,7 @@ def single_qubit_chain(rotations) -> CircuitDescriptor:
     names: list[str] = []
     gates: list[Gate] = [Gate("H", (0,))]
     for kind in rotations:
-        if kind not in ("RX", "RY", "RZ"):
-            raise ValueError(f"rotation kind {kind!r} not supported here")
+        _check_choice(kind, "rotation kind", ROTATION_KINDS)
         name = f"theta_{len(names)}"
         names.append(name)
         gates.append(Gate(kind, (0,), ParamRef(name)))
@@ -132,9 +128,7 @@ def identity_learning_ansatz(n_qubits: int = 2) -> CircuitDescriptor:
     meaningful and lets the global cost flatten with width where the
     local cost does not.
     """
-    _check_integer(n_qubits, "n_qubits")
-    if n_qubits < 2:
-        raise ValueError("need at least 2 qubits")
+    _check_count(n_qubits, "n_qubits", 2)
     gates = [Gate("RX", (0,), ParamRef("theta_0")),
              Gate("RX", (1,), ParamRef("theta_1"))]
     for q in range(2, n_qubits):
@@ -147,9 +141,7 @@ def identity_learning_ansatz(n_qubits: int = 2) -> CircuitDescriptor:
 def all_zeros_infidelity_cost(n_qubits: int) -> PauliSum:
     """1 - p(every qubit reads 0): the projector onto |0...0> expanded
     into 2^n Pauli-Z terms, subtracted from the identity."""
-    _check_integer(n_qubits, "n_qubits")
-    if n_qubits < 1:
-        raise ValueError("need at least 1 qubit")
+    _check_count(n_qubits, "n_qubits")
     scale = 1.0 / 2**n_qubits
     terms = [(1.0 - scale, {})]
     for size in range(1, n_qubits + 1):
@@ -161,9 +153,7 @@ def all_zeros_infidelity_cost(n_qubits: int) -> PauliSum:
 def mean_excitation_cost(n_qubits: int) -> PauliSum:
     """1 - mean over qubits of p(qubit reads 0), i.e. the average
     excitation probability: 1/2 - (1/2n) sum_j Z_j."""
-    _check_integer(n_qubits, "n_qubits")
-    if n_qubits < 1:
-        raise ValueError("need at least 1 qubit")
+    _check_count(n_qubits, "n_qubits")
     terms = [(0.5, {})]
     terms += [(-0.5 / n_qubits, {q: "Z"}) for q in range(n_qubits)]
     return PauliSum.from_terms(terms)
@@ -175,7 +165,8 @@ def random_gnm_edges(n_nodes: int, n_edges: int, seed=None) -> tuple:
     _check_integer(n_edges, "n_edges")
     n_pairs = math.comb(max(n_nodes, 0), 2)
     if not 1 <= n_edges <= n_pairs:
-        raise ValueError(f"n_edges must be in [1, {n_pairs}] for {n_nodes} nodes")
+        raise ValueError(f"n_edges must be in [1, {n_pairs}] for {n_nodes} nodes, "
+                         f"got {n_edges!r}")
     rng = np.random.default_rng(seed)
     edges = []
     for k in map(int, sorted(rng.choice(n_pairs, size=n_edges, replace=False))):
@@ -195,10 +186,12 @@ def _cuts(edges, bits: np.ndarray) -> np.ndarray:
 
 def max_cut_size(edges, n_nodes: int) -> int:
     """Brute-force MaxCut value: the largest cut over all 2^n assignments,
-    enumerated in numpy as one (2^n, n) uint8 matrix; capped at 20 nodes."""
-    _check_integer(n_nodes, "n_nodes")
+    enumerated in numpy as one (2^n, n) uint8 matrix; capped at 20 nodes.
+    Every edge joins two distinct nodes in [0, n_nodes)."""
+    edges = tuple(edges)
+    _check_edges(edges, n_nodes)
     if n_nodes > 20:
-        raise ValueError("brute force capped at 20 nodes")
+        raise ValueError(f"brute force capped at 20 nodes, got {n_nodes!r}")
     assignments = np.arange(2**n_nodes)
     bits = np.empty((assignments.size, n_nodes), dtype=np.uint8, order="F")
     for q in range(n_nodes):  # one contiguous column at a time: 2^n int64 words, not 2^n * n
@@ -210,14 +203,19 @@ def mean_cut_scorer(edges):
     """Scoring rule for sampled bitstring ensembles: mean cut size.
 
     Returns a callable taking a (shots, n_qubits) 0/1 matrix, as produced
-    by ShotCounts.bit_matrix, and averaging the cut over rows.
+    by ShotCounts.bit_matrix, and averaging the cut over rows. The edges
+    are checked when the scorer is built, and against the matrix's width
+    when it scores.
     """
     edge_list = tuple(edges)
+    _check_edges(edge_list)
+    width = max((max(u, v) + 1 for u, v in edge_list), default=0)
 
     def score(bit_matrix) -> float:
         bits = np.asarray(bit_matrix)
         if bits.ndim != 2:
             raise ValueError("expected a (shots, n_qubits) matrix")
+        _check_count(bits.shape[1], "bit matrix width", width)
         return float(_cuts(edge_list, bits).mean())
 
     return score

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import _check_integer
+from .circuit import _check_count
 from .simulator import _fits
 
 _NORM_TOL = 1e-10
@@ -118,12 +118,6 @@ def _fix_signs(axes: np.ndarray) -> np.ndarray:
     return fixed
 
 
-def _check_dims(dims: int) -> None:
-    _check_integer(dims, "dims")
-    if dims < 1:
-        raise ValueError("dims must be positive")
-
-
 def _gram_schmidt(axes: list[np.ndarray], candidates, needed: int) -> list[np.ndarray]:
     """Extend orthonormal axes to ``needed`` rows from candidates, in order.
 
@@ -159,7 +153,7 @@ def pca(cloud, dims: int = 2):
     """
     pts = _cloud_points(cloud)
     n_points, dim = pts.shape
-    _check_dims(dims)
+    _check_count(dims, "dims")
     if dim < dims:
         raise ValueError(f"cloud dimension {dim} is below dims={dims}")
     if n_points < dims + 1:
@@ -186,8 +180,8 @@ def random_basis(dim: int, dims: int = 2, seed=None) -> SubspaceBasis:
     When dim < dims the surplus rows come out as zeros, matching the
     degenerate-axis allowance of SubspaceBasis.
     """
-    _check_integer(dim, "dim")
-    _check_dims(dims)
+    _check_count(dim, "dim", 0)
+    _check_count(dims, "dims")
     rng = np.random.default_rng(seed)
     needed = min(dims, dim)
     kept = _gram_schmidt([], (rng.standard_normal(dim) for _ in range(64 * needed)), needed)
@@ -270,9 +264,7 @@ def _check_tsne(n: int, perplexity: float, iters: int) -> None:
             f"perplexity {perplexity} too large for {n} points; "
             f"needs perplexity < {(n - 1) / 3.0}"
         )
-    _check_integer(iters, "iters")
-    if iters < 1:
-        raise ValueError("iters must be positive")
+    _check_count(iters, "iters")
     _fits(8 * _TSNE_ARRAYS * n * n, f"t-SNE of {n} points")
 
 
@@ -286,7 +278,7 @@ def tsne(cloud, dims: int = 2, perplexity: float = 30.0, iters: int = 1000,
     a given seed. There is no inverse map, so overlays that need one must
     use PCA instead.
     """
-    _check_dims(dims)
+    _check_count(dims, "dims")
     pts = _cloud_points(cloud)
     n = pts.shape[0]
     _check_tsne(n, perplexity, iters)

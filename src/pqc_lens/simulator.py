@@ -82,7 +82,7 @@ from functools import lru_cache
 import numpy as np
 
 from .circuit import (CircuitDescriptor, Gate, GateProgram, Monomial, PauliSum,
-                      _check_integer, _is_integer, matrix_product, rotation_matrices)
+                      _check_count, _is_integer, matrix_product, rotation_matrices)
 
 _NORM_TOL = 1e-10
 
@@ -612,9 +612,7 @@ def _check_shots(shots: int, n_qubits: int) -> None:
     """ValueError unless shots is positive and a draw of that many shots fits:
     8 bytes per shot for the outcomes, their sorted copy and each qubit's
     readout flip."""
-    _check_integer(shots, "shots")
-    if shots < 1:
-        raise ValueError("shots must be positive")
+    _check_count(shots, "shots")
     _fits(8 * shots * (2 + n_qubits), f"a draw of {shots} shots on {n_qubits} qubit(s)")
 
 

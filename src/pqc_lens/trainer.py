@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import CircuitDescriptor, GateProgram, _check_integer
+from .circuit import CircuitDescriptor, GateProgram, _check_choice, _check_count
 from .simulator import _fits, expectation_batch, simulate_map
 
 METHODS = ("gd", "adam")
@@ -27,8 +27,11 @@ _BETA1, _BETA2, _EPSILON = 0.9, 0.999, 1e-8
 
 
 def _resolve_seed(seed) -> int:
+    """A fresh random seed for None; else seed, which must be a non-negative
+    integer (a bool, float or string is a ValueError, never rounded)."""
     if seed is None:
         return int(np.random.default_rng().integers(2**31))
+    _check_count(seed, "seed", 0)
     return int(seed)
 
 
@@ -42,18 +45,17 @@ class OptimizerConfig:
     learning_rate: float = 0.05
     steps: int = 100
     init: object = "uniform"  # "uniform", "zeros", or an explicit vector
-    seed: int | None = None
+    seed: int | None = None  # None, or a non-negative integer
 
     def __post_init__(self) -> None:
-        if self.method not in METHODS:
-            raise ValueError(f"unknown optimizer method {self.method!r}")
+        _check_choice(self.method, "method", METHODS)
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError("learning_rate must be finite and positive")
-        _check_integer(self.steps, "steps")
-        if self.steps < 0:
-            raise ValueError("steps must be non-negative")
-        if isinstance(self.init, str) and self.init not in ("uniform", "zeros"):
-            raise ValueError(f"unknown init mode {self.init!r}")
+        _check_count(self.steps, "steps", 0)
+        if isinstance(self.init, str):
+            _check_choice(self.init, "init", ("uniform", "zeros"))
+        if self.seed is not None:
+            _check_count(self.seed, "seed", 0)
 
 
 @dataclass(frozen=True)
@@ -198,9 +200,7 @@ def ensemble_train(circuit: CircuitDescriptor, config: OptimizerConfig,
     """Independent restarts seeded base + r, trained in lockstep; each trace is
     bit for bit ``train`` with the seed base + r. A DivergenceError names the
     earliest step at which any restart is non-finite."""
-    _check_integer(restarts, "restarts")
-    if restarts < 1:
-        raise ValueError("restarts must be positive")
+    _check_count(restarts, "restarts")
     base = _resolve_seed(config.seed)
     thetas, losses = _train_lockstep(circuit, config, [base + r for r in range(restarts)])
     return [TrainingTrace(r, thetas[r], losses[r]) for r in range(restarts)]

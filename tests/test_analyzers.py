@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from pqc_lens import (
     OptimizerConfig,
     ParamRef,
     PauliSum,
+    TrainingTrace,
     barren_plateau_scan,
     ensemble_train,
     entanglement_capability,
@@ -682,29 +684,132 @@ def test_bins_are_checked_before_any_simulation_or_draw(monkeypatch, name, bins,
         _BINNED[name](bins)
 
 
-@pytest.mark.parametrize("name, call", [
-    ("samples", lambda: expressibility(layered_ansatz(2, 1), 2.5, seed=0)),
-    ("samples", lambda: expressibility(layered_ansatz(2, 1), True, seed=0)),
-    ("samples", lambda: entanglement_capability(layered_ansatz(2, 1), 1.5, seed=0)),
-    ("samples", lambda: entanglement_spectrum(layered_ansatz(2, 1), 2.5, seed=0)),
-    ("bins", lambda: expressibility(layered_ansatz(2, 1), 10, bins=10.5, seed=0)),
-    ("bins", lambda: entanglement_spectrum(layered_ansatz(2, 1), 10, bins=10.0, seed=0)),
-    ("points", lambda: loss_landscape(_two_param_cost(), [0.0, 0.0], points=3.5, seed=0)),
-    ("points", lambda: barren_plateau_scan(identity_learning_ansatz(2), points=3.5)),
-    ("haar_samples", lambda: reachability(_rx_cost(), 2.5, 1, seed=0)),
-    ("restarts", lambda: reachability(_rx_cost(), 10, 1.5, seed=0)),
-    ("samples", lambda: mp_reference_spectrum(4, 2, 2.5, rng=0)),
-    ("bins", lambda: mp_reference_spectrum(4, 2, 3, rng=0, bins=7.5)),
-    ("k", lambda: mp_reference_spectrum(4, 1.5, 2, rng=0)),
-    ("n_qubits", lambda: mp_reference_spectrum(4.0, 2, 2, rng=0)),
+_ANALYZER_NO_WORK = ((simulator, "simulate_map"), (analyzers, "simulate_map"),
+                     (trainer, "simulate_map"), (trainer, "_train_lockstep"),
+                     (analyzers, "_haar_batch"), (baselines, "_haar_batch"),
+                     (analyzers, "pca"), (analyzers, "tsne"))
+
+
+def _flat_trace():
+    return TrainingTrace(0, np.zeros((3, 2)), np.zeros(3))
+
+
+@pytest.mark.parametrize("message, call", [
+    ("samples must be an integer, got 2.5",
+     lambda: expressibility(layered_ansatz(2, 1), 2.5, seed=0)),
+    ("samples must be an integer, got True",
+     lambda: expressibility(layered_ansatz(2, 1), True, seed=0)),
+    ("samples must be an integer, got 1.5",
+     lambda: entanglement_capability(layered_ansatz(2, 1), 1.5, seed=0)),
+    ("samples must be an integer, got 2.5",
+     lambda: entanglement_spectrum(layered_ansatz(2, 1), 2.5, seed=0)),
+    ("bins must be an integer, got 10.5",
+     lambda: expressibility(layered_ansatz(2, 1), 10, bins=10.5, seed=0)),
+    ("bins must be an integer, got 10.0",
+     lambda: entanglement_spectrum(layered_ansatz(2, 1), 10, bins=10.0, seed=0)),
+    ("points must be an integer, got 3.5",
+     lambda: loss_landscape(_two_param_cost(), [0.0, 0.0], points=3.5, seed=0)),
+    ("points must be an integer, got 3.5",
+     lambda: barren_plateau_scan(identity_learning_ansatz(2), points=3.5)),
+    ("haar_samples must be an integer, got 2.5", lambda: reachability(_rx_cost(), 2.5, 1, seed=0)),
+    ("restarts must be an integer, got 1.5", lambda: reachability(_rx_cost(), 10, 1.5, seed=0)),
+    ("samples must be an integer, got 2.5", lambda: mp_reference_spectrum(4, 2, 2.5, rng=0)),
+    ("bins must be an integer, got 7.5", lambda: mp_reference_spectrum(4, 2, 3, rng=0, bins=7.5)),
+    ("k must be an integer, got 1.5", lambda: mp_reference_spectrum(4, 1.5, 2, rng=0)),
+    ("n_qubits must be an integer, got 4.0", lambda: mp_reference_spectrum(4.0, 2, 2, rng=0)),
+    # below the floor
+    ("samples must be at least 2, got 1", lambda: expressibility(layered_ansatz(2, 1), 1, seed=0)),
+    ("samples must be positive, got 0",
+     lambda: entanglement_capability(layered_ansatz(2, 1), 0, seed=0)),
+    ("samples must be positive, got -1",
+     lambda: entanglement_spectrum(layered_ansatz(2, 1), -1, seed=0)),
+    ("bins must be positive, got 0",
+     lambda: expressibility(layered_ansatz(2, 1), 10, bins=0, seed=0)),
+    ("points must be at least 2, got 1",
+     lambda: loss_landscape(_two_param_cost(), [0.0, 0.0], points=1, seed=0)),
+    ("points must be at least 2, got 1",
+     lambda: barren_plateau_scan(identity_learning_ansatz(2), points=1)),
+    ("haar_samples must be positive, got 0", lambda: reachability(_rx_cost(), 0, 1, seed=0)),
+    ("restarts must be positive, got 0", lambda: reachability(_rx_cost(), 10, 0, seed=0)),
+    ("samples must be positive, got 0", lambda: mp_reference_spectrum(4, 2, 0, rng=0)),
+    ("k must be in [1, 3], got 4", lambda: mp_reference_spectrum(4, 4, 2, rng=0)),
+    ("k must be in [1, 3], got 0", lambda: mp_reference_spectrum(4, 0, 2, rng=0)),
+    ("n_qubits must be at least 2, got 1", lambda: mp_reference_spectrum(1, 1, 2, rng=0)),
+    ("restarts must be positive, got 0",
+     lambda: ensemble_train(_rx_cost(), OptimizerConfig(steps=1, seed=0), 0)),
+    ("steps must be non-negative, got -1", lambda: OptimizerConfig(steps=-1)),
+    # outside the choices
+    ("measure must be one of ('kld', 'jsd'), got 'kl'",
+     lambda: expressibility(layered_ansatz(2, 1), 10, "kl", seed=0)),
+    ("measure must be one of ('meyer-wallach', 'scott'), got 'mw'",
+     lambda: entanglement_capability(layered_ansatz(2, 1), 10, "mw", seed=0)),
+    ("measure must be one of ('kld', 'jsd'), got 'esd'",
+     lambda: entanglement_spectrum(layered_ansatz(2, 1), 10, "esd", seed=0)),
+    ("basis_mode must be one of ('random', 'pca'), got 'grid'",
+     lambda: loss_landscape(_two_param_cost(), [0.0, 0.0], basis_mode="grid", seed=0)),
+    ("cost_kind must be one of ('global', 'local'), got 'mean'",
+     lambda: barren_plateau_scan(identity_learning_ansatz(2), "mean")),
+    ("mode must be one of ('pca', 'tsne'), got 'umap'",
+     lambda: training_path([_flat_trace()], mode="umap")),
+    ("method must be one of ('gd', 'adam'), got 'sgd'", lambda: OptimizerConfig(method="sgd")),
+    ("init must be one of ('uniform', 'zeros'), got 'zero'", lambda: OptimizerConfig(init="zero")),
 ], ids=["expressibility-samples", "expressibility-bool-samples", "entanglement-samples",
         "spectrum-samples", "expressibility-bins", "spectrum-bins", "landscape-points",
         "plateau-points", "reachability-haar-samples", "reachability-restarts",
-        "reference-samples", "reference-bins", "reference-k", "reference-n-qubits"])
-def test_counts_that_are_not_integers_fail_before_any_work(monkeypatch, name, call):
-    for module, attr in ((simulator, "simulate_map"), (analyzers, "simulate_map"),
-                         (trainer, "simulate_map"), (analyzers, "_haar_batch"),
-                         (baselines, "_haar_batch")):
+        "reference-samples", "reference-bins", "reference-k", "reference-n-qubits",
+        "expressibility-one-sample", "entanglement-zero-samples", "spectrum-negative-samples",
+        "expressibility-zero-bins", "landscape-one-point", "plateau-one-point",
+        "reachability-zero-haar-samples", "reachability-zero-restarts",
+        "reference-zero-samples", "reference-k-whole-register", "reference-zero-k",
+        "reference-one-qubit", "ensemble-zero-restarts", "config-negative-steps",
+        "expressibility-measure", "entanglement-measure", "spectrum-measure",
+        "landscape-basis-mode", "plateau-cost-kind", "path-mode", "config-method",
+        "config-init"])
+def test_counts_that_are_not_integers_fail_before_any_work(monkeypatch, message, call):
+    for module, attr in _ANALYZER_NO_WORK:
         monkeypatch.setattr(module, attr, _no_work)
-    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+    with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+def test_numpy_counts_at_their_floor_are_accepted():
+    two, one = np.int64(2), np.int64(1)
+    assert (json.dumps(expressibility(layered_ansatz(2, 1), two, bins=one, seed=0).to_dict())
+            == json.dumps(expressibility(layered_ansatz(2, 1), 2, bins=1, seed=0).to_dict()))
+    assert (entanglement_capability(layered_ansatz(2, 1), one, seed=0)
+            == entanglement_capability(layered_ansatz(2, 1), 1, seed=0))
+    by_numpy = mp_reference_spectrum(two, one, one, rng=0, bins=one)
+    by_int = mp_reference_spectrum(2, 1, 1, rng=0, bins=1)
+    assert by_numpy.profile.tolist() == by_int.profile.tolist()
+    assert (reachability(_rx_cost(), one, one, OptimizerConfig(steps=np.int64(0)), seed=0)
+            == reachability(_rx_cost(), 1, 1, OptimizerConfig(steps=0), seed=0))
+
+
+_BAD_SEEDS = [1.9, True, "7", -1]
+_BAD_SEED_MESSAGES = ["seed must be an integer, got 1.9", "seed must be an integer, got True",
+                      "seed must be an integer, got '7'", "seed must be non-negative, got -1"]
+
+
+@pytest.mark.parametrize("seed, message", zip(_BAD_SEEDS, _BAD_SEED_MESSAGES),
+                         ids=["float", "bool", "string", "negative"])
+@pytest.mark.parametrize("call", [
+    lambda seed: expressibility(layered_ansatz(2, 1), 5, seed=seed),
+    lambda seed: ensemble_train(_rx_cost(), OptimizerConfig(steps=1, seed=seed), 2),
+    lambda seed: OptimizerConfig(seed=seed),
+    lambda seed: reachability(_rx_cost(), 5, 1, seed=seed),
+    lambda seed: loss_landscape(_two_param_cost(), [0.0, 0.0], points=3, seed=seed),
+], ids=["expressibility", "ensemble-train", "config", "reachability", "landscape"])
+def test_seeds_are_never_truncated(monkeypatch, call, seed, message):
+    for module, attr in _ANALYZER_NO_WORK:
+        monkeypatch.setattr(module, attr, _no_work)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(seed)
+
+
+def test_a_numpy_seed_gives_the_bytes_of_the_int_seed():
+    circuit = layered_ansatz(2, 1)
+    assert (json.dumps(expressibility(circuit, 5, seed=np.int64(5)).to_dict())
+            == json.dumps(expressibility(circuit, 5, seed=5).to_dict()))
+    [by_numpy] = ensemble_train(_rx_cost(), OptimizerConfig(steps=2, seed=np.int64(5)), 1)
+    [by_int] = ensemble_train(_rx_cost(), OptimizerConfig(steps=2, seed=5), 1)
+    assert by_numpy.thetas.tobytes() == by_int.thetas.tobytes()

@@ -23,7 +23,8 @@ from pqc_lens import (
 )
 from pqc_lens.library import (all_zeros_infidelity_cost, append_pairwise_cx,
                               identity_learning_ansatz, layered_ansatz, max_cut_size,
-                              mean_cut_scorer, mean_excitation_cost, random_gnm_edges)
+                              mean_cut_scorer, mean_excitation_cost, random_gnm_edges,
+                              single_qubit_chain)
 
 
 def _rx_chain(n_params=2):
@@ -366,27 +367,80 @@ class TestQaoaBuilder:
         assert qaoa_builder(np.array(edges), 2) == qaoa_builder(edges, 2)
 
 
-@pytest.mark.parametrize("name, call", [
-    ("edge endpoint", lambda: qaoa_builder([(0, 1.7)], 1)),
-    ("edge endpoint", lambda: qaoa_builder([(0, 1), (True, 2)], 1)),
-    ("QAOA layer count p", lambda: qaoa_builder([(0, 1), (1, 2)], True)),
-    ("QAOA layer count p", lambda: qaoa_builder([(0, 1), (1, 2)], 1.0)),
-    ("n_nodes", lambda: qaoa_builder([(0, 1)], 1, n_nodes=3.0)),
-    ("layers", lambda: layered_ansatz(3, 2.0)),
-    ("n_qubits", lambda: layered_ansatz(3.0, 2)),
-    ("n_qubits", lambda: identity_learning_ansatz(3.0)),
-    ("n_nodes", lambda: random_gnm_edges(4.0, 2)),
-    ("n_edges", lambda: random_gnm_edges(4, 2.0)),
-    ("n_nodes", lambda: max_cut_size([(0, 1), (1, 2)], 4.5)),
-    ("count", lambda: append_pairwise_cx(layered_ansatz(3, 1), 1.5)),
-    ("n_qubits", lambda: all_zeros_infidelity_cost(2.0)),
-    ("n_qubits", lambda: mean_excitation_cost(2.0)),
+@pytest.mark.parametrize("message, call", [
+    ("edge endpoint must be an integer, got 1.7", lambda: qaoa_builder([(0, 1.7)], 1)),
+    ("edge endpoint must be an integer, got True",
+     lambda: qaoa_builder([(0, 1), (True, 2)], 1)),
+    ("QAOA layer count p must be an integer, got True",
+     lambda: qaoa_builder([(0, 1), (1, 2)], True)),
+    ("QAOA layer count p must be an integer, got 1.0",
+     lambda: qaoa_builder([(0, 1), (1, 2)], 1.0)),
+    ("n_nodes must be an integer, got 3.0", lambda: qaoa_builder([(0, 1)], 1, n_nodes=3.0)),
+    ("layers must be an integer, got 2.0", lambda: layered_ansatz(3, 2.0)),
+    ("n_qubits must be an integer, got 3.0", lambda: layered_ansatz(3.0, 2)),
+    ("n_qubits must be an integer, got 3.0", lambda: identity_learning_ansatz(3.0)),
+    ("n_nodes must be an integer, got 4.0", lambda: random_gnm_edges(4.0, 2)),
+    ("n_edges must be an integer, got 2.0", lambda: random_gnm_edges(4, 2.0)),
+    ("n_nodes must be an integer, got 4.5", lambda: max_cut_size([(0, 1), (1, 2)], 4.5)),
+    ("count must be an integer, got 1.5", lambda: append_pairwise_cx(layered_ansatz(3, 1), 1.5)),
+    ("n_qubits must be an integer, got 2.0", lambda: all_zeros_infidelity_cost(2.0)),
+    ("n_qubits must be an integer, got 2.0", lambda: mean_excitation_cost(2.0)),
+    # below the floor, or outside the range
+    ("QAOA layer count p must be positive, got 0", lambda: qaoa_builder([(0, 1)], 0)),
+    ("edge endpoint must be non-negative, got -1", lambda: qaoa_builder([(0, -1)], 1)),
+    ("edge endpoint must be in [0, 2], got 5", lambda: qaoa_builder([(0, 5)], 1, n_nodes=3)),
+    ("n_nodes must be positive, got 0", lambda: qaoa_builder([(0, 1)], 1, n_nodes=0)),
+    ("self-loop (1, 1) is not a valid edge", lambda: qaoa_builder([(0, 1), (1, 1)], 1)),
+    ("layers must be positive, got 0", lambda: layered_ansatz(3, 0)),
+    ("n_qubits must be at least 2, got 1", lambda: identity_learning_ansatz(1)),
+    ("n_edges must be in [1, 6] for 4 nodes, got 0", lambda: random_gnm_edges(4, 0)),
+    ("count must be in [0, 3], got -1", lambda: append_pairwise_cx(layered_ansatz(3, 1), -1)),
+    ("count must be in [0, 3], got 4", lambda: append_pairwise_cx(layered_ansatz(3, 1), 4)),
+    ("n_qubits must be positive, got 0", lambda: all_zeros_infidelity_cost(0)),
+    ("n_qubits must be positive, got 0", lambda: mean_excitation_cost(0)),
+    ("edge endpoint must be in [0, 2], got -1", lambda: max_cut_size([(0, -1)], 3)),
+    ("edge endpoint must be in [0, 2], got 5", lambda: max_cut_size([(0, 5)], 3)),
+    ("edge endpoint must be an integer, got 1.0", lambda: max_cut_size([(0, 1.0)], 3)),
+    ("n_nodes must be positive, got 0", lambda: max_cut_size([], 0)),
+    ("n_nodes must be positive, got -2", lambda: max_cut_size([], -2)),
+    ("self-loop (2, 2) is not a valid edge", lambda: max_cut_size([(2, 2)], 3)),
+    ("brute force capped at 20 nodes, got 21", lambda: max_cut_size([(0, 1)], 21)),
+    ("edge endpoint must be non-negative, got -1", lambda: mean_cut_scorer([(0, -1)])),
+    ("edge endpoint must be an integer, got 1.0", lambda: mean_cut_scorer([(0, 1.0)])),
+    ("self-loop (0, 0) is not a valid edge", lambda: mean_cut_scorer([(0, 0)])),
+    ("bit matrix width must be at least 6, got 3",
+     lambda: mean_cut_scorer([(0, 5)])(np.zeros((2, 3), dtype=np.uint8))),
+    # outside the choices
+    ("entangler must be one of ('chain', 'full', 'none'), got 'ring'",
+     lambda: layered_ansatz(3, 1, "ring")),
+    ("rotation kind must be one of ('RX', 'RY', 'RZ'), got 'H'",
+     lambda: single_qubit_chain(["RX", "H"])),
 ], ids=["qaoa-float-endpoint", "qaoa-bool-endpoint", "qaoa-bool-p", "qaoa-float-p",
         "qaoa-n-nodes", "layered-layers", "layered-width", "identity-learning", "gnm-nodes",
-        "gnm-edges", "max-cut", "pairwise-cx", "global-cost", "local-cost"])
-def test_builder_counts_and_indices_must_be_integers(name, call):
-    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        "gnm-edges", "max-cut", "pairwise-cx", "global-cost", "local-cost",
+        "qaoa-zero-p", "qaoa-negative-endpoint", "qaoa-endpoint-past-nodes", "qaoa-zero-nodes",
+        "qaoa-self-loop", "layered-zero-layers", "identity-learning-one-qubit",
+        "gnm-zero-edges", "pairwise-cx-negative", "pairwise-cx-past-pairs", "global-cost-empty",
+        "local-cost-empty", "max-cut-negative-endpoint", "max-cut-endpoint-past-nodes",
+        "max-cut-float-endpoint", "max-cut-zero-nodes", "max-cut-negative-nodes",
+        "max-cut-self-loop", "max-cut-past-cap", "scorer-negative-endpoint",
+        "scorer-float-endpoint", "scorer-self-loop", "scorer-endpoint-past-width",
+        "layered-entangler", "chain-rotation-kind"])
+def test_builder_counts_and_indices_must_be_integers(message, call):
+    with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+def test_numpy_counts_at_their_floor_are_accepted():
+    one, two = np.int64(1), np.int64(2)
+    edges = [(np.int64(0), np.int64(1))]
+    assert qaoa_builder(edges, one, n_nodes=two) == qaoa_builder([(0, 1)], 1, n_nodes=2)
+    assert layered_ansatz(2, one) == layered_ansatz(2, 1)
+    assert identity_learning_ansatz(two) == identity_learning_ansatz(2)
+    assert append_pairwise_cx(layered_ansatz(2, 1), np.int64(0)) == layered_ansatz(2, 1)
+    assert mean_excitation_cost(one) == mean_excitation_cost(1)
+    assert max_cut_size(edges, two) == 1
+    assert mean_cut_scorer(edges)(np.array([[0, 1]])) == 1.0
 
 
 class TestRandomGraph:

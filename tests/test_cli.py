@@ -288,6 +288,15 @@ class TestExitCodes:
                     "--samples", "5", "--out", str(tmp_path / "o")])
         assert code == 3
 
+    @pytest.mark.parametrize("command", ["expressibility", "train"])
+    def test_negative_seed_is_usage_error_naming_the_seed(self, two_qubit_spec, tmp_path,
+                                                          capsys, command):
+        out = tmp_path / "o"
+        code = run([command, "--circuit", two_qubit_spec, "--seed", "-1", "--out", str(out)])
+        assert code == 2
+        assert "seed must be non-negative, got -1" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_single_qubit_entanglement_is_usage_error(self, one_qubit_spec,
                                                       tmp_path):
         code = run(["entanglement", "--circuit", one_qubit_spec,

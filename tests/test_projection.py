@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -317,18 +318,37 @@ def test_dims_below_one_is_rejected_before_any_work(monkeypatch, project):
         project()
 
 
-@pytest.mark.parametrize("name, project", [
-    ("dims", lambda cloud: pca(cloud, dims=True)),
-    ("dims", lambda cloud: pca(cloud, dims=1.5)),
-    ("dims", lambda cloud: tsne(cloud, dims=2.0, perplexity=1.0, iters=1)),
-    ("iters", lambda cloud: tsne(cloud, perplexity=1.0, iters=2.5)),
-    ("dims", lambda cloud: random_basis(3, 2.0)),
-    ("dim", lambda cloud: random_basis(3.0, 2)),
+@pytest.mark.parametrize("message, project", [
+    ("dims must be an integer, got True", lambda cloud: pca(cloud, dims=True)),
+    ("dims must be an integer, got 1.5", lambda cloud: pca(cloud, dims=1.5)),
+    ("dims must be an integer, got 2.0",
+     lambda cloud: tsne(cloud, dims=2.0, perplexity=1.0, iters=1)),
+    ("iters must be an integer, got 2.5", lambda cloud: tsne(cloud, perplexity=1.0, iters=2.5)),
+    ("dims must be an integer, got 2.0", lambda cloud: random_basis(3, 2.0)),
+    ("dim must be an integer, got 3.0", lambda cloud: random_basis(3.0, 2)),
+    # below the floor
+    ("dims must be positive, got 0", lambda cloud: pca(cloud, dims=0)),
+    ("iters must be positive, got 0", lambda cloud: tsne(cloud, perplexity=1.0, iters=0)),
+    ("dims must be positive, got -1", lambda cloud: random_basis(3, -1)),
+    ("dim must be non-negative, got -1", lambda cloud: random_basis(-1, 2)),
 ], ids=["pca-bool-dims", "pca-float-dims", "tsne-dims", "tsne-iters", "random-dims",
-        "random-dim"])
-def test_counts_that_are_not_integers_are_rejected_before_any_work(monkeypatch, name, project):
+        "random-dim", "pca-zero-dims", "tsne-zero-iters", "random-negative-dims",
+        "random-negative-dim"])
+def test_counts_that_are_not_integers_are_rejected_before_any_work(monkeypatch, message,
+                                                                   project):
     monkeypatch.setattr(projection, "_pairwise_sq_dists", _no_work)
     monkeypatch.setattr(projection, "_gram_schmidt", _no_work)
     monkeypatch.setattr(np.linalg, "svd", _no_work)
-    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+    with pytest.raises(ValueError, match=re.escape(message)):
         project(np.arange(12.0).reshape(6, 2))
+
+
+def test_numpy_counts_at_their_floor_are_accepted():
+    cloud = np.random.default_rng(2).standard_normal((6, 3))
+    one = np.int64(1)
+    for got, want in ((pca(cloud, dims=one)[0], pca(cloud, dims=1)[0]),
+                      (tsne(cloud, dims=one, perplexity=1.0, iters=one, seed=0),
+                       tsne(cloud, dims=1, perplexity=1.0, iters=1, seed=0)),
+                      (random_basis(np.int64(0), one, seed=0).axes,
+                       random_basis(0, 1, seed=0).axes)):
+        assert np.array_equal(got, want)

@@ -137,7 +137,8 @@ class TestOptimizerConfig:
             OptimizerConfig(steps=-1)
 
     def test_rejects_unknown_init_mode_when_built(self):
-        with pytest.raises(ValueError, match="unknown init mode 'zero'"):
+        with pytest.raises(ValueError,
+                           match="init must be one of \\('uniform', 'zeros'\\), got 'zero'"):
             OptimizerConfig(init="zero")
 
     @pytest.mark.parametrize("steps", [2.5, 3.0, True])
