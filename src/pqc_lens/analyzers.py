@@ -36,7 +36,8 @@ from .baselines import (
     mp_reference_spectrum,
     xi_profiles,
 )
-from .circuit import CircuitDescriptor, GateProgram, _check_choice, _check_count, make_circuit
+from .circuit import (CircuitDescriptor, GateProgram, _check_choice, _check_count,
+                      _resolve_seed, make_circuit)
 from .library import all_zeros_infidelity_cost, mean_excitation_cost
 from .projection import (_MAX_COORD, PointCloud, SubspaceBasis, _check_tsne, pca,
                          random_basis, tsne)
@@ -57,7 +58,6 @@ from .trainer import (
     _check_init,
     _check_trace,
     _loss_and_gradient,
-    _resolve_seed,
     _rows_per_point,
     cost_batch,
     ensemble_train,
@@ -137,8 +137,7 @@ class MetricSpec:
         if self.scorer is not None:
             if not callable(self.scorer):
                 raise ValueError("scorer must be callable")
-            if self.shots < 1:
-                raise ValueError("from_samples metric needs shots >= 1")
+            _check_count(self.shots, "shots")
 
 
 def _metric_values(circuit: CircuitDescriptor, thetas, metric: MetricSpec,

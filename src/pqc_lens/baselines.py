@@ -99,8 +99,7 @@ def histogram(samples, bins: int, value_range: tuple[float, float]) -> Histogram
 
 def haar_fidelity_cdf(fidelity, dim: int):
     """CDF(F) = 1 - (1-F)^(N-1) for Haar-random state pairs in dimension N."""
-    if dim < 2:
-        raise ValueError("dimension must be at least 2")
+    _check_count(dim, "dim", 2)
     f = np.clip(np.asarray(fidelity, dtype=float), 0.0, 1.0)
     out = 1.0 - (1.0 - f) ** (dim - 1)
     return float(out) if np.isscalar(fidelity) else out
@@ -128,7 +127,11 @@ def _haar_batch(n_qubits: int, rngs) -> np.ndarray:
 
 
 def sample_haar_state(n_qubits: int, rng=None) -> StateVector:
-    """Haar-random pure state: normalized complex Gaussian amplitudes."""
+    """Haar-random pure state: normalized complex Gaussian amplitudes.
+
+    rng is anything ``np.random.default_rng`` takes, a Generator included:
+    successive calls with one Generator draw successive states.
+    """
     return StateVector(n_qubits, _haar_batch(n_qubits, [np.random.default_rng(rng)])[0])
 
 
@@ -194,7 +197,9 @@ def mp_reference_spectrum(n_qubits: int, k: int, samples: int, rng=None,
 
     Returns the per-rank mean profile (xi sorted descending within each
     sample) and the pooled histogram on [0, |cutoff|], the two pieces the
-    spectral-divergence analyzer compares against.
+    spectral-divergence analyzer compares against. rng is anything
+    ``np.random.default_rng`` takes, a Generator included, which the draws
+    then continue.
     """
     _check_cutoff(cutoff)
     _check_count(n_qubits, "n_qubits", 2)

@@ -69,6 +69,15 @@ def _check_count(value, name: str, least: int = 1, most: int | None = None) -> N
         raise ValueError(f"{name} must be {bound}, got {value!r}")
 
 
+def _resolve_seed(seed) -> int:
+    """A fresh random seed for None; else seed, which must be a non-negative
+    integer (a bool, float or string is a ValueError, never rounded)."""
+    if seed is None:
+        return int(np.random.default_rng().integers(2**31))
+    _check_count(seed, "seed", 0)
+    return int(seed)
+
+
 def _check_choice(value, name: str, choices: tuple) -> None:
     """ValueError unless value is one of choices."""
     if value not in choices:
@@ -576,10 +585,25 @@ def bind(circuit: CircuitDescriptor, theta) -> CircuitDescriptor:
 # wire format
 
 
-def _as_float(number, what: str) -> float:
-    """float() of a JSON number; integers beyond the float range are rejected."""
+def _record(value, what: str, required: tuple, optional: tuple = ()) -> dict:
+    """value, if it is a JSON object with every required field and no field outside
+    required and optional; else a CircuitSpecError naming what and the field."""
+    if not isinstance(value, dict):
+        raise CircuitSpecError(f"{what} must be a JSON object")
+    if unknown := sorted(set(value) - set(required) - set(optional)):
+        raise CircuitSpecError(f"{what} has unknown field(s): {unknown}")
+    for field in required:
+        if field not in value:
+            raise CircuitSpecError(f"{what} is missing {field}")
+    return value
+
+
+def _number(value, what: str) -> float:
+    """A JSON number (an int or a float, not a bool) as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise CircuitSpecError(f"{what} must be a number")
     try:
-        return float(number)
+        return float(value)
     except OverflowError:
         raise CircuitSpecError(f"{what} is too large for a float") from None
 
@@ -590,7 +614,8 @@ def parse_circuit_spec(text: str) -> CircuitDescriptor:
     The document carries ``n_qubits``, an ordered ``parameters`` name list,
     ``gates`` records ``{kind, targets, angle?}`` where ``angle`` is a number
     or ``{param, prefactor?}``, and an optional ``cost`` list of
-    ``{coeff, paulis}`` terms. Syntax errors report line and column.
+    ``{coeff, paulis}`` terms. Syntax errors report line and column. Only the
+    JSON shape is checked here; the descriptor types check what it means.
     """
     try:
         doc = json.loads(text)
@@ -601,75 +626,39 @@ def parse_circuit_spec(text: str) -> CircuitDescriptor:
     except RecursionError:
         raise CircuitSpecError("circuit spec nests too deeply to decode") from None
 
-    if not isinstance(doc, dict):
-        raise CircuitSpecError("circuit spec must be a JSON object at top level")
-    allowed = {"n_qubits", "parameters", "gates", "cost"}
-    extra = set(doc) - allowed
-    if extra:
-        raise CircuitSpecError(f"unknown top-level field(s): {sorted(extra)}")
-    if "n_qubits" not in doc:
-        raise CircuitSpecError("circuit spec is missing n_qubits")
-    if "gates" not in doc:
-        raise CircuitSpecError("circuit spec is missing gates")
-
-    n_qubits = doc["n_qubits"]
-    if not _is_integer(n_qubits):
-        raise CircuitSpecError("n_qubits must be an integer")
-
+    doc = _record(doc, "circuit spec", ("n_qubits", "gates"), ("parameters", "cost"))
     names = doc.get("parameters", [])
-    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+    if not isinstance(names, list):
         raise CircuitSpecError("parameters must be a list of names")
-
-    raw_gates = doc["gates"]
-    if not isinstance(raw_gates, list):
+    if not isinstance(doc["gates"], list):
         raise CircuitSpecError("gates must be a list")
     gates = []
-    for i, rec in enumerate(raw_gates):
-        if not isinstance(rec, dict):
-            raise CircuitSpecError(f"gate {i} is not an object")
-        extra = set(rec) - {"kind", "targets", "angle"}
-        if extra:
-            raise CircuitSpecError(f"gate {i} has unknown field(s): {sorted(extra)}")
-        if "kind" not in rec or "targets" not in rec:
-            raise CircuitSpecError(f"gate {i} needs kind and targets")
-        kind = rec["kind"]
-        targets = rec["targets"]
-        if not isinstance(targets, list) or not all(_is_integer(t) for t in targets):
-            raise CircuitSpecError(f"gate {i} targets must be a list of integers")
+    for i, rec in enumerate(doc["gates"]):
+        rec = _record(rec, f"gate {i}", ("kind", "targets"), ("angle",))
+        if not isinstance(rec["targets"], list):
+            raise CircuitSpecError(f"gate {i} targets must be a list")
         angle = rec.get("angle")
         if isinstance(angle, dict):
-            extra = set(angle) - {"param", "prefactor"}
-            if extra:
-                raise CircuitSpecError(f"gate {i} angle has unknown field(s): {sorted(extra)}")
-            if "param" not in angle or not isinstance(angle["param"], str):
+            ref = _record(angle, f"gate {i} angle", ("param",), ("prefactor",))
+            if not isinstance(ref["param"], str):  # a list would fail a set lookup
                 raise CircuitSpecError(f"gate {i} angle needs a param name")
-            pref = angle.get("prefactor", 1.0)
-            if isinstance(pref, bool) or not isinstance(pref, (int, float)):
-                raise CircuitSpecError(f"gate {i} prefactor must be a number")
-            angle = ParamRef(angle["param"], _as_float(pref, f"gate {i} prefactor"))
+            angle = ParamRef(ref["param"], _number(ref.get("prefactor", 1), f"gate {i} prefactor"))
         elif angle is not None:
-            if isinstance(angle, bool) or not isinstance(angle, (int, float)):
-                raise CircuitSpecError(f"gate {i} angle must be a number or a param record")
-            angle = _as_float(angle, f"gate {i} angle")
-        gates.append(Gate(str(kind), tuple(targets), angle))
+            angle = _number(angle, f"gate {i} angle")
+        gates.append(Gate(str(rec["kind"]), tuple(rec["targets"]), angle))
 
     cost = None
     if doc.get("cost") is not None:
-        raw_cost = doc["cost"]
-        if not isinstance(raw_cost, list):
+        if not isinstance(doc["cost"], list):
             raise CircuitSpecError("cost must be a list of terms")
         terms = []
-        for i, rec in enumerate(raw_cost):
-            if not isinstance(rec, dict) or set(rec) != {"coeff", "paulis"}:
-                raise CircuitSpecError(f"cost term {i} needs exactly coeff and paulis")
-            coeff = rec["coeff"]
-            if isinstance(coeff, bool) or not isinstance(coeff, (int, float)):
-                raise CircuitSpecError(f"cost term {i} coeff must be a number")
-            paulis = rec["paulis"]
-            if not isinstance(paulis, dict):
+        for i, rec in enumerate(doc["cost"]):
+            rec = _record(rec, f"cost term {i}", ("coeff", "paulis"))
+            coeff = _number(rec["coeff"], f"cost term {i} coeff")
+            if not isinstance(rec["paulis"], dict):
                 raise CircuitSpecError(f"cost term {i} paulis must be an object")
             pairs = {}
-            for key, axis in paulis.items():
+            for key, axis in rec["paulis"].items():
                 # ASCII digits alone: int() also reads "1_0", " 1", "+1" and non-ASCII digits
                 try:
                     if not (key.isascii() and key.isdigit()):
@@ -682,10 +671,10 @@ def parse_circuit_spec(text: str) -> CircuitDescriptor:
                 if q in pairs:
                     raise CircuitSpecError(f"cost term {i} names qubit {q} more than once")
                 pairs[q] = axis
-            terms.append((_as_float(coeff, f"cost term {i} coeff"), pairs))
+            terms.append((coeff, pairs))
         cost = PauliSum.from_terms(terms)
 
-    return make_circuit(n_qubits, gates, names, cost)
+    return make_circuit(doc["n_qubits"], gates, names, cost)
 
 
 def serialize_circuit_spec(circuit: CircuitDescriptor) -> str:

@@ -51,6 +51,7 @@ from .analyzers import (
 from .circuit import (
     CircuitDescriptor,
     CircuitSpecError,
+    _resolve_seed,
     bind,
     parse_circuit_spec,
     qaoa_builder,
@@ -59,8 +60,7 @@ from .circuit import (
 from .library import max_cut_size, mean_cut_scorer, random_gnm_edges
 from .simulator import _check_shots, sample, simulate
 from .svg import heatmap, histogram_plot, line_plot, path_plot
-from .trainer import (METHODS, DivergenceError, OptimizerConfig, _check_trace,
-                      _resolve_seed, ensemble_train)
+from .trainer import METHODS, DivergenceError, OptimizerConfig, _check_trace, ensemble_train
 
 
 def _load_circuit(path: str) -> CircuitDescriptor:

@@ -21,6 +21,7 @@ from .circuit import (
     _check_count,
     _check_edges,
     _check_integer,
+    _resolve_seed,
     make_circuit,
 )
 
@@ -167,7 +168,7 @@ def random_gnm_edges(n_nodes: int, n_edges: int, seed=None) -> tuple:
     if not 1 <= n_edges <= n_pairs:
         raise ValueError(f"n_edges must be in [1, {n_pairs}] for {n_nodes} nodes, "
                          f"got {n_edges!r}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_resolve_seed(seed))
     edges = []
     for k in map(int, sorted(rng.choice(n_pairs, size=n_edges, replace=False))):
         # pair k without listing the pairs: rows i = n - 2, n - 3, ... hold 1, 2, ...

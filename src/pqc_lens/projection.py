@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import _check_count
+from .circuit import _check_count, _resolve_seed
 from .simulator import _fits
 
 _NORM_TOL = 1e-10
@@ -182,7 +182,7 @@ def random_basis(dim: int, dims: int = 2, seed=None) -> SubspaceBasis:
     """
     _check_count(dim, "dim", 0)
     _check_count(dims, "dims")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_resolve_seed(seed))
     needed = min(dims, dim)
     kept = _gram_schmidt([], (rng.standard_normal(dim) for _ in range(64 * needed)), needed)
     if len(kept) < needed:
@@ -282,6 +282,7 @@ def tsne(cloud, dims: int = 2, perplexity: float = 30.0, iters: int = 1000,
     pts = _cloud_points(cloud)
     n = pts.shape[0]
     _check_tsne(n, perplexity, iters)
+    rng = np.random.default_rng(_resolve_seed(seed))
 
     cond = _affinities(_pairwise_sq_dists(pts), perplexity)
     P = (cond + cond.T) / (2.0 * n)
@@ -291,7 +292,6 @@ def tsne(cloud, dims: int = 2, perplexity: float = 30.0, iters: int = 1000,
     exploration_iters = 250
     learning_rate = 200.0
 
-    rng = np.random.default_rng(seed)
     Y = rng.standard_normal((n, dims)) * 1e-4
     increment = np.zeros((n, dims))
     gains = np.ones((n, dims))

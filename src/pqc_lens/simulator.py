@@ -77,12 +77,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .circuit import (CircuitDescriptor, Gate, GateProgram, Monomial, PauliSum,
-                      _check_count, _is_integer, matrix_product, rotation_matrices)
+                      _check_count, _is_integer, _resolve_seed, matrix_product,
+                      rotation_matrices)
 
 _NORM_TOL = 1e-10
 
@@ -628,7 +628,7 @@ def sample(state: StateVector, shots: int = 1024, seed=None,
     _check_shots(shots, state.n_qubits)
     if not 0.0 <= readout_flip_prob <= 1.0:  # NaN fails too
         raise ValueError(f"readout_flip_prob must lie in [0, 1], got {readout_flip_prob}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_resolve_seed(seed))
     n = state.n_qubits
     probs = state.probabilities()
     probs /= probs.sum()
@@ -656,7 +656,7 @@ def simulate_noisy(bound: CircuitDescriptor, noise: NoiseModel, seed=None) -> St
     Like any single-qubit gate, an inserted Pauli is fused with its
     neighbours on the same qubit when the circuit is compiled.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_resolve_seed(seed))
     gates = []
     for gate in bound.gates:
         gates.append(gate)
@@ -735,13 +735,10 @@ def subsystem_purity(state: StateVector, keep) -> float:
     return float(purity_batch(state.amplitudes[None], keep)[0])
 
 
-@lru_cache(maxsize=8)
 def _sketch(dim: int, rank: int) -> np.ndarray:
-    """The fixed, read-only (dim, rank) complex Gaussian test matrix."""
+    """The fixed (dim, rank) complex Gaussian test matrix."""
     rng = np.random.default_rng(217)  # a constant: no caller's seed reaches it
-    omega = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    omega.flags.writeable = False
-    return omega
+    return rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
 
 
 def schmidt_spectrum(states: np.ndarray, k: int, rank: int | None = None) -> np.ndarray:

@@ -18,21 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import CircuitDescriptor, GateProgram, _check_choice, _check_count
+from .circuit import (CircuitDescriptor, GateProgram, _check_choice, _check_count,
+                      _resolve_seed)
 from .simulator import _fits, expectation_batch, simulate_map
 
 METHODS = ("gd", "adam")
 # Adam's moment decay rates and denominator guard
 _BETA1, _BETA2, _EPSILON = 0.9, 0.999, 1e-8
-
-
-def _resolve_seed(seed) -> int:
-    """A fresh random seed for None; else seed, which must be a non-negative
-    integer (a bool, float or string is a ValueError, never rounded)."""
-    if seed is None:
-        return int(np.random.default_rng().integers(2**31))
-    _check_count(seed, "seed", 0)
-    return int(seed)
 
 
 class DivergenceError(RuntimeError):

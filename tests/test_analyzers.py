@@ -9,9 +9,11 @@ import oracles
 from pqc_lens import (
     Gate,
     MetricSpec,
+    NoiseModel,
     OptimizerConfig,
     ParamRef,
     PauliSum,
+    StateVector,
     TrainingTrace,
     barren_plateau_scan,
     ensemble_train,
@@ -23,18 +25,23 @@ from pqc_lens import (
     make_circuit,
     parameter_histogram,
     pca,
+    random_basis,
     reachability,
+    sample,
+    simulate_noisy,
     train,
     training_path,
+    tsne,
 )
 from pqc_lens import analyzers, baselines, simulator, trainer
-from pqc_lens.baselines import haar_fidelity_baseline, mp_reference_spectrum
+from pqc_lens.baselines import haar_fidelity_baseline, haar_fidelity_cdf, mp_reference_spectrum
 from pqc_lens.library import (
     bell_circuit,
     idle_circuit,
     identity_learning_ansatz,
     layered_ansatz,
     paired_blocks_circuit,
+    random_gnm_edges,
     single_qubit_chain,
 )
 
@@ -301,8 +308,11 @@ class TestLossLandscape:
     def test_metric_spec_validation(self):
         with pytest.raises(ValueError, match="scorer must be callable"):
             MetricSpec("from_samples")
-        with pytest.raises(ValueError, match="shots >= 1"):
-            MetricSpec(len, shots=0)
+        for shots, message in ((0, "shots must be positive, got 0"),
+                               (2.5, "shots must be an integer, got 2.5"),
+                               (True, "shots must be an integer, got True")):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                MetricSpec(len, shots=shots)
 
     def test_metric_mode_follows_the_scorer(self):
         assert MetricSpec().mode == MetricSpec.EXPECTATION == "expectation"
@@ -735,6 +745,8 @@ def _flat_trace():
     ("k must be in [1, 3], got 4", lambda: mp_reference_spectrum(4, 4, 2, rng=0)),
     ("k must be in [1, 3], got 0", lambda: mp_reference_spectrum(4, 0, 2, rng=0)),
     ("n_qubits must be at least 2, got 1", lambda: mp_reference_spectrum(1, 1, 2, rng=0)),
+    ("dim must be an integer, got 2.5", lambda: haar_fidelity_cdf(0.5, 2.5)),
+    ("dim must be at least 2, got 1", lambda: haar_fidelity_cdf(0.5, 1)),
     ("restarts must be positive, got 0",
      lambda: ensemble_train(_rx_cost(), OptimizerConfig(steps=1, seed=0), 0)),
     ("steps must be non-negative, got -1", lambda: OptimizerConfig(steps=-1)),
@@ -761,7 +773,7 @@ def _flat_trace():
         "expressibility-zero-bins", "landscape-one-point", "plateau-one-point",
         "reachability-zero-haar-samples", "reachability-zero-restarts",
         "reference-zero-samples", "reference-k-whole-register", "reference-zero-k",
-        "reference-one-qubit", "ensemble-zero-restarts", "config-negative-steps",
+        "reference-one-qubit", "cdf-dim", "cdf-one-dim", "ensemble-zero-restarts", "config-negative-steps",
         "expressibility-measure", "entanglement-measure", "spectrum-measure",
         "landscape-basis-mode", "plateau-cost-kind", "path-mode", "config-method",
         "config-init"])
@@ -798,7 +810,13 @@ _BAD_SEED_MESSAGES = ["seed must be an integer, got 1.9", "seed must be an integ
     lambda seed: OptimizerConfig(seed=seed),
     lambda seed: reachability(_rx_cost(), 5, 1, seed=seed),
     lambda seed: loss_landscape(_two_param_cost(), [0.0, 0.0], points=3, seed=seed),
-], ids=["expressibility", "ensemble-train", "config", "reachability", "landscape"])
+    lambda seed: sample(StateVector(1, np.array([1.0, 0.0])), 4, seed=seed),
+    lambda seed: simulate_noisy(bell_circuit(), NoiseModel(p1=0.5), seed=seed),
+    lambda seed: random_basis(3, 2, seed=seed),
+    lambda seed: tsne(np.arange(12.0).reshape(6, 2), perplexity=1.0, iters=1, seed=seed),
+    lambda seed: random_gnm_edges(4, 2, seed=seed),
+], ids=["expressibility", "ensemble-train", "config", "reachability", "landscape", "sample",
+        "noisy", "random-basis", "tsne", "gnm-edges"])
 def test_seeds_are_never_truncated(monkeypatch, call, seed, message):
     for module, attr in _ANALYZER_NO_WORK:
         monkeypatch.setattr(module, attr, _no_work)

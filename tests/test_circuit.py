@@ -258,6 +258,38 @@ class TestSpecFormat:
         with pytest.raises(CircuitSpecError, match="too large"):
             parse_circuit_spec(json.dumps(doc))
 
+    @pytest.mark.parametrize("message, doc", [
+        ("circuit spec must be a JSON object", []),
+        ("circuit spec is missing gates", {"n_qubits": 1}),
+        ("circuit spec has unknown field(s): ['flavor']",
+         {"n_qubits": 1, "gates": [], "flavor": "mint"}),
+        ("gate 0 must be a JSON object", {"n_qubits": 1, "gates": ["H"]}),
+        ("gate 0 is missing targets", {"n_qubits": 1, "gates": [{"kind": "H"}]}),
+        ("gate 0 has unknown field(s): ['angel']",
+         {"n_qubits": 1, "gates": [{"kind": "H", "targets": [0], "angel": 1.0}]}),
+        ("gate 0 angle must be a number",
+         {"n_qubits": 1, "gates": [{"kind": "RX", "targets": [0], "angle": True}]}),
+        ("gate 0 angle is missing param", {"n_qubits": 1, "parameters": ["a"], "gates": [
+            {"kind": "RX", "targets": [0], "angle": {"prefactor": 2.0}}]}),
+        ("gate 0 prefactor must be a number", {"n_qubits": 1, "parameters": ["a"], "gates": [
+            {"kind": "RX", "targets": [0], "angle": {"param": "a", "prefactor": "2"}}]}),
+        ("cost term 0 is missing paulis", {"n_qubits": 1, "gates": [], "cost": [{"coeff": 1}]}),
+        ("cost term 0 coeff must be a number",
+         {"n_qubits": 1, "gates": [], "cost": [{"coeff": None, "paulis": {}}]}),
+        # what a value means is checked by the descriptor types it builds
+        ("n_qubits must be a positive integer, got 1.5", {"n_qubits": 1.5, "gates": []}),
+        ("gate targets must be integers, got 0.5",
+         {"n_qubits": 1, "gates": [{"kind": "H", "targets": [0.5]}]}),
+        ("parameter names must be non-empty strings",
+         {"n_qubits": 1, "parameters": [7], "gates": []}),
+    ], ids=["top-level", "missing-gates", "unknown-field", "gate-not-object",
+            "gate-missing-targets", "gate-unknown-field", "bool-angle", "angle-missing-param",
+            "string-prefactor", "term-missing-paulis", "null-coeff", "float-n-qubits",
+            "float-target", "integer-name"])
+    def test_messages_name_the_record_or_field(self, message, doc):
+        with pytest.raises(CircuitSpecError, match=re.escape(message)):
+            parse_circuit_spec(json.dumps(doc))
+
     def test_rejects_nesting_too_deep_to_decode(self):
         deep = "[" * 100_000 + "]" * 100_000
         with pytest.raises(CircuitSpecError, match="too deeply"):
