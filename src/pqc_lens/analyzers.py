@@ -55,8 +55,7 @@ from .simulator import (
 from .trainer import (
     OptimizerConfig,
     TrainingTrace,
-    _check_init,
-    _check_trace,
+    _check_run,
     _loss_and_gradient,
     _rows_per_point,
     cost_batch,
@@ -691,20 +690,16 @@ def reachability(circuit: CircuitDescriptor, haar_samples: int,
     across restarts of training). A finite estimate can land on either
     side of zero, so the raw value is reported together with both terms.
     Haar draws use seeds base + i; when the optimizer config carries no
-    seed, training restarts continue the same seed sequence. Costs or traces
-    beyond half of physical memory, and an init vector of the wrong length,
-    are a ValueError before any draw.
+    seed, training restarts continue the same seed sequence. A run that
+    ``trainer._check_run`` refuses, and Haar costs beyond half of physical
+    memory, are a ValueError before any draw.
     """
-    if circuit.cost is None:
-        raise ValueError("reachability needs a circuit with a cost observable")
-    _check_count(haar_samples, "haar_samples")
-    _check_count(restarts, "restarts")
     if config is None:
         config = OptimizerConfig()
+    _check_run(circuit, config, restarts)
+    _check_count(haar_samples, "haar_samples")
     base = _resolve_seed(seed)
     _fits(8 * haar_samples, f"the Haar cost array of {haar_samples} samples")
-    _check_trace(circuit.n_params, config.steps, restarts)  # the checks training makes first
-    _check_init(config.init, circuit.n_params)
 
     def haar_costs(chunk: range) -> np.ndarray:
         rngs = [np.random.default_rng(base + i) for i in chunk]

@@ -215,36 +215,35 @@ def _validate_descriptor(desc: CircuitDescriptor) -> None:
         seen.add(pid.name)
 
     referenced: set[str] = set()
-    for g in desc.gates:
+    for i, g in enumerate(desc.gates):
         if g.kind not in GATE_KINDS:
-            raise CircuitSpecError(f"unknown gate kind {g.kind!r}")
+            raise CircuitSpecError(f"gate {i}: unknown gate kind {g.kind!r}")
         arity = 2 if g.kind in ("CX", "CZ") else 1
         if len(g.targets) != arity:
             raise CircuitSpecError(
-                f"{g.kind} expects {arity} target(s), got {len(g.targets)}"
+                f"gate {i}: {g.kind} expects {arity} target(s), got {len(g.targets)}"
             )
         if arity == 2 and g.targets[0] == g.targets[1]:
-            raise CircuitSpecError(f"{g.kind} targets must be distinct, got {g.targets}")
+            raise CircuitSpecError(f"gate {i}: {g.kind} targets must be distinct, got {g.targets}")
         for t in g.targets:
             if not 0 <= t < desc.n_qubits:
                 raise CircuitSpecError(
-                    f"gate target {t} out of range for {desc.n_qubits} qubit(s)"
+                    f"gate {i}: gate target {t} out of range for {desc.n_qubits} qubit(s)"
                 )
         if g.kind in ROTATION_KINDS:
             if g.angle is None:
-                raise CircuitSpecError(f"{g.kind} gate needs an angle")
+                raise CircuitSpecError(f"gate {i}: {g.kind} gate needs an angle")
             if isinstance(g.angle, ParamRef):
                 if g.angle.name not in seen:
-                    raise CircuitSpecError(f"undeclared parameter {g.angle.name!r}")
+                    raise CircuitSpecError(f"gate {i}: undeclared parameter {g.angle.name!r}")
                 if not math.isfinite(g.angle.prefactor) or g.angle.prefactor == 0.0:
-                    raise CircuitSpecError(
-                        f"prefactor for parameter {g.angle.name!r} must be finite and nonzero"
-                    )
+                    raise CircuitSpecError(f"gate {i}: prefactor for parameter "
+                                           f"{g.angle.name!r} must be finite and nonzero")
                 referenced.add(g.angle.name)
             elif not math.isfinite(g.angle):
-                raise CircuitSpecError("literal angles must be finite")
+                raise CircuitSpecError(f"gate {i}: literal angles must be finite")
         elif g.angle is not None:
-            raise CircuitSpecError(f"{g.kind} gate takes no angle")
+            raise CircuitSpecError(f"gate {i}: {g.kind} gate takes no angle")
 
     unused = seen - referenced
     if unused:
@@ -623,6 +622,8 @@ def parse_circuit_spec(text: str) -> CircuitDescriptor:
         raise CircuitSpecError(
             f"syntax error in circuit spec: {e.msg} (line {e.lineno}, column {e.colno})"
         ) from None
+    except ValueError:  # an integer literal beyond Python's int() digit limit
+        raise CircuitSpecError("circuit spec holds an integer too large to decode") from None
     except RecursionError:
         raise CircuitSpecError("circuit spec nests too deeply to decode") from None
 
@@ -645,7 +646,10 @@ def parse_circuit_spec(text: str) -> CircuitDescriptor:
             angle = ParamRef(ref["param"], _number(ref.get("prefactor", 1), f"gate {i} prefactor"))
         elif angle is not None:
             angle = _number(angle, f"gate {i} angle")
-        gates.append(Gate(str(rec["kind"]), tuple(rec["targets"]), angle))
+        try:
+            gates.append(Gate(str(rec["kind"]), tuple(rec["targets"]), angle))
+        except CircuitSpecError as e:
+            raise CircuitSpecError(f"gate {i}: {e}") from None
 
     cost = None
     if doc.get("cost") is not None:

@@ -60,7 +60,7 @@ from .circuit import (
 from .library import max_cut_size, mean_cut_scorer, random_gnm_edges
 from .simulator import _check_shots, sample, simulate
 from .svg import heatmap, histogram_plot, line_plot, path_plot
-from .trainer import METHODS, DivergenceError, OptimizerConfig, _check_trace, ensemble_train
+from .trainer import METHODS, DivergenceError, OptimizerConfig, _check_run, ensemble_train
 
 
 def _load_circuit(path: str) -> CircuitDescriptor:
@@ -119,9 +119,13 @@ def _costed_circuit(args) -> CircuitDescriptor:
     return circuit
 
 
-def _optimizer_config(args, seed: int | None) -> OptimizerConfig:
-    return OptimizerConfig(method=args.method, learning_rate=args.lr,
-                           steps=args.steps, seed=seed)
+def _optimizer_config(args, circuit, seed: int | None) -> OptimizerConfig:
+    """The training flags as a config, checked with --restarts against the
+    circuit; a training command calls this before any check of its own."""
+    config = OptimizerConfig(method=args.method, learning_rate=args.lr,
+                             steps=args.steps, seed=seed)
+    _check_run(circuit, config, args.restarts)
+    return config
 
 
 def _best_trace(traces):
@@ -207,8 +211,7 @@ def _cmd_spectrum(args, seed: int):
 
 def _cmd_train(args, seed: int):
     circuit = _costed_circuit(args)
-    traces = ensemble_train(circuit, _optimizer_config(args, seed),
-                            args.restarts)
+    traces = ensemble_train(circuit, _optimizer_config(args, circuit, seed), args.restarts)
     files = _trace_files(traces)
     steps = np.arange(traces[0].losses.shape[0])
     files["loss_curves.svg"] = line_plot(
@@ -230,8 +233,9 @@ def _cmd_landscape(args, seed: int):
     circuit = _costed_circuit(args)
     theta = None if args.theta is None else _parse_theta(args.theta)
     if args.basis == "pca":
+        config = _optimizer_config(args, circuit, seed)
         _check_best_landscape(circuit, args, theta)
-        traces = ensemble_train(circuit, _optimizer_config(args, seed), args.restarts)
+        traces = ensemble_train(circuit, config, args.restarts)
         grid = _best_landscape(circuit, traces, args, seed, theta)
     else:
         grid = loss_landscape(circuit, np.zeros(circuit.n_params) if theta is None else theta,
@@ -242,12 +246,12 @@ def _cmd_landscape(args, seed: int):
 
 def _cmd_path(args, seed: int):
     circuit = _costed_circuit(args)
+    config = _optimizer_config(args, circuit, seed)
     _check_path((args.steps + 1) * args.restarts, args.mode, args.overlay,
                 args.perplexity, args.iters)
     if args.overlay:
         _check_best_landscape(circuit, args)
-    traces = ensemble_train(circuit, _optimizer_config(args, seed),
-                            args.restarts)
+    traces = ensemble_train(circuit, config, args.restarts)
     overlay = _best_landscape(circuit, traces, args, seed) if args.overlay else None
     path = training_path(traces, mode=args.mode, overlay=overlay,
                          perplexity=args.perplexity, iters=args.iters,
@@ -260,10 +264,9 @@ def _cmd_path(args, seed: int):
 
 def _cmd_histogram(args, seed: int):
     circuit = _costed_circuit(args)
-    _check_trace(circuit.n_params, args.steps, args.restarts)  # the check training makes first
+    config = _optimizer_config(args, circuit, seed)
     _check_histogram(args.restarts, args.steps + 1, circuit.n_params, args.bins)
-    traces = ensemble_train(circuit, _optimizer_config(args, seed),
-                            args.restarts)
+    traces = ensemble_train(circuit, config, args.restarts)
     series = parameter_histogram(traces, bins=args.bins)
     step, param, b = np.indices(series.masses.shape)
     files = {
@@ -282,21 +285,22 @@ def _cmd_histogram(args, seed: int):
 
 
 def _cmd_reachability(args, seed: int):
-    report = reachability(_costed_circuit(args), args.samples, args.restarts,
-                          config=_optimizer_config(args, None), seed=seed)
+    circuit = _costed_circuit(args)
+    report = reachability(circuit, args.samples, args.restarts,
+                          config=_optimizer_config(args, circuit, None), seed=seed)
     return report.to_dict(), {}
 
 
 def _cmd_qaoa(args, seed: int):
     edges = random_gnm_edges(args.nodes, args.edges, seed=seed)
     optimum_cut = max_cut_size(edges, args.nodes)  # before any simulation
+    circuit = qaoa_builder(edges, args.p, n_nodes=args.nodes)
+    config = _optimizer_config(args, circuit, seed)
     _check_shots(args.shots, args.nodes)  # and the shot draw, before training
     _check_path((args.steps + 1) * args.restarts, args.mode, False,
                 args.perplexity, args.iters)
-    circuit = qaoa_builder(edges, args.p, n_nodes=args.nodes)
     _check_best_landscape(circuit, args)
-    traces = ensemble_train(circuit, _optimizer_config(args, seed),
-                            args.restarts)
+    traces = ensemble_train(circuit, config, args.restarts)
     _, _, best_theta, best_loss = _best_trace(traces)
     counts = sample(simulate(bind(circuit, best_theta)), args.shots, seed + 10_000)
     sampled_cut = mean_cut_scorer(edges)(counts.bit_matrix())

@@ -362,22 +362,24 @@ def _gather(flat: np.ndarray, mono: Monomial, size: int) -> None:
 def _mono(flat: np.ndarray, angles: np.ndarray, mono: Monomial) -> None:
     """Apply a "mono" op to a (B, 2**n) batch: y <- sign(y) phase(y) psi[src(y)].
 
-    The gather (``_gather``) runs first. Then each block of at most _BLOCK
-    indices is multiplied in place by its signs and phases, read from parity
-    tables over its low bits, built per call, XORed with values for its high
-    bits. A row's phase exponent is summed one angle column at a time,
-    elementwise, so it does not depend on B. A block's exponent, one
-    column's terms and its complex factors take 24 bytes per amplitude: all
-    rows go at once when that fits in the room ``_row_bytes`` gives a row
-    beside its state, halves of them otherwise.
+    The gather (``_gather``) runs first, a block of at most _BLOCK indices at
+    a time. Then each phase block is multiplied in place by its signs and
+    phases, read from parity tables over its low bits, built per call, XORed
+    with values for its high bits. A row's phase exponent is summed one angle
+    column at a time, elementwise, so it does not depend on B or on the block
+    size. A block's exponent, one column's terms and its complex factors take
+    24 bytes per amplitude, so a phase block is the largest power of two, at
+    most _BLOCK, whose buffers fit in the room ``_row_bytes`` gives a row
+    beside its state, and all rows go at once.
     """
     rows, dim = flat.shape
-    size = min(dim, _BLOCK)
     if mono.columns is not None:
-        _gather(flat, mono, size)
+        _gather(flat, mono, min(dim, _BLOCK))
     pairs = 2 * mono.signs
     if not (pairs or mono.angles.size):
         return
+    room = _row_bytes(dim.bit_length() - 1) - _AMPLITUDE_BYTES * dim
+    size = min(dim, _BLOCK, 1 << ((room // 24).bit_length() - 1))
     low = size.bit_length() - 1
     blocks = dim // size
     low_parities = _xor_table(mono.masks[:, :low], size)
@@ -385,35 +387,30 @@ def _mono(flat: np.ndarray, angles: np.ndarray, mono: Monomial) -> None:
     steps = low_parities[pairs:].view(np.int8)  # (-1)**b_c, in the parities' place
     steps *= -2
     steps += 1
-    room = _row_bytes(dim.bit_length() - 1) - _AMPLITUDE_BYTES * dim
-    parts = [range(rows)] if 24 * size <= room else _parts(rows)
-    step = len(parts[0]) if mono.angles.size and parts else 0
-    buffer = np.empty(3 * step * size)
-    for part_rows in parts:
-        part = flat[part_rows.start:part_rows.stop]
-        # theta_c (b_c - 1/2) is -theta_c / 2 times (-1)**b_c, exactly
-        theta = angles[part_rows.start:part_rows.stop, mono.angles] * -0.5
-        k = len(part_rows) * size
-        exponent = buffer[:k].reshape(-1, size)
-        term = buffer[step * size:step * size + k].reshape(-1, size)
-        phases = buffer[step * size:step * size + 2 * k].view(complex).reshape(-1, size)
-        for b in range(blocks):
-            target = part[:, b * size:(b + 1) * size]
-            factor, high = None, high_parities[:, b]
-            if mono.angles.size:
-                exponent[...] = 0.0
-                for c in range(mono.angles.size):
-                    np.multiply(theta[:, c, None], steps[c], out=term)
-                    (np.subtract if high[pairs + c] else np.add)(exponent, term, out=exponent)
-                np.cos(exponent, out=phases.real)
-                np.sin(exponent, out=phases.imag)
-                factor = phases
-            if pairs:
-                signs = (low_parities[:pairs] ^ high[:pairs, None]).reshape(-1, 2, size)
-                negative = np.bitwise_xor.reduce(signs[:, 0] & signs[:, 1], axis=0)
-                sign = 1.0 - 2.0 * negative
-                factor = sign if factor is None else np.multiply(factor, sign, out=factor)
-            np.multiply(factor, target, out=target)
+    # theta_c (b_c - 1/2) is -theta_c / 2 times (-1)**b_c, exactly
+    theta = angles[:, mono.angles] * -0.5
+    k = rows * size if mono.angles.size else 0
+    buffer = np.empty(3 * k)
+    exponent = buffer[:k].reshape(-1, size)
+    term = buffer[k:2 * k].reshape(-1, size)
+    phases = buffer[k:].view(complex).reshape(-1, size)
+    for b in range(blocks):
+        target = flat[:, b * size:(b + 1) * size]
+        factor, high = None, high_parities[:, b]
+        if mono.angles.size:
+            exponent[...] = 0.0
+            for c in range(mono.angles.size):
+                np.multiply(theta[:, c, None], steps[c], out=term)
+                (np.subtract if high[pairs + c] else np.add)(exponent, term, out=exponent)
+            np.cos(exponent, out=phases.real)
+            np.sin(exponent, out=phases.imag)
+            factor = phases
+        if pairs:
+            signs = (low_parities[:pairs] ^ high[:pairs, None]).reshape(-1, 2, size)
+            negative = np.bitwise_xor.reduce(signs[:, 0] & signs[:, 1], axis=0)
+            sign = 1.0 - 2.0 * negative
+            factor = sign if factor is None else np.multiply(factor, sign, out=factor)
+        np.multiply(factor, target, out=target)
 
 
 def _run(states: np.ndarray, ops, rotations, angles) -> None:

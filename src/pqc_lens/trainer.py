@@ -109,19 +109,26 @@ def gradient(circuit: CircuitDescriptor, theta) -> np.ndarray:
     return _loss_and_gradient(circuit, np.reshape(theta, (1, -1)))[1][0]
 
 
-def _check_init(init, n_params: int) -> None:
-    """ValueError if an explicit init vector does not hold n_params finite values."""
-    if isinstance(init, str):
-        return
-    if np.size(init) != n_params:
-        raise ValueError(f"init vector has length {np.size(init)}, circuit declares {n_params}")
-    if not np.all(np.isfinite(init)):
-        raise ValueError("init vector holds a non-finite value")
+def _check_run(circuit: CircuitDescriptor, config: OptimizerConfig, restarts: int) -> None:
+    """ValueError unless a run of ``restarts`` restarts can take its first step:
+    the circuit has a cost, restarts is a positive integer, the parameters and
+    losses of the traces fit in half of physical memory, and an explicit init
+    vector holds n_params finite values."""
+    if circuit.cost is None:
+        raise ValueError("circuit has no cost observable attached")
+    _check_count(restarts, "restarts")
+    _fits(8 * (config.steps + 1) * restarts * (circuit.n_params + 1),
+          f"a trace of {restarts} restart(s) over {config.steps} steps")
+    if not isinstance(config.init, str):
+        if np.size(config.init) != circuit.n_params:
+            raise ValueError(f"init vector has length {np.size(config.init)}, "
+                             f"circuit declares {circuit.n_params}")
+        if not np.all(np.isfinite(config.init)):
+            raise ValueError("init vector holds a non-finite value")
 
 
-def _initial_theta(circuit: CircuitDescriptor, config: OptimizerConfig, seed) -> np.ndarray:
+def _initial_theta(circuit: CircuitDescriptor, config: OptimizerConfig, seed: int) -> np.ndarray:
     init = config.init
-    _check_init(init, circuit.n_params)
     if isinstance(init, str):
         if init == "zeros":
             return np.zeros(circuit.n_params)
@@ -129,22 +136,26 @@ def _initial_theta(circuit: CircuitDescriptor, config: OptimizerConfig, seed) ->
     return np.array(init, dtype=float).reshape(-1)
 
 
-def _check_trace(n_params: int, steps: int, restarts: int) -> None:
-    """ValueError if the parameters and losses of ``restarts`` traces of
-    ``steps`` steps take more than half of physical memory."""
-    _fits(8 * (steps + 1) * restarts * (n_params + 1),
-          f"a trace of {restarts} restart(s) over {steps} steps")
+def train(circuit: CircuitDescriptor, config: OptimizerConfig) -> TrainingTrace:
+    """Minimize the circuit cost with GD or Adam: restart 0 of ``ensemble_train``."""
+    return ensemble_train(circuit, config, 1)[0]
 
 
-def _train_lockstep(circuit: CircuitDescriptor, config: OptimizerConfig,
-                    seeds) -> tuple[np.ndarray, np.ndarray]:
-    """(R, steps + 1, n_params) parameters and (R, steps + 1) losses of the
-    restarts seeded seeds[r]. A batched row gets the arithmetic it gets alone
-    and the updates are elementwise, so each restart is bit for bit as if alone.
-    ValueError, before the first step, if those arrays take more than half of
-    physical memory."""
-    _check_trace(circuit.n_params, config.steps, len(seeds))
-    theta = np.stack([_initial_theta(circuit, config, seed) for seed in seeds])
+def ensemble_train(circuit: CircuitDescriptor, config: OptimizerConfig,
+                   restarts: int) -> list[TrainingTrace]:
+    """Independent restarts seeded base + r, trained in lockstep with GD or Adam.
+
+    A trace's rows are the initial point and every update. A batched row gets
+    the arithmetic it gets alone and the updates are elementwise, so each
+    restart is bit for bit as if trained alone. Non-finite parameters or
+    losses, and angles that overflow, abort with a DivergenceError naming the
+    earliest step at which any restart is non-finite; convergence itself is
+    not guaranteed on these non-convex surfaces. What ``_check_run`` refuses
+    is a ValueError before the first step.
+    """
+    _check_run(circuit, config, restarts)
+    base = _resolve_seed(config.seed)
+    theta = np.stack([_initial_theta(circuit, config, base + r) for r in range(restarts)])
     thetas, losses = [], []
     m = v = np.zeros_like(theta)
     for step in range(config.steps + 1):
@@ -172,27 +183,5 @@ def _train_lockstep(circuit: CircuitDescriptor, config: OptimizerConfig,
                 m_hat = m / (1.0 - _BETA1**(step + 1))
                 v_hat = v / (1.0 - _BETA2**(step + 1))
                 theta = theta - (config.learning_rate * m_hat / (np.sqrt(v_hat) + _EPSILON))
-    return np.stack(thetas, axis=1), np.stack(losses, axis=1)
-
-
-def train(circuit: CircuitDescriptor, config: OptimizerConfig) -> TrainingTrace:
-    """Minimize the circuit cost with GD or Adam; the trace is restart 0.
-
-    Its rows are the initial point and every update. Non-finite parameters
-    or losses, and angles that overflow, abort with DivergenceError;
-    convergence itself is not guaranteed on these non-convex surfaces. A
-    trace beyond half of physical memory is a ValueError before any step.
-    """
-    thetas, losses = _train_lockstep(circuit, config, [config.seed])
-    return TrainingTrace(0, thetas[0], losses[0])
-
-
-def ensemble_train(circuit: CircuitDescriptor, config: OptimizerConfig,
-                   restarts: int) -> list[TrainingTrace]:
-    """Independent restarts seeded base + r, trained in lockstep; each trace is
-    bit for bit ``train`` with the seed base + r. A DivergenceError names the
-    earliest step at which any restart is non-finite."""
-    _check_count(restarts, "restarts")
-    base = _resolve_seed(config.seed)
-    thetas, losses = _train_lockstep(circuit, config, [base + r for r in range(restarts)])
+    thetas, losses = np.stack(thetas, axis=1), np.stack(losses, axis=1)
     return [TrainingTrace(r, thetas[r], losses[r]) for r in range(restarts)]

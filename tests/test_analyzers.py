@@ -695,7 +695,7 @@ def test_bins_are_checked_before_any_simulation_or_draw(monkeypatch, name, bins,
 
 
 _ANALYZER_NO_WORK = ((simulator, "simulate_map"), (analyzers, "simulate_map"),
-                     (trainer, "simulate_map"), (trainer, "_train_lockstep"),
+                     (trainer, "simulate_map"), (trainer, "_initial_theta"),
                      (analyzers, "_haar_batch"), (baselines, "_haar_batch"),
                      (analyzers, "pca"), (analyzers, "tsne"))
 

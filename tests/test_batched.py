@@ -534,11 +534,11 @@ def test_gather_scratch_is_at_most_half_the_batch():
     assert simulator._parts(33) == [range(0, 17), range(17, 33)]
 
 
-def test_phase_in_halves_of_the_rows_matches_dense_simulation():
-    # at 10 qubits a block's exponent, terms and factors (24 bytes per
+def test_phase_block_smaller_than_the_state_matches_dense_simulation():
+    # at 10 qubits a whole state's exponent, terms and factors (24 bytes per
     # amplitude) do not fit in the room the row rule leaves beside a state,
-    # so a phase goes over halves of the rows; the first mono op has no
-    # gather, the second has one
+    # so a phase block holds half of it and its high bits pick the signs;
+    # the first mono op has no gather, the second has one
     n = 10
     assert 24 * 2**n > simulator._row_bytes(n) - 16 * 2**n
     gates = [Gate("H", (q,)) for q in range(n)]

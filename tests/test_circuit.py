@@ -247,16 +247,18 @@ class TestSpecFormat:
         }
         assert parse_circuit_spec(json.dumps(doc)).cost.terms[0].paulis == ((qubit, "Z"),)
 
-    @pytest.mark.parametrize("doc", [
-        {"n_qubits": 1, "gates": [{"kind": "RX", "targets": [0], "angle": 10**400}]},
-        {"n_qubits": 1, "parameters": ["a"], "gates": [
-            {"kind": "RX", "targets": [0], "angle": {"param": "a", "prefactor": 10**400}}]},
-        {"n_qubits": 1, "gates": [{"kind": "H", "targets": [0]}],
-         "cost": [{"coeff": 10**400, "paulis": {"0": "Z"}}]},
-    ], ids=["angle", "prefactor", "coeff"])
-    def test_rejects_numbers_too_large_for_a_float(self, doc):
+    @pytest.mark.parametrize("text", [
+        json.dumps({"n_qubits": 1, "gates": [{"kind": "RX", "targets": [0], "angle": 10**400}]}),
+        json.dumps({"n_qubits": 1, "parameters": ["a"], "gates": [
+            {"kind": "RX", "targets": [0], "angle": {"param": "a", "prefactor": 10**400}}]}),
+        json.dumps({"n_qubits": 1, "gates": [{"kind": "H", "targets": [0]}],
+                    "cost": [{"coeff": 10**400, "paulis": {"0": "Z"}}]}),
+        # beyond the digit limit of int(), which json.loads raises as a ValueError
+        '{"n_qubits": 1' + "0" * 4999 + ', "gates": []}',
+    ], ids=["angle", "prefactor", "coeff", "5000-digit-integer"])
+    def test_rejects_numbers_too_large_for_a_float(self, text):
         with pytest.raises(CircuitSpecError, match="too large"):
-            parse_circuit_spec(json.dumps(doc))
+            parse_circuit_spec(text)
 
     @pytest.mark.parametrize("message, doc", [
         ("circuit spec must be a JSON object", []),
@@ -282,10 +284,24 @@ class TestSpecFormat:
          {"n_qubits": 1, "gates": [{"kind": "H", "targets": [0.5]}]}),
         ("parameter names must be non-empty strings",
          {"n_qubits": 1, "parameters": [7], "gates": []}),
+        # and a gate's errors name its index
+        ("gate 1: gate targets must be integers, got 0.5",
+         {"n_qubits": 1, "gates": [{"kind": "H", "targets": [0]},
+                                   {"kind": "H", "targets": [0.5]}]}),
+        ("gate 0: unknown gate kind 'SWAP'",
+         {"n_qubits": 2, "gates": [{"kind": "SWAP", "targets": [0, 1]}]}),
+        ("gate 1: gate target 5 out of range for 2 qubit(s)",
+         {"n_qubits": 2, "gates": [{"kind": "H", "targets": [0]}, {"kind": "H", "targets": [5]}]}),
+        ("gate 2: CX targets must be distinct",
+         {"n_qubits": 2, "gates": [{"kind": "H", "targets": [0]}, {"kind": "H", "targets": [1]},
+                                   {"kind": "CX", "targets": [1, 1]}]}),
+        ("gate 0: undeclared parameter 'b'", {"n_qubits": 1, "parameters": ["a"], "gates": [
+            {"kind": "RX", "targets": [0], "angle": {"param": "b"}}]}),
     ], ids=["top-level", "missing-gates", "unknown-field", "gate-not-object",
             "gate-missing-targets", "gate-unknown-field", "bool-angle", "angle-missing-param",
             "string-prefactor", "term-missing-paulis", "null-coeff", "float-n-qubits",
-            "float-target", "integer-name"])
+            "float-target", "integer-name", "indexed-target", "indexed-kind", "indexed-range",
+            "indexed-distinct", "indexed-parameter"])
     def test_messages_name_the_record_or_field(self, message, doc):
         with pytest.raises(CircuitSpecError, match=re.escape(message)):
             parse_circuit_spec(json.dumps(doc))

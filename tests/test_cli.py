@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import oracles
 from pqc_lens import (Gate, ParamRef, PauliSum, make_circuit, qaoa_builder,
                       serialize_circuit_spec, simulator)
-from pqc_lens import cli
+from pqc_lens import analyzers, cli, trainer
 from pqc_lens.cli import run
 from pqc_lens.library import max_cut_size
 
@@ -46,6 +46,10 @@ def one_qubit_spec(tmp_path):
     path = tmp_path / "one_qubit.spec.json"
     path.write_text(serialize_circuit_spec(circuit), encoding="utf-8")
     return str(path)
+
+
+def _no_simulation(*args, **kwargs):
+    raise AssertionError("simulate_map called")
 
 
 def _report(out_dir):
@@ -486,6 +490,31 @@ class TestExitCodes:
         out = tmp_path / "o"
         argv = [two_qubit_spec if arg == "SPEC" else arg for arg in argv]
         code = run(argv + ["--seed", "0", "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--restarts", "0", "restarts must be positive, got 0"),
+        ("--steps", "-1", "steps must be non-negative, got -1"),
+    ], ids=["restarts", "steps"])
+    @pytest.mark.parametrize("argv", [
+        ["train", "--circuit", "SPEC"],
+        ["landscape", "--circuit", "SPEC", "--basis", "pca"],
+        ["path", "--circuit", "SPEC"],
+        ["histogram", "--circuit", "SPEC"],
+        ["reachability", "--circuit", "SPEC"],
+        ["qaoa", "--nodes", "4", "--edges", "4"],
+    ], ids=["train", "landscape-pca", "path", "histogram", "reachability", "qaoa"])
+    def test_training_flags_are_checked_before_any_other_flag(
+            self, two_qubit_spec, tmp_path, monkeypatch, capsys, argv, flag, value, message):
+        # each training command checks its run before its own flags, so the
+        # message names the training flag and nothing is simulated
+        for module in (simulator, trainer, analyzers):
+            monkeypatch.setattr(module, "simulate_map", _no_simulation)
+        out = tmp_path / "o"
+        argv = [two_qubit_spec if arg == "SPEC" else arg for arg in argv]
+        code = run(argv + [flag, value, "--seed", "0", "--out", str(out)])
         assert code == 2
         assert message in capsys.readouterr().err
         assert not os.path.exists(out)

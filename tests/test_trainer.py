@@ -152,7 +152,7 @@ class TestOptimizerConfig:
         def no_work(*args):
             raise AssertionError("trained before checking the restart count")
 
-        monkeypatch.setattr(trainer, "_train_lockstep", no_work)
+        monkeypatch.setattr(trainer, "_initial_theta", no_work)
         with pytest.raises(ValueError, match="restarts must be an integer"):
             ensemble_train(_rx_cost(), OptimizerConfig(steps=1, seed=0), restarts)
 
