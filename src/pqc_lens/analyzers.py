@@ -1,14 +1,15 @@
 """Ensemble analyzers for parameterized circuits.
 
-Every analyzer draws parameter vectors uniformly from [0, 2*pi)^M, one
-dedicated RNG stream per sample seeded base + i, all of them up front, and
-simulates its samples through simulator.simulate_map, which runs them in
-memory-bounded ranges of consecutive rows, in order. A row's arithmetic
-does not depend on its range and reductions run sequentially, so outputs
-are byte-stable for any chunk size. The base seed is None, for a fresh
-one, or a non-negative integer, never rounded; it, the counts and the
-modes are checked by one rule (``circuit._check_count`` and
-``_check_choice``) before any draw.
+expressibility, entanglement_capability and entanglement_spectrum go
+through one ensemble runner, ``_ensemble``: it draws parameter vectors
+uniformly from [0, 2*pi)^M, one RNG stream per sample seeded base + i, all
+up front, and simulates whole samples through simulator.simulate_map in
+memory-bounded ranges, in order. A row's arithmetic does not depend on its
+range and reductions run sequentially, so outputs are byte-stable for any
+chunk size and S' samples are the first S' of S. The base seed is None,
+for a fresh one, or a non-negative integer, never rounded; it, the counts
+and the modes are checked by one rule (``circuit._check_count`` and
+``_check_choice``) before any draw, and reals by ``circuit._check_real``.
 
 Reports serialize through to_dict() into plain JSON trees tagged with the
 schema version "pqc-lens/1". Every to_dict, and every result the command
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -27,7 +29,6 @@ from .baselines import (
     Histogram,
     MPBaseline,
     _check_bins,
-    _check_cutoff,
     _haar_batch,
     haar_fidelity_baseline,
     histogram,
@@ -36,7 +37,7 @@ from .baselines import (
     mp_reference_spectrum,
     xi_profiles,
 )
-from .circuit import (CircuitDescriptor, GateProgram, _check_choice, _check_count,
+from .circuit import (CircuitDescriptor, _check_choice, _check_count, _check_real,
                       _resolve_seed, make_circuit)
 from .library import all_zeros_infidelity_cost, mean_excitation_cost
 from .projection import (_MAX_COORD, PointCloud, SubspaceBasis, _check_tsne, pca,
@@ -69,19 +70,37 @@ DIVERGENCE_MEASURES = tuple(_DIVERGENCES)
 ENTANGLEMENT_MEASURES = ("meyer-wallach", "scott")
 
 
-def _sampled_angles(program: GateProgram, base: int, samples: int,
-                    draws: int = 1) -> np.ndarray:
-    """Angles of samples * draws rows, sample i's drawn from default_rng(base + i).
+def _ensemble(circuit: CircuitDescriptor, samples: int, seed, reduce,
+              draws: int = 1) -> tuple[int, np.ndarray]:
+    """(base, results): the resolved base seed and reduce(states), concatenated
+    in order over chunks of whole samples. Sample i is ``draws`` rows whose
+    parameter vectors default_rng(base + i) draws uniformly from [0, 2*pi).
 
     ValueError, before any draw, if the parameters and angles of all rows,
     plus one result word per sample, take more than half of physical memory.
     """
+    base = _resolve_seed(seed)
+    program = circuit.program
     _fits(8 * samples * (draws * (program.n_params + program.kinds.size) + 1),
           f"the angle table of {samples} samples")
     shape = (draws, program.n_params)
     thetas = [np.random.default_rng(base + i).uniform(0.0, 2.0 * math.pi, shape)
               for i in range(samples)]
-    return program.angles(np.concatenate(thetas))
+    return base, simulate_map(lambda states, rows: reduce(states), program,
+                              program.angles(np.concatenate(thetas)), draws)
+
+
+def _pair_fidelities(states: np.ndarray) -> np.ndarray:
+    """|<a|b>|^2 of each pair of rows 2i and 2i + 1."""
+    return np.abs(row_vdot(states[0::2], states[1::2])) ** 2
+
+
+def _block_impurities(states: np.ndarray, n: int, m_values) -> np.ndarray:
+    """Per row, one column per m: 1 - the mean subsystem purity over all
+    size-m blocks of the n qubits."""
+    return np.stack([1.0 - sum(purity_batch(states, block)
+                               for block in combinations(range(n), m)) / math.comb(n, m)
+                     for m in m_values], axis=1)
 
 
 def _plain(value):
@@ -186,12 +205,7 @@ def expressibility(circuit: CircuitDescriptor, samples: int,
     _check_count(samples, "samples", 2)
     _check_choice(measure, "measure", DIVERGENCE_MEASURES)
     _check_bins(bins)
-    base = _resolve_seed(seed)
-    program = circuit.program
-    # pair i is rows 2i and 2i + 1
-    fidelities = simulate_map(
-        lambda states, rows: np.abs(row_vdot(states[0::2], states[1::2])) ** 2,
-        program, _sampled_angles(program, base, samples, draws=2), group=2)
+    base, fidelities = _ensemble(circuit, samples, seed, _pair_fidelities, draws=2)
     observed = histogram(fidelities, bins, (0.0, 1.0))
     reference = haar_fidelity_baseline(bins, 2**circuit.n_qubits)
     value = _DIVERGENCES[measure](observed, reference)
@@ -216,16 +230,6 @@ class EntanglementReport:
                          seed=self.seed)
 
 
-def _mean_block_impurity(states: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Per row, 1 - mean subsystem purity over all size-m blocks of qubits."""
-    total = 0.0
-    count = 0
-    for block in combinations(range(n), m):
-        total += purity_batch(states, block)
-        count += 1
-    return 1.0 - total / count
-
-
 def entanglement_capability(circuit: CircuitDescriptor, samples: int,
                             measure: str = "meyer-wallach",
                             seed=None) -> EntanglementReport:
@@ -241,17 +245,10 @@ def entanglement_capability(circuit: CircuitDescriptor, samples: int,
         raise ValueError("entanglement needs at least 2 qubits")
     _check_count(samples, "samples")
     _check_choice(measure, "measure", ENTANGLEMENT_MEASURES)
-    base = _resolve_seed(seed)
-    program = circuit.program
-
     # Meyer-Wallach's Q is Scott's Q_1
     m_values = range(1, 2 if measure == "meyer-wallach" else n // 2 + 1)
-
-    def block_impurities(states: np.ndarray, rows: range) -> np.ndarray:
-        return np.stack([_mean_block_impurity(states, n, m) for m in m_values], axis=1)
-
-    rows = simulate_map(block_impurities, program,
-                        _sampled_angles(program, base, samples))
+    base, rows = _ensemble(circuit, samples, seed,
+                           partial(_block_impurities, n=n, m_values=m_values))
     q_m = tuple(
         float(2.0**m / (2.0**m - 1.0) * rows[:, j].mean())
         for j, m in enumerate(m_values)
@@ -318,16 +315,13 @@ def entanglement_spectrum(circuit: CircuitDescriptor, samples: int,
         raise ValueError("spectrum needs at least 2 qubits")
     _check_count(samples, "samples")
     _check_choice(measure, "measure", DIVERGENCE_MEASURES)
-    _check_cutoff(cutoff)
+    _check_real(cutoff, "cutoff", "negative")
     cutoff = float(cutoff)
     _check_bins(bins)
     k = (n + 1) // 2
-    base = _resolve_seed(seed)
-    program = circuit.program
-
     rank = _schmidt_rank_bound(circuit, k)
-    profiles = simulate_map(lambda states, rows: xi_profiles(states, k, cutoff, rank),
-                            program, _sampled_angles(program, base, samples))
+    base, profiles = _ensemble(circuit, samples, seed,
+                               partial(xi_profiles, k=k, cutoff=cutoff, rank=rank))
     pooled = histogram(profiles.reshape(-1), bins, (0.0, abs(cutoff)))
     reference = mp_reference_spectrum(n, k, samples, rng=base + samples,
                                       cutoff=cutoff, bins=bins)
@@ -362,8 +356,7 @@ BASIS_MODES = ("random", "pca")
 
 def _check_grid(points: int, scan_range: float) -> None:
     _check_count(points, "points", 2)
-    if not (math.isfinite(scan_range) and scan_range > 0):
-        raise ValueError("scan_range must be finite and positive")
+    _check_real(scan_range, "scan_range")
 
 
 def _check_landscape(circuit: CircuitDescriptor, theta_star, basis_mode: str,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import _check_count
+from .circuit import _check_count, _check_real
 from .simulator import StateVector, _fits, _row_bytes, map_chunks, schmidt_spectrum
 
 _EPS = 1e-12
@@ -70,12 +70,6 @@ def _check_bins(bins: int, what: str = "histogram") -> None:
     three arrays of bins + 1 floats, takes at most half of physical memory."""
     _check_count(bins, "bins")
     _fits(24 * (bins + 1), f"a {what} of {bins} bins")
-
-
-def _check_cutoff(cutoff: float) -> None:
-    """ValueError unless cutoff, a log threshold, is finite and negative."""
-    if not (math.isfinite(cutoff) and cutoff < 0):
-        raise ValueError(f"cutoff must be finite and negative, got {cutoff}")
 
 
 def histogram(samples, bins: int, value_range: tuple[float, float]) -> Histogram:
@@ -177,7 +171,7 @@ def spectral_xi(eigenvalues, cutoff: float = -30.0) -> np.ndarray:
     produce) saturate at |cutoff|; values a hair above 1 from rounding are
     clipped to xi = 0.
     """
-    _check_cutoff(cutoff)
+    _check_real(cutoff, "cutoff", "negative")
     lam = np.asarray(eigenvalues, dtype=float)
     floor = math.exp(cutoff)
     xi = np.where(lam < floor, abs(cutoff), -np.log(np.maximum(lam, floor)))
@@ -201,7 +195,7 @@ def mp_reference_spectrum(n_qubits: int, k: int, samples: int, rng=None,
     ``np.random.default_rng`` takes, a Generator included, which the draws
     then continue.
     """
-    _check_cutoff(cutoff)
+    _check_real(cutoff, "cutoff", "negative")
     _check_count(n_qubits, "n_qubits", 2)
     _check_count(k, "k", 1, n_qubits - 1)
     _check_count(samples, "samples")

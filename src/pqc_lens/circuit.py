@@ -45,12 +45,28 @@ class ParamRef:
     prefactor: float = 1.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "prefactor", float(self.prefactor))
+        object.__setattr__(self, "prefactor",
+                           _number(self.prefactor, f"prefactor of parameter {self.name!r}"))
 
 
 def _is_integer(value) -> bool:
     # int() would truncate 0.9 to 0; bool is an int subclass
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    # float() would also read "1.5" and True
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def _number(value, what: str) -> float:
+    """A real number (``_is_real``) as a float; else a CircuitSpecError naming what."""
+    if not _is_real(value):
+        raise CircuitSpecError(f"{what} must be a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise CircuitSpecError(f"{what} is too large for a float") from None
 
 
 def _check_integer(value, name: str) -> None:
@@ -67,6 +83,25 @@ def _check_count(value, name: str, least: int = 1, most: int | None = None) -> N
         bound = (f"in [{least}, {most}]" if most is not None else
                  {0: "non-negative", 1: "positive"}.get(least, f"at least {least}"))
         raise ValueError(f"{name} must be {bound}, got {value!r}")
+
+
+_REAL_BOUNDS = {"positive": lambda v: v > 0, "negative": lambda v: v < 0,
+                "in [0, 1]": lambda v: 0 <= v <= 1}
+
+
+def _check_real(value, name: str, bound: str = "positive") -> None:
+    """ValueError unless value is a real number (an int, float or numpy real,
+    not a bool or a string) that is finite and ``bound``: "positive",
+    "negative" or "in [0, 1]"; the message names the argument, the bound and
+    the value received."""
+    if not _is_real(value):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not (finite and _REAL_BOUNDS[bound](value)):
+        raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
 
 
 def _resolve_seed(seed) -> int:
@@ -110,7 +145,7 @@ class Gate:
                 raise CircuitSpecError(f"gate targets must be integers, got {t!r}")
         object.__setattr__(self, "targets", tuple(int(t) for t in targets))
         if self.angle is not None and not isinstance(self.angle, ParamRef):
-            object.__setattr__(self, "angle", float(self.angle))
+            object.__setattr__(self, "angle", _number(self.angle, "gate angle"))
 
 
 @dataclass(frozen=True)
@@ -122,7 +157,7 @@ class PauliTerm:
     paulis: tuple[tuple[int, str], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeff", float(self.coeff))
+        object.__setattr__(self, "coeff", _number(self.coeff, "Pauli term coefficient"))
         items = tuple(self.paulis.items() if isinstance(self.paulis, Mapping) else self.paulis)
         for q, _ in items:
             if not _is_integer(q):
@@ -252,11 +287,10 @@ def _validate_descriptor(desc: CircuitDescriptor) -> None:
     if desc.cost is not None:
         if not isinstance(desc.cost, PauliSum):
             raise CircuitSpecError("cost must be a PauliSum")
-        if desc.cost.max_qubit() >= desc.n_qubits:
-            raise CircuitSpecError(
-                f"cost references qubit {desc.cost.max_qubit()}, "
-                f"circuit has {desc.n_qubits}"
-            )
+        for i, t in enumerate(desc.cost.terms):
+            if t.paulis and t.paulis[-1][0] >= desc.n_qubits:  # pairs sort by qubit
+                raise CircuitSpecError(f"cost term {i}: cost references qubit "
+                                       f"{t.paulis[-1][0]}, circuit has {desc.n_qubits}")
 
 
 def make_circuit(n_qubits, gates, parameter_names=(), cost=None) -> CircuitDescriptor:
@@ -597,16 +631,6 @@ def _record(value, what: str, required: tuple, optional: tuple = ()) -> dict:
     return value
 
 
-def _number(value, what: str) -> float:
-    """A JSON number (an int or a float, not a bool) as a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise CircuitSpecError(f"{what} must be a number")
-    try:
-        return float(value)
-    except OverflowError:
-        raise CircuitSpecError(f"{what} is too large for a float") from None
-
-
 def parse_circuit_spec(text: str) -> CircuitDescriptor:
     """Parse a JSON circuit-spec document.
 
@@ -675,8 +699,11 @@ def parse_circuit_spec(text: str) -> CircuitDescriptor:
                 if q in pairs:
                     raise CircuitSpecError(f"cost term {i} names qubit {q} more than once")
                 pairs[q] = axis
-            terms.append((coeff, pairs))
-        cost = PauliSum.from_terms(terms)
+            try:
+                terms.append(PauliTerm(coeff, pairs))
+            except CircuitSpecError as e:
+                raise CircuitSpecError(f"cost term {i}: {e}") from None
+        cost = PauliSum(tuple(terms))
 
     return make_circuit(doc["n_qubits"], gates, names, cost)
 

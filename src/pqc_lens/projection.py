@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import _check_count, _resolve_seed
+from .circuit import _check_count, _check_real, _resolve_seed
 from .simulator import _fits
 
 _NORM_TOL = 1e-10
@@ -257,8 +257,7 @@ def _check_tsne(n: int, perplexity: float, iters: int) -> None:
     anything is allocated."""
     if n < 3:
         raise ValueError("t-SNE needs at least 3 points")
-    if not (math.isfinite(perplexity) and perplexity > 0):
-        raise ValueError("perplexity must be finite and positive")
+    _check_real(perplexity, "perplexity")
     if not perplexity < (n - 1) / 3.0:
         raise ValueError(
             f"perplexity {perplexity} too large for {n} points; "

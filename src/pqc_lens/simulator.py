@@ -81,7 +81,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import (CircuitDescriptor, Gate, GateProgram, Monomial, PauliSum,
-                      _check_count, _is_integer, _resolve_seed, matrix_product,
+                      _check_count, _check_real, _is_integer, _resolve_seed, matrix_product,
                       rotation_matrices)
 
 _NORM_TOL = 1e-10
@@ -145,10 +145,8 @@ class NoiseModel:
 
     def __post_init__(self) -> None:
         for name in ("p1", "p2"):
-            v = float(getattr(self, name))
-            object.__setattr__(self, name, v)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
+            _check_real(getattr(self, name), name, "in [0, 1]")
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -623,8 +621,7 @@ def sample(state: StateVector, shots: int = 1024, seed=None,
     before anything is drawn.
     """
     _check_shots(shots, state.n_qubits)
-    if not 0.0 <= readout_flip_prob <= 1.0:  # NaN fails too
-        raise ValueError(f"readout_flip_prob must lie in [0, 1], got {readout_flip_prob}")
+    _check_real(readout_flip_prob, "readout_flip_prob", "in [0, 1]")
     rng = np.random.default_rng(_resolve_seed(seed))
     n = state.n_qubits
     probs = state.probabilities()

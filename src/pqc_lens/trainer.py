@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import (CircuitDescriptor, GateProgram, _check_choice, _check_count,
-                      _resolve_seed)
+                      _check_real, _resolve_seed)
 from .simulator import _fits, expectation_batch, simulate_map
 
 METHODS = ("gd", "adam")
@@ -41,8 +41,7 @@ class OptimizerConfig:
 
     def __post_init__(self) -> None:
         _check_choice(self.method, "method", METHODS)
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError("learning_rate must be finite and positive")
+        _check_real(self.learning_rate, "learning_rate")
         _check_count(self.steps, "steps", 0)
         if isinstance(self.init, str):
             _check_choice(self.init, "init", ("uniform", "zeros"))

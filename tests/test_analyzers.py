@@ -212,8 +212,7 @@ class TestEntanglementSpectrum:
         circuit = layered_ansatz(n, layers, entangler)
         k = (n + 1) // 2
         assert analyzers._schmidt_rank_bound(circuit, k) == 2 ** (n - k)
-        program = circuit.program
-        states = simulator.simulate_batch(program, analyzers._sampled_angles(program, 3, 25))
+        _, states = analyzers._ensemble(circuit, 25, 3, lambda states: states)
         want = baselines.spectral_xi(oracles.svd_schmidt_spectrum(states, k))
         want = np.sort(want, axis=1)[:, ::-1]
         assert np.array_equal(entanglement_spectrum(circuit, 25, seed=3).profile,
@@ -831,3 +830,51 @@ def test_a_numpy_seed_gives_the_bytes_of_the_int_seed():
     [by_numpy] = ensemble_train(_rx_cost(), OptimizerConfig(steps=2, seed=np.int64(5)), 1)
     [by_int] = ensemble_train(_rx_cost(), OptimizerConfig(steps=2, seed=5), 1)
     assert by_numpy.thetas.tobytes() == by_int.thetas.tobytes()
+
+
+_ZERO_STATE = StateVector(1, np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("message, call", [
+    # a bool is not 1.0
+    ("learning_rate must be a real number, got True", lambda: OptimizerConfig(learning_rate=True)),
+    ("scan_range must be a real number, got True",
+     lambda: loss_landscape(_two_param_cost(), [0.0, 0.0], points=3, scan_range=True, seed=0)),
+    ("scan_range must be a real number, got True",
+     lambda: barren_plateau_scan(identity_learning_ansatz(2), scan_range=True)),
+    ("perplexity must be a real number, got True",
+     lambda: tsne(np.arange(12.0).reshape(6, 2), perplexity=True, iters=1, seed=0)),
+    ("p1 must be a real number, got True", lambda: NoiseModel(p1=True)),
+    ("readout_flip_prob must be a real number, got True",
+     lambda: sample(_ZERO_STATE, 4, seed=0, readout_flip_prob=True)),
+    # nor is a string or None
+    ("learning_rate must be a real number, got '0.1'",
+     lambda: OptimizerConfig(learning_rate="0.1")),
+    ("learning_rate must be a real number, got None", lambda: OptimizerConfig(learning_rate=None)),
+    ("scan_range must be a real number, got '1'",
+     lambda: loss_landscape(_two_param_cost(), [0.0, 0.0], points=3, scan_range="1", seed=0)),
+    ("cutoff must be a real number, got 'x'",
+     lambda: entanglement_spectrum(layered_ansatz(2, 1), 5, cutoff="x", seed=0)),
+    ("readout_flip_prob must be a real number, got None",
+     lambda: sample(_ZERO_STATE, 4, seed=0, readout_flip_prob=None)),
+    # an int beyond the float range is not finite
+    ("learning_rate must be finite and positive, got 1000",
+     lambda: OptimizerConfig(learning_rate=10**400)),
+], ids=["bool-learning-rate", "bool-scan-range", "bool-plateau-scan-range", "bool-perplexity",
+        "bool-p1", "bool-readout", "string-learning-rate", "none-learning-rate",
+        "string-scan-range", "string-cutoff", "none-readout", "huge-learning-rate"])
+def test_real_arguments_are_checked_by_one_rule(monkeypatch, message, call):
+    for module, attr in _ANALYZER_NO_WORK:
+        monkeypatch.setattr(module, attr, _no_work)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def test_ints_and_numpy_reals_are_accepted_as_reals():
+    assert NoiseModel(p1=np.float32(0.5), p2=1) == NoiseModel(0.5, 1.0)
+    assert OptimizerConfig(learning_rate=np.int64(1)) == OptimizerConfig(learning_rate=1.0)
+    assert (sample(_ZERO_STATE, 8, seed=0, readout_flip_prob=np.float32(0.25))
+            == sample(_ZERO_STATE, 8, seed=0, readout_flip_prob=0.25))
+    assert (json.dumps(entanglement_spectrum(layered_ansatz(2, 1), 3, cutoff=-30, seed=0)
+                       .to_dict())
+            == json.dumps(entanglement_spectrum(layered_ansatz(2, 1), 3, seed=0).to_dict()))

@@ -5,6 +5,7 @@ gives, agree with the dense oracles, and not depend on how rows are
 split into chunks.
 """
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,8 +21,7 @@ from pqc_lens.baselines import xi_profiles
 from pqc_lens.circuit import (CircuitDescriptor, CircuitSpecError, compile_program,
                               qaoa_builder)
 from pqc_lens.library import layered_ansatz, random_gnm_edges
-from pqc_lens.simulator import (StateVector, expectation_batch, row_vdot, sample,
-                                simulate_batch)
+from pqc_lens.simulator import StateVector, expectation_batch, sample, simulate_batch
 from pqc_lens.trainer import _loss_and_gradient, cost_batch
 
 
@@ -441,6 +441,29 @@ def test_opening_rows_are_bit_identical_to_lone_rows(monkeypatch, rows, chunk_by
             assert np.array_equal(states[i], simulate_batch(program, angles[i:i + 1])[0])
 
 
+# The ensemble runner: a sample's results do not depend on how many samples
+# follow it, so S' samples are the first S' of S.
+
+
+@pytest.mark.parametrize("chunk_bytes", [simulator.CHUNK_BYTES, 1])
+@pytest.mark.parametrize("circuit", [layered_ansatz(6, 2, "full"), layered_ansatz(7, 2, "chain")],
+                         ids=["6q-2l-full", "7q-2l-chain"])
+def test_ensemble_results_are_prefix_stable(monkeypatch, circuit, chunk_bytes):
+    monkeypatch.setattr(simulator, "CHUNK_BYTES", chunk_bytes)
+    n = circuit.n_qubits
+    k = (n + 1) // 2
+    reductions = [(analyzers._pair_fidelities, 2),
+                  (partial(analyzers._block_impurities, n=n, m_values=range(1, n // 2 + 1)), 1),
+                  (partial(xi_profiles, k=k, cutoff=-30.0,
+                           rank=analyzers._schmidt_rank_bound(circuit, k)), 1)]
+    for reduce, draws in reductions:
+        base, results = analyzers._ensemble(circuit, 9, 11, reduce, draws)
+        assert base == 11 and results.shape[0] == 9
+        for prefix in (1, 4, 8):
+            _, head = analyzers._ensemble(circuit, prefix, 11, reduce, draws)
+            assert np.array_equal(head, results[:prefix])
+
+
 # Monomial blocks: stretches of X, Z, RZ, CX and CZ, which compile to one
 # gather-and-phase op each, between the dense gates that end them.
 
@@ -638,10 +661,10 @@ def _reductions(circuit):
     xy_cost = PauliSum.from_terms([(1.0, {0: "X", 1: "Y"}), (0.5, {n - 1: "Z"}),
                                    (0.25, {1: "X"})])
     return [
-        ("expressibility", 2, lambda s, rows: np.abs(row_vdot(s[0::2], s[1::2])) ** 2),
-        ("meyer-wallach", 1, lambda s, rows: analyzers._mean_block_impurity(s, n, 1)),
-        ("scott", 1, lambda s, rows: np.stack(
-            [analyzers._mean_block_impurity(s, n, m) for m in range(1, min(2, n // 2) + 1)])),
+        ("expressibility", 2, lambda s, rows: analyzers._pair_fidelities(s)),
+        ("meyer-wallach", 1, lambda s, rows: analyzers._block_impurities(s, n, range(1, 2))),
+        ("scott", 1, lambda s, rows: analyzers._block_impurities(
+            s, n, range(1, min(2, n // 2) + 1))),
         ("spectrum", 1, lambda s, rows: xi_profiles(s, k, -30.0, rank)),
         ("full spectrum", 1, lambda s, rows: xi_profiles(s, k)),
         ("z cost", 1, lambda s, rows: expectation_batch(s, z_cost)),

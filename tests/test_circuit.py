@@ -118,6 +118,28 @@ class TestMakeCircuit:
     def test_pauli_term_takes_numpy_integer_indices(self):
         assert PauliTerm(1.0, {np.int64(2): "Z", np.uint8(0): "X"}).paulis == ((0, "X"), (2, "Z"))
 
+    @pytest.mark.parametrize("message, make", [
+        ("gate angle must be a number", lambda: Gate("RX", (0,), "1.5")),
+        ("gate angle must be a number", lambda: Gate("RX", (0,), True)),
+        ("gate angle must be a number", lambda: Gate("RX", (0,), [1.0])),
+        ("gate angle is too large for a float", lambda: Gate("RX", (0,), 10**400)),
+        ("prefactor of parameter 'a' must be a number", lambda: ParamRef("a", "2")),
+        ("prefactor of parameter 'a' must be a number", lambda: ParamRef("a", True)),
+        ("Pauli term coefficient must be a number", lambda: PauliTerm("2", {0: "Z"})),
+        ("Pauli term coefficient must be a number", lambda: PauliTerm(None, {0: "Z"})),
+    ], ids=["string-angle", "bool-angle", "list-angle", "huge-angle", "string-prefactor",
+            "bool-prefactor", "string-coeff", "none-coeff"])
+    def test_descriptor_numbers_must_be_real(self, message, make):
+        # float() would read "1.5" and True, and a list was a TypeError
+        with pytest.raises(CircuitSpecError, match=re.escape(message)):
+            make()
+
+    def test_descriptor_numbers_take_numpy_reals(self):
+        angle = Gate("RX", (0,), np.float32(1.5)).angle
+        assert angle == 1.5 and type(angle) is float
+        assert ParamRef("a", np.int64(2)) == ParamRef("a", 2.0)
+        assert PauliTerm(np.float64(0.5), {0: "Z"}) == PauliTerm(0.5, {0: "Z"})
+
     def test_rejects_nonpositive_width(self):
         with pytest.raises(CircuitSpecError):
             make_circuit(0, [], [])
@@ -297,11 +319,17 @@ class TestSpecFormat:
                                    {"kind": "CX", "targets": [1, 1]}]}),
         ("gate 0: undeclared parameter 'b'", {"n_qubits": 1, "parameters": ["a"], "gates": [
             {"kind": "RX", "targets": [0], "angle": {"param": "b"}}]}),
+        # and so do a cost term's
+        ("cost term 1: unknown Pauli axis 'W'", {"n_qubits": 2, "gates": [], "cost": [
+            {"coeff": 1.0, "paulis": {"0": "Z"}}, {"coeff": 1.0, "paulis": {"1": "W"}}]}),
+        ("cost term 1: cost references qubit 5, circuit has 2", {"n_qubits": 2, "gates": [],
+         "cost": [{"coeff": 1.0, "paulis": {"0": "Z"}},
+                  {"coeff": 0.5, "paulis": {"1": "X", "5": "Z"}}]}),
     ], ids=["top-level", "missing-gates", "unknown-field", "gate-not-object",
             "gate-missing-targets", "gate-unknown-field", "bool-angle", "angle-missing-param",
             "string-prefactor", "term-missing-paulis", "null-coeff", "float-n-qubits",
             "float-target", "integer-name", "indexed-target", "indexed-kind", "indexed-range",
-            "indexed-distinct", "indexed-parameter"])
+            "indexed-distinct", "indexed-parameter", "indexed-axis", "indexed-cost-qubit"])
     def test_messages_name_the_record_or_field(self, message, doc):
         with pytest.raises(CircuitSpecError, match=re.escape(message)):
             parse_circuit_spec(json.dumps(doc))

@@ -591,8 +591,7 @@ class TestRankedSchmidtSpectrum:
         k = (n + 1) // 2
         rank = analyzers._schmidt_rank_bound(circuit, k)
         assert rank == 2**layers
-        program = circuit.program
-        states = simulator.simulate_batch(program, analyzers._sampled_angles(program, n, 3))
+        _, states = analyzers._ensemble(circuit, 3, n, lambda states: states)
         full = oracles.svd_schmidt_spectrum(states, k)
         assert np.all(full[:, -rank:] > 1e-6)
         assert np.max(np.abs(simulator.schmidt_spectrum(states, k, rank) - full)) <= 1e-12
