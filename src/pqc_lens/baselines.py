@@ -79,6 +79,8 @@ def histogram(samples, bins: int, value_range: tuple[float, float]) -> Histogram
     fidelity estimates at exactly 1.0 (or barely above, from rounding) in
     the last bin instead of being dropped.
     """
+    for i in (0, 1):
+        _check_real(value_range[i], f"value_range[{i}]", None)
     lo, hi = float(value_range[0]), float(value_range[1])
     if not lo < hi:
         raise ValueError(f"empty value range ({lo}, {hi})")
@@ -92,8 +94,13 @@ def histogram(samples, bins: int, value_range: tuple[float, float]) -> Histogram
 
 
 def haar_fidelity_cdf(fidelity, dim: int):
-    """CDF(F) = 1 - (1-F)^(N-1) for Haar-random state pairs in dimension N."""
+    """CDF(F) = 1 - (1-F)^(N-1) for Haar-random state pairs in dimension N;
+    fidelity is a real number (``_check_real``) or an array of finite reals."""
     _check_count(dim, "dim", 2)
+    if np.isscalar(fidelity):
+        _check_real(fidelity, "fidelity", None)
+    elif not (np.asarray(fidelity).dtype.kind in "iuf" and np.isfinite(fidelity).all()):
+        raise ValueError("fidelity must be a real number or an array of finite reals")
     f = np.clip(np.asarray(fidelity, dtype=float), 0.0, 1.0)
     out = 1.0 - (1.0 - f) ** (dim - 1)
     return float(out) if np.isscalar(fidelity) else out

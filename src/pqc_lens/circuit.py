@@ -23,7 +23,7 @@ import numpy as np
 
 GATE_KINDS = ("H", "X", "Y", "Z", "RX", "RY", "RZ", "CX", "CZ")
 ROTATION_KINDS = ("RX", "RY", "RZ")
-PAULI_AXES = ("X", "Y", "Z")
+PAULI_AXES = ("X", "Y", "Z", "P0", "P1")  # P0 = |0><0|, P1 = |1><1|
 
 
 class CircuitSpecError(ValueError):
@@ -89,19 +89,20 @@ _REAL_BOUNDS = {"positive": lambda v: v > 0, "negative": lambda v: v < 0,
                 "in [0, 1]": lambda v: 0 <= v <= 1}
 
 
-def _check_real(value, name: str, bound: str = "positive") -> None:
+def _check_real(value, name: str, bound: str | None = "positive") -> None:
     """ValueError unless value is a real number (an int, float or numpy real,
     not a bool or a string) that is finite and ``bound``: "positive",
-    "negative" or "in [0, 1]"; the message names the argument, the bound and
-    the value received."""
+    "negative", "in [0, 1]" or, for None, no bound; the message names the
+    argument, the bound and the value received."""
     if not _is_real(value):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     try:
         finite = math.isfinite(value)
     except OverflowError:  # an int beyond the float range
         finite = False
-    if not (finite and _REAL_BOUNDS[bound](value)):
-        raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
+    if not (finite and (bound is None or _REAL_BOUNDS[bound](value))):
+        rule = "finite" if bound is None else f"finite and {bound}"
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 def _resolve_seed(seed) -> int:
@@ -150,8 +151,10 @@ class Gate:
 
 @dataclass(frozen=True)
 class PauliTerm:
-    """One weighted Pauli string; ``paulis`` pairs each qubit index, once, with an
-    axis letter (a mapping of qubit to letter is accepted too)."""
+    """One weighted product of single-qubit factors; ``paulis`` pairs each
+    qubit index, once, with an axis: "X", "Y" or "Z", or a projector, "P0"
+    for |0><0| or "P1" for |1><1| (a mapping of qubit to axis is accepted
+    too)."""
 
     coeff: float
     paulis: tuple[tuple[int, str], ...]
@@ -175,12 +178,15 @@ class PauliTerm:
             if q < 0:
                 raise CircuitSpecError(f"Pauli term qubit index {q} is negative")
             if axis not in PAULI_AXES:
-                raise CircuitSpecError(f"unknown Pauli axis {axis!r} (expected X, Y or Z)")
+                raise CircuitSpecError(
+                    f"unknown Pauli axis {axis!r} (expected X, Y, Z, P0 or P1)")
 
 
 @dataclass(frozen=True)
 class PauliSum:
-    """A real-weighted sum of Pauli strings. Real coefficients keep it Hermitian."""
+    """A real-weighted sum of Pauli strings, whose factors may include the
+    projectors P0 and P1. Every factor is Hermitian and each string names a
+    qubit once, so real coefficients keep the sum Hermitian."""
 
     terms: tuple[PauliTerm, ...]
 
@@ -664,13 +670,12 @@ def parse_circuit_spec(text: str) -> CircuitDescriptor:
             raise CircuitSpecError(f"gate {i} targets must be a list")
         angle = rec.get("angle")
         if isinstance(angle, dict):
-            ref = _record(angle, f"gate {i} angle", ("param",), ("prefactor",))
-            if not isinstance(ref["param"], str):  # a list would fail a set lookup
+            angle = _record(angle, f"gate {i} angle", ("param",), ("prefactor",))
+            if not isinstance(angle["param"], str):  # a list would fail a set lookup
                 raise CircuitSpecError(f"gate {i} angle needs a param name")
-            angle = ParamRef(ref["param"], _number(ref.get("prefactor", 1), f"gate {i} prefactor"))
-        elif angle is not None:
-            angle = _number(angle, f"gate {i} angle")
         try:
+            if isinstance(angle, dict):
+                angle = ParamRef(angle["param"], angle.get("prefactor", 1))
             gates.append(Gate(str(rec["kind"]), tuple(rec["targets"]), angle))
         except CircuitSpecError as e:
             raise CircuitSpecError(f"gate {i}: {e}") from None
@@ -682,7 +687,6 @@ def parse_circuit_spec(text: str) -> CircuitDescriptor:
         terms = []
         for i, rec in enumerate(doc["cost"]):
             rec = _record(rec, f"cost term {i}", ("coeff", "paulis"))
-            coeff = _number(rec["coeff"], f"cost term {i} coeff")
             if not isinstance(rec["paulis"], dict):
                 raise CircuitSpecError(f"cost term {i} paulis must be an object")
             pairs = {}
@@ -700,7 +704,7 @@ def parse_circuit_spec(text: str) -> CircuitDescriptor:
                     raise CircuitSpecError(f"cost term {i} names qubit {q} more than once")
                 pairs[q] = axis
             try:
-                terms.append(PauliTerm(coeff, pairs))
+                terms.append(PauliTerm(rec["coeff"], pairs))
             except CircuitSpecError as e:
                 raise CircuitSpecError(f"cost term {i}: {e}") from None
         cost = PauliSum(tuple(terms))

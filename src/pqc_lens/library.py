@@ -140,15 +140,10 @@ def identity_learning_ansatz(n_qubits: int = 2) -> CircuitDescriptor:
 
 
 def all_zeros_infidelity_cost(n_qubits: int) -> PauliSum:
-    """1 - p(every qubit reads 0): the projector onto |0...0> expanded
-    into 2^n Pauli-Z terms, subtracted from the identity."""
+    """1 - p(every qubit reads 0): the identity minus the projector onto
+    |0...0>, written as one P0 factor per qubit, so two terms at any width."""
     _check_count(n_qubits, "n_qubits")
-    scale = 1.0 / 2**n_qubits
-    terms = [(1.0 - scale, {})]
-    for size in range(1, n_qubits + 1):
-        for subset in combinations(range(n_qubits), size):
-            terms.append((-scale, {q: "Z" for q in subset}))
-    return PauliSum.from_terms(terms)
+    return PauliSum.from_terms([(1.0, {}), (-1.0, {q: "P0" for q in range(n_qubits)})])
 
 
 def mean_excitation_cost(n_qubits: int) -> PauliSum:

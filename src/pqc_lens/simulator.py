@@ -522,6 +522,10 @@ def _compiled_observable(obs: PauliSum, n: int) -> tuple:
     d_i = sum_z c_z (-1)**popcount(i & z): each term's phased coefficient
     is added to c at its zmask, then one butterfly pass per index bit turns
     c into d in place, O(n 2**n) per group whatever its number of terms.
+    A projector is (I + Z)/2 (P0) or (I - Z)/2 (P1), so a term with
+    projectors on the qubits P adds its coefficient times 2**-|P| at the
+    zmask of each subset S of P joined to its own, negated when S holds an
+    odd number of P1 qubits: one scatter of 2**|P| entries.
     The result is kept on obs, one entry per n, for as long as obs lives.
     """
     if n in obs._compiled:
@@ -531,24 +535,40 @@ def _compiled_observable(obs: PauliSum, n: int) -> tuple:
             f"observable touches qubit {obs.max_qubit()}, state has {n}"
         )
     groups: dict[int, list] = {}
+    # the temporaries of the largest projector scatter: per entry its mask
+    # (8 bytes), sign parity (1), signed weight (8) and the table entries
+    # it adds to (8); a term without projectors adds one entry, as a scalar
+    scatter = 0
     for term in obs.terms:
         if term.coeff == 0.0:
             continue
         flip = zmask = n_y = 0
+        bits, ones = [], []  # the projector qubits' bits, and which are P1
         for q, axis in term.paulis:
             bit = 1 << (n - 1 - q)
+            if axis in ("P0", "P1"):
+                bits.append(bit)
+                ones.append(axis == "P1")
+                continue
             flip |= 0 if axis == "Z" else bit
             zmask |= 0 if axis == "X" else bit
             n_y += axis == "Y"
-        groups.setdefault(flip, []).append((term.coeff, zmask, n_y))
+        groups.setdefault(flip, []).append((term.coeff, zmask, n_y, bits, ones))
+        if bits:
+            scatter = max(scatter, 25 * 2**len(bits))
     dim = 2**n
-    _fits(16 * dim * len(groups), f"the observable compiled on {n} qubits")
+    _fits(16 * dim * len(groups) + scatter, f"the observable compiled on {n} qubits")
     compiled = []
     for flip, terms in groups.items():
         d = np.zeros((dim, 2))
-        for coeff, zmask, n_y in terms:
+        for coeff, zmask, n_y, bits, ones in terms:
+            entries = 2**len(bits)
+            masks = _xor_table(np.array(bits, dtype=np.int64), entries)
+            masks |= zmask
+            odd = _xor_table(np.array(ones, dtype=bool), entries)
             # coeff * i**n_y goes to Re d for even n_y, to -Im d for odd
-            d[zmask, n_y % 2] += coeff if n_y % 4 in (0, 3) else -coeff
+            weight = (coeff if n_y % 4 in (0, 3) else -coeff) / entries
+            d[masks, n_y % 2] += np.where(odd, -weight, weight)
         for bit in range(n):
             pairs = d.reshape(-1, 2, 1 << bit, 2)
             lo, hi = pairs[:, 0], pairs[:, 1]

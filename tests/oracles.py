@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from pqc_lens import CircuitDescriptor, Gate, ParamRef, make_circuit
+from pqc_lens import CircuitDescriptor, Gate, ParamRef, PauliSum, make_circuit
 
 _I = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -22,8 +22,11 @@ _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
+_P0 = np.array([[1, 0], [0, 0]], dtype=complex)
+_P1 = np.array([[0, 0], [0, 1]], dtype=complex)
+
 PAULI_BY_INDEX = (_I, _X, _Y, _Z)
-PAULI_BY_AXIS = {"X": _X, "Y": _Y, "Z": _Z}
+PAULI_BY_AXIS = {"X": _X, "Y": _Y, "Z": _Z, "P0": _P0, "P1": _P1}
 
 
 def single_gate_matrix(kind: str, angle) -> np.ndarray:
@@ -61,10 +64,8 @@ def gate_unitary(kind: str, targets, angle, n: int) -> np.ndarray:
     if kind in ("H", "X", "Y", "Z", "RX", "RY", "RZ"):
         return embed({targets[0]: single_gate_matrix(kind, angle)}, n)
     control, target = targets
-    p0 = np.array([[1, 0], [0, 0]], dtype=complex)
-    p1 = np.array([[0, 0], [0, 1]], dtype=complex)
     tail = _X if kind == "CX" else _Z
-    return embed({control: p0}, n) + embed({control: p1, target: tail}, n)
+    return embed({control: _P0}, n) + embed({control: _P1, target: tail}, n)
 
 
 def dense_simulate(bound: CircuitDescriptor) -> np.ndarray:
@@ -83,6 +84,17 @@ def pauli_sum_matrix(obs, n: int) -> np.ndarray:
         ops = {q: PAULI_BY_AXIS[axis] for q, axis in term.paulis}
         total += term.coeff * embed(ops, n)
     return total
+
+
+def all_zeros_infidelity_expansion(n: int):
+    """1 - |0...0><0...0| as 2^n Pauli-Z strings: the identity weighted
+    1 - 2^-n and every non-empty Z string weighted -2^-n."""
+    scale = 1.0 / 2**n
+    terms = [(1.0 - scale, {})]
+    for size in range(1, n + 1):
+        for subset in combinations(range(n), size):
+            terms.append((-scale, {q: "Z" for q in subset}))
+    return PauliSum.from_terms(terms)
 
 
 def dense_expectation(psi: np.ndarray, obs, n: int) -> float:
@@ -367,8 +379,6 @@ def random_circuit(rng: np.random.Generator, max_qubits: int = 4,
         gates.append(Gate("RY", (q,), ParamRef(names[idx])))
     cost = None
     if with_cost:
-        from pqc_lens import PauliSum
-
         terms = []
         for q in range(n):
             axis = str(rng.choice(("X", "Y", "Z")))

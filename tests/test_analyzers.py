@@ -860,9 +860,25 @@ _ZERO_STATE = StateVector(1, np.array([1.0, 0.0]))
     # an int beyond the float range is not finite
     ("learning_rate must be finite and positive, got 1000",
      lambda: OptimizerConfig(learning_rate=10**400)),
+    # the baselines' fidelities and value ranges
+    ("fidelity must be a real number, got '0.5'", lambda: haar_fidelity_cdf("0.5", 4)),
+    ("fidelity must be a real number, got True", lambda: haar_fidelity_cdf(True, 4)),
+    ("fidelity must be finite, got nan", lambda: haar_fidelity_cdf(math.nan, 4)),
+    ("fidelity must be a real number or an array of finite reals",
+     lambda: haar_fidelity_cdf(np.array([0.5, math.nan]), 4)),
+    ("fidelity must be a real number or an array of finite reals",
+     lambda: haar_fidelity_cdf(["0.5"], 4)),
+    ("value_range[0] must be a real number, got True",
+     lambda: baselines.histogram([0.5], 2, (True, 2))),
+    ("value_range[0] must be a real number, got '0'",
+     lambda: baselines.histogram([0.5], 2, ("0", "1"))),
+    ("value_range[1] must be finite, got nan",
+     lambda: baselines.histogram([0.5], 2, (0.0, math.nan))),
 ], ids=["bool-learning-rate", "bool-scan-range", "bool-plateau-scan-range", "bool-perplexity",
         "bool-p1", "bool-readout", "string-learning-rate", "none-learning-rate",
-        "string-scan-range", "string-cutoff", "none-readout", "huge-learning-rate"])
+        "string-scan-range", "string-cutoff", "none-readout", "huge-learning-rate",
+        "string-fidelity", "bool-fidelity", "nan-fidelity", "nan-fidelity-array",
+        "string-fidelity-list", "bool-value-range", "string-value-range", "nan-value-range"])
 def test_real_arguments_are_checked_by_one_rule(monkeypatch, message, call):
     for module, attr in _ANALYZER_NO_WORK:
         monkeypatch.setattr(module, attr, _no_work)
@@ -878,3 +894,7 @@ def test_ints_and_numpy_reals_are_accepted_as_reals():
     assert (json.dumps(entanglement_spectrum(layered_ansatz(2, 1), 3, cutoff=-30, seed=0)
                        .to_dict())
             == json.dumps(entanglement_spectrum(layered_ansatz(2, 1), 3, seed=0).to_dict()))
+    assert haar_fidelity_cdf(np.float32(0.5), 2) == haar_fidelity_cdf(0.5, 2) == 0.5
+    assert np.array_equal(haar_fidelity_cdf(np.linspace(0.0, 1.0, 5), 2), np.linspace(0.0, 1.0, 5))
+    assert (baselines.histogram([0.5], 2, (np.int64(0), 1)).masses
+            == baselines.histogram([0.5], 2, (0.0, 1.0)).masses).all()

@@ -199,6 +199,14 @@ class TestSpecFormat:
         c = random_circuit(rng, max_qubits=5, with_cost=bool(seed % 2))
         assert parse_circuit_spec(serialize_circuit_spec(c)) == c
 
+    def test_round_trip_preserves_projector_factors(self):
+        cost = PauliSum.from_terms([(1.0, {}), (-1.0, {0: "P0", 1: "P1"}),
+                                    (0.5, {0: "X", 1: "P0"})])
+        c = make_circuit(2, [Gate("H", (0,))], [], cost)
+        text = serialize_circuit_spec(c)
+        assert json.loads(text)["cost"][1]["paulis"] == {"0": "P0", "1": "P1"}
+        assert parse_circuit_spec(text) == c
+
     def test_round_trip_preserves_qaoa(self):
         c = qaoa_builder([(0, 1), (1, 2), (0, 2)], p=2)
         assert parse_circuit_spec(serialize_circuit_spec(c)) == c
@@ -291,14 +299,15 @@ class TestSpecFormat:
         ("gate 0 is missing targets", {"n_qubits": 1, "gates": [{"kind": "H"}]}),
         ("gate 0 has unknown field(s): ['angel']",
          {"n_qubits": 1, "gates": [{"kind": "H", "targets": [0], "angel": 1.0}]}),
-        ("gate 0 angle must be a number",
+        ("gate 0: gate angle must be a number",
          {"n_qubits": 1, "gates": [{"kind": "RX", "targets": [0], "angle": True}]}),
         ("gate 0 angle is missing param", {"n_qubits": 1, "parameters": ["a"], "gates": [
             {"kind": "RX", "targets": [0], "angle": {"prefactor": 2.0}}]}),
-        ("gate 0 prefactor must be a number", {"n_qubits": 1, "parameters": ["a"], "gates": [
-            {"kind": "RX", "targets": [0], "angle": {"param": "a", "prefactor": "2"}}]}),
+        ("gate 0: prefactor of parameter 'a' must be a number",
+         {"n_qubits": 1, "parameters": ["a"], "gates": [
+             {"kind": "RX", "targets": [0], "angle": {"param": "a", "prefactor": "2"}}]}),
         ("cost term 0 is missing paulis", {"n_qubits": 1, "gates": [], "cost": [{"coeff": 1}]}),
-        ("cost term 0 coeff must be a number",
+        ("cost term 0: Pauli term coefficient must be a number",
          {"n_qubits": 1, "gates": [], "cost": [{"coeff": None, "paulis": {}}]}),
         # what a value means is checked by the descriptor types it builds
         ("n_qubits must be a positive integer, got 1.5", {"n_qubits": 1.5, "gates": []}),
@@ -325,11 +334,15 @@ class TestSpecFormat:
         ("cost term 1: cost references qubit 5, circuit has 2", {"n_qubits": 2, "gates": [],
          "cost": [{"coeff": 1.0, "paulis": {"0": "Z"}},
                   {"coeff": 0.5, "paulis": {"1": "X", "5": "Z"}}]}),
+        # an axis is a string: the JSON integer 0 is not the projector P0
+        ("cost term 0: unknown Pauli axis '0' (expected X, Y, Z, P0 or P1)",
+         {"n_qubits": 1, "gates": [], "cost": [{"coeff": 1.0, "paulis": {"0": 0}}]}),
     ], ids=["top-level", "missing-gates", "unknown-field", "gate-not-object",
             "gate-missing-targets", "gate-unknown-field", "bool-angle", "angle-missing-param",
             "string-prefactor", "term-missing-paulis", "null-coeff", "float-n-qubits",
             "float-target", "integer-name", "indexed-target", "indexed-kind", "indexed-range",
-            "indexed-distinct", "indexed-parameter", "indexed-axis", "indexed-cost-qubit"])
+            "indexed-distinct", "indexed-parameter", "indexed-axis", "indexed-cost-qubit",
+            "integer-axis"])
     def test_messages_name_the_record_or_field(self, message, doc):
         with pytest.raises(CircuitSpecError, match=re.escape(message)):
             parse_circuit_spec(json.dumps(doc))

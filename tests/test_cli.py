@@ -292,6 +292,16 @@ class TestExitCodes:
                     "--samples", "5", "--out", str(tmp_path / "o")])
         assert code == 3
 
+    def test_integer_axis_is_spec_error(self, tmp_path, capsys):
+        # a cost axis is a string; the JSON integer 0 does not read as P0
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"n_qubits": 1, "gates": [], "cost": [{"coeff": 1.0, "paulis": {"0": 0}}]}',
+                       encoding="utf-8")
+        code = run(["train", "--circuit", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "cost term 0: unknown Pauli axis '0'" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "o")
+
     @pytest.mark.parametrize("command", ["expressibility", "train"])
     def test_negative_seed_is_usage_error_naming_the_seed(self, two_qubit_spec, tmp_path,
                                                           capsys, command):

@@ -150,26 +150,29 @@ def _random_states(rng, rows, n):
 
 @st.composite
 def pauli_sums(draw):
-    """(n, PauliSum) with X/Y/Z mixes, identity terms, zero and cancelling
-    coefficients, repeated strings and several strings per X/Y flip mask."""
+    """(n, PauliSum) with X/Y/Z/P0/P1 mixes, identity terms, zero and
+    cancelling coefficients, repeated strings and several strings per X/Y
+    flip mask."""
     n = draw(st.integers(1, 6))
-    strings = st.dictionaries(st.integers(0, n - 1), st.sampled_from("XYZ"), max_size=n)
+    axes = st.sampled_from(("X", "Y", "Z", "P0", "P1"))
+    strings = st.dictionaries(st.integers(0, n - 1), axes, max_size=n)
     pool = draw(st.lists(strings, min_size=1, max_size=4))
     coeffs = st.sampled_from([0.0, 1.0, -0.5]) | st.floats(-2.0, 2.0)
     terms = []
     for _ in range(draw(st.integers(1, 12))):
         paulis = dict(draw(st.sampled_from(pool) | strings))
         if draw(st.booleans()):
-            # the same flip mask: swap X and Y, toggle Z on idle qubits
+            # the same flip mask: swap X and Y, toggle a diagonal factor
+            # (Z, P0 or P1) on the other qubits
             for q in range(n):
                 axis = paulis.get(q)
                 if axis in ("X", "Y"):
                     paulis[q] = draw(st.sampled_from("XY"))
                 elif draw(st.booleans()):
-                    if axis == "Z":
-                        del paulis[q]
+                    if axis is None:
+                        paulis[q] = draw(st.sampled_from(("Z", "P0", "P1")))
                     else:
-                        paulis[q] = "Z"
+                        del paulis[q]
         coeff = draw(coeffs)
         terms.append((coeff, paulis))
         if draw(st.booleans()):
@@ -216,6 +219,16 @@ class TestCompiledObservable:
         diagonal = np.diag(oracles.pauli_sum_matrix(obs, n)).real
         assert flip == 0
         assert np.array_equal(weights.reshape(-1, 2), np.stack([diagonal, diagonal], 1))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_projector_cost_compiles_as_its_z_expansion(self, n):
+        # the two-term global cost and its 2^n Z strings give one table, bit for bit
+        cost = all_zeros_infidelity_cost(n)
+        assert len(cost.terms) == 2
+        got = simulator._compiled_observable(cost, n)
+        want = simulator._compiled_observable(oracles.all_zeros_infidelity_expansion(n), n)
+        assert [flip for flip, _ in got] == [flip for flip, _ in want] == [0]
+        assert np.array_equal(got[0][1], want[0][1])
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_library_costs_match_closed_forms(self, n):
@@ -660,14 +673,17 @@ class TestWidthGuard:
         assert simulate(bind(narrower, [])).n_qubits == 9
 
     def test_expectation_rejects_observables_too_large_to_compile(self, small_memory):
-        # on 11 qubits one group of terms takes 32 KiB, all the budget allows
+        # on 11 qubits one group of terms takes 32 KiB, all the budget allows;
+        # a projector's scatter needs more, so it fails before it is built
         states = np.zeros((1, 2**11), dtype=complex)
         states[0, 0] = 1.0
         z_only = PauliSum.from_terms([(1.0, {0: "Z"}), (0.5, {1: "Z"})])
         assert simulator.expectation_batch(states, z_only)[0] == 1.5
         with_flip = PauliSum.from_terms([(1.0, {0: "Z"}), (0.5, {1: "X"})])
-        with pytest.raises(ValueError, match="physical memory"):
-            simulator.expectation_batch(states, with_flip)
+        with_projector = PauliSum.from_terms([(1.0, {0: "Z"}), (0.5, {1: "P0"})])
+        for obs in (with_flip, with_projector):
+            with pytest.raises(ValueError, match="physical memory"):
+                simulator.expectation_batch(states, obs)
 
     def test_cli_maps_the_width_error_to_exit_code_2(self, small_memory, tmp_path):
         spec = tmp_path / "wide.spec.json"
