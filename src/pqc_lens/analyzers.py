@@ -1,14 +1,14 @@
 """Ensemble analyzers for parameterized circuits.
 
 expressibility, entanglement_capability and entanglement_spectrum go
-through one ensemble runner, ``_ensemble``: it draws parameter vectors
-uniformly from [0, 2*pi)^M, one RNG stream per sample seeded base + i, all
-up front, and simulates whole samples through simulator.simulate_map in
-memory-bounded ranges, in order. A row's arithmetic does not depend on its
-range and reductions run sequentially, so outputs are byte-stable for any
-chunk size and S' samples are the first S' of S. The base seed is None,
-for a fresh one, or a non-negative integer, never rounded; it, the counts
-and the modes are checked by one rule (``circuit._check_count`` and
+through one ensemble runner, ``_ensemble``: it simulates whole samples
+through simulator.simulate_map in memory-bounded ranges, in order, drawing
+a range's parameter vectors uniformly from [0, 2*pi)^M as it runs it, one
+RNG stream per sample seeded base + i. A row's arithmetic does not depend
+on its range and reductions run sequentially, so outputs are byte-stable
+for any chunk size and S' samples are the first S' of S. The base seed is
+None, for a fresh one, or a non-negative integer, never rounded; it, the
+counts and the modes are checked by one rule (``circuit._check_count`` and
 ``_check_choice``) before any draw, and reals by ``circuit._check_real``.
 
 Reports serialize through to_dict() into plain JSON trees tagged with the
@@ -58,7 +58,6 @@ from .trainer import (
     TrainingTrace,
     _check_run,
     _loss_and_gradient,
-    _rows_per_point,
     cost_batch,
     ensemble_train,
 )
@@ -71,23 +70,23 @@ ENTANGLEMENT_MEASURES = ("meyer-wallach", "scott")
 
 
 def _ensemble(circuit: CircuitDescriptor, samples: int, seed, reduce,
-              draws: int = 1) -> tuple[int, np.ndarray]:
+              draws: int = 1, width: int = 1) -> tuple[int, np.ndarray]:
     """(base, results): the resolved base seed and reduce(states), concatenated
     in order over chunks of whole samples. Sample i is ``draws`` rows whose
-    parameter vectors default_rng(base + i) draws uniformly from [0, 2*pi).
+    parameter vectors default_rng(base + i) draws from U[0, 2*pi) in its chunk.
 
-    ValueError, before any draw, if the parameters and angles of all rows,
-    plus one result word per sample, take more than half of physical memory.
+    ValueError, before any draw, if the results, ``width`` words per sample,
+    take more than half of physical memory.
     """
     base = _resolve_seed(seed)
     program = circuit.program
-    _fits(8 * samples * (draws * (program.n_params + program.kinds.size) + 1),
-          f"the angle table of {samples} samples")
-    shape = (draws, program.n_params)
-    thetas = [np.random.default_rng(base + i).uniform(0.0, 2.0 * math.pi, shape)
-              for i in range(samples)]
-    return base, simulate_map(lambda states, rows: reduce(states), program,
-                              program.angles(np.concatenate(thetas)), draws)
+    _fits(8 * samples * width, f"the results of {samples} samples")
+
+    def rows(r: range) -> np.ndarray:
+        return program.angles(np.concatenate([np.random.default_rng(base + i).uniform(
+            0.0, 2.0 * math.pi, (draws, program.n_params)) for i in r]))
+
+    return base, simulate_map(lambda states, _: reduce(states), program, rows, samples, draws)
 
 
 def _pair_fidelities(states: np.ndarray) -> np.ndarray:
@@ -169,7 +168,8 @@ def _metric_values(circuit: CircuitDescriptor, thetas, metric: MetricSpec,
                                            metric.shots, seeds[r]).bit_matrix()))
                 for r, psi in zip(rows, states)]
 
-    return simulate_map(scores, circuit.program, circuit.program.angles(thetas))
+    angles = circuit.program.angles(thetas)
+    return simulate_map(scores, circuit.program, lambda r: angles[r.start:r.stop], len(angles))
 
 
 @dataclass(frozen=True)
@@ -248,7 +248,8 @@ def entanglement_capability(circuit: CircuitDescriptor, samples: int,
     # Meyer-Wallach's Q is Scott's Q_1
     m_values = range(1, 2 if measure == "meyer-wallach" else n // 2 + 1)
     base, rows = _ensemble(circuit, samples, seed,
-                           partial(_block_impurities, n=n, m_values=m_values))
+                           partial(_block_impurities, n=n, m_values=m_values),
+                           width=len(m_values))
     q_m = tuple(
         float(2.0**m / (2.0**m - 1.0) * rows[:, j].mean())
         for j, m in enumerate(m_values)
@@ -321,7 +322,7 @@ def entanglement_spectrum(circuit: CircuitDescriptor, samples: int,
     k = (n + 1) // 2
     rank = _schmidt_rank_bound(circuit, k)
     base, profiles = _ensemble(circuit, samples, seed,
-                               partial(xi_profiles, k=k, cutoff=cutoff, rank=rank))
+                               partial(xi_profiles, k=k, cutoff=cutoff, rank=rank), width=2**k)
     pooled = histogram(profiles.reshape(-1), bins, (0.0, abs(cutoff)))
     reference = mp_reference_spectrum(n, k, samples, rng=base + samples,
                                       cutoff=cutoff, bins=bins)
@@ -461,8 +462,7 @@ def barren_plateau_scan(circuit: CircuitDescriptor, cost_kind: str = "global",
     if circuit.n_params != 2:
         raise ValueError("scan expects a circuit with exactly 2 parameters")
     _check_grid(points, scan_range)
-    _fits(8 * points**2 * (2 + _rows_per_point(circuit.program) * circuit.program.kinds.size),
-          f"a {points} x {points} scan grid")
+    _fits(16 * points**2, f"a {points} x {points} scan grid")
 
     scored = make_circuit(circuit.n_qubits, circuit.gates, circuit.parameter_names,
                           _COSTS[cost_kind](circuit.n_qubits))

@@ -79,6 +79,8 @@ def histogram(samples, bins: int, value_range: tuple[float, float]) -> Histogram
     fidelity estimates at exactly 1.0 (or barely above, from rounding) in
     the last bin instead of being dropped.
     """
+    if not (isinstance(value_range, (tuple, list, np.ndarray)) and len(value_range) == 2):
+        raise ValueError(f"value_range must be a pair (lo, hi), got {value_range!r}")
     for i in (0, 1):
         _check_real(value_range[i], f"value_range[{i}]", None)
     lo, hi = float(value_range[0]), float(value_range[1])
@@ -219,4 +221,6 @@ def mp_reference_spectrum(n_qubits: int, k: int, samples: int, rng=None,
 
 def haar_mean_marginal_purity(d_a: int, d_b: int) -> float:
     """E[Tr rho_A^2] over Haar states of a d_a x d_b split: (d_a+d_b)/(d_a*d_b+1)."""
+    _check_count(d_a, "d_a")
+    _check_count(d_b, "d_b")
     return (d_a + d_b) / (d_a * d_b + 1.0)

@@ -51,15 +51,16 @@ drift beyond 1e-10 raises ValueError; it is not asserted gate by gate.
 Every simulation of many rows goes through ``simulate_map``, which runs
 them through ``map_chunks``, the one chunk runner: consecutive ranges of at
 most CHUNK_BYTES = 4 MiB (and half of physical memory), run one after
-another in order. One rule, ``_row_bytes``, sizes a row: two states (32 *
-2**n bytes), its own and one pass's output or scratch, plus 96 bytes per
-angle column a dense op reads (a mono op reads its RZ angles alone) and
-2048 bytes of workspace. The kernels, the reductions the analyzers run on
-a chunk and the chunks of Haar states stay within it, but for per-call
-tables and the one case ``_row_bytes`` names. A batch of no rows gives an
-empty result. A batch whose rows take more than half of physical memory by
-that rule, a chunk item or a compiled observable that does, is rejected
-with ValueError before anything is allocated.
+another in order, each range's angle rows built, by the caller's row
+builder, as the range is run. One rule, ``_row_bytes``, sizes a row: two
+states (32 * 2**n bytes), its own and one pass's output or scratch, plus 96
+bytes per angle column a dense op reads (a mono op reads its RZ angles
+alone) and 2048 bytes of workspace. The kernels, the reductions the
+analyzers run on a chunk and the chunks of Haar states stay within it, but
+for per-call tables and the one case ``_row_bytes`` names. A batch of no
+rows gives an empty result. A batch whose rows take more than half of
+physical memory by that rule, a chunk item or a compiled observable that
+does, is rejected with ValueError before anything is allocated.
 
 Observables are never applied as gates. A PauliSum is compiled once per
 register width n into groups of terms that share an X/Y flip mask, and
@@ -231,17 +232,11 @@ def map_chunks(fn, n_items: int, item_bytes: int) -> np.ndarray:
                            for s in range(0, max(n_items, 1), size)])
 
 
-def simulate_map(fn, program: GateProgram, angles: np.ndarray,
-                 group: int = 1) -> np.ndarray:
-    """map_chunks of fn(states, rows) over the rows of the (B, columns) angles,
-    states being those rows' final states. A range holds whole groups of
-    ``group`` rows, each row costing ``_row_bytes``."""
-
-    def chunk(items: range):
-        rows = range(group * items.start, group * items.stop)
-        return fn(simulate_batch(program, angles[rows.start:rows.stop]), rows)
-
-    return map_chunks(chunk, angles.shape[0] // group,
+def simulate_map(fn, program: GateProgram, rows, items: int, group: int = 1) -> np.ndarray:
+    """map_chunks of fn(states, r) over ranges r of range(items), states being
+    the final states of rows(r), the angle rows of the items in r, built once
+    per range; an item is ``group`` rows, each costing ``_row_bytes``."""
+    return map_chunks(lambda r: fn(simulate_batch(program, rows(r)), r), items,
                       group * _row_bytes(program.n_qubits, program))
 
 
@@ -690,6 +685,8 @@ def simulate_noisy(bound: CircuitDescriptor, noise: NoiseModel, seed=None) -> St
 
 
 def _checked_keep(keep, n: int) -> tuple[int, ...]:
+    if not np.iterable(keep):
+        raise ValueError(f"keep must be a sequence of qubit indices, got {keep!r}")
     keep = tuple(keep)
     if not all(_is_integer(q) for q in keep):
         raise ValueError(f"keep must hold integer qubit indices, got {keep}")

@@ -6,10 +6,10 @@ a rotation with angle s * theta_v contributes
 where the shift moves only that one gate's angle by +-pi/2. Summing
 occurrences implements the chain rule for parameters shared across gates
 (QAOA reuses each gamma on every edge). For this gate set the rule is
-exact, not a finite-difference approximation. The shifted circuits of a
-batch of points are simulated as one batch with the unshifted ones, which
-give the losses there. Training advances every restart of an ensemble in
-lockstep, one such batch per optimizer step.
+exact, not a finite-difference approximation. A batch of points is one
+simulate_map call over each point's shifted circuits and the point itself,
+whose cost is the loss there; it builds their angles a chunk at a time.
+Training advances every restart of an ensemble in lockstep, one per step.
 """
 from __future__ import annotations
 
@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import (CircuitDescriptor, GateProgram, _check_choice, _check_count,
-                      _check_real, _resolve_seed)
+from .circuit import (CircuitDescriptor, _check_choice, _check_count, _check_real,
+                      _resolve_seed)
 from .simulator import _fits, expectation_batch, simulate_map
 
 METHODS = ("gd", "adam")
@@ -58,17 +58,13 @@ class TrainingTrace:
     losses: np.ndarray  # (steps + 1,)
 
 
-def _costs(circuit: CircuitDescriptor, angles: np.ndarray) -> np.ndarray:
-    """The cost after running the circuit's program once per row of angles."""
-    if circuit.cost is None:
-        raise ValueError("circuit has no cost observable attached")
-    return simulate_map(lambda states, rows: expectation_batch(states, circuit.cost),
-                        circuit.program, angles)
-
-
 def cost_batch(circuit: CircuitDescriptor, thetas) -> np.ndarray:
     """C(theta) for every row of a (B, n_params) parameter batch."""
-    return _costs(circuit, circuit.program.angles(thetas))
+    angles = circuit.program.angles(thetas)
+    if circuit.cost is None:
+        raise ValueError("circuit has no cost observable attached")
+    return simulate_map(lambda states, _: expectation_batch(states, circuit.cost),
+                        circuit.program, lambda r: angles[r.start:r.stop], angles.shape[0])
 
 
 def evaluate_cost(circuit: CircuitDescriptor, theta) -> float:
@@ -77,30 +73,33 @@ def evaluate_cost(circuit: CircuitDescriptor, theta) -> float:
 
 
 def _loss_and_gradient(circuit: CircuitDescriptor, thetas) -> tuple[np.ndarray, np.ndarray]:
-    """Costs and parameter-shift gradients at every row of a (B, n_params) batch."""
+    """Costs and parameter-shift gradients at every row of a (B, n_params) batch;
+    ValueError, before any simulation, if they exceed half of physical memory."""
     program = circuit.program
     base = program.angles(thetas)
     points = base.shape[0]
     occurrences = np.flatnonzero(program.params >= 0)
-    # per point, rows 2k, 2k + 1 shift occurrence k by +-pi/2; unshifted rows go last
-    shifted = np.repeat(base, 2 * occurrences.size, axis=0)
-    rows = np.arange(shifted.shape[0])
-    shifted[rows, np.tile(np.repeat(occurrences, 2), points)] += np.where(
-        rows % 2 == 0, math.pi / 2.0, -math.pi / 2.0)
-    values = _costs(circuit, np.concatenate([shifted, base]))
-    shifts = values[:rows.size].reshape(points, occurrences.size, 2)
+    per_point = 2 * occurrences.size + 1
+    _fits(8 * points * (per_point + circuit.n_params),
+          f"the parameter-shift costs and gradients of {points} point(s)")
+    if circuit.cost is None:
+        raise ValueError("circuit has no cost observable attached")
+
+    def rows(r: range) -> np.ndarray:
+        # per point, rows 2k, 2k + 1 shift occurrence k by +-pi/2; the last is the point
+        point, j = np.divmod(np.arange(r.start, r.stop), per_point)
+        angles, shifted = base[point], j < per_point - 1
+        angles[shifted, occurrences[j[shifted] // 2]] += np.where(
+            j[shifted] % 2, -math.pi / 2.0, math.pi / 2.0)
+        return angles
+
+    values = simulate_map(lambda states, _: expectation_batch(states, circuit.cost),
+                          program, rows, points * per_point).reshape(points, per_point)
     grad = np.zeros((points, circuit.n_params))
     # accumulate in occurrence order: the chain rule for shared parameters
-    for k, column in enumerate(occurrences):
-        s = program.prefactors[column]
-        grad[:, program.params[column]] += (s / 2.0) * (shifts[:, k, 0] - shifts[:, k, 1])
-    return values[rows.size:], grad
-
-
-def _rows_per_point(program: GateProgram) -> int:
-    """The states ``_loss_and_gradient`` simulates per point: two per rotation
-    occurrence of a parameter, and the point itself."""
-    return 2 * np.count_nonzero(program.params >= 0) + 1
+    np.add.at(grad.T, program.params[occurrences],
+              program.prefactors[occurrences, None] / 2.0 * (values[:, :-1:2] - values[:, 1::2]).T)
+    return values[:, -1].copy(), grad
 
 
 def gradient(circuit: CircuitDescriptor, theta) -> np.ndarray:

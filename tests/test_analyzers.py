@@ -425,9 +425,14 @@ class TestBarrenPlateauScan:
     def test_oversized_grid_fails_before_allocation(self, monkeypatch):
         monkeypatch.setattr(simulator, "_physical_memory", lambda: 2**20)
         c = identity_learning_ansatz(2)
-        with pytest.raises(ValueError, match="100 x 100 scan grid takes"):
+        with pytest.raises(ValueError, match=r"the parameter-shift costs and gradients "
+                                             r"of 10000 point\(s\) takes"):
             barren_plateau_scan(c, points=100)
         assert barren_plateau_scan(c, points=10).loss.shape == (10, 10)
+        # a grid whose nodes alone do not fit is refused before it is built
+        monkeypatch.setattr(analyzers, "_loss_and_gradient", _no_work)
+        with pytest.raises(ValueError, match="a 200 x 200 scan grid takes"):
+            barren_plateau_scan(c, points=200)
 
 
 class TestTrainingPath:
@@ -656,10 +661,11 @@ class TestReachability:
 @pytest.mark.parametrize("analyze", [expressibility, entanglement_capability,
                                      entanglement_spectrum])
 def test_oversized_sample_counts_fail_before_drawing(monkeypatch, analyze):
-    # 64 KiB: 10 000 samples of six parameters and six angles do not fit, 100 do
+    # 64 KiB: the results of 10 000 samples, at least one float each, do not
+    # fit, those of 100 do
     monkeypatch.setattr(simulator, "_physical_memory", lambda: 2**16)
     circuit = layered_ansatz(2, 1)
-    with pytest.raises(ValueError, match="the angle table of 10000 samples takes"):
+    with pytest.raises(ValueError, match="the results of 10000 samples takes"):
         analyze(circuit, 10_000, seed=0)
     assert analyze(circuit, 100, seed=0).samples == 100
 

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -72,6 +73,15 @@ class TestHistogram:
             histogram([0.5], bins=0, value_range=(0.0, 1.0))
         with pytest.raises(ValueError):
             histogram([0.5], bins=4, value_range=(1.0, 1.0))
+
+    @pytest.mark.parametrize("value_range", [(0.0,), 5, (0.0, 1.0, 7.0), "01", None],
+                             ids=["one", "int", "three", "string", "none"])
+    def test_value_range_must_be_a_pair(self, value_range):
+        with pytest.raises(ValueError, match=re.escape(
+                f"value_range must be a pair (lo, hi), got {value_range!r}")):
+            histogram([0.5], bins=4, value_range=value_range)
+        for pair in ([0.0, 1.0], np.array([0.0, 1.0])):
+            assert histogram([0.5], bins=2, value_range=pair).masses.tolist() == [0.0, 1.0]
 
     def test_oversized_bin_counts_fail_before_allocation(self, monkeypatch):
         monkeypatch.setattr(simulator, "_physical_memory", lambda: 2**20)
@@ -311,6 +321,17 @@ class TestHaarPurity:
     def test_closed_form_values(self):
         assert haar_mean_marginal_purity(2, 2) == pytest.approx(0.8)
         assert haar_mean_marginal_purity(2, 8) == pytest.approx(10.0 / 17.0)
+
+    @pytest.mark.parametrize("d_a, d_b, message", [
+        (2.5, -1, "d_a must be an integer, got 2.5"),
+        (True, 0, "d_a must be an integer, got True"),
+        (2, 0, "d_b must be positive, got 0"),
+        (0, 2, "d_a must be positive, got 0"),
+        (2, 4.0, "d_b must be an integer, got 4.0"),
+    ])
+    def test_dimensions_are_checked_as_counts(self, d_a, d_b, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            haar_mean_marginal_purity(d_a, d_b)
 
     def test_monte_carlo_agreement(self):
         rng = np.random.default_rng(13)

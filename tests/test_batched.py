@@ -13,16 +13,16 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from pqc_lens import (Gate, MetricSpec, ParamRef, PauliSum, bind, entanglement_capability,
-                      entanglement_spectrum, expressibility, loss_landscape, make_circuit,
-                      simulate)
+from pqc_lens import (Gate, MetricSpec, OptimizerConfig, ParamRef, PauliSum, bind,
+                      entanglement_capability, entanglement_spectrum, expressibility,
+                      loss_landscape, make_circuit, simulate)
 from pqc_lens import analyzers, simulator
 from pqc_lens.baselines import xi_profiles
 from pqc_lens.circuit import (CircuitDescriptor, CircuitSpecError, compile_program,
                               qaoa_builder)
 from pqc_lens.library import layered_ansatz, random_gnm_edges
 from pqc_lens.simulator import StateVector, expectation_batch, sample, simulate_batch
-from pqc_lens.trainer import _loss_and_gradient, cost_batch
+from pqc_lens.trainer import _loss_and_gradient, cost_batch, ensemble_train
 
 
 def _circuit_and_thetas(seed: int, rows: int, with_cost: bool = False):
@@ -63,8 +63,11 @@ def test_batched_gradient_matches_finite_differences(seed, points):
 def _simulate_map_outputs(circuit, thetas, samples, seed) -> list:
     """What every caller of simulate_map returns for these inputs, as lists."""
     spread = MetricSpec(lambda bits: bits.mean(), shots=16)
+    loss, grad = _loss_and_gradient(circuit, thetas)
+    traces = ensemble_train(circuit, OptimizerConfig(steps=2, seed=seed), 2)
     out = [expressibility(circuit, samples, seed=seed).to_dict(),
-           cost_batch(circuit, thetas).tolist()]
+           cost_batch(circuit, thetas).tolist(), loss.tolist(), grad.tolist(),
+           [(t.thetas.tolist(), t.losses.tolist()) for t in traces]]
     if circuit.n_params:
         for metric in (None, spread):
             out.append(loss_landscape(circuit, thetas[0], metric=metric, points=3,
@@ -78,8 +81,9 @@ def _simulate_map_outputs(circuit, thetas, samples, seed) -> list:
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10**9), st.integers(2, 40))
 def test_chunk_boundaries_do_not_change_expressibility(seed, samples):
-    # expressibility, Scott and the spectrum, the cost, and both landscape
-    # metric modes: one big range versus one item per range
+    # expressibility, Scott and the spectrum, the cost, the shifted rows of
+    # a gradient and of two restarts' training, and both landscape metric
+    # modes: one big range versus one item per range
     circuit, thetas = _circuit_and_thetas(seed, samples, with_cost=True)
     whole = _simulate_map_outputs(circuit, thetas, samples, seed)
     with pytest.MonkeyPatch.context() as mp:
@@ -436,7 +440,8 @@ def test_opening_rows_are_bit_identical_to_lone_rows(monkeypatch, rows, chunk_by
     for circuit in circuits:
         program = compile_program(circuit)
         angles = program.angles(rng.uniform(-2 * np.pi, 2 * np.pi, (rows, circuit.n_params)))
-        states = simulator.simulate_map(lambda states, _: states, program, angles)
+        states = simulator.simulate_map(lambda states, _: states, program,
+                                        lambda r: angles[r.start:r.stop], rows)
         for i in range(rows):
             assert np.array_equal(states[i], simulate_batch(program, angles[i:i + 1])[0])
 
@@ -542,7 +547,8 @@ def test_monomial_rows_are_bit_identical_to_lone_rows(monkeypatch, rows, chunk_b
         program = compile_program(circuit)
         assert "mono" in [op[0] for op in program.ops]
         angles = program.angles(rng.uniform(-2 * np.pi, 2 * np.pi, (rows, circuit.n_params)))
-        states = simulator.simulate_map(lambda states, _: states, program, angles)
+        states = simulator.simulate_map(lambda states, _: states, program,
+                                        lambda r: angles[r.start:r.stop], rows)
         for i in range(rows):
             assert np.array_equal(states[i], simulate_batch(program, angles[i:i + 1])[0])
 
@@ -688,11 +694,14 @@ def test_one_chunk_holds_at_most_the_bytes_the_rule_counts(circuit):
     for name, group, reduce in _reductions(circuit):
         rows = max(1, simulator.CHUNK_BYTES // (group * rule)) * group
         thetas = np.random.default_rng(rows).uniform(0, 2 * np.pi, (rows, circuit.n_params))
-        angles = program.angles(thetas)
-        reduce(simulate_batch(program, angles[:group]), range(group))  # fills the caches
+        first = program.angles(thetas[:group])
+        reduce(simulate_batch(program, first), range(group))  # fills the caches
         tracemalloc.start()
         try:
-            simulator.simulate_map(reduce, program, angles, group)  # one chunk
+            # one chunk, its angle rows built inside the trace
+            simulator.simulate_map(
+                reduce, program, lambda r: program.angles(thetas[group * r.start:group * r.stop]),
+                rows // group, group)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -532,13 +532,13 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["expressibility", "entanglement", "spectrum"])
     def test_oversized_sample_counts_fail_before_drawing(self, two_qubit_spec, tmp_path,
                                                          monkeypatch, capsys, command):
-        # 64 KiB: 10 000 samples of two parameters and two angles do not fit
+        # 64 KiB: the results of 10 000 samples, at least one float each, do not fit
         monkeypatch.setattr(simulator, "_physical_memory", lambda: 2**16)
         out = tmp_path / "o"
         code = run([command, "--circuit", two_qubit_spec, "--samples", "10000",
                     "--seed", "0", "--out", str(out)])
         assert code == 2
-        assert "the angle table of 10000 samples takes" in capsys.readouterr().err
+        assert "the results of 10000 samples takes" in capsys.readouterr().err
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("argv, message", [

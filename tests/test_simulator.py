@@ -545,6 +545,14 @@ class TestReducedStates:
                 reduce(psi, keep)
         assert subsystem_purity(psi, np.array([1])) == pytest.approx(0.5)
 
+    def test_a_keep_that_is_not_a_sequence_is_a_value_error(self):
+        psi = simulate(bind(bell_circuit(), []))
+        for reduce in (subsystem_purity, reduced_density_matrix,
+                       lambda st, keep: simulator.purity_batch(st.amplitudes[None], keep)):
+            with pytest.raises(ValueError, match="keep must be a sequence of qubit "
+                                                 "indices, got 0"):
+                reduce(psi, 0)
+
     def test_reduced_density_matrices_too_large_fail_before_allocating(self, monkeypatch):
         # 1 MiB: the 16 MiB density matrix over 10 of 12 qubits does not fit
         # in half of it; the one over 4 qubits, 4 KiB, and its copies do
@@ -625,7 +633,8 @@ class TestRankedSchmidtSpectrum:
             program = circuit.program
             angles = program.angles(rng.uniform(0, 2 * np.pi, (rows, circuit.n_params)))
             got = simulator.simulate_map(
-                lambda states, _: simulator.schmidt_spectrum(states, k, rank), program, angles)
+                lambda states, _: simulator.schmidt_spectrum(states, k, rank), program,
+                lambda r: angles[r.start:r.stop], rows)
             for i in range(rows):
                 lone = simulator.simulate_batch(program, angles[i:i + 1])
                 assert np.array_equal(got[i], simulator.schmidt_spectrum(lone, k, rank)[0])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -261,6 +262,22 @@ class TestEnsemble:
         with pytest.raises(ValueError):
             ensemble_train(c, OptimizerConfig(), restarts=0)
 
+    def test_shifted_rows_are_built_a_chunk_at_a_time(self, monkeypatch):
+        # 480 rotations, so a point is 961 rows: 20 restarts' shifted angles
+        # alone would take 70 MiB, more than the 32 MiB the patched memory
+        # allows; built a chunk at a time they stay well within it
+        monkeypatch.setattr(simulator, "_physical_memory", lambda: 64 * 2**20)
+        ansatz = layered_ansatz(4, 40)
+        c = make_circuit(4, ansatz.gates, ansatz.parameter_names, mean_excitation_cost(4))
+        c.program  # compiled outside the trace
+        tracemalloc.start()
+        try:
+            ensemble_train(c, OptimizerConfig(steps=1, seed=0), restarts=20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
+
 
 def _training_circuit(family: str, seed: int):
     """A circuit with a cost from one of the three families the lockstep
@@ -308,9 +325,9 @@ class TestLockstep:
 
     def test_one_batch_per_step(self, monkeypatch):
         calls = []
-        costs = trainer._costs
-        monkeypatch.setattr(trainer, "_costs",
-                            lambda c, angles: calls.append(angles.shape[0]) or costs(c, angles))
+        simulate_map = trainer.simulate_map
+        monkeypatch.setattr(trainer, "simulate_map", lambda fn, program, rows, items: (
+            calls.append(items) or simulate_map(fn, program, rows, items)))
         c = _shared_param_circuit()
         ensemble_train(c, OptimizerConfig(steps=4, seed=2), restarts=3)
         # 4 occurrences: 3 restarts x (8 shifted + 1 unshifted) rows per
