@@ -45,10 +45,11 @@ from .projection import (_MAX_COORD, PointCloud, SubspaceBasis, _check_tsne, pca
 from .simulator import (
     StateVector,
     _fits,
+    _gram_batch,
+    _gram_purity,
     _row_bytes,
     expectation_batch,
     map_chunks,
-    purity_batch,
     row_vdot,
     sample,
     simulate_map,
@@ -94,11 +95,50 @@ def _pair_fidelities(states: np.ndarray) -> np.ndarray:
     return np.abs(row_vdot(states[0::2], states[1::2])) ** 2
 
 
+def _purity(rho: np.ndarray) -> np.ndarray:
+    """Tr[rho^2] per row of a (B, d, d) batch of Hermitian rho: the sum of the
+    squared real and imaginary parts of its entries, one dot product a row."""
+    parts = rho.reshape(rho.shape[0], 1, -1).view(np.float64)
+    return (parts @ parts.transpose(0, 2, 1))[:, 0, 0]
+
+
 def _block_impurities(states: np.ndarray, n: int, m_values) -> np.ndarray:
     """Per row, one column per m: 1 - the mean subsystem purity over all
-    size-m blocks of the n qubits."""
-    return np.stack([1.0 - sum(purity_batch(states, block)
-                               for block in combinations(range(n), m)) / math.comb(n, m)
+    size-m blocks of the n qubits.
+
+    Gram matrices (``_gram_batch``) are built for the top level only, top =
+    max(m_values), one root block at a time. Above top = 1 a pure state's
+    block and its complement have equal purity, so when 2 * top == n the
+    roots are the top blocks that hold qubit 0; otherwise they are all top
+    blocks. While a rho is live, each block that drops one of the qubits
+    0..r-1 leading it is traced out of it and visited in turn, so every
+    smaller block is read once, from the block that adds the lowest qubit
+    it lacks. Meyer-Wallach (top = 1) visits the n qubits in order with
+    ``purity_batch``'s arithmetic: its column is the in-order sum of one
+    ``purity_batch`` call per qubit.
+    """
+    top = max(m_values)
+    if top > 1 and 2 * top == n:
+        roots = [(0,) + rest for rest in combinations(range(1, n), top - 1)]
+    else:
+        roots = list(combinations(range(n), top))
+    purity = _purity if top > 1 else _gram_purity
+    totals = [0] * (top + 1)
+
+    def visit(block, rho):
+        rows, size = rho.shape[0], len(block)
+        totals[size] += purity(rho)
+        for x, q in enumerate(block if size > 1 else ()):
+            if q != x:
+                break
+            t = rho.reshape((rows,) + (2**x, 2, 2 ** (size - 1 - x)) * 2)
+            child = t[:, :, 0, :, :, 0] + t[:, :, 1, :, :, 1]
+            visit(block[:x] + block[x + 1:], child.reshape(rows, 2 ** (size - 1), -1))
+
+    for root in roots:
+        visit(root, _gram_batch(states, root))
+    # the top level's mean over its roots is its mean over all its blocks
+    return np.stack([1.0 - totals[m] / (len(roots) if m == top else math.comb(n, m))
                      for m in m_values], axis=1)
 
 
@@ -237,8 +277,12 @@ def entanglement_capability(circuit: CircuitDescriptor, samples: int,
 
     meyer-wallach: Q = 2 * mean over theta of (1 - mean single-qubit
     purity). scott: Q_m = 2^m/(2^m - 1) * mean over theta of (1 - mean
-    size-m block purity), one entry per m = 1..floor(n/2), every block
-    enumerated exhaustively.
+    size-m block purity), one entry per m = 1..floor(n/2). Only the blocks
+    of size t = floor(n/2) get Gram matrices, of 2^n * 2^t work each: for
+    even n the half of them that hold qubit 0, since a pure state's block
+    and its complement have equal purity, and for odd n all of them. Each
+    smaller block's reduced state is a partial trace of one of these, taken
+    one qubit at a time while that Gram matrix is live.
     """
     n = circuit.n_qubits
     if n < 2:

@@ -209,6 +209,7 @@ def mp_reference_spectrum(n_qubits: int, k: int, samples: int, rng=None,
     _check_count(k, "k", 1, n_qubits - 1)
     _check_count(samples, "samples")
     _check_bins(bins)
+    _fits(8 * samples * 2**k, f"the xi profiles of {samples} Haar samples")
     rng = np.random.default_rng(rng)
 
     def chunk(rows: range) -> np.ndarray:  # the chunks draw from rng in order

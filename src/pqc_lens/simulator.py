@@ -727,10 +727,14 @@ def _gram_batch(states: np.ndarray, keep) -> np.ndarray:
     return gram
 
 
+def _gram_purity(g: np.ndarray) -> np.ndarray:
+    """Tr[g^2] per row of a (B, d, d) batch of Hermitian g: the sum of |g_ij|^2."""
+    return np.sum(np.abs(g.reshape(g.shape[0], -1)) ** 2, axis=1)
+
+
 def purity_batch(states: np.ndarray, keep) -> np.ndarray:
     """Tr[rho_keep^2] for every row of a (B, 2**n) batch."""
-    g = _gram_batch(states, keep)
-    return np.sum(np.abs(g.reshape(g.shape[0], -1)) ** 2, axis=1)
+    return _gram_purity(_gram_batch(states, keep))
 
 
 def reduced_density_matrix(state: StateVector, keep) -> DensityMatrix:

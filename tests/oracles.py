@@ -3,9 +3,10 @@
 Everything here is deliberately naive: full 2^n x 2^n matrices, explicit
 kron chains, density-matrix channel evolution, and an iterative
 trace-out. None of it shares code with the package kernels, so agreement
-is meaningful evidence. Sizes are capped by the callers (n <= 6). The
-t-SNE reference is the exception: it reuses the package's perplexity
-calibration, so that its embedding can be compared bit for bit.
+is meaningful evidence. Sizes are capped by the callers (n <= 7). Two
+references are exceptions, so that results can be compared bit for bit:
+the t-SNE reference reuses the package's perplexity calibration, and the
+exhaustive block impurities run ``purity_batch`` once per block (n <= 10).
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from itertools import combinations
 import numpy as np
 
 from pqc_lens import CircuitDescriptor, Gate, ParamRef, PauliSum, make_circuit
+from pqc_lens.simulator import purity_batch
 
 _I = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -113,6 +115,15 @@ def kron_and_trace(psi: np.ndarray, keep, n: int) -> np.ndarray:
         remaining.pop(pos)
     d = 2 ** len(remaining)
     return rho.reshape(d, d)
+
+
+def exhaustive_block_impurities(states: np.ndarray, n: int, m_values) -> np.ndarray:
+    """Per row, one column per m: 1 - the mean of ``purity_batch`` over every
+    size-m block, in ``combinations`` order (the per-block loop that the
+    level scheme of ``analyzers._block_impurities`` replaced)."""
+    return np.stack([1.0 - sum(purity_batch(states, block)
+                               for block in combinations(range(n), m)) / math.comb(n, m)
+                     for m in m_values], axis=1)
 
 
 def dense_noisy_rho(bound: CircuitDescriptor, p1: float, p2: float) -> np.ndarray:

@@ -302,6 +302,20 @@ class TestMPReference:
             z = check.standard_normal(2**n) + 1j * check.standard_normal(2**n)
             assert np.array_equal(row, z / np.linalg.norm(z))
 
+    def test_an_oversized_profile_table_fails_before_any_draw(self, monkeypatch):
+        # 64 KiB: the 20 000 two-float profiles of a 1-qubit split, 320 000
+        # bytes, exceed half of it; 200 of them fit
+        monkeypatch.setattr(simulator, "_physical_memory", lambda: 2**16)
+        draws, draw = [], baselines._haar_batch
+        monkeypatch.setattr(baselines, "_haar_batch",
+                            lambda *args: draws.append(args) or draw(*args))
+        with pytest.raises(ValueError, match=re.escape(
+                "the xi profiles of 20000 Haar samples takes 320000 bytes")):
+            mp_reference_spectrum(2, 1, 20000, rng=0)
+        assert not draws
+        assert mp_reference_spectrum(2, 1, 200, rng=0).samples == 200
+        assert draws
+
     def test_rejects_bad_split(self):
         with pytest.raises(ValueError):
             mp_reference_spectrum(3, 0, samples=10)

@@ -6,6 +6,7 @@ split into chunks.
 """
 import tracemalloc
 from functools import partial
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -469,6 +470,53 @@ def test_ensemble_results_are_prefix_stable(monkeypatch, circuit, chunk_bytes):
             assert np.array_equal(head, results[:prefix])
 
 
+# Scott's level scheme: Gram matrices for the top-level blocks only, every
+# smaller block traced out of one of them.
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 7), st.integers(0, 10**9))
+def test_block_impurities_match_traced_density_matrices(n, seed):
+    rng = np.random.default_rng(seed)
+    circuit = oracles.random_circuit(rng, max_qubits=n, max_gates=30, min_qubits=n)
+    program = compile_program(circuit)
+    states = simulate_batch(program, program.angles(rng.uniform(-np.pi, np.pi,
+                                                                (3, circuit.n_params))))
+    m_values = range(1, n // 2 + 1)
+    for psi, row in zip(states, analyzers._block_impurities(states, n, m_values)):
+        for m, impurity in zip(m_values, row):
+            purity = np.mean([np.sum(np.abs(oracles.kron_and_trace(psi, block, n)) ** 2)
+                              for block in combinations(range(n), m)])
+            scale = 2.0**m / (2.0**m - 1.0)
+            assert abs(scale * impurity - scale * (1.0 - purity)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_meyer_wallach_columns_equal_the_exhaustive_loop(n):
+    circuit = layered_ansatz(n, 2, "full")
+    program = circuit.program
+    thetas = np.random.default_rng(n).uniform(0, 2 * np.pi, (5, circuit.n_params))
+    states = simulate_batch(program, program.angles(thetas))
+    assert np.array_equal(analyzers._block_impurities(states, n, range(1, 2)),
+                          oracles.exhaustive_block_impurities(states, n, range(1, 2)))
+
+
+@pytest.mark.parametrize("chunk_bytes", [simulator.CHUNK_BYTES, 1])
+@pytest.mark.parametrize("circuit", [layered_ansatz(6, 2, "full"), layered_ansatz(7, 2, "chain"),
+                                     layered_ansatz(8, 1, "full")],
+                         ids=["6q-2l-full", "7q-2l-chain", "8q-1l-full"])
+def test_scott_rows_equal_their_lone_runs(monkeypatch, circuit, chunk_bytes):
+    # sample i of base seed s is sample 0 of base seed s + i
+    monkeypatch.setattr(simulator, "CHUNK_BYTES", chunk_bytes)
+    n = circuit.n_qubits
+    reduce = partial(analyzers._block_impurities, n=n, m_values=range(1, n // 2 + 1))
+    lone = [analyzers._ensemble(circuit, 1, 5 + i, reduce)[1][0] for i in range(33)]
+    for rows in (2, 3, 5, 8, 33):
+        _, results = analyzers._ensemble(circuit, rows, 5, reduce)
+        for i in range(rows):
+            assert np.array_equal(results[i], lone[i])
+
+
 # Monomial blocks: stretches of X, Z, RZ, CX and CZ, which compile to one
 # gather-and-phase op each, between the dense gates that end them.
 
@@ -658,7 +706,9 @@ def test_gather_columns_are_the_bit_transpose_of_the_index_masks(n, seed):
 
 def _reductions(circuit):
     """(name, rows per group, fn(states, rows)) for the reduction of every
-    analyzer, an X/Y cost and a Z cost."""
+    analyzer, an X/Y cost and a Z cost; at most 8 qubits, Scott at every
+    block size too, a root rho and its partial traces held beside the
+    states."""
     n = circuit.n_qubits
     k = (n + 1) // 2
     rank = analyzers._schmidt_rank_bound(circuit, k)
@@ -666,7 +716,7 @@ def _reductions(circuit):
         [(0.5, {q: "Z", q + 1: "Z"}) for q in range(n - 1)])
     xy_cost = PauliSum.from_terms([(1.0, {0: "X", 1: "Y"}), (0.5, {n - 1: "Z"}),
                                    (0.25, {1: "X"})])
-    return [
+    reductions = [
         ("expressibility", 2, lambda s, rows: analyzers._pair_fidelities(s)),
         ("meyer-wallach", 1, lambda s, rows: analyzers._block_impurities(s, n, range(1, 2))),
         ("scott", 1, lambda s, rows: analyzers._block_impurities(
@@ -678,6 +728,10 @@ def _reductions(circuit):
         ("sampled metric", 1, lambda s, rows: [sample(StateVector(n, psi), 64, r).shots
                                                for r, psi in zip(rows, s)]),
     ]
+    if n <= 8:
+        reductions.append(("scott at every m", 1, lambda s, rows: analyzers._block_impurities(
+            s, n, range(1, n // 2 + 1))))
+    return reductions
 
 
 @pytest.mark.parametrize("circuit", [
