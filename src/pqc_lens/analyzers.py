@@ -59,7 +59,6 @@ from .trainer import (
     TrainingTrace,
     _check_run,
     _loss_and_gradient,
-    cost_batch,
     ensemble_train,
 )
 
@@ -195,21 +194,6 @@ class MetricSpec:
             if not callable(self.scorer):
                 raise ValueError("scorer must be callable")
             _check_count(self.shots, "shots")
-
-
-def _metric_values(circuit: CircuitDescriptor, thetas, metric: MetricSpec,
-                   seeds) -> np.ndarray:
-    """The metric at every row of thetas; sampling row r uses seeds[r]."""
-    if metric.mode == MetricSpec.EXPECTATION:
-        return cost_batch(circuit, thetas)
-
-    def scores(states: np.ndarray, rows: range) -> list[float]:
-        return [float(metric.scorer(sample(StateVector(circuit.n_qubits, psi),
-                                           metric.shots, seeds[r]).bit_matrix()))
-                for r, psi in zip(rows, states)]
-
-    angles = circuit.program.angles(thetas)
-    return simulate_map(scores, circuit.program, lambda r: angles[r.start:r.stop], len(angles))
 
 
 @dataclass(frozen=True)
@@ -405,9 +389,10 @@ def _check_grid(points: int, scan_range: float) -> None:
 
 
 def _check_landscape(circuit: CircuitDescriptor, theta_star, basis_mode: str,
-                     points: int, scan_range: float) -> np.ndarray:
+                     points: int, scan_range: float, trace_points: int | None) -> np.ndarray:
     """theta_star as a flat float vector; ValueError, before any simulation,
-    unless a ``loss_landscape`` of these arguments can be evaluated."""
+    unless a ``loss_landscape`` of these arguments, with a trace of
+    ``trace_points`` points or none, can be evaluated."""
     _check_choice(basis_mode, "basis_mode", BASIS_MODES)
     _check_grid(points, scan_range)
     theta_star = np.asarray(theta_star, dtype=float).reshape(-1)
@@ -419,8 +404,13 @@ def _check_landscape(circuit: CircuitDescriptor, theta_star, basis_mode: str,
     if not math.isfinite(float(np.max(np.abs(theta_star), initial=0.0)) + 2.0 * scan_range):
         raise ValueError("the scan grid overflows: theta_star must be finite and "
                          "|theta_star| + 2 * scan_range within the float range")
-    _fits(8 * (points**2 + 1) * (circuit.n_params + circuit.program.kinds.size),
-          f"a {points} x {points} landscape grid")
+    _fits(8 * (points**2 + 1), f"the values of a {points} x {points} landscape")
+    if basis_mode == "pca":
+        if trace_points is None:
+            raise ValueError("pca basis mode needs a training trace")
+        if trace_points < 3:
+            raise ValueError(f"steps must be at least 2 for a pca basis (a trace of at "
+                             f"least 3 points), got {trace_points - 1}")
     return theta_star
 
 
@@ -431,35 +421,45 @@ def loss_landscape(circuit: CircuitDescriptor, theta_star,
     """Metric values on a 2-D slice through theta_star.
 
     The slice directions are either a random orthonormal pair or the top-2
-    principal axes of a supplied training trace; the frame's origin is
-    theta_star, so value(phi) = metric(theta_star + phi0*axis0 +
-    phi1*axis1) over the square [-scan_range, scan_range]^2. A circuit
-    with a single parameter gets a degenerate (zero) second axis, which
-    flattens the grid along phi1. Every grid point must be a float:
+    principal axes of a supplied training trace of at least 3 points; the
+    frame's origin is theta_star, so value(phi) = metric(theta_star +
+    phi0*axis0 + phi1*axis1) over the square [-scan_range, scan_range]^2. A
+    circuit with a single parameter gets a degenerate (zero) second axis,
+    which flattens the grid along phi1. Every grid point must be a float:
     |theta_star| + 2 * scan_range within the float range.
 
-    Sampling-based metrics draw per-node seeds base + 1 + flat_index; the
-    center evaluation uses the base seed itself.
+    Node 0 is theta_star and node 1 + i * points + j is grid point (i, j);
+    the chunk runner builds each chunk's nodes, so beyond one chunk the call
+    holds the points**2 + 1 values alone. A sampling metric seeds node r base + r.
     """
-    theta_star = _check_landscape(circuit, theta_star, basis_mode, points, scan_range)
+    theta_star = _check_landscape(circuit, theta_star, basis_mode, points, scan_range,
+                                  None if trace is None else trace.thetas.shape[0])
     if metric is None:
         metric = MetricSpec()
+    if metric.mode == MetricSpec.EXPECTATION and circuit.cost is None:
+        raise ValueError("circuit has no cost observable attached")
     base = _resolve_seed(seed)
 
     if basis_mode == "pca":
-        if trace is None:
-            raise ValueError("pca basis mode needs a training trace")
-        _, trace_basis, _ = pca(PointCloud(trace.thetas), dims=2)
-        basis = SubspaceBasis(theta_star, trace_basis.axes)
+        axes = pca(PointCloud(trace.thetas), dims=2)[1].axes
     else:
-        basis = SubspaceBasis(theta_star,
-                              random_basis(circuit.n_params, 2, seed=base).axes)
-
+        axes = random_basis(circuit.n_params, 2, seed=base).axes
+    basis = SubspaceBasis(theta_star, axes)
     phi = np.linspace(-scan_range, scan_range, points)
-    grid = theta_star + phi[:, None, None] * basis.axes[0] + phi[None, :, None] * basis.axes[1]
-    # the center first: row r, node r - 1 in flat order, draws seed base + r
-    thetas = np.concatenate([theta_star[None], grid.reshape(points * points, theta_star.size)])
-    values = _metric_values(circuit, thetas, metric, range(base, base + thetas.shape[0]))
+
+    def rows(r: range) -> np.ndarray:
+        i, j = np.divmod(np.arange(r.start, r.stop) - 1, points)
+        nodes = theta_star + phi[i, None] * basis.axes[0] + phi[j, None] * basis.axes[1]
+        nodes[i < 0] = theta_star
+        return circuit.program.angles(nodes)
+
+    def evaluate(states: np.ndarray, r: range):
+        if metric.mode == MetricSpec.EXPECTATION:
+            return expectation_batch(states, circuit.cost)
+        return [float(metric.scorer(sample(StateVector(circuit.n_qubits, psi), metric.shots,
+                                           base + k).bit_matrix())) for k, psi in zip(r, states)]
+
+    values = simulate_map(evaluate, circuit.program, rows, points * points + 1)
     return LandscapeGrid(basis, phi, values[1:].reshape(points, points),
                          float(values[0]), metric.mode, float(scan_range), base)
 

@@ -137,9 +137,9 @@ def _best_trace(traces):
 
 def _check_best_landscape(circuit, args, theta=None) -> None:
     """``_best_landscape``'s checks, before training: at ``theta``, or at zeros
-    in place of the trained point."""
+    in place of the trained point, on a trace of --steps + 1 points."""
     _check_landscape(circuit, np.zeros(circuit.n_params) if theta is None else theta,
-                     "pca", args.points, args.scan_range)
+                     "pca", args.points, args.scan_range, args.steps + 1)
 
 
 def _best_landscape(circuit, traces, args, seed: int, theta=None):

@@ -704,10 +704,11 @@ def _gram_batch(states: np.ndarray, keep) -> np.ndarray:
     """m m^dagger per row, m the state as a (2**k, 2**(n-k)) kept-by-rest matrix.
 
     m is a view when the kept qubits lead, else a copy, and m^dagger a copy:
-    all rows go at once when their copies fit in the room ``_row_bytes``
-    gives a row beside its state, else half of them at a time (one row, and
-    three states, for B = 1). ValueError, before anything is allocated, if
-    the matrices and a group's copies exceed half of physical memory.
+    the rows go in the fewest groups of one size (the last may be smaller)
+    whose copies fit in the room ``_row_bytes`` gives the B rows beside
+    their states, so in one group or ``_parts``' two halves when those fit
+    (one row, and three states, for B = 1). ValueError, before anything is
+    allocated, if the matrices and a group's copies exceed half of physical memory.
     """
     rows, dim = states.shape
     n = dim.bit_length() - 1
@@ -715,7 +716,8 @@ def _gram_batch(states: np.ndarray, keep) -> np.ndarray:
     k = len(keep)
     copies = 1 if keep == tuple(range(k)) else 2
     room = _row_bytes(n) - _AMPLITUDE_BYTES * dim
-    step = rows if copies * _AMPLITUDE_BYTES * dim <= room else max(1, rows // 2)
+    fit = max(1, rows * room // (copies * _AMPLITUDE_BYTES * dim))  # rows whose copies fit
+    step = -(-rows // max(1, -(-rows // fit)))  # ceil(rows / groups), groups = ceil(rows / fit)
     _fits(_AMPLITUDE_BYTES * (rows * 4**k + copies * step * dim),
           f"the reduced density matrices of {rows} row(s) on {k} of {n} qubits")
     rest = tuple(q + 1 for q in range(n) if q not in keep)

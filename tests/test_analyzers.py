@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -272,6 +273,12 @@ class TestLossLandscape:
     def test_pca_mode_requires_a_trace(self):
         with pytest.raises(ValueError, match="trace"):
             loss_landscape(_two_param_cost(), [0.0, 0.0], basis_mode="pca")
+        # of 3 points: PCA onto 2 axes needs them
+        short = TrainingTrace(0, np.zeros((2, 2)), np.zeros(2))
+        with pytest.raises(ValueError, match=re.escape(
+                "steps must be at least 2 for a pca basis (a trace of at least 3 points), "
+                "got 1")):
+            loss_landscape(_two_param_cost(), [0.0, 0.0], basis_mode="pca", trace=short)
 
     def test_sampling_metric_is_deterministic_per_seed(self):
         c = _two_param_cost()
@@ -318,33 +325,84 @@ class TestLossLandscape:
         assert MetricSpec(len).mode == MetricSpec.FROM_SAMPLES == "from_samples"
 
     def test_rows_and_seeds_are_the_listed_nodes(self, monkeypatch):
-        seen = {}
+        # the chunks' angle rows are those of node 0, theta_star, then of node
+        # 1 + i * points + j, grid point (i, j); a sampling metric seeds node r base + r
+        seen = {"rows": [], "seeds": []}
+        simulate_map, draw = analyzers.simulate_map, analyzers.sample
+        default_chunk = simulator.CHUNK_BYTES
 
-        def record(circuit, thetas, metric, seeds):
-            seen["thetas"], seen["seeds"] = thetas, list(seeds)
-            return np.zeros(thetas.shape[0])
+        def record_rows(fn, program, rows, items, group=1):
+            def logged(r):
+                seen["rows"].append(rows(r))
+                return seen["rows"][-1]
+            return simulate_map(fn, program, logged, items, group)
 
-        monkeypatch.setattr(analyzers, "_metric_values", record)
+        def record_seed(state, shots, seed):
+            seen["seeds"].append(seed)
+            return draw(state, shots, seed)
+
+        monkeypatch.setattr(analyzers, "simulate_map", record_rows)
+        monkeypatch.setattr(analyzers, "sample", record_seed)
         rng = np.random.default_rng(21)
-        for _ in range(300):
-            c = layered_ansatz(int(rng.integers(1, 3)), int(rng.integers(1, 3)))
+        for case in range(300):
+            ansatz = layered_ansatz(int(rng.integers(1, 3)), int(rng.integers(1, 3)))
+            c = make_circuit(ansatz.n_qubits, ansatz.gates, ansatz.parameter_names, Z0)
             theta_star = rng.uniform(-10.0, 10.0, c.n_params)
             points, scan_range = int(rng.integers(2, 8)), float(rng.uniform(0.1, 5.0))
             seed = int(rng.integers(2**31))
-            grid = loss_landscape(c, theta_star, points=points, scan_range=scan_range,
-                                  seed=seed)
+            sampling = case % 2 == 1
+            metric = MetricSpec(lambda bits: float(bits.sum()), shots=1) if sampling else None
+            monkeypatch.setattr(simulator, "CHUNK_BYTES",
+                                default_chunk if case % 3 == 0 else int(rng.integers(1, 2**15)))
+            seen["rows"].clear()
+            seen["seeds"].clear()
+            grid = loss_landscape(c, theta_star, metric=metric, points=points,
+                                  scan_range=scan_range, seed=seed)
             phi, axes = np.linspace(-scan_range, scan_range, points), grid.basis.axes
             nodes = [theta_star + phi[i] * axes[0] + phi[j] * axes[1]
                      for i in range(points) for j in range(points)]
-            assert np.array_equal(seen["thetas"], np.array([theta_star] + nodes))
-            assert seen["seeds"] == [seed] + [seed + 1 + k for k in range(points * points)]
+            assert np.array_equal(np.concatenate(seen["rows"]),
+                                  c.program.angles(np.array([theta_star] + nodes)))
+            assert seen["seeds"] == (list(range(seed, seed + points * points + 1))
+                                     if sampling else [])
 
     def test_oversized_grid_fails_before_allocation(self, monkeypatch):
+        # 1 MiB: the 720 008 bytes of values of a 300 x 300 grid exceed half of
+        # it, those of a 200 x 200 grid fit, and its nodes come a chunk at a time
         monkeypatch.setattr(simulator, "_physical_memory", lambda: 2**20)
         c = _two_param_cost()
-        with pytest.raises(ValueError, match="200 x 200 landscape grid takes"):
-            loss_landscape(c, [0.0, 0.0], points=200, seed=0)
-        assert loss_landscape(c, [0.0, 0.0], points=20, seed=0).values.shape == (20, 20)
+        with monkeypatch.context() as mp:
+            mp.setattr(analyzers, "simulate_map", _no_work)
+            with pytest.raises(ValueError, match="the values of a 300 x 300 landscape "
+                                                 "takes 720008 bytes"):
+                loss_landscape(c, [0.0, 0.0], points=300, seed=0)
+        assert loss_landscape(c, [0.0, 0.0], points=200, seed=0).values.shape == (200, 200)
+
+    def test_memory_is_the_values_and_one_chunk(self, monkeypatch):
+        # 61 x 61 nodes of 480 parameters: built whole, the nodes and their angle
+        # table took 68 MiB, more than the physical memory the check was given
+        monkeypatch.setattr(simulator, "_physical_memory", lambda: 64 * 2**20)
+        ansatz = layered_ansatz(4, 40)
+        c = make_circuit(4, ansatz.gates, ansatz.parameter_names, Z0)
+        c.program  # compiled outside the trace
+        tracemalloc.start()
+        try:
+            grid = loss_landscape(c, np.zeros(c.n_params), points=61, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.values.shape == (61, 61)
+        assert peak < 8 * 2**20
+
+    def test_a_circuit_without_a_cost_fails_before_simulating(self, monkeypatch):
+        c, theta = layered_ansatz(2, 1), np.zeros(6)
+        with monkeypatch.context() as mp:
+            mp.setattr(simulator, "simulate_batch", _no_work)
+            with pytest.raises(ValueError, match="circuit has no cost observable attached"):
+                loss_landscape(c, theta, points=3, seed=0)
+        # a sampling metric needs no cost
+        metric = MetricSpec(lambda bits: float(bits.mean()), shots=4)
+        assert loss_landscape(c, theta, metric=metric, points=3, seed=0).values.shape == (3, 3)
 
 
 class TestBarrenPlateauScan:

@@ -484,12 +484,23 @@ class TestExitCodes:
         (["qaoa", "--nodes", "3", "--edges", "2", "--shots", "1", "--points", "2",
           "--range", "1e308"],
          "the scan grid overflows"),
+        # a pca basis needs a trace of 3 points, which 2 steps make
+        (["landscape", "--circuit", "SPEC", "--basis", "pca", "--steps", "1"],
+         "steps must be at least 2 for a pca basis (a trace of at least 3 points), got 1"),
+        (["landscape", "--circuit", "SPEC", "--basis", "pca", "--steps", "0"],
+         "steps must be at least 2 for a pca basis (a trace of at least 3 points), got 0"),
+        (["path", "--circuit", "SPEC", "--overlay", "--steps", "1", "--restarts", "2"],
+         "steps must be at least 2 for a pca basis"),
+        (["qaoa", "--nodes", "4", "--edges", "3", "--steps", "1", "--restarts", "3",
+          "--points", "3"],
+         "steps must be at least 2 for a pca basis"),
     ], ids=["qaoa-perplexity", "qaoa-iters", "path-points", "path-tsne-points",
             "histogram-members", "histogram-bins", "landscape-pca-points",
             "landscape-pca-range-zero", "landscape-pca-range-negative",
             "landscape-pca-range-nan", "landscape-pca-range-overflow", "landscape-pca-theta",
             "path-overlay-points", "path-overlay-range", "path-overlay-tsne", "qaoa-points",
-            "qaoa-range-overflow"])
+            "qaoa-range-overflow", "landscape-pca-steps", "landscape-pca-no-steps",
+            "path-overlay-steps", "qaoa-steps"])
     def test_unusable_path_and_histogram_flags_fail_before_training(
             self, two_qubit_spec, tmp_path, monkeypatch, capsys, argv, message):
         # the same check, and message, as the library function reached after training
